@@ -27,15 +27,8 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import BoundaryWarning, DomainError, ValidationError
-from .gammabounds import B2, _phase, _sec_sq, _series_block, ratio_error_sup
-from .selberg import (
-    LFunctionData,
-    StripParams,
-    conductor_product,
-    derive_quantities,
-    require_admissible,
-    threshold_height,
-)
+from .gammabounds import _kernel_sum, ratio_error_sup
+from .selberg import LFunctionData, StripParams, require_admissible
 
 LOG2 = math.log(2.0)
 TWO_PI = 2.0 * math.pi
@@ -47,21 +40,9 @@ CEIL_GUARD = 1e-6
 def _ratio_error_slope(data: LFunctionData, strip: StripParams) -> float:
     """Coefficient of log(T/T0) in the integrated gamma-ratio error.
 
-    Per factor: (2/lam) * (series block + two paired-remainder kernels, one
-    at height -b and one at -b - 1, each weighted B2/4).
+    The factor kernels summed at real parts -b and -b - 1.
     """
-    h = threshold_height(data)
-    total = 0.0
-    for f in data.factors:
-        ph_b = _phase(complex(-strip.b, h))
-        ph_b1 = _phase(complex(-strip.b - 1.0, h))
-        block = (
-            _series_block(f)
-            + B2 / 4.0 * (2.0 + _sec_sq(ph_b / 2.0))
-            + B2 / 4.0 * (2.0 + _sec_sq(ph_b1 / 2.0))
-        )
-        total += 2.0 / f.lam * block
-    return total
+    return _kernel_sum(data, -strip.b) + _kernel_sum(data, -strip.b - 1.0)
 
 
 def integrated_ratio_error(data: LFunctionData, strip: StripParams, T0: float, T: float) -> float:
@@ -78,8 +59,7 @@ def integrated_ratio_error(data: LFunctionData, strip: StripParams, T0: float, T
 
 def _log_term_slope(data: LFunctionData, strip: StripParams) -> float:
     """-(7/2) d (2b+1) + 2|-d b + Im(mu_cap) i / 2| + 2d, the other log slope."""
-    dq = derive_quantities(data)
-    d, im = dq.d_L, dq.mu_cap.imag
+    d, im = data.degree, data.mu_cap.imag
     b = strip.b
     return -3.5 * d * (2.0 * b + 1.0) + 2.0 * abs(complex(-d * b, im / 2.0)) + 2.0 * d
 
@@ -106,6 +86,23 @@ def vertical_integral_bound() -> float:
     return math.pi ** 2 / (3.0 * LOG2)
 
 
+def _reflection_head(data: LFunctionData, c: float) -> float:
+    """max(2.5 log(lambda Q^2), c log(lambda Q^2)), the head of the reflection branch."""
+    log_lq2 = math.log(data.lambda_q2)
+    return max(2.5 * log_lq2, c * log_lq2)
+
+
+def _h1_interp(data: LFunctionData) -> float:
+    """The interpolation branch's constant, which no height enters.
+
+    (2.5 d + 1) log 2 + k log 3 + max(0, 2.5 log(lambda Q^2) + 2.5 sqrt(5) d + |Im mu_cap|).
+    """
+    d = data.degree
+    return (2.5 * d + 1.0) * LOG2 + data.k * math.log(3.0) + max(
+        0.0, 2.5 * math.log(data.lambda_q2) + 2.5 * math.sqrt(5.0) * d + abs(data.mu_cap.imag)
+    )
+
+
 def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float:
     """Bound for the zero count of the auxiliary disc function at height T.
 
@@ -114,28 +111,23 @@ def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float
     admissible.
     """
     require_admissible(data, strip, T)
-    dq = derive_quantities(data)
-    d, im = dq.d_L, dq.mu_cap.imag
-    lq2 = conductor_product(data)
+    d, im = data.degree, data.mu_cap.imag
     a, r = strip.a, strip.R
     two_r = 2.0 * r
     c = 0.5 - a + two_r
     edge = abs(complex(1.0, -(a + two_r) / (T - two_r)))
     reflect = (
-        max(2.5 * math.log(abs(lq2)), c * math.log(abs(lq2)))
+        _reflection_head(data, c)
         - 2.0 * d
         + edge * d * c
         + d * (a + two_r)
         + (a + two_r) / (T - two_r) * abs(im / 2.0)
     )
-    interp = (2.5 * d + 1.0) * LOG2 + data.k * math.log(3.0) + max(
-        0.0, 2.5 * math.log(abs(lq2)) + 2.5 * math.sqrt(5.0) * d + abs(im)
-    )
     return (
         d * c * math.log(2.0 * T)
         + math.log(data.a1 * math.pi ** 2 / 6.0)
         + ratio_error_sup(data, strip, T)
-        + max(reflect, interp)
+        + max(reflect, _h1_interp(data))
     ) / LOG2
 
 
@@ -169,6 +161,7 @@ class BranchConstants:
 
     alpha = 0 keeps the reflection branch (h2 then carries the 1/(T - 2R)
     payload); alpha = 1 keeps the interpolation branch and forces h2 = 0.
+    Either way h1 + h2/(T - 2R) dominates both branches for every T >= T0.
     """
 
     alpha: int
@@ -179,23 +172,21 @@ class BranchConstants:
 def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> BranchConstants:
     """Pick the branch whose bound h1 + h2/(T0 - 2R) is larger at T0.
 
-    Ties resolve to the interpolation branch (alpha = 1).
+    Ties resolve to the interpolation branch (alpha = 1).  The reflection
+    branch's h1 is max(h1_reflect, h1_interp): its h2 payload decays with
+    T, so the interpolation constant can overtake it above T0.
     """
     two_r = 2.0 * strip.R
     if not T0 > two_r:
         raise DomainError(f"needs T0 > 2R = {two_r}, got {T0}")
-    dq = derive_quantities(data)
-    d, im = dq.d_L, dq.mu_cap.imag
-    lq2 = conductor_product(data)
+    d = data.degree
     a, r = strip.a, strip.R
     c = 0.5 - a + two_r
-    h1_reflect = max(2.5 * math.log(abs(lq2)), c * math.log(abs(lq2))) + d * (-1.5 + 4.0 * r)
-    h2_reflect = d * c * (a + two_r) + (a + two_r) * abs(im / 2.0)
-    h1_interp = (2.5 * d + 1.0) * LOG2 + data.k * math.log(3.0) + max(
-        0.0, 2.5 * math.log(abs(lq2)) + 2.5 * math.sqrt(5.0) * d + abs(im)
-    )
+    h1_reflect = _reflection_head(data, c) + d * (-1.5 + 4.0 * r)
+    h2_reflect = d * c * (a + two_r) + (a + two_r) * abs(data.mu_cap.imag / 2.0)
+    h1_interp = _h1_interp(data)
     if h1_reflect + h2_reflect / (T0 - two_r) > h1_interp:
-        return BranchConstants(alpha=0, h1=h1_reflect, h2=h2_reflect)
+        return BranchConstants(alpha=0, h1=max(h1_reflect, h1_interp), h2=h2_reflect)
     return BranchConstants(alpha=1, h1=h1_interp, h2=0.0)
 
 
@@ -207,8 +198,7 @@ def total_count_error(data: LFunctionData, strip: StripParams, T0: float, T: flo
     require_admissible(data, strip, T0, label="T0")
     if not T > T0:
         raise DomainError(f"needs T > T0, got T = {T} <= T0 = {T0}")
-    d = data.degree
-    lq2 = conductor_product(data)
+    d, lq2 = data.degree, data.lambda_q2
     r = strip.R
     return (
         d / TWO_PI * T0 * math.log(T0 / math.e)
@@ -243,9 +233,7 @@ def window_coefficients(data: LFunctionData, strip: StripParams, T0: float) -> C
     monotone substitution 1/(T - 2R) <= T0 / ((T0 - 2R) T).
     """
     require_admissible(data, strip, T0, label="T0")
-    dq = derive_quantities(data)
-    d = dq.d_L
-    lq2 = conductor_product(data)
+    d, lq2 = data.degree, data.lambda_q2
     a, b, r = strip.a, strip.b, strip.R
     two_r = 2.0 * r
     c = 0.5 - a + two_r
@@ -282,8 +270,7 @@ def doubling_coefficients(data: LFunctionData, strip: StripParams, T0: float) ->
     doubles the c1 slope relative to the single window.
     """
     require_admissible(data, strip, T0, label="T0")
-    dq = derive_quantities(data)
-    d = dq.d_L
+    d = data.degree
     a, b, r = strip.a, strip.b, strip.R
     two_r = 2.0 * r
     c = 0.5 - a + two_r

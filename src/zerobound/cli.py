@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -70,8 +71,22 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _emit_json(obj: dict, out_path: str | None) -> None:
-    text = json.dumps(_round_tree(obj, _digits()), indent=2) + "\n"
+    try:
+        text = json.dumps(_round_tree(obj, _digits()), indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ZeroboundError("a result is not finite, so it has no JSON form") from None
     _emit(text, out_path)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for the heights: a finite decimal."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -86,14 +101,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("constants", help="emit the full bound report as JSON")
     p.add_argument("--input", required=True, help="functional-equation document (JSON)")
-    p.add_argument("--t0", type=float, required=True)
-    p.add_argument("--t", type=float, help="upper height (default 2 * t0)")
+    p.add_argument("--t0", type=_finite_float, required=True)
+    p.add_argument("--t", type=_finite_float, help="upper height (default 2 * t0)")
     p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("bound", help="emit the total error bound for a window")
     p.add_argument("--input", required=True)
-    p.add_argument("--t0", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t0", type=_finite_float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("table", help="regenerate the constants table as CSV")
@@ -104,8 +119,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check a zero table against both inequalities")
     p.add_argument("--input", required=True)
     p.add_argument("--zeros", required=True, help="zero-ordinate text file")
-    p.add_argument("--t0", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t0", type=_finite_float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--out", help="output path (default stdout)")
 
     return parser
@@ -196,10 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ZeroboundError as exc:
-        print(f"zerobound: error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ZeroboundError, OSError, json.JSONDecodeError, OverflowError) as exc:
         print(f"zerobound: error: {exc}", file=sys.stderr)
         return 1
 

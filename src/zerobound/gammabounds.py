@@ -24,14 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AdmissibilityError, DomainError
-from .selberg import (
-    LFunctionData,
-    StripParams,
-    conductor_product,
-    derive_quantities,
-    require_admissible,
-    threshold_height,
-)
+from .selberg import LFunctionData, StripParams, require_admissible
 
 #: second Bernoulli number, the one-term Stirling remainder coefficient
 B2 = 1.0 / 6.0
@@ -67,26 +60,28 @@ def stirling_remainder_bound(z: complex) -> float:
     return B2 / (2.0 * abs(z)) * _sec_sq(ph / 2.0)
 
 
-def _series_block(f) -> float:
-    """|lam+conj(mu)|^2 + 2|(lam+conj(mu))(lam+conj(mu)-1/2)| + |mu|^2 + 2|mu(mu-1/2)|."""
-    lm = f.lam + f.mu.conjugate()
-    mu = f.mu
-    return (
-        abs(lm) ** 2
-        + 2.0 * abs(lm * (lm - 0.5))
-        + abs(mu) ** 2
-        + 2.0 * abs(mu * (mu - 0.5))
-    )
-
-
-def _pair_secant(data: LFunctionData, sigma: float) -> float:
-    """2 + sec^2(arg(-|sigma| + i * threshold)/2), the paired remainder kernel.
+def _pair_secant(data: LFunctionData, x: float) -> float:
+    """2 + sec^2(arg(x + i * threshold)/2), the paired remainder kernel.
 
     The positive factor scaling lam_j drops out of the argument.
     """
-    h = threshold_height(data)
-    ph = _phase(complex(-abs(sigma), h))
-    return 2.0 + _sec_sq(ph / 2.0)
+    return 2.0 + _sec_sq(_phase(complex(x, data.threshold_height)) / 2.0)
+
+
+def _factor_kernels(data: LFunctionData, x: float) -> list[float]:
+    """Per factor (series block + B2/2 * (2 + sec^2(arg(x + i * threshold)/2))) / lam.
+
+    Divided by t, this is the factor's gamma-ratio error bound with the
+    secant taken at real part x: the series block covers the truncated
+    logarithm series, the secant term the paired Stirling remainders.
+    """
+    sec = _pair_secant(data, x)
+    return [(block + B2 / 2.0 * sec) / f.lam for block, f in zip(data.series_blocks, data.factors)]
+
+
+def _kernel_sum(data: LFunctionData, x: float) -> float:
+    """Sum over factors of _factor_kernels(data, x)."""
+    return math.fsum(_factor_kernels(data, x))
 
 
 def remainder_pair_bound(data: LFunctionData, j: int, sigma: float, t: float) -> float:
@@ -96,11 +91,10 @@ def remainder_pair_bound(data: LFunctionData, j: int, sigma: float, t: float) ->
     away from the branch cut and the flat secant factor 2 covers the side
     whose half-argument stays below pi/4.
     """
-    h = threshold_height(data)
+    h = data.threshold_height
     if t < h:
         raise AdmissibilityError(f"t = {t} is below the remainder threshold {h}")
-    f = data.factors[j]
-    return B2 / (2.0 * f.lam * t) * _pair_secant(data, sigma)
+    return B2 / (2.0 * data.factors[j].lam * t) * _pair_secant(data, -abs(sigma))
 
 
 def ratio_error_bound(data: LFunctionData, j: int, sigma: float, t: float) -> float:
@@ -110,11 +104,10 @@ def ratio_error_bound(data: LFunctionData, j: int, sigma: float, t: float) -> fl
     lam_j t, which under-estimates |lam_j s| and so over-estimates the
     error) plus the paired Stirling-remainder bound.  Scales exactly as 1/t.
     """
-    h = threshold_height(data)
+    h = data.threshold_height
     if t < h:
         raise AdmissibilityError(f"t = {t} is below the remainder threshold {h}")
-    f = data.factors[j]
-    return _series_block(f) / (f.lam * t) + remainder_pair_bound(data, j, sigma, t)
+    return _factor_kernels(data, -abs(sigma))[j] / t
 
 
 def ratio_error_total(data: LFunctionData, sigma: float, t: float) -> float:
@@ -131,14 +124,7 @@ def ratio_error_sup(data: LFunctionData, strip: StripParams, T: float) -> float:
     two_r = 2.0 * strip.R
     if T <= two_r:
         raise DomainError(f"supremum envelope needs T > 2R = {two_r}, got {T}")
-    h = threshold_height(data)
-    worst_sigma = -(strip.a + two_r)
-    total = 0.0
-    for f in data.factors:
-        ph = _phase(complex(worst_sigma, h))
-        block = _series_block(f) + B2 / 2.0 * (2.0 + _sec_sq(ph / 2.0))
-        total += block / f.lam
-    return total / (T - two_r)
+    return _kernel_sum(data, -(strip.a + two_r)) / (T - two_r)
 
 
 def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:
@@ -160,13 +146,11 @@ def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:
             raise AdmissibilityError(
                 f"gamma argument on the branch cut at s = {s}: {exc}"
             ) from None
-    dq = derive_quantities(data)
-    d = dq.d_L
-    lq2 = conductor_product(data)
+    d = data.degree
     swing = cmath.log(1.0 - complex(0.0, sigma) / t)
-    weight = d * (0.5 - s) + complex(0.0, dq.mu_cap.imag / 2.0)
+    weight = d * (0.5 - s) + complex(0.0, data.mu_cap.imag / 2.0)
     return (
-        (0.5 - sigma) * (d * math.log(t) + math.log(lq2))
+        (0.5 - sigma) * (d * math.log(t) + math.log(data.lambda_q2))
         + d * sigma
         + (swing * weight).real
     )
@@ -179,19 +163,10 @@ def _mid_band_peak(data: LFunctionData, strip: StripParams, T: float) -> float:
     the 3^k pole allowance; the left edge includes the gamma-ratio error
     envelope along sigma = -2.
     """
-    dq = derive_quantities(data)
-    lq2 = conductor_product(data)
-    h = threshold_height(data)
-    two_r = 2.0 * strip.R
-    err = 0.0
-    for f in data.factors:
-        ph = _phase(complex(-2.0, h))
-        block = _series_block(f) + B2 / 2.0 * (2.0 + _sec_sq(ph / 2.0))
-        err += block / f.lam
-    err /= T - two_r
+    err = _kernel_sum(data, -2.0) / (T - 2.0 * strip.R)
     base = 3.0 ** data.k * data.a1 * math.pi ** 2 / 6.0
-    left = base * abs(lq2) ** 2.5 * math.exp(
-        2.5 * math.sqrt(5.0) * dq.d_L + abs(dq.mu_cap.imag) + err
+    left = base * data.lambda_q2 ** 2.5 * math.exp(
+        2.5 * math.sqrt(5.0) * data.degree + abs(data.mu_cap.imag) + err
     )
     return max(base, left)
 
@@ -213,17 +188,11 @@ def magnitude_envelope(
     const = data.a1 * math.pi ** 2 / 6.0
     if sigma >= 3.0:
         return const
-    dq = derive_quantities(data)
-    d = dq.d_L
     if sigma <= -2.0:
-        lq2 = conductor_product(data)
-        s = complex(sigma, t)
-        swing = cmath.log(1.0 - complex(0.0, sigma) / t)
-        weight = d * (0.5 - s) + complex(0.0, dq.mu_cap.imag / 2.0)
-        expo = d * sigma + (swing * weight).real + ratio_error_total(data, sigma, t)
-        return t ** (d * (0.5 - sigma)) * const * abs(lq2) ** (0.5 - sigma) * math.exp(expo)
-    peak = _mid_band_peak(data, strip, T)
-    return 2.0 ** (2.5 * d + 1.0) * peak * t ** (0.5 * d * (3.0 - sigma))
+        expo = reflection_log_main(data, sigma, t) + ratio_error_total(data, sigma, t)
+        return const * math.exp(expo)
+    d = data.degree
+    return 2.0 ** (2.5 * d + 1.0) * _mid_band_peak(data, strip, T) * t ** (0.5 * d * (3.0 - sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +233,7 @@ def log_diff_check(data: LFunctionData, sigma: float, t: float) -> InequalityChe
         raise DomainError(f"needs sigma < -3, got {sigma}")
     if not t > 0.0:
         raise DomainError(f"needs t > 0, got {t}")
-    dq = derive_quantities(data)
-    d, im = dq.d_L, dq.mu_cap.imag
+    d, im = data.degree, data.mu_cap.imag
     l1 = cmath.log(1.0 - complex(0.0, sigma) / t)
     l2 = cmath.log(1.0 - complex(0.0, sigma + 1.0) / t)
     lhs = abs(
@@ -296,8 +264,7 @@ def edge_real_check(data: LFunctionData, t: float) -> InequalityCheck:
     """Left-edge real-part bound ((5 sqrt 5 + 4)/2) d + |Im mu_cap| for t >= 1."""
     if not t >= 1.0:
         raise DomainError(f"needs t >= 1, got {t}")
-    dq = derive_quantities(data)
-    d, im = dq.d_L, dq.mu_cap.imag
+    d, im = data.degree, data.mu_cap.imag
     lhs = (
         cmath.log(1.0 + 2j / t) * complex(2.5 * d, -d * t + im / 2.0)
     ).real

@@ -21,8 +21,10 @@ All dataclasses are frozen; every function is pure.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import AdmissibilityError, DomainError, InvalidStripError, ValidationError
 
@@ -40,7 +42,7 @@ _TAIL_MAX_TERMS = 50_000_000
 class GammaFactor:
     """One factor Gamma(lam * s + mu) of the completed series.
 
-    lam must be a positive real and Re(mu) >= 0.
+    lam must be a finite positive real and mu finite with Re(mu) >= 0.
     """
 
     lam: float
@@ -49,10 +51,10 @@ class GammaFactor:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "mu", complex(self.mu))
-        if not self.lam > 0.0:
-            raise ValidationError(f"gamma factor needs lam > 0, got {self.lam}")
-        if self.mu.real < 0.0:
-            raise ValidationError(f"gamma factor needs Re(mu) >= 0, got {self.mu}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValidationError(f"gamma factor needs finite lam > 0, got {self.lam}")
+        if not (cmath.isfinite(self.mu) and self.mu.real >= 0.0):
+            raise ValidationError(f"gamma factor needs finite mu with Re(mu) >= 0, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,10 @@ class LFunctionData:
               in every modulus bound and is validated only for modulus)
     k       : order of the pole at s = 1 (0 for entire functions)
     a1      : Ramanujan constant, |a(n)| <= a1 * n with a1 >= 1
+
+    Every number must be finite.  The data-only invariants below are
+    computed on first use and cached on the instance; the datum is
+    immutable, so a cached value never goes stale.
     """
 
     factors: tuple[GammaFactor, ...]
@@ -84,14 +90,14 @@ class LFunctionData:
             raise ValidationError("need at least one gamma factor")
         if not all(isinstance(f, GammaFactor) for f in self.factors):
             raise ValidationError("factors must be GammaFactor instances")
-        if not self.Q > 0.0:
-            raise ValidationError(f"Q must be positive, got {self.Q}")
-        if abs(abs(self.omega) - 1.0) > OMEGA_MODULUS_TOL:
+        if not 0.0 < self.Q < math.inf:
+            raise ValidationError(f"Q must be positive and finite, got {self.Q}")
+        if not abs(abs(self.omega) - 1.0) <= OMEGA_MODULUS_TOL:
             raise ValidationError(f"|omega| must be 1, got |{self.omega}| = {abs(self.omega)}")
-        if not isinstance(self.k, int) or self.k < 0:
-            raise ValidationError(f"pole order k must be a nonnegative integer, got {self.k}")
-        if self.a1 < 1.0:
-            raise ValidationError(f"a1 must be >= 1, got {self.a1}")
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 0:
+            raise ValidationError(f"pole order k must be a nonnegative integer, got {self.k!r}")
+        if not 1.0 <= self.a1 < math.inf:
+            raise ValidationError(f"a1 must be finite and >= 1, got {self.a1}")
         if self.degree < 1.0:
             raise ValidationError(
                 f"degree {self.degree} < 1; degenerate data is rejected"
@@ -102,10 +108,55 @@ class LFunctionData:
         """Number of gamma factors."""
         return len(self.factors)
 
-    @property
+    @cached_property
     def degree(self) -> float:
         """d = 2 * sum_j lam_j."""
         return 2.0 * math.fsum(f.lam for f in self.factors)
+
+    @cached_property
+    def lambda_cap(self) -> float:
+        """prod_j lam_j^(2 lam_j)."""
+        return math.prod(f.lam ** (2.0 * f.lam) for f in self.factors)
+
+    @cached_property
+    def lambda_q2(self) -> float:
+        """lambda_cap * Q^2, the combination entering every main term."""
+        return self.lambda_cap * self.Q * self.Q
+
+    @cached_property
+    def mu_cap(self) -> complex:
+        """4 * sum_j (1/2 - mu_j); only its imaginary part enters a bound."""
+        return sum((4.0 * (0.5 - f.mu) for f in self.factors), 0j)
+
+    @cached_property
+    def shift_max(self) -> float:
+        """max_j 2|lam_j + conj(mu_j)| / lam_j, the gamma-shift admissibility term."""
+        return max(2.0 * abs(f.lam + f.mu.conjugate()) / f.lam for f in self.factors)
+
+    @cached_property
+    def arg_max(self) -> float:
+        """max_j 2|mu_j| / lam_j, the gamma-argument admissibility term."""
+        return max(2.0 * abs(f.mu) / f.lam for f in self.factors)
+
+    @cached_property
+    def threshold_height(self) -> float:
+        """max(shift_max, arg_max).
+
+        Every gamma-ratio bound is valid for ordinates at or above this height,
+        and it is the imaginary part pinned inside all the secant arguments.
+        """
+        return max(self.shift_max, self.arg_max)
+
+    @cached_property
+    def series_blocks(self) -> tuple[float, ...]:
+        """Per factor |l|^2 + 2|l(l - 1/2)| + |mu|^2 + 2|mu(mu - 1/2)|, l = lam + conj(mu).
+
+        The truncated-logarithm part of that factor's gamma-ratio error.
+        """
+        return tuple(
+            abs(lm) ** 2 + 2.0 * abs(lm * (lm - 0.5)) + abs(mu) ** 2 + 2.0 * abs(mu * (mu - 0.5))
+            for lm, mu in ((f.lam + f.mu.conjugate(), f.mu) for f in self.factors)
+        )
 
     def to_json_dict(self) -> dict:
         """Interchange form used by the CLI (see also load_document)."""
@@ -123,6 +174,7 @@ class LFunctionData:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LFunctionData":
+        """Inverse of to_json_dict; k must be a JSON integer."""
         try:
             factors = tuple(
                 GammaFactor(f["lambda"], complex(f["mu_re"], f.get("mu_im", 0.0)))
@@ -132,50 +184,32 @@ class LFunctionData:
                 factors=factors,
                 Q=obj["Q"],
                 omega=complex(obj["omega_re"], obj.get("omega_im", 0.0)),
-                k=int(obj["k"]),
+                k=obj["k"],
                 a1=obj["a1"],
             )
-        except (KeyError, TypeError) as exc:
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed L-function document: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class DerivedQuantities:
-    """Shorthand invariants of an LFunctionData.
-
-    u is carried for completeness (it is purely imaginary-shift bookkeeping
-    and no implemented bound consumes it).
-    """
+    """Shorthand invariants of an LFunctionData."""
 
     d_L: float
     lambda_cap: float
-    v: float
-    u: complex
     mu_cap: complex
 
 
 def derive_quantities(data: LFunctionData) -> DerivedQuantities:
-    """Compute d, lambda_cap, v, u and mu_cap from the gamma factors.
-
-    Pure and deterministic: repeated calls return bitwise-identical values.
-    """
-    d = data.degree
-    lambda_cap = 1.0
-    v = 0.0
-    u = 0j
-    mu_cap = 0j
-    for f in data.factors:
-        loglam = math.log(f.lam)
-        lambda_cap *= f.lam ** (2.0 * f.lam)
-        v += f.lam * loglam
-        u += (f.mu.conjugate() - 0.5) * loglam
-        mu_cap += 4.0 * (0.5 - f.mu)
-    return DerivedQuantities(d_L=d, lambda_cap=lambda_cap, v=v, u=u, mu_cap=mu_cap)
+    """d, lambda_cap and mu_cap, read from the datum's cached invariants."""
+    return DerivedQuantities(d_L=data.degree, lambda_cap=data.lambda_cap, mu_cap=data.mu_cap)
 
 
 def conductor_product(data: LFunctionData) -> float:
     """lambda_cap * Q^2, the combination entering every main term."""
-    return derive_quantities(data).lambda_cap * data.Q * data.Q
+    return data.lambda_q2
 
 
 def tail_sum(x: float, a1: float) -> float:
@@ -244,8 +278,8 @@ def select_strip(a1: float, a: float | None = None, b: float | None = None) -> S
         a = float(n)
     else:
         a = float(a)
-        if a <= 2.0:
-            raise InvalidStripError(f"override a = {a} does not satisfy a > 2")
+        if not 2.0 < a < math.inf:
+            raise InvalidStripError(f"override a = {a} does not satisfy a > 2 or is not finite")
         if not tail_sum(a, a1) < 0.5:
             raise InvalidStripError(
                 f"override a = {a} fails tail_sum(a, a1) < 1/2 "
@@ -259,8 +293,8 @@ def select_strip(a1: float, a: float | None = None, b: float | None = None) -> S
         b = float(n)
     else:
         b = float(b)
-        if b >= -3.0:
-            raise InvalidStripError(f"override b = {b} does not satisfy b < -3")
+        if not -math.inf < b < -3.0:
+            raise InvalidStripError(f"override b = {b} does not satisfy b < -3 or is not finite")
         if not tail_sum(-b - 1.0, a1) < 1.0:
             raise InvalidStripError(
                 f"override b = {b} fails tail_sum(-b-1, a1) < 1 "
@@ -271,18 +305,8 @@ def select_strip(a1: float, a: float | None = None, b: float | None = None) -> S
 
 
 def threshold_height(data: LFunctionData) -> float:
-    """max over factors of max(2|lam + conj(mu)|/lam, 2|mu|/lam).
-
-    Every gamma-ratio bound is valid for ordinates at or above this height,
-    and it is the imaginary part pinned inside all the secant arguments.
-    """
-    return max(
-        max(
-            2.0 * abs(f.lam + f.mu.conjugate()) / f.lam,
-            2.0 * abs(f.mu) / f.lam,
-        )
-        for f in data.factors
-    )
+    """max over factors of max(2|lam + conj(mu)|/lam, 2|mu|/lam) (cached on the datum)."""
+    return data.threshold_height
 
 
 @dataclass(frozen=True)
@@ -305,15 +329,13 @@ class AdmissibleHeight:
 def _constraints(data: LFunctionData, strip: StripParams) -> list[tuple[str, float, bool]]:
     """(name, threshold, is_strict) triples for the admissibility of T."""
     two_r = 2.0 * strip.R
-    shift_max = max(2.0 * abs(f.lam + f.mu.conjugate()) / f.lam for f in data.factors)
-    arg_max = max(2.0 * abs(f.mu) / f.lam for f in data.factors)
     cons = [
         ("base-window", two_r + 1.0, False),
-        ("gamma-shift", two_r + shift_max, False),
+        ("gamma-shift", two_r + data.shift_max, False),
     ]
     if data.k > 0:
         cons.append(("pole-window", two_r + 1.0 / (2.0 ** (1.0 / data.k) - 1.0), False))
-    cons.append(("gamma-argument", two_r + arg_max, True))
+    cons.append(("gamma-argument", two_r + data.arg_max, True))
     return cons
 
 
@@ -353,16 +375,17 @@ def main_term(data: LFunctionData, T: float) -> float:
     """Smooth zero-count term (d / 2 pi) T log(T/e) + (T / 2 pi) log(lambda Q^2)."""
     if not T > 0.0:
         raise DomainError(f"main term needs T > 0, got {T}")
-    d = data.degree
-    lq2 = conductor_product(data)
+    d, lq2 = data.degree, data.lambda_q2
     return d / (2.0 * math.pi) * T * math.log(T / math.e) + T / (2.0 * math.pi) * math.log(lq2)
 
 
 def load_document(obj: dict) -> tuple[LFunctionData, StripParams]:
     """Parse the CLI interchange document: datum plus optional a/b overrides."""
     data = LFunctionData.from_json_dict(obj)
-    strip = select_strip(data.a1, a=obj.get("a"), b=obj.get("b"))
-    return data, strip
+    a, b = obj.get("a"), obj.get("b")
+    if not all(v is None or type(v) in (int, float) for v in (a, b)):
+        raise InvalidStripError(f"strip overrides must be JSON numbers, got a = {a!r}, b = {b!r}")
+    return data, select_strip(data.a1, a=a, b=b)
 
 
 def document_dict(data: LFunctionData, strip: StripParams) -> dict:

@@ -1,5 +1,6 @@
 """Explicit constant assembly: integrals, disc bound, branch logic, coefficients."""
 
+import functools
 import math
 
 import pytest
@@ -23,7 +24,7 @@ from zerobound import (
     vertical_integral_bound,
     window_coefficients,
 )
-from zerobound import GammaFactor, LFunctionData, presets, select_strip
+from zerobound import GammaFactor, LFunctionData, min_admissible_height, presets, select_strip
 
 # frozen by scripts/derive_oracle_values.py
 S_NF12_27_100 = 538.919230378462
@@ -285,6 +286,21 @@ def test_coefficient_dominance_spot(nf12_pair, zeta_pair):
             assert co.evaluate(t) >= r * (1.0 - 1e-9)
 
 
+def test_coefficient_dominance_where_the_interpolation_branch_overtakes():
+    # the reflection branch wins at T0 = 40, but its h2 payload decays and
+    # h1_interp > h1_reflect, so the interpolation branch binds for large T
+    data = LFunctionData(
+        factors=(GammaFactor(0.5142136767984119, complex(3.114226736890641, -4.730961797881934)),),
+        Q=0.27142595341503667, omega=1 + 0j, k=1, a1=1.0,
+    )
+    strip = select_strip(1.0)
+    assert min_admissible_height(data, strip).value < 40.0
+    assert branch_constants(data, strip, 40.0).alpha == 0
+    co = window_coefficients(data, strip, 40.0)
+    for t in (1e3, 1e4, 1e6):
+        assert co.evaluate(t) >= total_count_error(data, strip, 40.0, t) * (1.0 - 1e-9)
+
+
 # --- corollary shift, ceiling guard, report -------------------------------------------------------
 
 def test_shifted_constant():
@@ -317,3 +333,27 @@ def test_bound_report_fields(nf12_pair):
         "alpha", "h1", "h2", "r_total", "c1_main", "c2_main", "c3_main",
         "c1_dbl", "c2_dbl", "c3_dbl",
     }
+
+
+def test_bound_report_derives_each_invariant_once(monkeypatch):
+    calls = {}
+    for name, prop in vars(LFunctionData).items():
+        if isinstance(prop, functools.cached_property):
+            def counted(data, _func=prop.func, _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _func(data)
+
+            monkeypatch.setattr(prop, "func", counted)
+    # a fresh datum (the zeta preset's numbers), so no invariant is cached yet
+    data = LFunctionData(
+        factors=(GammaFactor(0.5, 0j),), Q=1.0 / math.sqrt(math.pi), omega=1 + 0j, k=1, a1=1.0
+    )
+    strip = select_strip(1.0)
+    first = bound_report(data, strip, 16.0, 100.0)
+    assert bound_report(data, strip, 16.0, 100.0) == first
+    assert first.R_total == pytest.approx(RTOT_ZETA_16_100, rel=1e-12)
+    assert set(calls) == {
+        "degree", "lambda_cap", "lambda_q2", "mu_cap",
+        "shift_max", "arg_max", "threshold_height", "series_blocks",
+    }
+    assert all(count == 1 for count in calls.values()), calls

@@ -92,6 +92,36 @@ def test_bound_rejects_bad_window(newform_doc, capsys):
     assert "T > T0" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("a1", math.nan), ("Q", "abc"), ("Q", math.inf), ("k", 1.7), ("k", True),
+    ("factors", [{"lambda": 1.0, "mu_re": math.nan, "mu_im": 0.0}]),
+    # well formed, but lam^(2 lam) overflows
+    ("factors", [{"lambda": 200.0, "mu_re": 0.0, "mu_im": 0.0}]),
+])
+def test_bad_document_exits_one(newform_doc, tmp_path, capsys, field, value):
+    doc = json.loads(newform_doc.read_text())
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # NaN and Infinity literals; json.load reads them back
+    code, out, err = run_cli(capsys, "bound", "--input", str(bad), "--t0", "27", "--t", "100")
+    assert (code, out) == (1, "")
+    assert err.startswith("zerobound: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("t", ["inf", "1e999", "nan"])
+def test_non_finite_height_exits_one(newform_doc, capsys, t):
+    code, out, err = run_cli(capsys, "bound", "--input", str(newform_doc), "--t0", "27", "--t", t)
+    assert (code, out) == (1, "")
+    assert "finite" in err
+
+
+def test_non_finite_result_exits_one(newform_doc, capsys):
+    # finite heights whose T0 log T0 term overflows to infinity
+    code, out, err = run_cli(capsys, "constants", "--input", str(newform_doc), "--t0", "1e307")
+    assert (code, out) == (1, "")
+    assert err.startswith("zerobound: error:")
+
+
 # --- table -------------------------------------------------------------------------
 
 def test_table_default_pairs(capsys):

@@ -39,6 +39,10 @@ def test_gamma_factor_rejects_bad_parameters():
         GammaFactor(-1.0, 0j)
     with pytest.raises(ValidationError):
         GammaFactor(1.0, complex(-0.5, 1.0))
+    for lam, mu in ((math.nan, 0j), (math.inf, 0j), (1.0, complex(math.nan, 0.0)),
+                    (1.0, complex(0.5, math.inf))):
+        with pytest.raises(ValidationError):
+            GammaFactor(lam, mu)
 
 
 def test_datum_validation():
@@ -57,6 +61,11 @@ def test_datum_validation():
     # degree 2 * 0.25 = 0.5 < 1 is degenerate
     with pytest.raises(ValidationError):
         LFunctionData(**{**good, "factors": (GammaFactor(0.25, 0j),)})
+    for field, value in (("Q", math.nan), ("Q", math.inf), ("a1", math.nan), ("a1", math.inf),
+                         ("omega", complex(math.nan, 0.0)), ("omega", complex(math.inf, 0.0)),
+                         ("k", True), ("k", 1.0)):
+        with pytest.raises(ValidationError):
+            LFunctionData(**{**good, field: value})
 
 
 def test_omega_modulus_tolerance():
@@ -64,6 +73,15 @@ def test_omega_modulus_tolerance():
     LFunctionData(
         factors=(GammaFactor(1.0, 0j),), Q=1.0, omega=complex(1.0 + 5e-13, 0.0), k=0, a1=1.0
     )
+
+
+@pytest.mark.parametrize("field, value", [
+    ("Q", "abc"), ("k", 1.7), ("k", True), ("a1", None), ("a", "abc"), ("b", math.inf),
+])
+def test_document_rejects_mistyped_fields(nf12_pair, field, value):
+    doc = document_dict(*nf12_pair)
+    with pytest.raises(ValidationError):
+        load_document({**doc, field: value})
 
 
 # --- derived quantities ------------------------------------------------------
@@ -74,18 +92,13 @@ def test_derive_quantities_newform(nf12_pair):
     assert dq.d_L == 2.0
     assert dq.lambda_cap == 1.0
     assert dq.mu_cap == complex(4 - 2 * 12, 0)  # 4 - 2*kappa
-    assert dq.v == 0.0
-    assert dq.u == 0j
 
 
 def test_derive_quantities_zeta(zeta_pair):
     data, _ = zeta_pair
     dq = derive_quantities(data)
-    half_log_half = 0.5 * math.log(0.5)
     assert dq.d_L == 1.0
     assert dq.lambda_cap == pytest.approx(0.5, rel=1e-15)
-    assert dq.v == pytest.approx(half_log_half, rel=1e-15)
-    assert dq.u == pytest.approx(-half_log_half, rel=1e-15)
     assert dq.mu_cap == 2 + 0j
     assert conductor_product(data) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
 
