@@ -193,11 +193,11 @@ def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> Bran
 def total_count_error(data: LFunctionData, strip: StripParams, T0: float, T: float) -> float:
     """Explicit bound for |count on (T0, T] - main term at T|.
 
-    T0 must be admissible and T > T0.
+    T0 must be admissible and T > T0 finite.
     """
     require_admissible(data, strip, T0, label="T0")
-    if not T > T0:
-        raise DomainError(f"needs T > T0, got T = {T} <= T0 = {T0}")
+    if not T0 < T < math.inf:
+        raise DomainError(f"needs finite T > T0, got T = {T}, T0 = {T0}")
     d, lq2 = data.degree, data.lambda_q2
     r = strip.R
     return (
@@ -375,8 +375,8 @@ class BoundReport:
 def bound_report(data: LFunctionData, strip: StripParams, T0: float, T: float) -> BoundReport:
     """Evaluate every bound of the pipeline at one (T0, T) pair."""
     require_admissible(data, strip, T0, label="T0")
-    if not T > T0:
-        raise DomainError(f"needs T > T0, got T = {T} <= T0 = {T0}")
+    if not T0 < T < math.inf:
+        raise DomainError(f"needs finite T > T0, got T = {T}, T0 = {T0}")
     bc = branch_constants(data, strip, T0)
     main = window_coefficients(data, strip, T0)
     dbl = doubling_coefficients(data, strip, T0)

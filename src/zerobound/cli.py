@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from importlib import resources
@@ -78,17 +77,6 @@ def _emit_json(obj: dict, out_path: str | None) -> None:
     _emit(text, out_path)
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for the heights: a finite decimal."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zerobound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -101,14 +89,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("constants", help="emit the full bound report as JSON")
     p.add_argument("--input", required=True, help="functional-equation document (JSON)")
-    p.add_argument("--t0", type=_finite_float, required=True)
-    p.add_argument("--t", type=_finite_float, help="upper height (default 2 * t0)")
+    p.add_argument("--t0", type=float, required=True)
+    p.add_argument("--t", type=float, help="upper height (default 2 * t0)")
     p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("bound", help="emit the total error bound for a window")
     p.add_argument("--input", required=True)
-    p.add_argument("--t0", type=_finite_float, required=True)
-    p.add_argument("--t", type=_finite_float, required=True)
+    p.add_argument("--t0", type=float, required=True)
+    p.add_argument("--t", type=float, required=True)
     p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("table", help="regenerate the constants table as CSV")
@@ -119,8 +107,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check a zero table against both inequalities")
     p.add_argument("--input", required=True)
     p.add_argument("--zeros", required=True, help="zero-ordinate text file")
-    p.add_argument("--t0", type=_finite_float, required=True)
-    p.add_argument("--t", type=_finite_float, required=True)
+    p.add_argument("--t0", type=float, required=True)
+    p.add_argument("--t", type=float, required=True)
     p.add_argument("--out", help="output path (default stdout)")
 
     return parser

@@ -61,7 +61,11 @@ def newform_params(spec: NewformSpec) -> LFunctionData:
 
 
 def newform_strip() -> StripParams:
-    """The (3, -4) strip; a1 = 1 admits it and the integer search finds it."""
+    """The (3, -4) strip; a1 = 1 admits it and the integer search finds it.
+
+    Strip selection costs a few fixed-size tail sums, so it is recomputed
+    on each call rather than cached.
+    """
     return select_strip(1.0)
 
 

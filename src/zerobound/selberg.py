@@ -34,8 +34,8 @@ OMEGA_MODULUS_TOL = 1e-12
 #: nudge added when the strict admissibility constraint is the binding one
 STRICT_NUDGE = 1e-9
 
-#: hard cap on the tail-sum cutoff (keeps pathological small exponents finite)
-_TAIL_MAX_TERMS = 50_000_000
+#: N of tail_sum: terms n < N are added one by one, Euler-Maclaurin covers n >= N
+_TAIL_TERMS = 256
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,10 @@ class LFunctionData:
     k       : order of the pole at s = 1 (0 for entire functions)
     a1      : Ramanujan constant, |a(n)| <= a1 * n with a1 >= 1
 
-    Every number must be finite.  The data-only invariants below are
-    computed on first use and cached on the instance; the datum is
-    immutable, so a cached value never goes stale.
+    Every number, and lambda Q^2, must be finite, and lambda Q^2 nonzero.
+    The data-only invariants below are computed on first use and cached
+    on the instance; the datum is immutable, so a cached value never goes
+    stale.
     """
 
     factors: tuple[GammaFactor, ...]
@@ -94,14 +95,17 @@ class LFunctionData:
             raise ValidationError(f"Q must be positive and finite, got {self.Q}")
         if not abs(abs(self.omega) - 1.0) <= OMEGA_MODULUS_TOL:
             raise ValidationError(f"|omega| must be 1, got |{self.omega}| = {abs(self.omega)}")
-        if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 0:
-            raise ValidationError(f"pole order k must be a nonnegative integer, got {self.k!r}")
+        # past about 6e15, 2^(1/k) rounds to 1 and the pole-window threshold divides by 0
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or not 0 <= self.k <= 10 ** 15:
+            raise ValidationError(f"pole order k must be an integer in [0, 10^15], got {self.k!r}")
         if not 1.0 <= self.a1 < math.inf:
             raise ValidationError(f"a1 must be finite and >= 1, got {self.a1}")
         if self.degree < 1.0:
             raise ValidationError(
                 f"degree {self.degree} < 1; degenerate data is rejected"
             )
+        if not 0.0 < self.lambda_q2 < math.inf:
+            raise ValidationError(f"lambda Q^2 = {self.lambda_q2} is not a positive finite float")
 
     @property
     def f(self) -> int:
@@ -189,7 +193,7 @@ class LFunctionData:
             )
         except ValidationError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed L-function document: {exc}") from exc
 
 
@@ -213,24 +217,24 @@ def conductor_product(data: LFunctionData) -> float:
 
 
 def tail_sum(x: float, a1: float) -> float:
-    """Upper bound for sum_{n>=2} a1 * n^-x.
+    """Upper bound for sum_{n>=2} a1 * n^-x, at one cost for every x and a1.
 
-    Computed as a partial sum to an adaptive cutoff M plus the integral
-    majorant a1 * M^(1-x) / (x - 1), so the result always over-approximates
-    the true sum (the safe direction for the strip-selection checks).  The
-    cutoff is chosen so the overshoot a1 * M^-x stays below 1e-12; for
-    x >= 2 (every in-package use) absolute accuracy is therefore < 1e-12.
+    The Euler-Maclaurin sum with N = _TAIL_TERMS, cut after the B2 term:
+    a1 * (sum_{2<=n<N} n^-x + N^(1-x)/(x-1) + N^-x/2 + x N^(-x-1)/12).
+    As n^-x is completely monotone, the remainder has the sign of the
+    omitted B4 term, -x(x+1)(x+2) N^(-x-3)/720 < 0, so the cut sum exceeds
+    the series, by < 1e-13 for x >= 2.  The factor 1 + 1e-14 keeps it above
+    after rounding the head, which outgrows that surplus for large x.  Terms
+    below 2^-1074 underflow to 0.
 
-    Raises DomainError for x <= 1 (divergent series).
+    Raises DomainError for x <= 1 (divergent series) or non-finite x.
     """
-    if x <= 1.0:
-        raise DomainError(f"tail sum diverges for exponent {x} <= 1")
-    if a1 == 0.0:
-        return 0.0
-    cutoff = int(math.ceil((2.0 * abs(a1) * 1e12) ** (1.0 / x)))
-    cutoff = min(max(cutoff, 16), _TAIL_MAX_TERMS)
-    partial = math.fsum(n ** -x for n in range(2, cutoff + 1))
-    return a1 * (partial + cutoff ** (1.0 - x) / (x - 1.0))
+    if not 1.0 < x < math.inf:
+        raise DomainError(f"tail sum needs a finite exponent x > 1, got {x}")
+    n = _TAIL_TERMS
+    head = math.fsum(k ** -x for k in range(2, n))
+    rest = n ** (1.0 - x) / (x - 1.0) + n ** -x / 2.0 + x * n ** (-x - 1.0) / 12.0
+    return a1 * (head + rest) * (1.0 + 1e-14)
 
 
 @dataclass(frozen=True)
@@ -357,7 +361,9 @@ def min_admissible_height(data: LFunctionData, strip: StripParams) -> Admissible
 
 
 def require_admissible(data: LFunctionData, strip: StripParams, T: float, label: str = "T") -> None:
-    """Raise AdmissibilityError naming the first constraint T violates."""
+    """Raise AdmissibilityError naming the first constraint T violates, or if T is not finite."""
+    if not math.isfinite(T):
+        raise AdmissibilityError(f"{label} = {T} is not a finite height")
     for name, val, strict in _constraints(data, strip):
         if strict:
             ok = T > val

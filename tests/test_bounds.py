@@ -24,7 +24,16 @@ from zerobound import (
     vertical_integral_bound,
     window_coefficients,
 )
-from zerobound import GammaFactor, LFunctionData, min_admissible_height, presets, select_strip
+from zerobound import (
+    GammaFactor,
+    LFunctionData,
+    ZeroboundError,
+    ZeroList,
+    check_bound,
+    min_admissible_height,
+    presets,
+    select_strip,
+)
 
 # frozen by scripts/derive_oracle_values.py
 S_NF12_27_100 = 538.919230378462
@@ -243,6 +252,23 @@ def test_total_count_error_domain(nf12_pair):
         total_count_error(data, strip, 27.0, 27.0)
     with pytest.raises(AdmissibilityError):
         total_count_error(data, strip, 20.0, 100.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda d, s, h: window_coefficients(d, s, h),
+    lambda d, s, h: doubling_coefficients(d, s, h),
+    lambda d, s, h: disc_count_bound(d, s, h),
+    lambda d, s, h: argument_integral_bound(d, s, h),
+    lambda d, s, h: total_count_error(d, s, h, math.inf),
+    lambda d, s, h: total_count_error(d, s, 27.0, h),
+    lambda d, s, h: bound_report(d, s, h, math.inf),
+    lambda d, s, h: bound_report(d, s, 27.0, h),
+    lambda d, s, h: check_bound(d, s, ZeroList((14.1, 30.0)), 27.0, h),
+])
+@pytest.mark.parametrize("height", [math.inf, math.nan])
+def test_non_finite_height_is_rejected(nf12_pair, call, height):
+    with pytest.raises(ZeroboundError):
+        call(*nf12_pair, height)
 
 
 # --- coefficient forms --------------------------------------------------------------------------

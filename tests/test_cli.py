@@ -1,13 +1,18 @@
 """CLI behaviour: subcommands, exit codes, formatting, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zerobound import presets
 from zerobound.cli import main
+from zerobound.selberg import document_dict
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +102,8 @@ def test_bound_rejects_bad_window(newform_doc, capsys):
     ("factors", [{"lambda": 1.0, "mu_re": math.nan, "mu_im": 0.0}]),
     # well formed, but lam^(2 lam) overflows
     ("factors", [{"lambda": 200.0, "mu_re": 0.0, "mu_im": 0.0}]),
+    # well formed, but lambda Q^2 underflows, or 2^(1/k) rounds to 1
+    ("Q", 1e-300), ("k", 10 ** 20),
 ])
 def test_bad_document_exits_one(newform_doc, tmp_path, capsys, field, value):
     doc = json.loads(newform_doc.read_text())
@@ -120,6 +127,63 @@ def test_non_finite_result_exits_one(newform_doc, capsys):
     code, out, err = run_cli(capsys, "constants", "--input", str(newform_doc), "--t0", "1e307")
     assert (code, out) == (1, "")
     assert err.startswith("zerobound: error:")
+
+
+@pytest.mark.parametrize("a1", [1e100, 1e297])
+def test_huge_coefficient_exits_zero(tmp_path, capsys, a1):
+    doc = {**document_dict(*presets.zeta()), "a1": a1, "a": None, "b": None}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "constants", "--input", str(path), "--t0", "8000")
+    assert code == 0
+    assert json.loads(out)["input"]["a1"] == a1
+
+
+_FIELDS = ("factors", "Q", "omega_re", "omega_im", "k", "a1", "a", "b", "lambda", "mu_re", "mu_im")
+_FACTOR_FIELDS = ("lambda", "mu_re", "mu_im")
+_MISSING = "<missing>"
+_EDGE = st.sampled_from([10 ** 400, 10 ** 20, -1, 0, 1e300, 1e-300, 0.5, 200.0, math.nan, math.inf])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+_HEIGHT = st.sampled_from(["16", "100", "8000", "1e307", "-3"]) | st.text(max_size=6)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edits=st.dictionaries(st.sampled_from(_FIELDS), st.just(_MISSING) | _EDGE | _JSON, max_size=3),
+    command=st.sampled_from(["constants", "bound", "verify"]),
+    t0=_HEIGHT,
+    t=_HEIGHT,
+)
+def test_fuzzed_document_and_heights_never_crash(fuzz_dir, zeta_zero_path, edits, command, t0, t):
+    doc = document_dict(*presets.zeta())
+    factor = doc["factors"][0]
+    for field, value in edits.items():
+        target = factor if field in _FACTOR_FIELDS else doc
+        if value is _MISSING:
+            target.pop(field, None)
+        else:
+            target[field] = value
+    path = fuzz_dir / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--input", str(path), "--t0", t0, "--t", t]
+    if command == "verify":
+        argv += ["--zeros", str(zeta_zero_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(f"non-standard JSON {c}"))
 
 
 # --- table -------------------------------------------------------------------------

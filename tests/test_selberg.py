@@ -12,6 +12,7 @@ from zerobound import (
     GammaFactor,
     InvalidStripError,
     LFunctionData,
+    StripParams,
     ValidationError,
     conductor_product,
     derive_quantities,
@@ -63,7 +64,7 @@ def test_datum_validation():
         LFunctionData(**{**good, "factors": (GammaFactor(0.25, 0j),)})
     for field, value in (("Q", math.nan), ("Q", math.inf), ("a1", math.nan), ("a1", math.inf),
                          ("omega", complex(math.nan, 0.0)), ("omega", complex(math.inf, 0.0)),
-                         ("k", True), ("k", 1.0)):
+                         ("k", True), ("k", 1.0), ("k", 10 ** 16), ("Q", 1e-300), ("Q", 1e300)):
         with pytest.raises(ValidationError):
             LFunctionData(**{**good, field: value})
 
@@ -77,6 +78,7 @@ def test_omega_modulus_tolerance():
 
 @pytest.mark.parametrize("field, value", [
     ("Q", "abc"), ("k", 1.7), ("k", True), ("a1", None), ("a", "abc"), ("b", math.inf),
+    pytest.param("a1", 10 ** 400, id="a1-int-beyond-float"),
 ])
 def test_document_rejects_mistyped_fields(nf12_pair, field, value):
     doc = document_dict(*nf12_pair)
@@ -125,20 +127,35 @@ def test_tail_sum_divergent():
         tail_sum(1.0, 1.0)
     with pytest.raises(DomainError):
         tail_sum(0.5, 1.0)
+    for x in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            tail_sum(x, 1.0)
 
 
 def test_tail_sum_is_upper_bound():
     # result must over-approximate the true sum (checked against mpmath)
-    for x in (2.0, 2.5, 3.0, 4.0, 6.0):
+    for x in (1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 6.0):
         true = float(mp.zeta(x) - 1)
         got = tail_sum(x, 1.0)
         assert got >= true
         assert got - true < 1e-12
 
 
-@given(st.floats(min_value=2.5, max_value=12.0), st.floats(min_value=0.25, max_value=3.0))
+def test_tail_sum_is_upper_bound_over_the_strip_range():
+    # up to x = 988, the exponent select_strip reaches at a1 = 1e297; the head
+    # sum's rounding, not the Euler-Maclaurin surplus, decides the sign for x >~ 18
+    with mp.workdps(40):
+        for i in range(465):
+            x = 1.01 + i * (988.0 - 1.01) / 464
+            true = mp.zeta(x, 2)
+            got = mp.mpf(tail_sum(x, 1.0))
+            assert got >= true, x
+            if x >= 2.0:
+                assert got - true < 1e-12, x
+
+
+@given(st.floats(min_value=1.01, max_value=12.0), st.floats(min_value=0.25, max_value=3.0))
 def test_tail_sum_decreasing_in_exponent(x, step):
-    # x >= 2.5 keeps the adaptive cutoff small enough for a property sweep
     assert tail_sum(x + step, 1.0) < tail_sum(x, 1.0)
 
 
@@ -178,6 +195,13 @@ def test_select_strip_overrides():
         select_strip(1.0, b=-3.0)
     with pytest.raises(InvalidStripError, match="tail_sum"):
         select_strip(8.0, b=-3.5)  # 8 * sum n^-2.5 ~ 2.7 >= 1
+
+
+def test_select_strip_huge_coefficient():
+    strip = select_strip(1e100)
+    assert strip == StripParams(334.0, -334.0, 668.0)
+    assert tail_sum(strip.a, 1e100) < 0.5
+    assert tail_sum(-strip.b - 1.0, 1e100) < 1.0
 
 
 def test_select_strip_rejects_small_a1():
