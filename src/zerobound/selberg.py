@@ -95,7 +95,6 @@ class LFunctionData:
             raise ValidationError(f"Q must be positive and finite, got {self.Q}")
         if not abs(abs(self.omega) - 1.0) <= OMEGA_MODULUS_TOL:
             raise ValidationError(f"|omega| must be 1, got |{self.omega}| = {abs(self.omega)}")
-        # past about 6e15, 2^(1/k) rounds to 1 and the pole-window threshold divides by 0
         if isinstance(self.k, bool) or not isinstance(self.k, int) or not 0 <= self.k <= 10 ** 15:
             raise ValidationError(f"pole order k must be an integer in [0, 10^15], got {self.k!r}")
         if not 1.0 <= self.a1 < math.inf:
@@ -104,8 +103,12 @@ class LFunctionData:
             raise ValidationError(
                 f"degree {self.degree} < 1; degenerate data is rejected"
             )
-        if not 0.0 < self.lambda_q2 < math.inf:
-            raise ValidationError(f"lambda Q^2 = {self.lambda_q2} is not a positive finite float")
+        try:
+            lambda_q2 = self.lambda_q2
+        except OverflowError:  # lam ** (2 lam) for a large lam
+            raise ValidationError("lambda Q^2 overflows a float") from None
+        if not 0.0 < lambda_q2 < math.inf:
+            raise ValidationError(f"lambda Q^2 = {lambda_q2} is not a positive finite float")
 
     @property
     def f(self) -> int:
@@ -330,6 +333,19 @@ class AdmissibleHeight:
         return self.value
 
 
+def _pole_window(k: int) -> float:
+    """An upper bound on 1/(2^(1/k) - 1) = 1/expm1(log(2)/k), under 2^-49 relative above it.
+
+    expm1 avoids the cancellation in 2^(1/k) - 1.  With u = 2^-53, the
+    float quotient errs by under 5.4 u relative: log(2) / k carries 1.72 u,
+    which expm1 magnifies by at most 1.39 on (0, log 2]; expm1 itself adds
+    under 2 u (one ulp) and the reciprocal 1 u.  The factor 1 + 8 u, less
+    the 1 u its own rounding may lose, lifts the quotient above the true
+    value.
+    """
+    return (1.0 + 2.0 ** -50) / math.expm1(math.log(2.0) / k)
+
+
 def _constraints(data: LFunctionData, strip: StripParams) -> list[tuple[str, float, bool]]:
     """(name, threshold, is_strict) triples for the admissibility of T."""
     two_r = 2.0 * strip.R
@@ -338,7 +354,7 @@ def _constraints(data: LFunctionData, strip: StripParams) -> list[tuple[str, flo
         ("gamma-shift", two_r + data.shift_max, False),
     ]
     if data.k > 0:
-        cons.append(("pole-window", two_r + 1.0 / (2.0 ** (1.0 / data.k) - 1.0), False))
+        cons.append(("pole-window", two_r + _pole_window(data.k), False))
     cons.append(("gamma-argument", two_r + data.arg_max, True))
     return cons
 

@@ -10,6 +10,8 @@ zero set to the other.
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -19,33 +21,77 @@ from .errors import DomainError, ZeroFileError
 from .selberg import LFunctionData, StripParams, main_term
 
 
+#: characters of whole lines read and parsed at a time by load_zeros
+_CHUNK_CHARS = 1 << 16
+
+
 @dataclass(frozen=True)
 class ZeroList:
-    """Sorted positive zero ordinates with a provenance label."""
+    """Sorted, positive, finite zero ordinates with a provenance label."""
 
     ordinates: tuple[float, ...]
     source_label: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ordinates", tuple(float(x) for x in self.ordinates))
-        if any(x <= 0.0 for x in self.ordinates):
+        t = tuple(map(float, self.ordinates))
+        object.__setattr__(self, "ordinates", t)
+        # One C-level pass: NaN fails <=, and once the tuple is sorted its
+        # ends decide positivity and finiteness.  The generators below only
+        # word the error.
+        if all(map(operator.le, t, t[1:])) and (not t or (t[0] > 0.0 and t[-1] < math.inf)):
+            return
+        if any(x <= 0.0 for x in t):
             raise ZeroFileError("all ordinates must be positive")
-        if any(a > b for a, b in zip(self.ordinates, self.ordinates[1:])):
-            raise ZeroFileError("ordinates must be sorted ascending")
+        if not all(map(math.isfinite, t)):
+            raise ZeroFileError("all ordinates must be finite")
+        raise ZeroFileError("ordinates must be sorted ascending")
 
     def __len__(self) -> int:
         return len(self.ordinates)
 
 
 def load_zeros(path: str | os.PathLike) -> ZeroList:
-    """Read a zero-ordinate text file.
+    """Read a UTF-8 zero-ordinate text file.
 
     One decimal ordinate per line; lines starting with '#' and blank lines
-    are skipped; LF or CRLF both fine.  Unparsable or non-positive entries
-    raise ZeroFileError with the offending line number.  The result is
-    sorted ascending (ties kept).
+    are skipped; LF or CRLF both fine.  Unparsable, non-positive or
+    non-finite entries raise ZeroFileError with the offending line number.
+    The result is sorted ascending (ties kept).
+
+    The file is read in chunks of whole lines, each parsed by one map of
+    float, so memory beyond the result stays at one chunk.  A chunk with a
+    blank or indented-comment line is parsed again with its lines stripped.
+    A bad entry sends the file through a per-line rescan that names the
+    first bad line in file order.
     """
-    ordinates = []
+    ordinates: list[float] = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            while chunk := fh.readlines(_CHUNK_CHARS):
+                try:
+                    values = list(map(float, [s for s in chunk if s[0] != "#"]))
+                except ValueError:  # a blank or indented-comment line, or a bad entry
+                    lines = [s for s in map(str.strip, chunk) if s and s[0] != "#"]
+                    try:
+                        values = list(map(float, lines))
+                    except ValueError:
+                        raise _first_bad_line(path) from None
+                ordinates += values
+        ordinates.sort()
+        try:
+            return ZeroList(ordinates=tuple(ordinates), source_label=str(path))
+        except ZeroFileError:
+            raise _first_bad_line(path) from None
+    except UnicodeDecodeError as exc:
+        raise ZeroFileError(f"{path}: not a UTF-8 text file ({exc})") from None
+
+
+def _first_bad_line(path: str | os.PathLike) -> ZeroFileError:
+    """The error naming the first unparsable, non-positive or non-finite line of path.
+
+    Only called once load_zeros has met a bad entry, so a file in which
+    this scan finds none changed while it was read.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -54,12 +100,12 @@ def load_zeros(path: str | os.PathLike) -> ZeroList:
             try:
                 value = float(line)
             except ValueError:
-                raise ZeroFileError(f"{path}: line {lineno}: cannot parse {line!r}") from None
+                return ZeroFileError(f"{path}: line {lineno}: cannot parse {line!r}")
             if not value > 0.0:
-                raise ZeroFileError(f"{path}: line {lineno}: non-positive ordinate {value}")
-            ordinates.append(value)
-    ordinates.sort()
-    return ZeroList(ordinates=tuple(ordinates), source_label=str(path))
+                return ZeroFileError(f"{path}: line {lineno}: non-positive ordinate {value}")
+            if value == math.inf:
+                return ZeroFileError(f"{path}: line {lineno}: non-finite ordinate {value}")
+    return ZeroFileError(f"{path}: changed while it was read")
 
 
 def count_window(zeros: ZeroList, T0: float, T: float) -> int:

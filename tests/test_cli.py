@@ -102,7 +102,7 @@ def test_bound_rejects_bad_window(newform_doc, capsys):
     ("factors", [{"lambda": 1.0, "mu_re": math.nan, "mu_im": 0.0}]),
     # well formed, but lam^(2 lam) overflows
     ("factors", [{"lambda": 200.0, "mu_re": 0.0, "mu_im": 0.0}]),
-    # well formed, but lambda Q^2 underflows, or 2^(1/k) rounds to 1
+    # well formed, but lambda Q^2 underflows, or k is past 10^15
     ("Q", 1e-300), ("k", 10 ** 20),
 ])
 def test_bad_document_exits_one(newform_doc, tmp_path, capsys, field, value):
@@ -113,6 +113,17 @@ def test_bad_document_exits_one(newform_doc, tmp_path, capsys, field, value):
     code, out, err = run_cli(capsys, "bound", "--input", str(bad), "--t0", "27", "--t", "100")
     assert (code, out) == (1, "")
     assert err.startswith("zerobound: error:") and "Traceback" not in err
+
+
+def test_non_utf8_zero_file_exits_one(newform_doc, tmp_path, capsys):
+    bad = tmp_path / "zeros.txt"
+    bad.write_bytes(b"30.1\n\xff\n")
+    code, out, err = run_cli(
+        capsys, "verify", "--input", str(newform_doc), "--zeros", str(bad), "--t0", "27", "--t", "100"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("zerobound: error:") and str(bad) in err and "UTF-8" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("t", ["inf", "1e999", "nan"])

@@ -23,7 +23,7 @@ from zerobound import (
     select_strip,
     tail_sum,
 )
-from zerobound.selberg import document_dict
+from zerobound.selberg import _pole_window, document_dict
 
 # frozen by scripts/derive_oracle_values.py (mpmath, 40 digits)
 TAIL_2 = 0.6449340668482264
@@ -64,7 +64,8 @@ def test_datum_validation():
         LFunctionData(**{**good, "factors": (GammaFactor(0.25, 0j),)})
     for field, value in (("Q", math.nan), ("Q", math.inf), ("a1", math.nan), ("a1", math.inf),
                          ("omega", complex(math.nan, 0.0)), ("omega", complex(math.inf, 0.0)),
-                         ("k", True), ("k", 1.0), ("k", 10 ** 16), ("Q", 1e-300), ("Q", 1e300)):
+                         ("k", True), ("k", 1.0), ("k", 10 ** 16), ("Q", 1e-300), ("Q", 1e300),
+                         ("factors", (GammaFactor(200.0, 0j),))):  # lam^(2 lam) overflows
         with pytest.raises(ValidationError):
             LFunctionData(**{**good, field: value})
 
@@ -239,6 +240,15 @@ def test_min_height_pole_constraint():
     expected = 14.0 + 1.0 / (2.0 ** 0.2 - 1.0)
     assert min_admissible_height(with_pole, strip).value == pytest.approx(expected, rel=1e-15)
     assert min_admissible_height(with_pole, strip).binding == "pole-window"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 10 ** 3, 10 ** 6, 10 ** 12, 10 ** 15])
+def test_pole_window_threshold_is_a_tight_upper_bound(k):
+    got = _pole_window(k)
+    with mp.workdps(50):
+        true = 1 / mp.expm1(mp.log(2) / k)
+        assert got >= true
+        assert got - true <= 16 * math.ulp(float(true))
 
 
 def test_min_height_lower_bound_invariant():

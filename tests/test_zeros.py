@@ -1,7 +1,10 @@
 """Zero-table ingestion, window counting, and the data-driven bound checks."""
 
+import math
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zerobound import (
     AdmissibilityError,
@@ -58,12 +61,138 @@ def test_load_rejects_nonpositive(tmp_path):
         load_zeros(path)
 
 
+def test_load_rejects_non_finite(tmp_path):
+    for bad in ("inf", "1e400", "nan", "-inf"):
+        path = tmp_path / "z.txt"
+        path.write_text(f"14.1\n{bad}\n21.0\n")
+        with pytest.raises(ZeroFileError, match="line 2"):
+            load_zeros(path)
+
+
+def test_load_rejects_non_utf8(tmp_path):
+    path = tmp_path / "z.txt"
+    path.write_bytes(b"14.1\n\xff\n")
+    with pytest.raises(ZeroFileError, match="UTF-8"):
+        load_zeros(path)
+
+
 def test_zerolist_invariants():
     ZeroList((2.0, 2.0, 3.0))  # ties allowed
-    with pytest.raises(ZeroFileError):
+    ZeroList(())
+    with pytest.raises(ZeroFileError, match="sorted"):
         ZeroList((3.0, 2.0))
-    with pytest.raises(ZeroFileError):
+    with pytest.raises(ZeroFileError, match="positive"):
         ZeroList((0.0, 1.0))
+    for bad in ((1.0, math.nan, 0.5), (math.nan,), (1.0, math.nan), (1.0, math.inf), (math.inf,)):
+        with pytest.raises(ZeroFileError, match="finite"):
+            ZeroList(bad)
+    with pytest.raises(ZeroFileError, match="positive"):
+        ZeroList((-math.inf, 1.0))
+
+
+# --- the chunked loader against a line-by-line reference ------------------------
+
+def reference_load(path):
+    """One float per line, as load_zeros specifies it, read one line at a time."""
+    ordinates = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                value = float(line)
+            except ValueError:
+                raise ZeroFileError(f"{path}: line {lineno}: cannot parse {line!r}") from None
+            if not value > 0.0:
+                raise ZeroFileError(f"{path}: line {lineno}: non-positive ordinate {value}")
+            if not value < math.inf:
+                raise ZeroFileError(f"{path}: line {lineno}: non-finite ordinate {value}")
+            ordinates.append(value)
+    return tuple(sorted(ordinates))
+
+
+ordinate_text = st.floats(min_value=1e-300, max_value=1e300).map(repr) | st.decimals(
+    min_value="0.0001", max_value="100000", places=8
+).map(str)
+special_lines = st.one_of(
+    ordinate_text,
+    st.tuples(st.sampled_from([" ", "\t", "  "]), ordinate_text, st.sampled_from(["", " ", "\t "])).map("".join),
+    st.sampled_from(["", " ", "\t", "   "]),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), max_size=20).map("#".__add__),
+    st.sampled_from(["  # indented", "\t#tab-indented", " #"]),
+)
+bad_lines = st.sampled_from(["abc", "-2.0", "0", "0.0", "-0.0", "nan", "inf", "1e400", "-inf", "1.2.3", "14 1"])
+
+
+def table_lines(rng, filler, specials):
+    """filler plain ordinates (about 18 bytes a line) with the special lines at random places."""
+    lines = [repr(rng.uniform(1.0, 1e4)) for _ in range(filler)]
+    for line in specials:
+        lines.insert(rng.randrange(len(lines) + 1), line)
+    return lines
+
+
+def write_lines(path, rng, lines, crlf):
+    """Write lines ending in LF, or in LF and CRLF at random when crlf is set."""
+    ends = ["\r\n" if crlf and rng.random() < 0.5 else "\n" for _ in lines]
+    path.write_bytes("".join(a + b for a, b in zip(lines, ends)).encode("utf-8"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32),
+    filler=st.integers(4_000, 9_000),
+    specials=st.lists(special_lines, max_size=40),
+    crlf=st.booleans(),
+)
+def test_chunked_load_matches_reference(tmp_path_factory, seed, filler, specials, crlf):
+    rng = random.Random(seed)
+    path = tmp_path_factory.mktemp("zeros") / "z.txt"
+    write_lines(path, rng, table_lines(rng, filler, specials), crlf)
+    assert path.stat().st_size > 1 << 16
+    zeros = load_zeros(path)
+    assert zeros.ordinates == reference_load(path)
+    assert all(type(x) is float for x in zeros.ordinates)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32),
+    specials=st.lists(special_lines, max_size=10),
+    bad=st.lists(bad_lines, min_size=1, max_size=3),
+    crlf=st.booleans(),
+)
+def test_chunked_load_names_first_bad_line(tmp_path_factory, seed, specials, bad, crlf):
+    # the first bad line falls past line 4,500, and so past the first 64 KiB chunk
+    rng = random.Random(seed)
+    path = tmp_path_factory.mktemp("zeros") / "z.txt"
+    lines = table_lines(rng, 6_000, specials)
+    for line in bad:
+        lines.insert(rng.randrange(4_500, len(lines) + 1), line)
+    write_lines(path, rng, lines, crlf)
+    assert len("\n".join(lines[:4_500]).encode()) > 1 << 16
+    with pytest.raises(ZeroFileError) as expected:
+        reference_load(path)
+    assert int(str(expected.value).split("line ")[1].split(":")[0]) > 4_500
+    with pytest.raises(ZeroFileError) as got:
+        load_zeros(path)
+    assert str(got.value) == str(expected.value)
+
+
+def test_chunked_load_reports_errors_in_file_order(tmp_path):
+    # a non-positive entry in the first chunk comes before an unparsable one in a later chunk
+    lines = [f"{10.0 + i / 7:.10f}" for i in range(20_000)]
+    lines[1] = "-2.0"
+    lines[15_000] = "abc"
+    path = tmp_path / "z.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ZeroFileError, match=r"line 2: non-positive ordinate -2\.0"):
+        load_zeros(path)
+    lines[1] = "10.1"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ZeroFileError, match="line 15001: cannot parse 'abc'"):
+        load_zeros(path)
 
 
 # --- counting ------------------------------------------------------------------
