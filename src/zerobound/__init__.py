@@ -45,7 +45,6 @@ from .gammabounds import (
 )
 from .newform import (
     NewformSpec,
-    closed_form_constants,
     newform_params,
     newform_strip,
     pipeline_constants,
@@ -54,12 +53,9 @@ from .newform import (
 )
 from .selberg import (
     AdmissibleHeight,
-    DerivedQuantities,
     GammaFactor,
     LFunctionData,
     StripParams,
-    conductor_product,
-    derive_quantities,
     load_document,
     main_term,
     min_admissible_height,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import BoundaryWarning, DomainError, ValidationError
 from .gammabounds import _kernel_sum, ratio_error_sup
@@ -57,11 +57,18 @@ def integrated_ratio_error(data: LFunctionData, strip: StripParams, T0: float, T
     return math.log(T / T0) * _ratio_error_slope(data, strip)
 
 
-def _log_term_slope(data: LFunctionData, strip: StripParams) -> float:
-    """-(7/2) d (2b+1) + 2|-d b + Im(mu_cap) i / 2| + 2d, the other log slope."""
+def _log_slope(data: LFunctionData, strip: StripParams) -> float:
+    """Coefficient of log(T/T0) in the log-integral bound.
+
+    The log-term slope -(7/2) d (2b+1) + 2|-d b + Im(mu_cap) i / 2| + 2d
+    plus the integrated ratio error's slope.
+    """
     d, im = data.degree, data.mu_cap.imag
     b = strip.b
-    return -3.5 * d * (2.0 * b + 1.0) + 2.0 * abs(complex(-d * b, im / 2.0)) + 2.0 * d
+    return (
+        -3.5 * d * (2.0 * b + 1.0) + 2.0 * abs(complex(-d * b, im / 2.0)) + 2.0 * d
+        + _ratio_error_slope(data, strip)
+    )
 
 
 def log_integral_bound(data: LFunctionData, strip: StripParams, T0: float, T: float) -> float:
@@ -75,15 +82,18 @@ def log_integral_bound(data: LFunctionData, strip: StripParams, T0: float, T: fl
         raise DomainError(f"needs T0 > 0, got {T0}")
     if not T > 0.0:
         raise DomainError(f"needs T > 0, got {T}")
-    d = data.degree
     b = strip.b
-    slope = _log_term_slope(data, strip) + _ratio_error_slope(data, strip)
-    return math.log(T / T0) * slope + 3.0 * d * (b * b + b) / T0
+    return math.log(T / T0) * _log_slope(data, strip) + 3.0 * data.degree * (b * b + b) / T0
 
 
 def vertical_integral_bound() -> float:
     """pi^2 / (3 log 2), the uniform bound for each vertical log-integral."""
     return math.pi ** 2 / (3.0 * LOG2)
+
+
+def _log_a1_zeta2(data: LFunctionData) -> float:
+    """log(a1 pi^2/6), the coefficient-tail term of every disc bound."""
+    return math.log(data.a1 * math.pi ** 2 / 6.0)
 
 
 def _reflection_head(data: LFunctionData, c: float) -> float:
@@ -125,7 +135,7 @@ def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float
     )
     return (
         d * c * math.log(2.0 * T)
-        + math.log(data.a1 * math.pi ** 2 / 6.0)
+        + _log_a1_zeta2(data)
         + ratio_error_sup(data, strip, T)
         + max(reflect, _h1_interp(data))
     ) / LOG2
@@ -190,24 +200,35 @@ def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> Bran
     return BranchConstants(alpha=1, h1=h1_interp, h2=0.0)
 
 
+def _require_window(data: LFunctionData, strip: StripParams, T0: float, T: float) -> None:
+    """Raise unless T0 is admissible and T0 < T < inf."""
+    require_admissible(data, strip, T0, label="T0")
+    if not T0 < T < math.inf:
+        raise DomainError(f"needs finite T > T0, got T = {T}, T0 = {T0}")
+
+
+def _window_total(
+    data: LFunctionData, strip: StripParams, T0: float, r1: float, r2_t0: float, r2_t: float
+) -> float:
+    """The (T0, T]-window bound, given its log-integral bound r1 and its disc bounds at T0 and T."""
+    return (
+        data.degree / TWO_PI * T0 * math.log(T0 / math.e)
+        + T0 / TWO_PI * abs(math.log(data.lambda_q2))
+        + r1 / TWO_PI
+        + math.pi / (3.0 * LOG2)
+        + (strip.R - 0.5) * (r2_t0 + r2_t + 4.0)
+        + trivial_zero_window(data, strip)
+    )
+
+
 def total_count_error(data: LFunctionData, strip: StripParams, T0: float, T: float) -> float:
     """Explicit bound for |count on (T0, T] - main term at T|.
 
     T0 must be admissible and T > T0 finite.
     """
-    require_admissible(data, strip, T0, label="T0")
-    if not T0 < T < math.inf:
-        raise DomainError(f"needs finite T > T0, got T = {T}, T0 = {T0}")
-    d, lq2 = data.degree, data.lambda_q2
-    r = strip.R
-    return (
-        d / TWO_PI * T0 * math.log(T0 / math.e)
-        + T0 / TWO_PI * abs(math.log(lq2))
-        + log_integral_bound(data, strip, T0, T) / TWO_PI
-        + math.pi / (3.0 * LOG2)
-        + (r - 0.5) * (disc_count_bound(data, strip, T0) + disc_count_bound(data, strip, T) + 4.0)
-        + trivial_zero_window(data, strip)
-    )
+    _require_window(data, strip, T0, T)
+    r2_t0, r2_t = disc_count_bound(data, strip, T0), disc_count_bound(data, strip, T)
+    return _window_total(data, strip, T0, log_integral_bound(data, strip, T0, T), r2_t0, r2_t)
 
 
 @dataclass(frozen=True)
@@ -228,37 +249,25 @@ def window_coefficients(data: LFunctionData, strip: StripParams, T0: float) -> C
     """Coefficients dominating total_count_error(T0, T) for every T > T0.
 
     c1 carries both log slopes and the disc-bound growth; it does not
-    depend on T0.  c2 absorbs the formal T = 1 evaluation of the
-    log-integral bound; c3 carries the 1/(T - 2R) payloads through the
-    monotone substitution 1/(T - 2R) <= T0 / ((T0 - 2R) T).
+    depend on T0.  c2 is the window total with its log T and 1/T parts
+    taken out: the log-integral bound at the formal height T = 1, and the
+    disc bound at T reduced to d c + (log(a1 pi^2/6) + h1) / log 2.  As in
+    the published table, c2 counts the 3 d (b^2 + b) / T0 tail twice.  c3
+    carries the 1/(T - 2R) payloads through the monotone substitution
+    1/(T - 2R) <= T0 / ((T0 - 2R) T).
     """
     require_admissible(data, strip, T0, label="T0")
-    d, lq2 = data.degree, data.lambda_q2
+    d = data.degree
     a, b, r = strip.a, strip.b, strip.R
     two_r = 2.0 * r
     c = 0.5 - a + two_r
     bc = branch_constants(data, strip, T0)
 
-    c1 = (
-        (_log_term_slope(data, strip) + _ratio_error_slope(data, strip)) / TWO_PI
-        + (r - 0.5) * d * c / LOG2
-    )
-    c2 = (
-        d / TWO_PI * T0 * math.log(T0 / math.e)
-        + T0 / TWO_PI * abs(math.log(lq2))
-        + math.pi / (3.0 * LOG2)
-        + 4.0 * r - 2.0
-        + 3.0 * d * (b * b + b) / (TWO_PI * T0)
-        + trivial_zero_window(data, strip)
-        + log_integral_bound(data, strip, T0, 1.0) / TWO_PI
-        + (r - 0.5) * (disc_count_bound(data, strip, T0) + d * c)
-        + (r - 0.5) / LOG2 * (math.log(data.a1 * math.pi ** 2 / 6.0) + bc.h1)
-    )
-    c3 = (
-        (r - 0.5) / LOG2
-        * T0 / (T0 - two_r)
-        * (ratio_error_sup(data, strip, two_r + 1.0) + bc.h2)
-    )
+    c1 = _log_slope(data, strip) / TWO_PI + (r - 0.5) * d * c / LOG2
+    r1 = log_integral_bound(data, strip, T0, 1.0) + 3.0 * d * (b * b + b) / T0
+    r2_t = d * c + (_log_a1_zeta2(data) + bc.h1) / LOG2
+    c2 = _window_total(data, strip, T0, r1, disc_count_bound(data, strip, T0), r2_t)
+    c3 = (r - 0.5) / LOG2 * T0 / (T0 - two_r) * (_kernel_sum(data, -(a + two_r)) + bc.h2)
     return Coefficients(c1=c1, c2=c2, c3=c3)
 
 
@@ -278,12 +287,11 @@ def doubling_coefficients(data: LFunctionData, strip: StripParams, T0: float) ->
 
     c1 = d / LOG2 * (2.0 * r - 1.0) * c
     c2 = (
-        LOG2 / TWO_PI * _log_term_slope(data, strip)
-        + LOG2 * _ratio_error_slope(data, strip) / TWO_PI
+        LOG2 * _log_slope(data, strip) / TWO_PI
         + 2.0 * math.pi / (3.0 * LOG2)
         + 4.0 * r - 2.0
         + 3.0 * d * (2.0 * r - 1.0) * c
-        + (2.0 * r - 1.0) / LOG2 * (math.log(data.a1 * math.pi ** 2 / 6.0) + bc.h1)
+        + (2.0 * r - 1.0) / LOG2 * (_log_a1_zeta2(data) + bc.h1)
     )
     c3 = (
         3.0 * d * (b * b + b) / (4.0 * math.pi)
@@ -350,49 +358,32 @@ class BoundReport:
             raise ValidationError(f"alpha must be 0 or 1, got {self.alpha}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "t0": self.T0,
-            "t": self.T,
-            "s": self.S,
-            "r1": self.R1,
-            "v_star_t0": self.V_star_T0,
-            "v_star_t": self.V_star_T,
-            "r2_t0": self.R2_T0,
-            "r2_t": self.R2_T,
-            "alpha": self.alpha,
-            "h1": self.h1,
-            "h2": self.h2,
-            "r_total": self.R_total,
-            "c1_main": self.c1_main,
-            "c2_main": self.c2_main,
-            "c3_main": self.c3_main,
-            "c1_dbl": self.c1_dbl,
-            "c2_dbl": self.c2_dbl,
-            "c3_dbl": self.c3_dbl,
-        }
+        """The fields in order, each keyed by its name in lower case."""
+        return {f.name.lower(): getattr(self, f.name) for f in fields(self)}
 
 
 def bound_report(data: LFunctionData, strip: StripParams, T0: float, T: float) -> BoundReport:
     """Evaluate every bound of the pipeline at one (T0, T) pair."""
-    require_admissible(data, strip, T0, label="T0")
-    if not T0 < T < math.inf:
-        raise DomainError(f"needs finite T > T0, got T = {T}, T0 = {T0}")
+    _require_window(data, strip, T0, T)
     bc = branch_constants(data, strip, T0)
     main = window_coefficients(data, strip, T0)
     dbl = doubling_coefficients(data, strip, T0)
+    r1 = log_integral_bound(data, strip, T0, T)
+    r2_t0 = disc_count_bound(data, strip, T0)
+    r2_t = disc_count_bound(data, strip, T)
     return BoundReport(
         T0=T0,
         T=T,
         S=integrated_ratio_error(data, strip, T0, T),
-        R1=log_integral_bound(data, strip, T0, T),
+        R1=r1,
         V_star_T0=ratio_error_sup(data, strip, T0),
         V_star_T=ratio_error_sup(data, strip, T),
-        R2_T0=disc_count_bound(data, strip, T0),
-        R2_T=disc_count_bound(data, strip, T),
+        R2_T0=r2_t0,
+        R2_T=r2_t,
         alpha=bc.alpha,
         h1=bc.h1,
         h2=bc.h2,
-        R_total=total_count_error(data, strip, T0, T),
+        R_total=_window_total(data, strip, T0, r1, r2_t0, r2_t),
         c1_main=main.c1,
         c2_main=main.c2,
         c3_main=main.c3,

@@ -200,25 +200,6 @@ class LFunctionData:
             raise ValidationError(f"malformed L-function document: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class DerivedQuantities:
-    """Shorthand invariants of an LFunctionData."""
-
-    d_L: float
-    lambda_cap: float
-    mu_cap: complex
-
-
-def derive_quantities(data: LFunctionData) -> DerivedQuantities:
-    """d, lambda_cap and mu_cap, read from the datum's cached invariants."""
-    return DerivedQuantities(d_L=data.degree, lambda_cap=data.lambda_cap, mu_cap=data.mu_cap)
-
-
-def conductor_product(data: LFunctionData) -> float:
-    """lambda_cap * Q^2, the combination entering every main term."""
-    return data.lambda_q2
-
-
 def tail_sum(x: float, a1: float) -> float:
     """Upper bound for sum_{n>=2} a1 * n^-x, at one cost for every x and a1.
 
@@ -287,11 +268,8 @@ def select_strip(a1: float, a: float | None = None, b: float | None = None) -> S
         a = float(a)
         if not 2.0 < a < math.inf:
             raise InvalidStripError(f"override a = {a} does not satisfy a > 2 or is not finite")
-        if not tail_sum(a, a1) < 0.5:
-            raise InvalidStripError(
-                f"override a = {a} fails tail_sum(a, a1) < 1/2 "
-                f"(got {tail_sum(a, a1)})"
-            )
+        if not (tail := tail_sum(a, a1)) < 0.5:
+            raise InvalidStripError(f"override a = {a} fails tail_sum(a, a1) < 1/2 (got {tail})")
 
     if b is None:
         n = -4
@@ -302,11 +280,8 @@ def select_strip(a1: float, a: float | None = None, b: float | None = None) -> S
         b = float(b)
         if not -math.inf < b < -3.0:
             raise InvalidStripError(f"override b = {b} does not satisfy b < -3 or is not finite")
-        if not tail_sum(-b - 1.0, a1) < 1.0:
-            raise InvalidStripError(
-                f"override b = {b} fails tail_sum(-b-1, a1) < 1 "
-                f"(got {tail_sum(-b - 1.0, a1)})"
-            )
+        if not (tail := tail_sum(-b - 1.0, a1)) < 1.0:
+            raise InvalidStripError(f"override b = {b} fails tail_sum(-b-1, a1) < 1 (got {tail})")
 
     return StripParams(a=a, b=b, R=a - b)
 
@@ -346,16 +321,23 @@ def _pole_window(k: int) -> float:
     return (1.0 + 2.0 ** -50) / math.expm1(math.log(2.0) / k)
 
 
+def _sum_up(x: float, y: float) -> float:
+    """x + y rounded upward: one ulp up when the TwoSum error x + y - s is positive."""
+    s = x + y
+    t = s - x
+    return math.nextafter(s, math.inf) if (x - (s - t)) + (y - t) > 0.0 else s
+
+
 def _constraints(data: LFunctionData, strip: StripParams) -> list[tuple[str, float, bool]]:
-    """(name, threshold, is_strict) triples for the admissibility of T."""
+    """(name, threshold, is_strict) triples for the admissibility of T, thresholds rounded up."""
     two_r = 2.0 * strip.R
     cons = [
-        ("base-window", two_r + 1.0, False),
-        ("gamma-shift", two_r + data.shift_max, False),
+        ("base-window", _sum_up(two_r, 1.0), False),
+        ("gamma-shift", _sum_up(two_r, data.shift_max), False),
     ]
     if data.k > 0:
-        cons.append(("pole-window", two_r + _pole_window(data.k), False))
-    cons.append(("gamma-argument", two_r + data.arg_max, True))
+        cons.append(("pole-window", _sum_up(two_r, _pole_window(data.k)), False))
+    cons.append(("gamma-argument", _sum_up(two_r, data.arg_max), True))
     return cons
 
 

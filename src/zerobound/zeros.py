@@ -14,7 +14,7 @@ import math
 import operator
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .bounds import total_count_error, window_coefficients
 from .errors import DomainError, ZeroFileError
@@ -33,7 +33,10 @@ class ZeroList:
     source_label: str = ""
 
     def __post_init__(self) -> None:
-        t = tuple(map(float, self.ordinates))
+        try:
+            t = tuple(map(float, self.ordinates))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ZeroFileError(f"ordinates must be real numbers: {exc}") from None
         object.__setattr__(self, "ordinates", t)
         # One C-level pass: NaN fails <=, and once the tuple is sorted its
         # ends decide positivity and finiteness.  The generators below only
@@ -128,15 +131,8 @@ class VerificationReport:
     pass_theorem: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "main_term": self.main_term,
-            "deviation": self.deviation,
-            "r_total": self.r_total,
-            "coeff_bound": self.coeff_bound,
-            "pass_lemma": self.pass_lemma,
-            "pass_theorem": self.pass_theorem,
-        }
+        """The fields in order, keyed by name."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def check_bound(

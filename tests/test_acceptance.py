@@ -15,7 +15,6 @@ import pytest
 
 from zerobound import (
     NewformSpec,
-    closed_form_constants,
     check_bound,
     edge_real_check,
     load_zeros,
@@ -34,6 +33,7 @@ from zerobound import (
 )
 from zerobound import presets
 
+from closed_forms import closed_form_constants
 from table_golden import PUBLISHED_TABLE
 
 SAMPLES_PER_LEMMA = 10_000

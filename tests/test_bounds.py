@@ -4,6 +4,7 @@ import functools
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from zerobound import (
     AdmissibilityError,
@@ -383,3 +384,44 @@ def test_bound_report_derives_each_invariant_once(monkeypatch):
         "shift_max", "arg_max", "threshold_height", "series_blocks",
     }
     assert all(count == 1 for count in calls.values()), calls
+
+
+@st.composite
+def admissible_windows(draw):
+    """A random 1-4-factor datum, its strip, and a window (T0, T] with T0 admissible."""
+    factors = draw(st.lists(
+        st.builds(
+            GammaFactor,
+            st.floats(0.3, 3.0),
+            st.builds(complex, st.floats(0.0, 6.0), st.floats(-6.0, 6.0)),
+        ),
+        min_size=1, max_size=4,
+    ))
+    try:
+        data = LFunctionData(
+            factors=tuple(factors), Q=math.exp(draw(st.floats(-3.0, 5.0))), omega=1 + 0j,
+            k=draw(st.integers(0, 7)), a1=math.exp(draw(st.floats(0.0, 6.0))),
+        )
+    except ValidationError:
+        assume(False)
+    strip = select_strip(data.a1)
+    t0 = min_admissible_height(data, strip).value * (1.0 + draw(st.floats(0.0, 2.0)))
+    return data, strip, t0, t0 * (1.0 + draw(st.floats(1e-3, 20.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_windows())
+def test_bound_report_equals_the_standalone_bounds(window):
+    # each report field is the same shared formula, so equality is exact
+    data, strip, t0, t = window
+    rep = bound_report(data, strip, t0, t)
+    assert rep.R_total == total_count_error(data, strip, t0, t)
+    assert rep.R1 == log_integral_bound(data, strip, t0, t)
+    assert rep.R2_T0 == disc_count_bound(data, strip, t0)
+    assert rep.R2_T == disc_count_bound(data, strip, t)
+    bc = branch_constants(data, strip, t0)
+    assert (rep.alpha, rep.h1, rep.h2) == (bc.alpha, bc.h1, bc.h2)
+    main = window_coefficients(data, strip, t0)
+    assert (rep.c1_main, rep.c2_main, rep.c3_main) == (main.c1, main.c2, main.c3)
+    dbl = doubling_coefficients(data, strip, t0)
+    assert (rep.c1_dbl, rep.c2_dbl, rep.c3_dbl) == (dbl.c1, dbl.c2, dbl.c3)

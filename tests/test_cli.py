@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -300,3 +301,24 @@ def test_json_uses_twelve_significant_digits(capsys):
     code, out, _ = run_cli(capsys, "params", "--preset", "zeta")
     assert code == 0
     assert json.loads(out)["Q"] == 0.564189583548  # 1/sqrt(pi) to 12 digits
+
+
+# --- golden bytes ---------------------------------------------------------------------
+
+#: outputs on the zeta preset document; a changed byte is a changed format or value
+DATA_DIR = Path(__file__).parent / "data"
+CLI_GOLDEN = DATA_DIR / "cli"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("zeta", ["params", "--preset", "zeta"]),
+    ("constants", ["constants", "--input", str(CLI_GOLDEN / "zeta.json"), "--t0", "16"]),
+    ("bound", ["bound", "--input", str(CLI_GOLDEN / "zeta.json"), "--t0", "16", "--t", "100"]),
+    ("verify", ["verify", "--input", str(CLI_GOLDEN / "zeta.json"),
+                "--zeros", str(DATA_DIR / "zeta_zeros_200.txt"), "--t0", "16", "--t", "100"]),
+])
+def test_cli_output_matches_golden_bytes(capsys, monkeypatch, name, argv):
+    monkeypatch.delenv("ZEROBOUND_PRECISION", raising=False)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode("utf-8") == (CLI_GOLDEN / f"{name}.json").read_bytes()

@@ -7,8 +7,6 @@ import pytest
 from zerobound import (
     NewformSpec,
     ValidationError,
-    closed_form_constants,
-    derive_quantities,
     min_admissible_height,
     newform_params,
     newform_strip,
@@ -18,6 +16,7 @@ from zerobound import (
 )
 from zerobound.newform import TABLE_HEADER, read_pairs_csv
 
+from closed_forms import closed_form_constants
 from table_golden import PUBLISHED_TABLE
 
 
@@ -39,8 +38,7 @@ def test_params_level_one_weight_twelve():
     assert data.factors[0].mu == 5.5 + 0j
     assert data.omega == 1 + 0j  # i^12
     assert data.k == 0 and data.a1 == 1.0
-    dq = derive_quantities(data)
-    assert (dq.d_L, dq.lambda_cap, dq.mu_cap) == (2.0, 1.0, -20 + 0j)
+    assert (data.degree, data.lambda_cap, data.mu_cap) == (2.0, 1.0, -20 + 0j)
 
 
 def test_params_level_four_weight_two():
@@ -51,11 +49,9 @@ def test_params_level_four_weight_two():
 
 
 def test_conductor_product_is_level_over_four_pi_squared():
-    from zerobound import conductor_product
-
     for level in (1, 4, 64):
         data = newform_params(NewformSpec(level, 12))
-        assert conductor_product(data) == pytest.approx(
+        assert data.lambda_q2 == pytest.approx(
             level / (4.0 * math.pi ** 2), rel=1e-14
         )
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -14,8 +15,6 @@ from zerobound import (
     LFunctionData,
     StripParams,
     ValidationError,
-    conductor_product,
-    derive_quantities,
     load_document,
     main_term,
     min_admissible_height,
@@ -23,7 +22,7 @@ from zerobound import (
     select_strip,
     tail_sum,
 )
-from zerobound.selberg import _pole_window, document_dict
+from zerobound.selberg import _constraints, _pole_window, document_dict
 
 # frozen by scripts/derive_oracle_values.py (mpmath, 40 digits)
 TAIL_2 = 0.6449340668482264
@@ -91,24 +90,24 @@ def test_document_rejects_mistyped_fields(nf12_pair, field, value):
 
 def test_derive_quantities_newform(nf12_pair):
     data, _ = nf12_pair
-    dq = derive_quantities(data)
-    assert dq.d_L == 2.0
-    assert dq.lambda_cap == 1.0
-    assert dq.mu_cap == complex(4 - 2 * 12, 0)  # 4 - 2*kappa
+    assert data.degree == 2.0
+    assert data.lambda_cap == 1.0
+    assert data.mu_cap == complex(4 - 2 * 12, 0)  # 4 - 2*kappa
 
 
 def test_derive_quantities_zeta(zeta_pair):
     data, _ = zeta_pair
-    dq = derive_quantities(data)
-    assert dq.d_L == 1.0
-    assert dq.lambda_cap == pytest.approx(0.5, rel=1e-15)
-    assert dq.mu_cap == 2 + 0j
-    assert conductor_product(data) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
+    assert data.degree == 1.0
+    assert data.lambda_cap == pytest.approx(0.5, rel=1e-15)
+    assert data.mu_cap == 2 + 0j
+    assert data.lambda_q2 == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
 
 
 def test_derive_quantities_is_pure(nf12_pair):
     data, _ = nf12_pair
-    assert derive_quantities(data) == derive_quantities(data)
+    fresh = LFunctionData(data.factors, data.Q, data.omega, data.k, data.a1)
+    for name in ("degree", "lambda_cap", "lambda_q2", "mu_cap"):
+        assert getattr(data, name) == getattr(fresh, name), name
 
 
 # --- tail sums ----------------------------------------------------------------
@@ -251,6 +250,39 @@ def test_pole_window_threshold_is_a_tight_upper_bound(k):
         assert got - true <= 16 * math.ulp(float(true))
 
 
+def _mpf_fraction(x) -> Fraction:
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("two_r", [14, 200, 1000])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 10])
+def test_admissibility_thresholds_are_rounded_upward(two_r, k):
+    # 2R + threshold in floats may round below the exact sum; a height equal
+    # to such a value would be admitted although it is below the threshold
+    strip = select_strip(1.0, a=3.0, b=3.0 - two_r / 2)
+    assert 2.0 * strip.R == two_r
+    data = LFunctionData(
+        factors=(GammaFactor(0.7, complex(0.3, 2.9)), GammaFactor(1.3, complex(1.1, -0.6))),
+        Q=1.0, omega=1 + 0j, k=k, a1=1.0,
+    )
+    with mp.workdps(50):
+        pole = _mpf_fraction(1 / (mp.mpf(2) ** (mp.mpf(1) / k) - 1))
+    terms = {  # name: (float term, exact threshold)
+        "base-window": (1.0, Fraction(1)),
+        "gamma-shift": (data.shift_max, Fraction(data.shift_max)),
+        "pole-window": (_pole_window(k), pole),
+        "gamma-argument": (data.arg_max, Fraction(data.arg_max)),
+    }
+    cons = _constraints(data, strip)
+    assert [name for name, _, _ in cons] == list(terms)
+    for name, value, _ in cons:
+        term, threshold = terms[name]
+        assert Fraction(value) >= two_r + threshold, name
+        # and no higher than the float sum rounded upward
+        assert Fraction(math.nextafter(value, -math.inf)) < two_r + Fraction(term), name
+
+
 def test_min_height_lower_bound_invariant():
     from zerobound import presets
 
@@ -279,13 +311,13 @@ def test_main_term_zeta_closed_form(zeta_pair):
 
 def test_main_term_vanishes_at_unit_conductor():
     data = LFunctionData(factors=(GammaFactor(1.0, 0j),), Q=1.0, omega=1 + 0j, k=0, a1=1.0)
-    assert conductor_product(data) == pytest.approx(1.0)
+    assert data.lambda_q2 == pytest.approx(1.0)
     assert main_term(data, math.e) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_main_term_monotone_for_large_heights(zeta_pair, nf12_pair):
     for data, _ in (zeta_pair, nf12_pair):
-        lq2 = conductor_product(data)
+        lq2 = data.lambda_q2
         start = math.e * max(1.0, 1.0 / lq2)
         grid = [start * (1.1 ** i) for i in range(60)]
         values = [main_term(data, t) for t in grid]

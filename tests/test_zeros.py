@@ -88,6 +88,9 @@ def test_zerolist_invariants():
             ZeroList(bad)
     with pytest.raises(ZeroFileError, match="positive"):
         ZeroList((-math.inf, 1.0))
+    for bad in (("abc",), (None,), ([1],), (10 ** 400,)):
+        with pytest.raises(ZeroFileError, match="real numbers"):
+            ZeroList(bad)
 
 
 # --- the chunked loader against a line-by-line reference ------------------------
