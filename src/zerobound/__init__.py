@@ -29,18 +29,12 @@ from .errors import (
     ZeroFileError,
 )
 from .gammabounds import (
-    InequalityCheck,
-    edge_real_check,
-    log1p_check,
-    log_diff_check,
-    log_linear_check,
     magnitude_envelope,
     ratio_error_bound,
     ratio_error_sup,
     ratio_error_total,
     reflection_log_main,
     remainder_pair_bound,
-    rotation_check,
     stirling_remainder_bound,
 )
 from .newform import (

@@ -16,15 +16,16 @@ smooth main term by less than an explicit total, built from four pieces:
 total_count_error stitches these into the (T0, T]-window bound, and
 window_coefficients / doubling_coefficients flatten that bound into the
 c1 log T + c2 + c3 / T coefficient form (for the (T0, T] and (T, 2T]
-windows respectively).  Everything is a pure function of the
-functional-equation datum, the strip, and the heights.
+windows respectively).  All three and bound_report evaluate one window
+value per (datum, strip, T0), which computes the T0-only pieces once.
+Everything is a pure function of the datum, the strip, and the heights.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import BoundaryWarning, DomainError, ValidationError
 from .gammabounds import _kernel_sum, ratio_error_sup
@@ -48,12 +49,12 @@ def _ratio_error_slope(data: LFunctionData, strip: StripParams) -> float:
 def integrated_ratio_error(data: LFunctionData, strip: StripParams, T0: float, T: float) -> float:
     """Integral of the paired gamma-ratio errors over ordinates [T0, T].
 
-    Proportional to log(T/T0); requires T >= T0 > 0.
+    Proportional to log(T/T0); requires finite T >= T0 > 0.
     """
-    if not T0 > 0.0:
-        raise DomainError(f"needs T0 > 0, got {T0}")
-    if T < T0:
-        raise DomainError(f"needs T >= T0, got T = {T} < T0 = {T0}")
+    if not 0.0 < T0 < math.inf:
+        raise DomainError(f"needs finite T0 > 0, got {T0}")
+    if not T0 <= T < math.inf:
+        raise DomainError(f"needs finite T >= T0, got T = {T}, T0 = {T0}")
     return math.log(T / T0) * _ratio_error_slope(data, strip)
 
 
@@ -78,12 +79,18 @@ def log_integral_bound(data: LFunctionData, strip: StripParams, T0: float, T: fl
     error.  Deliberately evaluated as a pure expression: the coefficient
     assembly feeds it T = 1 < T0, where the log factor goes negative.
     """
-    if not T0 > 0.0:
-        raise DomainError(f"needs T0 > 0, got {T0}")
-    if not T > 0.0:
-        raise DomainError(f"needs T > 0, got {T}")
-    b = strip.b
-    return math.log(T / T0) * _log_slope(data, strip) + 3.0 * data.degree * (b * b + b) / T0
+    if not 0.0 < T0 < math.inf:
+        raise DomainError(f"needs finite T0 > 0, got {T0}")
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"needs finite T > 0, got {T}")
+    return _log_integral(data, strip, _log_slope(data, strip), T0, T)
+
+
+def _log_integral(
+    data: LFunctionData, strip: StripParams, slope: float, T0: float, T: float
+) -> float:
+    """log_integral_bound, given its log(T/T0) coefficient slope."""
+    return math.log(T / T0) * slope + 3.0 * data.degree * (strip.b * strip.b + strip.b) / T0
 
 
 def vertical_integral_bound() -> float:
@@ -121,6 +128,11 @@ def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float
     admissible.
     """
     require_admissible(data, strip, T)
+    return _disc_bound(data, strip, ratio_error_sup(data, strip, T), T)
+
+
+def _disc_bound(data: LFunctionData, strip: StripParams, sup: float, T: float) -> float:
+    """disc_count_bound at an admissible T, given the ratio-error sup there."""
     d, im = data.degree, data.mu_cap.imag
     a, r = strip.a, strip.R
     two_r = 2.0 * r
@@ -136,7 +148,7 @@ def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float
     return (
         d * c * math.log(2.0 * T)
         + _log_a1_zeta2(data)
-        + ratio_error_sup(data, strip, T)
+        + sup
         + max(reflect, _h1_interp(data))
     ) / LOG2
 
@@ -187,8 +199,8 @@ def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> Bran
     T, so the interpolation constant can overtake it above T0.
     """
     two_r = 2.0 * strip.R
-    if not T0 > two_r:
-        raise DomainError(f"needs T0 > 2R = {two_r}, got {T0}")
+    if not two_r < T0 < math.inf:
+        raise DomainError(f"needs finite T0 > 2R = {two_r}, got {T0}")
     d = data.degree
     a, r = strip.a, strip.R
     c = 0.5 - a + two_r
@@ -200,25 +212,106 @@ def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> Bran
     return BranchConstants(alpha=1, h1=h1_interp, h2=0.0)
 
 
-def _require_window(data: LFunctionData, strip: StripParams, T0: float, T: float) -> None:
-    """Raise unless T0 is admissible and T0 < T < inf."""
-    require_admissible(data, strip, T0, label="T0")
-    if not T0 < T < math.inf:
-        raise DomainError(f"needs finite T > T0, got T = {T}, T0 = {T0}")
+@dataclass(frozen=True)
+class _Window:
+    """The (T0, T]-window bound of one (data, strip, T0).
 
+    Construction checks that T0 is admissible, so every finite T > T0 is too.
+    K is ratio_error_sup's numerator, slope the log(T/T0) coefficient of R1.
+    """
 
-def _window_total(
-    data: LFunctionData, strip: StripParams, T0: float, r1: float, r2_t0: float, r2_t: float
-) -> float:
-    """The (T0, T]-window bound, given its log-integral bound r1 and its disc bounds at T0 and T."""
-    return (
-        data.degree / TWO_PI * T0 * math.log(T0 / math.e)
-        + T0 / TWO_PI * abs(math.log(data.lambda_q2))
-        + r1 / TWO_PI
-        + math.pi / (3.0 * LOG2)
-        + (strip.R - 0.5) * (r2_t0 + r2_t + 4.0)
-        + trivial_zero_window(data, strip)
-    )
+    data: LFunctionData
+    strip: StripParams
+    T0: float
+    K: float = field(init=False)
+    slope: float = field(init=False)
+    bc: BranchConstants = field(init=False)
+    r2_t0: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        data, strip, T0 = self.data, self.strip, self.T0
+        require_admissible(data, strip, T0, label="T0")
+        object.__setattr__(self, "K", _kernel_sum(data, -(strip.a + 2.0 * strip.R)))
+        object.__setattr__(self, "slope", _log_slope(data, strip))
+        object.__setattr__(self, "bc", branch_constants(data, strip, T0))
+        object.__setattr__(self, "r2_t0", _disc_bound(data, strip, self.sup(T0), T0))
+
+    def sup(self, T: float) -> float:
+        """ratio_error_sup(T) for T > 2R."""
+        return self.K / (T - 2.0 * self.strip.R)
+
+    def at(self, T: float) -> tuple[float, float, float]:
+        """(R1, R2(T), window total) at a finite T > T0."""
+        if not self.T0 < T < math.inf:
+            raise DomainError(f"needs finite T > T0, got T = {T}, T0 = {self.T0}")
+        r1 = _log_integral(self.data, self.strip, self.slope, self.T0, T)
+        r2_t = _disc_bound(self.data, self.strip, self.sup(T), T)
+        return r1, r2_t, self._total(r1, r2_t)
+
+    def _total(self, r1: float, r2_t: float) -> float:
+        """The window total, given its log-integral bound r1 and its disc bound r2_t at T."""
+        data, T0 = self.data, self.T0
+        return (
+            data.degree / TWO_PI * T0 * math.log(T0 / math.e)
+            + T0 / TWO_PI * abs(math.log(data.lambda_q2))
+            + r1 / TWO_PI
+            + math.pi / (3.0 * LOG2)
+            + (self.strip.R - 0.5) * (self.r2_t0 + r2_t + 4.0)
+            + trivial_zero_window(data, self.strip)
+        )
+
+    def coefficients(self) -> tuple[Coefficients, Coefficients]:
+        """The window_coefficients and doubling_coefficients triples."""
+        d, T0, bc = self.data.degree, self.T0, self.bc
+        a, b, r = self.strip.a, self.strip.b, self.strip.R
+        two_r = 2.0 * r
+        c = 0.5 - a + two_r
+        r1 = _log_integral(self.data, self.strip, self.slope, T0, 1.0) + 3.0 * d * (b * b + b) / T0
+        r2_t = d * c + (_log_a1_zeta2(self.data) + bc.h1) / LOG2
+        main = Coefficients(
+            c1=self.slope / TWO_PI + (r - 0.5) * d * c / LOG2,
+            c2=self._total(r1, r2_t),
+            c3=(r - 0.5) / LOG2 * T0 / (T0 - two_r) * (self.K + bc.h2),
+        )
+        dbl_c2 = (
+            LOG2 * self.slope / TWO_PI
+            + 2.0 * math.pi / (3.0 * LOG2)
+            + 4.0 * r - 2.0
+            + 3.0 * d * (2.0 * r - 1.0) * c
+            + (2.0 * r - 1.0) / LOG2 * (_log_a1_zeta2(self.data) + bc.h1)
+        )
+        dbl_c3 = (
+            3.0 * d * (b * b + b) / (4.0 * math.pi)
+            + (r - 0.5) / LOG2
+            * T0 * (3.0 * T0 - 4.0 * r) / (2.0 * (T0 - two_r) * (T0 - r))
+            * (self.sup(T0) + bc.h2)
+        )
+        return main, Coefficients(c1=d / LOG2 * (2.0 * r - 1.0) * c, c2=dbl_c2, c3=dbl_c3)
+
+    def report(self, T: float) -> BoundReport:
+        """The bound_report at height T."""
+        r1, r2_t, total = self.at(T)
+        (main, dbl), bc = self.coefficients(), self.bc
+        return BoundReport(
+            T0=self.T0,
+            T=T,
+            S=integrated_ratio_error(self.data, self.strip, self.T0, T),
+            R1=r1,
+            V_star_T0=self.sup(self.T0),
+            V_star_T=self.sup(T),
+            R2_T0=self.r2_t0,
+            R2_T=r2_t,
+            alpha=bc.alpha,
+            h1=bc.h1,
+            h2=bc.h2,
+            R_total=total,
+            c1_main=main.c1,
+            c2_main=main.c2,
+            c3_main=main.c3,
+            c1_dbl=dbl.c1,
+            c2_dbl=dbl.c2,
+            c3_dbl=dbl.c3,
+        )
 
 
 def total_count_error(data: LFunctionData, strip: StripParams, T0: float, T: float) -> float:
@@ -226,9 +319,7 @@ def total_count_error(data: LFunctionData, strip: StripParams, T0: float, T: flo
 
     T0 must be admissible and T > T0 finite.
     """
-    _require_window(data, strip, T0, T)
-    r2_t0, r2_t = disc_count_bound(data, strip, T0), disc_count_bound(data, strip, T)
-    return _window_total(data, strip, T0, log_integral_bound(data, strip, T0, T), r2_t0, r2_t)
+    return _Window(data, strip, T0).at(T)[2]
 
 
 @dataclass(frozen=True)
@@ -240,8 +331,8 @@ class Coefficients:
     c3: float
 
     def evaluate(self, T: float) -> float:
-        if not T > 0.0:
-            raise DomainError(f"needs T > 0, got {T}")
+        if not 0.0 < T < math.inf:
+            raise DomainError(f"needs finite T > 0, got {T}")
         return self.c1 * math.log(T) + self.c2 + self.c3 / T
 
 
@@ -256,19 +347,7 @@ def window_coefficients(data: LFunctionData, strip: StripParams, T0: float) -> C
     carries the 1/(T - 2R) payloads through the monotone substitution
     1/(T - 2R) <= T0 / ((T0 - 2R) T).
     """
-    require_admissible(data, strip, T0, label="T0")
-    d = data.degree
-    a, b, r = strip.a, strip.b, strip.R
-    two_r = 2.0 * r
-    c = 0.5 - a + two_r
-    bc = branch_constants(data, strip, T0)
-
-    c1 = _log_slope(data, strip) / TWO_PI + (r - 0.5) * d * c / LOG2
-    r1 = log_integral_bound(data, strip, T0, 1.0) + 3.0 * d * (b * b + b) / T0
-    r2_t = d * c + (_log_a1_zeta2(data) + bc.h1) / LOG2
-    c2 = _window_total(data, strip, T0, r1, disc_count_bound(data, strip, T0), r2_t)
-    c3 = (r - 0.5) / LOG2 * T0 / (T0 - two_r) * (_kernel_sum(data, -(a + two_r)) + bc.h2)
-    return Coefficients(c1=c1, c2=c2, c3=c3)
+    return _Window(data, strip, T0).coefficients()[0]
 
 
 def doubling_coefficients(data: LFunctionData, strip: StripParams, T0: float) -> Coefficients:
@@ -278,28 +357,7 @@ def doubling_coefficients(data: LFunctionData, strip: StripParams, T0: float) ->
     so no T0 log T0 term survives; both disc bounds grow with log T, which
     doubles the c1 slope relative to the single window.
     """
-    require_admissible(data, strip, T0, label="T0")
-    d = data.degree
-    a, b, r = strip.a, strip.b, strip.R
-    two_r = 2.0 * r
-    c = 0.5 - a + two_r
-    bc = branch_constants(data, strip, T0)
-
-    c1 = d / LOG2 * (2.0 * r - 1.0) * c
-    c2 = (
-        LOG2 * _log_slope(data, strip) / TWO_PI
-        + 2.0 * math.pi / (3.0 * LOG2)
-        + 4.0 * r - 2.0
-        + 3.0 * d * (2.0 * r - 1.0) * c
-        + (2.0 * r - 1.0) / LOG2 * (_log_a1_zeta2(data) + bc.h1)
-    )
-    c3 = (
-        3.0 * d * (b * b + b) / (4.0 * math.pi)
-        + (r - 0.5) / LOG2
-        * T0 * (3.0 * T0 - 4.0 * r) / (2.0 * (T0 - two_r) * (T0 - r))
-        * (ratio_error_sup(data, strip, T0) + bc.h2)
-    )
-    return Coefficients(c1=c1, c2=c2, c3=c3)
+    return _Window(data, strip, T0).coefficients()[1]
 
 
 def shifted_constant(c2_main: float, n_plus_T0: int, n_minus_T0: int) -> float:
@@ -364,30 +422,4 @@ class BoundReport:
 
 def bound_report(data: LFunctionData, strip: StripParams, T0: float, T: float) -> BoundReport:
     """Evaluate every bound of the pipeline at one (T0, T) pair."""
-    _require_window(data, strip, T0, T)
-    bc = branch_constants(data, strip, T0)
-    main = window_coefficients(data, strip, T0)
-    dbl = doubling_coefficients(data, strip, T0)
-    r1 = log_integral_bound(data, strip, T0, T)
-    r2_t0 = disc_count_bound(data, strip, T0)
-    r2_t = disc_count_bound(data, strip, T)
-    return BoundReport(
-        T0=T0,
-        T=T,
-        S=integrated_ratio_error(data, strip, T0, T),
-        R1=r1,
-        V_star_T0=ratio_error_sup(data, strip, T0),
-        V_star_T=ratio_error_sup(data, strip, T),
-        R2_T0=r2_t0,
-        R2_T=r2_t,
-        alpha=bc.alpha,
-        h1=bc.h1,
-        h2=bc.h2,
-        R_total=_window_total(data, strip, T0, r1, r2_t0, r2_t),
-        c1_main=main.c1,
-        c2_main=main.c2,
-        c3_main=main.c3,
-        c1_dbl=dbl.c1,
-        c2_dbl=dbl.c2,
-        c3_dbl=dbl.c3,
-    )
+    return _Window(data, strip, T0).report(T)

@@ -11,17 +11,12 @@ of each log-Gamma turns log|Delta| into an explicit main part
 here (ratio_error_bound and its aggregates).  The same machinery produces
 the piecewise upper envelope for |L(s)| on a window around height T
 (magnitude_envelope).
-
-The *_check functions evaluate both sides of the small analytic
-inequalities the bound assembly relies on; the test suite batters them
-with random admissible inputs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import AdmissibilityError, DomainError
 from .selberg import LFunctionData, StripParams, require_admissible
@@ -92,8 +87,8 @@ def remainder_pair_bound(data: LFunctionData, j: int, sigma: float, t: float) ->
     whose half-argument stays below pi/4.
     """
     h = data.threshold_height
-    if t < h:
-        raise AdmissibilityError(f"t = {t} is below the remainder threshold {h}")
+    if not h <= t < math.inf:
+        raise AdmissibilityError(f"needs finite t at or above the remainder threshold {h}, got {t}")
     return B2 / (2.0 * data.factors[j].lam * t) * _pair_secant(data, -abs(sigma))
 
 
@@ -105,8 +100,8 @@ def ratio_error_bound(data: LFunctionData, j: int, sigma: float, t: float) -> fl
     error) plus the paired Stirling-remainder bound.  Scales exactly as 1/t.
     """
     h = data.threshold_height
-    if t < h:
-        raise AdmissibilityError(f"t = {t} is below the remainder threshold {h}")
+    if not h <= t < math.inf:
+        raise AdmissibilityError(f"needs finite t at or above the remainder threshold {h}, got {t}")
     return _factor_kernels(data, -abs(sigma))[j] / t
 
 
@@ -119,11 +114,11 @@ def ratio_error_sup(data: LFunctionData, strip: StripParams, T: float) -> float:
     """Supremum envelope of the total gamma-ratio error on the counting rectangle.
 
     Covers sigma in [a - 2R, a + 2R] and t in [T - 2R, T + 2R]; only the
-    prefactor 1/(T - 2R) depends on T.  Requires T > 2R.
+    prefactor 1/(T - 2R) depends on T.  Requires finite T > 2R.
     """
     two_r = 2.0 * strip.R
-    if T <= two_r:
-        raise DomainError(f"supremum envelope needs T > 2R = {two_r}, got {T}")
+    if not two_r < T < math.inf:
+        raise DomainError(f"supremum envelope needs finite T > 2R = {two_r}, got {T}")
     return _kernel_sum(data, -(strip.a + two_r)) / (T - two_r)
 
 
@@ -133,10 +128,10 @@ def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:
     Equals (1/2 - sigma)(d log t + log(lambda Q^2)) + d sigma
     + Re(log(1 - sigma i / t) (d (1/2 - s) + Im(mu_cap) i / 2));
     callers pair it with ratio_error_total as the remainder envelope.
-    Requires t > 0 and both gamma arguments off the branch cut.
+    Requires finite t > 0 and both gamma arguments off the branch cut.
     """
-    if not t > 0.0:
-        raise DomainError(f"need t > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"need finite t > 0, got {t}")
     s = complex(sigma, t)
     for f in data.factors:
         try:
@@ -194,79 +189,3 @@ def magnitude_envelope(
     d = data.degree
     return 2.0 ** (2.5 * d + 1.0) * _mid_band_peak(data, strip, T) * t ** (0.5 * d * (3.0 - sigma))
 
-
-# ---------------------------------------------------------------------------
-# inequality oracles
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InequalityCheck:
-    """Both sides of one analytic inequality; holds means lhs < rhs."""
-
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def _check(lhs: float, rhs: float) -> InequalityCheck:
-    return InequalityCheck(lhs=lhs, rhs=rhs, holds=lhs < rhs)
-
-
-def log1p_check(z: complex) -> InequalityCheck:
-    """|log(1 + z)| < 2|z| for |z| < 1/2."""
-    z = complex(z)
-    if not abs(z) < 0.5:
-        raise DomainError(f"needs |z| < 1/2, got |z| = {abs(z)}")
-    return _check(abs(cmath.log(1.0 + z)), 2.0 * abs(z))
-
-
-def log_linear_check(x: float) -> InequalityCheck:
-    """|log(1 - x i)| < 7|x| for real x != 0."""
-    if x == 0.0:
-        raise DomainError("the linear bound is strict; x = 0 is excluded")
-    return _check(abs(cmath.log(complex(1.0, -x))), 7.0 * abs(x))
-
-
-def log_diff_check(data: LFunctionData, sigma: float, t: float) -> InequalityCheck:
-    """Paired log-term bound used on the far left edge (sigma < -3, t > 0)."""
-    if not sigma < -3.0:
-        raise DomainError(f"needs sigma < -3, got {sigma}")
-    if not t > 0.0:
-        raise DomainError(f"needs t > 0, got {t}")
-    d, im = data.degree, data.mu_cap.imag
-    l1 = cmath.log(1.0 - complex(0.0, sigma) / t)
-    l2 = cmath.log(1.0 - complex(0.0, sigma + 1.0) / t)
-    lhs = abs(
-        (
-            l1 * complex(d * (0.5 - sigma), im / 2.0)
-            - l2 * complex(d * (-0.5 - sigma), im / 2.0)
-        ).real
-    )
-    rhs = 2.0 / t * abs(complex(-d * sigma, im / 2.0)) - 7.0 * d / (2.0 * t) * (2.0 * sigma + 1.0)
-    return _check(lhs, rhs)
-
-
-def rotation_check(data: LFunctionData, sigma: float, t: float) -> InequalityCheck:
-    """Rotation-term bound d(3(sigma^2+sigma)/t^2 + 2/t) for |sigma| >= 1, t > 0."""
-    if not abs(sigma) >= 1.0:
-        raise DomainError(f"needs |sigma| >= 1, got {sigma}")
-    if not t > 0.0:
-        raise DomainError(f"needs t > 0, got {t}")
-    d = data.degree
-    l1 = cmath.log(1.0 - complex(0.0, sigma) / t)
-    l2 = cmath.log(1.0 - complex(0.0, sigma + 1.0) / t)
-    lhs = abs((-d - d * l1 * 1j * t + d * l2 * 1j * t).real)
-    rhs = d * (3.0 * (sigma * sigma + sigma) / (t * t) + 2.0 / t)
-    return _check(lhs, rhs)
-
-
-def edge_real_check(data: LFunctionData, t: float) -> InequalityCheck:
-    """Left-edge real-part bound ((5 sqrt 5 + 4)/2) d + |Im mu_cap| for t >= 1."""
-    if not t >= 1.0:
-        raise DomainError(f"needs t >= 1, got {t}")
-    d, im = data.degree, data.mu_cap.imag
-    lhs = (
-        cmath.log(1.0 + 2j / t) * complex(2.5 * d, -d * t + im / 2.0)
-    ).real
-    rhs = (5.0 * math.sqrt(5.0) + 4.0) / 2.0 * d + abs(im)
-    return _check(lhs, rhs)

@@ -18,7 +18,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .bounds import ceil_guarded, doubling_coefficients, window_coefficients
+from .bounds import _Window, ceil_guarded
 from .errors import ValidationError
 from .selberg import GammaFactor, LFunctionData, StripParams, select_strip
 
@@ -71,11 +71,8 @@ def newform_strip() -> StripParams:
 
 def pipeline_constants(spec: NewformSpec) -> tuple[float, float, float, float, float, float]:
     """The six pre-ceiling constants via the generic pipeline."""
-    data = newform_params(spec)
-    strip = newform_strip()
-    t0 = float(spec.min_height)
-    main = window_coefficients(data, strip, t0)
-    dbl = doubling_coefficients(data, strip, t0)
+    window = _Window(newform_params(spec), newform_strip(), float(spec.min_height))
+    main, dbl = window.coefficients()
     return (main.c1, main.c2, main.c3, dbl.c1, dbl.c2, dbl.c3)
 
 

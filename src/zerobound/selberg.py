@@ -296,8 +296,9 @@ class AdmissibleHeight:
     """Smallest height at which the counting machinery applies.
 
     strict_adjusted is True when the binding constraint is the strict one
-    (the gamma-argument condition); in that case value carries a +1e-9
-    nudge so that the returned height itself is admissible.
+    (the gamma-argument condition); in that case value lies strictly above
+    the threshold, by STRICT_NUDGE or, where that nudge rounds away, by one
+    ulp, so that the returned height itself is admissible.
     """
 
     value: float
@@ -345,8 +346,9 @@ def min_admissible_height(data: LFunctionData, strip: StripParams) -> Admissible
     """Smallest T satisfying every admissibility constraint.
 
     The gamma-argument constraint is strict; when it binds, the returned
-    value is the threshold plus STRICT_NUDGE and the report flags the
-    adjustment.
+    value is the threshold plus STRICT_NUDGE, or the next float above the
+    threshold when the nudge is below half an ulp of it, and the report flags
+    the adjustment.
     """
     cons = _constraints(data, strip)
     weak = [(name, val) for name, val, strict in cons if not strict]
@@ -354,7 +356,8 @@ def min_admissible_height(data: LFunctionData, strip: StripParams) -> Admissible
     name, value = max(weak, key=lambda c: c[1])
     for sname, sval in strict:
         if sval >= value:
-            return AdmissibleHeight(value=sval + STRICT_NUDGE, binding=sname, strict_adjusted=True)
+            value = max(sval + STRICT_NUDGE, math.nextafter(sval, math.inf))
+            return AdmissibleHeight(value=value, binding=sname, strict_adjusted=True)
     return AdmissibleHeight(value=value, binding=name, strict_adjusted=False)
 
 
@@ -377,8 +380,8 @@ def require_admissible(data: LFunctionData, strip: StripParams, T: float, label:
 
 def main_term(data: LFunctionData, T: float) -> float:
     """Smooth zero-count term (d / 2 pi) T log(T/e) + (T / 2 pi) log(lambda Q^2)."""
-    if not T > 0.0:
-        raise DomainError(f"main term needs T > 0, got {T}")
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"main term needs finite T > 0, got {T}")
     d, lq2 = data.degree, data.lambda_q2
     return d / (2.0 * math.pi) * T * math.log(T / math.e) + T / (2.0 * math.pi) * math.log(lq2)
 

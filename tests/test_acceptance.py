@@ -16,11 +16,7 @@ import pytest
 from zerobound import (
     NewformSpec,
     check_bound,
-    edge_real_check,
     load_zeros,
-    log1p_check,
-    log_diff_check,
-    log_linear_check,
     pipeline_constants,
     ratio_error_total,
     reflection_log_main,
@@ -28,12 +24,12 @@ from zerobound import (
     table_row,
     threshold_height,
     total_count_error,
-    rotation_check,
     window_coefficients,
 )
 from zerobound import presets
 
 from closed_forms import closed_form_constants
+from lemma_oracles import edge_real_check, log1p_check, log_diff_check, log_linear_check, rotation_check
 from table_golden import PUBLISHED_TABLE
 
 SAMPLES_PER_LEMMA = 10_000

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -28,12 +29,19 @@ from zerobound import (
 from zerobound import (
     GammaFactor,
     LFunctionData,
+    NewformSpec,
     ZeroboundError,
     ZeroList,
     check_bound,
+    main_term,
     min_admissible_height,
     presets,
+    ratio_error_bound,
+    ratio_error_sup,
+    reflection_log_main,
+    remainder_pair_bound,
     select_strip,
+    table_row,
 )
 
 # frozen by scripts/derive_oracle_values.py
@@ -265,6 +273,16 @@ def test_total_count_error_domain(nf12_pair):
     lambda d, s, h: bound_report(d, s, h, math.inf),
     lambda d, s, h: bound_report(d, s, 27.0, h),
     lambda d, s, h: check_bound(d, s, ZeroList((14.1, 30.0)), 27.0, h),
+    lambda d, s, h: main_term(d, h),
+    lambda d, s, h: window_coefficients(d, s, 27.0).evaluate(h),
+    lambda d, s, h: integrated_ratio_error(d, s, 27.0, h),
+    lambda d, s, h: log_integral_bound(d, s, 27.0, h),
+    lambda d, s, h: log_integral_bound(d, s, h, 100.0),
+    lambda d, s, h: ratio_error_sup(d, s, h),
+    lambda d, s, h: ratio_error_bound(d, 0, -2.0, h),
+    lambda d, s, h: remainder_pair_bound(d, 0, -4.0, h),
+    lambda d, s, h: reflection_log_main(d, -2.0, h),
+    lambda d, s, h: branch_constants(d, s, h),
 ])
 @pytest.mark.parametrize("height", [math.inf, math.nan])
 def test_non_finite_height_is_rejected(nf12_pair, call, height):
@@ -384,6 +402,45 @@ def test_bound_report_derives_each_invariant_once(monkeypatch):
         "shift_max", "arg_max", "threshold_height", "series_blocks",
     }
     assert all(count == 1 for count in calls.values()), calls
+
+
+def _count_calls(monkeypatch, *functions):
+    """Wrap each function wherever a zerobound module binds it; return the live call counts."""
+    calls = {fn.__name__: 0 for fn in functions}
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "zerobound"]
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_each_window_computes_its_t0_pieces_once(monkeypatch):
+    # one window per call: one admissibility check of T0, one branch choice,
+    # and kernel sums only for the left edge, the log slope and S
+    from zerobound import bounds, gammabounds, selberg
+
+    data, strip = presets.zeta()
+    zeros = ZeroList((14.134725, 21.02204, 25.010858, 30.424876))
+    calls = _count_calls(
+        monkeypatch, gammabounds._kernel_sum, bounds.branch_constants, selberg.require_admissible
+    )
+
+    def counts_of(call):
+        calls.update(dict.fromkeys(calls, 0))
+        call()
+        return calls["_kernel_sum"], calls["branch_constants"], calls["require_admissible"]
+
+    kernel_sums, branches, checks = counts_of(lambda: bound_report(data, strip, 16.0, 100.0))
+    assert kernel_sums <= 5 and (branches, checks) == (1, 1), calls
+    kernel_sums, branches, checks = counts_of(lambda: check_bound(data, strip, zeros, 16.0, 100.0))
+    assert kernel_sums <= 3 and (branches, checks) == (1, 1), calls
+    assert counts_of(lambda: table_row(NewformSpec(1, 12)))[2] == 1
 
 
 @st.composite

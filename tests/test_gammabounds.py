@@ -10,20 +10,17 @@ import pytest
 from zerobound import (
     AdmissibilityError,
     DomainError,
-    edge_real_check,
-    log1p_check,
-    log_diff_check,
-    log_linear_check,
     magnitude_envelope,
     ratio_error_bound,
     ratio_error_sup,
     ratio_error_total,
     reflection_log_main,
     remainder_pair_bound,
-    rotation_check,
     stirling_remainder_bound,
     threshold_height,
 )
+
+from lemma_oracles import edge_real_check, log1p_check, log_diff_check, log_linear_check, rotation_check
 
 # frozen by scripts/derive_oracle_values.py
 W1_AT_M17_13I = 0.037870744141057886

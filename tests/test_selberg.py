@@ -241,6 +241,21 @@ def test_min_height_pole_constraint():
     assert min_admissible_height(with_pole, strip).binding == "pole-window"
 
 
+@pytest.mark.parametrize("im_mu", [1e8, 1e12])
+def test_strict_min_height_is_admissible_above_the_nudge_resolution(im_mu):
+    # the strict constraint binds only where shift_max and arg_max round to
+    # the same float; at these thresholds the 1e-9 nudge is below half an ulp
+    data = LFunctionData(
+        factors=(GammaFactor(1.0, complex(0.0, im_mu)),), Q=1.0, omega=1 + 0j, k=0, a1=1.0
+    )
+    strip = select_strip(1.0)
+    h = min_admissible_height(data, strip)
+    assert (h.binding, h.strict_adjusted) == ("gamma-argument", True)
+    threshold = {name: value for name, value, _ in _constraints(data, strip)}["gamma-argument"]
+    assert h.value == math.nextafter(threshold, math.inf)
+    require_admissible(data, strip, h.value)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 10 ** 3, 10 ** 6, 10 ** 12, 10 ** 15])
 def test_pole_window_threshold_is_a_tight_upper_bound(k):
     got = _pole_window(k)
