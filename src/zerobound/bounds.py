@@ -23,6 +23,7 @@ Everything is a pure function of the datum, the strip, and the heights.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, fields
@@ -216,8 +217,12 @@ def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> Bran
 class _Window:
     """The (T0, T]-window bound of one (data, strip, T0).
 
-    Construction checks that T0 is admissible, so every finite T > T0 is too.
-    K is ratio_error_sup's numerator, slope the log(T/T0) coefficient of R1.
+    Construction checks that T0 is admissible, so every finite T > T0 is too,
+    and computes every T0-only piece once.  K is ratio_error_sup's numerator,
+    slope the log(T/T0) coefficient of R1, head the two main-term pieces at
+    T0, vertical the two vertical log-integral bounds over 2 pi and trivial
+    the trivial-zero allowance.  The coefficient triples are computed on
+    first use and kept.
     """
 
     data: LFunctionData
@@ -227,6 +232,9 @@ class _Window:
     slope: float = field(init=False)
     bc: BranchConstants = field(init=False)
     r2_t0: float = field(init=False)
+    head: float = field(init=False)
+    vertical: float = field(init=False)
+    trivial: float = field(init=False)
 
     def __post_init__(self) -> None:
         data, strip, T0 = self.data, self.strip, self.T0
@@ -235,6 +243,12 @@ class _Window:
         object.__setattr__(self, "slope", _log_slope(data, strip))
         object.__setattr__(self, "bc", branch_constants(data, strip, T0))
         object.__setattr__(self, "r2_t0", _disc_bound(data, strip, self.sup(T0), T0))
+        head = data.degree / TWO_PI * T0 * math.log(T0 / math.e) + T0 / TWO_PI * abs(
+            math.log(data.lambda_q2)
+        )
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "vertical", math.pi / (3.0 * LOG2))
+        object.__setattr__(self, "trivial", trivial_zero_window(data, strip))
 
     def sup(self, T: float) -> float:
         """ratio_error_sup(T) for T > 2R."""
@@ -250,16 +264,15 @@ class _Window:
 
     def _total(self, r1: float, r2_t: float) -> float:
         """The window total, given its log-integral bound r1 and its disc bound r2_t at T."""
-        data, T0 = self.data, self.T0
         return (
-            data.degree / TWO_PI * T0 * math.log(T0 / math.e)
-            + T0 / TWO_PI * abs(math.log(data.lambda_q2))
+            self.head
             + r1 / TWO_PI
-            + math.pi / (3.0 * LOG2)
+            + self.vertical
             + (self.strip.R - 0.5) * (self.r2_t0 + r2_t + 4.0)
-            + trivial_zero_window(data, self.strip)
+            + self.trivial
         )
 
+    @functools.cached_property
     def coefficients(self) -> tuple[Coefficients, Coefficients]:
         """The window_coefficients and doubling_coefficients triples."""
         d, T0, bc = self.data.degree, self.T0, self.bc
@@ -291,7 +304,7 @@ class _Window:
     def report(self, T: float) -> BoundReport:
         """The bound_report at height T."""
         r1, r2_t, total = self.at(T)
-        (main, dbl), bc = self.coefficients(), self.bc
+        (main, dbl), bc = self.coefficients, self.bc
         return BoundReport(
             T0=self.T0,
             T=T,
@@ -312,6 +325,13 @@ class _Window:
             c2_dbl=dbl.c2,
             c3_dbl=dbl.c3,
         )
+
+
+#: Windows of recent (data, strip, T0) keys, for check_bound, which meets
+#: many heights on one T0.  The keys are frozen and a window reads only
+#: fields that == compares, so an equal key gives a bit-identical window.
+#: typed keeps T0 = 30 and 30.0 apart.  A raising constructor caches nothing.
+_window = functools.lru_cache(maxsize=16, typed=True)(_Window)
 
 
 def total_count_error(data: LFunctionData, strip: StripParams, T0: float, T: float) -> float:
@@ -347,7 +367,7 @@ def window_coefficients(data: LFunctionData, strip: StripParams, T0: float) -> C
     carries the 1/(T - 2R) payloads through the monotone substitution
     1/(T - 2R) <= T0 / ((T0 - 2R) T).
     """
-    return _Window(data, strip, T0).coefficients()[0]
+    return _Window(data, strip, T0).coefficients[0]
 
 
 def doubling_coefficients(data: LFunctionData, strip: StripParams, T0: float) -> Coefficients:
@@ -357,7 +377,7 @@ def doubling_coefficients(data: LFunctionData, strip: StripParams, T0: float) ->
     so no T0 log T0 term survives; both disc bounds grow with log T, which
     doubles the c1 slope relative to the single window.
     """
-    return _Window(data, strip, T0).coefficients()[1]
+    return _Window(data, strip, T0).coefficients[1]
 
 
 def shifted_constant(c2_main: float, n_plus_T0: int, n_minus_T0: int) -> float:

@@ -143,7 +143,7 @@ def _cmd_constants(args) -> int:
 def _cmd_bound(args) -> int:
     data, strip = _load_input(args.input)
     window = _Window(data, strip, args.t0)
-    coeffs = window.coefficients()[0]
+    coeffs = window.coefficients[0]
     _emit_json(
         {
             "t0": args.t0,

@@ -72,7 +72,7 @@ def newform_strip() -> StripParams:
 def pipeline_constants(spec: NewformSpec) -> tuple[float, float, float, float, float, float]:
     """The six pre-ceiling constants via the generic pipeline."""
     window = _Window(newform_params(spec), newform_strip(), float(spec.min_height))
-    main, dbl = window.coefficients()
+    main, dbl = window.coefficients
     return (main.c1, main.c2, main.c3, dbl.c1, dbl.c2, dbl.c3)
 
 

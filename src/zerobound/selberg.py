@@ -31,9 +31,6 @@ from .errors import AdmissibilityError, DomainError, InvalidStripError, Validati
 #: tolerance for the |omega| = 1 check
 OMEGA_MODULUS_TOL = 1e-12
 
-#: nudge added when the strict admissibility constraint is the binding one
-STRICT_NUDGE = 1e-9
-
 #: N of tail_sum: terms n < N are added one by one, Euler-Maclaurin covers n >= N
 _TAIL_TERMS = 256
 
@@ -296,9 +293,16 @@ class AdmissibleHeight:
     """Smallest height at which the counting machinery applies.
 
     strict_adjusted is True when the binding constraint is the strict one
-    (the gamma-argument condition); in that case value lies strictly above
-    the threshold, by STRICT_NUDGE or, where that nudge rounds away, by one
-    ulp, so that the returned height itself is admissible.
+    (the gamma-argument condition); in that case value is the next float
+    above the threshold, so that the returned height itself is admissible.
+
+    Per factor |lam + conj(mu)| >= |mu|, so the gamma-shift threshold is at
+    least the gamma-argument one, and the strict constraint binds only when
+    2R + shift_max and 2R + arg_max round to the same float.  Their gap is
+    about 2 lam / |mu|, which falls below an ulp of 2 |mu| / lam only where
+    |mu| / lam exceeds about 4.7e7.  There half an ulp of the threshold is
+    above 7e-9, so no nudge smaller than that could move it by more than
+    the one ulp taken here.
     """
 
     value: float
@@ -346,9 +350,11 @@ def min_admissible_height(data: LFunctionData, strip: StripParams) -> Admissible
     """Smallest T satisfying every admissibility constraint.
 
     The gamma-argument constraint is strict; when it binds, the returned
-    value is the threshold plus STRICT_NUDGE, or the next float above the
-    threshold when the nudge is below half an ulp of it, and the report flags
-    the adjustment.
+    value is the next float above the threshold, and the report flags the
+    adjustment.  It binds only at |mu| / lam above about 4.7e7, where half an
+    ulp of the threshold exceeds 7e-9 (see AdmissibleHeight), so the next
+    float is as close above the threshold as any fixed small nudge would put
+    it.
     """
     cons = _constraints(data, strip)
     weak = [(name, val) for name, val, strict in cons if not strict]
@@ -356,8 +362,9 @@ def min_admissible_height(data: LFunctionData, strip: StripParams) -> Admissible
     name, value = max(weak, key=lambda c: c[1])
     for sname, sval in strict:
         if sval >= value:
-            value = max(sval + STRICT_NUDGE, math.nextafter(sval, math.inf))
-            return AdmissibleHeight(value=value, binding=sname, strict_adjusted=True)
+            return AdmissibleHeight(
+                value=math.nextafter(sval, math.inf), binding=sname, strict_adjusted=True
+            )
     return AdmissibleHeight(value=value, binding=name, strict_adjusted=False)
 
 

@@ -16,7 +16,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 
-from .bounds import _Window
+from .bounds import _window
 from .errors import DomainError, ZeroFileError
 from .selberg import LFunctionData, StripParams, main_term
 
@@ -62,18 +62,20 @@ def load_zeros(path: str | os.PathLike) -> ZeroList:
     The result is sorted ascending (ties kept).
 
     The file is read in chunks of whole lines, each parsed by one map of
-    float, so memory beyond the result stays at one chunk.  A chunk with a
-    blank or indented-comment line is parsed again with its lines stripped.
-    A bad entry sends the file through a per-line rescan that names the
-    first bad line in file order.
+    float, so memory beyond the result stays at one chunk.  A comment, blank
+    or bad line makes float raise, and its chunk is parsed again with its
+    lines stripped and the comments and blanks dropped.  A bad entry sends
+    the file through a per-line rescan that names the first bad line in file
+    order.  The sorted ordinates are checked once, by their two ends and
+    one NaN-propagating sum, and not again by ZeroList.
     """
     ordinates: list[float] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             while chunk := fh.readlines(_CHUNK_CHARS):
                 try:
-                    values = list(map(float, [s for s in chunk if s[0] != "#"]))
-                except ValueError:  # a blank or indented-comment line, or a bad entry
+                    values = list(map(float, chunk))
+                except ValueError:  # a comment, blank or bad line
                     lines = [s for s in map(str.strip, chunk) if s and s[0] != "#"]
                     try:
                         values = list(map(float, lines))
@@ -81,12 +83,18 @@ def load_zeros(path: str | os.PathLike) -> ZeroList:
                         raise _first_bad_line(path) from None
                 ordinates += values
         ordinates.sort()
-        try:
-            return ZeroList(ordinates=tuple(ordinates), source_label=str(path))
-        except ZeroFileError:
-            raise _first_bad_line(path) from None
+        t = tuple(ordinates)
+        # Sorted, so the ends decide positivity and infinity; a NaN, wherever
+        # sorting left it, makes the sum NaN, and an overflowing sum is inf.
+        if t and not (t[0] > 0.0 and t[-1] < math.inf and not math.isnan(sum(t))):
+            raise _first_bad_line(path)
     except UnicodeDecodeError as exc:
         raise ZeroFileError(f"{path}: not a UTF-8 text file ({exc})") from None
+    # Built past __post_init__, whose conversion and checks t has just passed.
+    zeros = object.__new__(ZeroList)
+    object.__setattr__(zeros, "ordinates", t)
+    object.__setattr__(zeros, "source_label", str(path))
+    return zeros
 
 
 def _first_bad_line(path: str | os.PathLike) -> ZeroFileError:
@@ -104,9 +112,9 @@ def _first_bad_line(path: str | os.PathLike) -> ZeroFileError:
                 value = float(line)
             except ValueError:
                 return ZeroFileError(f"{path}: line {lineno}: cannot parse {line!r}")
-            if not value > 0.0:
+            if value <= 0.0:
                 return ZeroFileError(f"{path}: line {lineno}: non-positive ordinate {value}")
-            if value == math.inf:
+            if not value < math.inf:
                 return ZeroFileError(f"{path}: line {lineno}: non-finite ordinate {value}")
     return ZeroFileError(f"{path}: changed while it was read")
 
@@ -147,13 +155,14 @@ def check_bound(
     pass_lemma checks |count - main term| < total_count_error(T0, T);
     pass_theorem checks the flattened c1 log T + c2 + c3/T form.  T0 must
     be admissible (the error names the binding constraint) and T > T0.
+    Calls on one (data, strip, T0) share one window of the T0-only pieces.
     """
     count = count_window(zeros, T0, T)
     smooth = main_term(data, T)
     deviation = abs(count - smooth)
-    window = _Window(data, strip, T0)
+    window = _window(data, strip, T0)
     r_total = window.at(T)[2]
-    coeff_bound = window.coefficients()[0].evaluate(T)
+    coeff_bound = window.coefficients[0].evaluate(T)
     return VerificationReport(
         count=count,
         main_term=smooth,

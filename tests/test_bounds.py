@@ -1,5 +1,6 @@
 """Explicit constant assembly: integrals, disc bound, branch logic, coefficients."""
 
+import dataclasses
 import functools
 import math
 import sys
@@ -422,9 +423,11 @@ def _count_calls(monkeypatch, *functions):
 
 def test_each_window_computes_its_t0_pieces_once(monkeypatch):
     # one window per call: one admissibility check of T0, one branch choice,
-    # and kernel sums only for the left edge, the log slope and S
+    # and kernel sums only for the left edge, the log slope and S; check_bound
+    # calls on one (data, strip, T0) share one window
     from zerobound import bounds, gammabounds, selberg
 
+    bounds._window.cache_clear()
     data, strip = presets.zeta()
     zeros = ZeroList((14.134725, 21.02204, 25.010858, 30.424876))
     calls = _count_calls(
@@ -439,6 +442,12 @@ def test_each_window_computes_its_t0_pieces_once(monkeypatch):
     kernel_sums, branches, checks = counts_of(lambda: bound_report(data, strip, 16.0, 100.0))
     assert kernel_sums <= 5 and (branches, checks) == (1, 1), calls
     kernel_sums, branches, checks = counts_of(lambda: check_bound(data, strip, zeros, 16.0, 100.0))
+    assert kernel_sums <= 3 and (branches, checks) == (1, 1), calls
+    bounds._window.cache_clear()
+    heights = [17.0 + 0.5 * i for i in range(200)]
+    kernel_sums, branches, checks = counts_of(
+        lambda: [check_bound(data, strip, zeros, 16.0, t) for t in heights]
+    )
     assert kernel_sums <= 3 and (branches, checks) == (1, 1), calls
     assert counts_of(lambda: table_row(NewformSpec(1, 12)))[2] == 1
 
@@ -482,3 +491,79 @@ def test_bound_report_equals_the_standalone_bounds(window):
     assert (rep.c1_main, rep.c2_main, rep.c3_main) == (main.c1, main.c2, main.c3)
     dbl = doubling_coefficients(data, strip, t0)
     assert (rep.c1_dbl, rep.c2_dbl, rep.c3_dbl) == (dbl.c1, dbl.c2, dbl.c3)
+
+
+# --- the window memo of check_bound ---------------------------------------------------
+
+def _window_bits(window, t):
+    """float.hex of every number a window holds and of its (R1, R2(T), total) at t."""
+    bc, (main, dbl) = window.bc, window.coefficients
+    numbers = (
+        window.T0, window.K, window.slope, bc.alpha, bc.h1, bc.h2, window.r2_t0,
+        window.head, window.vertical, window.trivial,
+        main.c1, main.c2, main.c3, dbl.c1, dbl.c2, dbl.c3, *window.at(t),
+    )
+    return tuple(float.hex(float(x)) for x in numbers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_windows(), st.floats(0.0, 1.0), st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=6))
+def test_memoized_check_bound_equals_a_fresh_window(window, shift, gaps):
+    # two T0s, taken in turn with equal but distinct key objects, so the memo
+    # both misses and hits; every report matches a window built afresh
+    from zerobound.bounds import _Window
+
+    data, strip, t0, _ = window
+    zeros = ZeroList((t0 * 1.5, t0 * 3.0))
+    for i, gap in enumerate(gaps * 2):
+        T0 = t0 if i % 2 else t0 * (1.0 + shift)
+        key_data = data if i % 3 else dataclasses.replace(data)
+        key_strip = strip if i % 3 else dataclasses.replace(strip)
+        T = T0 * (1.0 + gap)
+        report = check_bound(key_data, key_strip, zeros, T0, T)
+        fresh = _Window(data, strip, T0)
+        assert (float.hex(report.r_total), float.hex(report.coeff_bound)) == (
+            float.hex(fresh.at(T)[2]), float.hex(fresh.coefficients[0].evaluate(T))
+        )
+
+
+def test_check_bound_raises_alike_for_an_inadmissible_t0():
+    # exceptions are not cached: the second call checks T0 again
+    from zerobound import bounds
+
+    bounds._window.cache_clear()
+    data, strip = presets.zeta()
+    zeros = ZeroList((20.0,))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(AdmissibilityError, match="gamma-shift") as err:
+            check_bound(data, strip, zeros, 15.0, 100.0)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert bounds._window.cache_info().currsize == 0
+
+
+def test_window_memo_keeps_int_and_float_t0_apart():
+    from zerobound import bounds
+
+    data, strip = presets.zeta()
+    assert bounds._window(data, strip, 30.0) is bounds._window(data, strip, 30.0)
+    assert bounds._window(data, strip, 30) is not bounds._window(data, strip, 30.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_windows())
+def test_data_differing_in_the_sign_of_a_zero_share_bit_identical_windows(window):
+    # such data compare and hash equal, so they share a memoized window
+    from zerobound.bounds import _Window
+
+    data, strip, t0, t = window
+
+    def zero_imaginary_parts(sign):
+        zero = math.copysign(0.0, sign)
+        factors = tuple(GammaFactor(f.lam, complex(f.mu.real, zero)) for f in data.factors)
+        return dataclasses.replace(data, factors=factors, omega=complex(1.0, zero))
+
+    plus, minus = zero_imaginary_parts(1.0), zero_imaginary_parts(-1.0)
+    assert plus == minus and hash(plus) == hash(minus)
+    assert _window_bits(_Window(plus, strip, t0), t) == _window_bits(_Window(minus, strip, t0), t)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zerobound import (
     DomainError,
@@ -253,6 +253,36 @@ def test_strict_min_height_is_admissible_above_the_nudge_resolution(im_mu):
     assert (h.binding, h.strict_adjusted) == ("gamma-argument", True)
     threshold = {name: value for name, value, _ in _constraints(data, strip)}["gamma-argument"]
     assert h.value == math.nextafter(threshold, math.inf)
+    require_admissible(data, strip, h.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(0.5, 3.0), st.floats(0.0, 6.0), st.floats(0.0, 12.0), st.booleans()),
+        min_size=1, max_size=4,
+    ),
+    st.integers(0, 7),
+)
+def test_strict_min_height_equals_the_nudged_threshold(factors, k):
+    # |Im mu| / lam from 1 to 1e12: wherever the strict constraint binds, the
+    # next float above its threshold is what a 1e-9 nudge (or one ulp where
+    # the nudge rounds away) gives
+    data = LFunctionData(
+        factors=tuple(
+            GammaFactor(lam, complex(re, (-1.0 if neg else 1.0) * lam * 10.0 ** e))
+            for lam, re, e, neg in factors
+        ),
+        Q=1.0, omega=1 + 0j, k=k, a1=1.0,
+    )
+    strip = select_strip(1.0)
+    h = min_admissible_height(data, strip)
+    thresholds = {name: value for name, value, _ in _constraints(data, strip)}
+    if h.strict_adjusted:
+        sval = thresholds["gamma-argument"]
+        assert h.value == max(sval + 1e-9, math.nextafter(sval, math.inf))
+    else:
+        assert h.value == max(v for name, v in thresholds.items() if name != "gamma-argument")
     require_admissible(data, strip, h.value)
 
 

@@ -62,11 +62,17 @@ def test_load_rejects_nonpositive(tmp_path):
 
 
 def test_load_rejects_non_finite(tmp_path):
-    for bad in ("inf", "1e400", "nan", "-inf"):
-        path = tmp_path / "z.txt"
+    path = tmp_path / "z.txt"
+    for bad, message in (
+        ("inf", "non-finite ordinate inf"),
+        ("1e400", "non-finite ordinate inf"),
+        ("nan", "non-finite ordinate nan"),
+        ("-inf", "non-positive ordinate -inf"),
+    ):
         path.write_text(f"14.1\n{bad}\n21.0\n")
-        with pytest.raises(ZeroFileError, match="line 2"):
+        with pytest.raises(ZeroFileError) as err:
             load_zeros(path)
+        assert str(err.value) == f"{path}: line 2: {message}"
 
 
 def test_load_rejects_non_utf8(tmp_path):
@@ -107,7 +113,7 @@ def reference_load(path):
                 value = float(line)
             except ValueError:
                 raise ZeroFileError(f"{path}: line {lineno}: cannot parse {line!r}") from None
-            if not value > 0.0:
+            if value <= 0.0:
                 raise ZeroFileError(f"{path}: line {lineno}: non-positive ordinate {value}")
             if not value < math.inf:
                 raise ZeroFileError(f"{path}: line {lineno}: non-finite ordinate {value}")
