@@ -16,8 +16,8 @@ smooth main term by less than an explicit total, built from four pieces:
 total_count_error stitches these into the (T0, T]-window bound, and
 window_coefficients / doubling_coefficients flatten that bound into the
 c1 log T + c2 + c3 / T coefficient form (for the (T0, T] and (T, 2T]
-windows respectively).  All three and bound_report evaluate one window
-value per (datum, strip, T0), which computes the T0-only pieces once.
+windows respectively).  All three and bound_report take their window of
+(datum, strip, T0), which computes the T0-only pieces once, from one memo.
 Everything is a pure function of the datum, the strip, and the heights.
 """
 
@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 from .errors import BoundaryWarning, DomainError, ValidationError
-from .gammabounds import _kernel_sum, ratio_error_sup
+from .gammabounds import _interp_exponent, _kernel_sum, ratio_error_sup
 from .selberg import LFunctionData, StripParams, require_admissible
 
 LOG2 = math.log(2.0)
@@ -59,17 +59,17 @@ def integrated_ratio_error(data: LFunctionData, strip: StripParams, T0: float, T
     return math.log(T / T0) * _ratio_error_slope(data, strip)
 
 
-def _log_slope(data: LFunctionData, strip: StripParams) -> float:
+def _log_slope(data: LFunctionData, strip: StripParams, ratio_slope: float) -> float:
     """Coefficient of log(T/T0) in the log-integral bound.
 
     The log-term slope -(7/2) d (2b+1) + 2|-d b + Im(mu_cap) i / 2| + 2d
-    plus the integrated ratio error's slope.
+    plus the integrated ratio error's slope, ratio_slope.
     """
     d, im = data.degree, data.mu_cap.imag
     b = strip.b
     return (
         -3.5 * d * (2.0 * b + 1.0) + 2.0 * abs(complex(-d * b, im / 2.0)) + 2.0 * d
-        + _ratio_error_slope(data, strip)
+        + ratio_slope
     )
 
 
@@ -84,7 +84,8 @@ def log_integral_bound(data: LFunctionData, strip: StripParams, T0: float, T: fl
         raise DomainError(f"needs finite T0 > 0, got {T0}")
     if not 0.0 < T < math.inf:
         raise DomainError(f"needs finite T > 0, got {T}")
-    return _log_integral(data, strip, _log_slope(data, strip), T0, T)
+    slope = _log_slope(data, strip, _ratio_error_slope(data, strip))
+    return _log_integral(data, strip, slope, T0, T)
 
 
 def _log_integral(
@@ -115,10 +116,7 @@ def _h1_interp(data: LFunctionData) -> float:
 
     (2.5 d + 1) log 2 + k log 3 + max(0, 2.5 log(lambda Q^2) + 2.5 sqrt(5) d + |Im mu_cap|).
     """
-    d = data.degree
-    return (2.5 * d + 1.0) * LOG2 + data.k * math.log(3.0) + max(
-        0.0, 2.5 * math.log(data.lambda_q2) + 2.5 * math.sqrt(5.0) * d + abs(data.mu_cap.imag)
-    )
+    return (2.5 * data.degree + 1.0) * LOG2 + data.k * math.log(3.0) + _interp_exponent(data, 0.0)
 
 
 def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float:
@@ -219,35 +217,35 @@ class _Window:
 
     Construction checks that T0 is admissible, so every finite T > T0 is too,
     and computes every T0-only piece once.  K is ratio_error_sup's numerator,
-    slope the log(T/T0) coefficient of R1, head the two main-term pieces at
-    T0, vertical the two vertical log-integral bounds over 2 pi and trivial
-    the trivial-zero allowance.  The coefficient triples are computed on
-    first use and kept.
+    ratio_slope the log(T/T0) coefficient of the integrated ratio error S,
+    slope that of R1, head the two main-term pieces at T0 and trivial the
+    trivial-zero allowance.  The coefficient triples are computed on first
+    use and kept.  Build windows through _window only.
     """
 
     data: LFunctionData
     strip: StripParams
     T0: float
     K: float = field(init=False)
+    ratio_slope: float = field(init=False)
     slope: float = field(init=False)
     bc: BranchConstants = field(init=False)
     r2_t0: float = field(init=False)
     head: float = field(init=False)
-    vertical: float = field(init=False)
     trivial: float = field(init=False)
 
     def __post_init__(self) -> None:
         data, strip, T0 = self.data, self.strip, self.T0
         require_admissible(data, strip, T0, label="T0")
         object.__setattr__(self, "K", _kernel_sum(data, -(strip.a + 2.0 * strip.R)))
-        object.__setattr__(self, "slope", _log_slope(data, strip))
+        object.__setattr__(self, "ratio_slope", _ratio_error_slope(data, strip))
+        object.__setattr__(self, "slope", _log_slope(data, strip, self.ratio_slope))
         object.__setattr__(self, "bc", branch_constants(data, strip, T0))
         object.__setattr__(self, "r2_t0", _disc_bound(data, strip, self.sup(T0), T0))
         head = data.degree / TWO_PI * T0 * math.log(T0 / math.e) + T0 / TWO_PI * abs(
             math.log(data.lambda_q2)
         )
         object.__setattr__(self, "head", head)
-        object.__setattr__(self, "vertical", math.pi / (3.0 * LOG2))
         object.__setattr__(self, "trivial", trivial_zero_window(data, strip))
 
     def sup(self, T: float) -> float:
@@ -267,7 +265,7 @@ class _Window:
         return (
             self.head
             + r1 / TWO_PI
-            + self.vertical
+            + vertical_integral_bound() / math.pi
             + (self.strip.R - 0.5) * (self.r2_t0 + r2_t + 4.0)
             + self.trivial
         )
@@ -288,7 +286,7 @@ class _Window:
         )
         dbl_c2 = (
             LOG2 * self.slope / TWO_PI
-            + 2.0 * math.pi / (3.0 * LOG2)
+            + 2.0 * vertical_integral_bound() / math.pi
             + 4.0 * r - 2.0
             + 3.0 * d * (2.0 * r - 1.0) * c
             + (2.0 * r - 1.0) / LOG2 * (_log_a1_zeta2(self.data) + bc.h1)
@@ -308,7 +306,7 @@ class _Window:
         return BoundReport(
             T0=self.T0,
             T=T,
-            S=integrated_ratio_error(self.data, self.strip, self.T0, T),
+            S=math.log(T / self.T0) * self.ratio_slope,
             R1=r1,
             V_star_T0=self.sup(self.T0),
             V_star_T=self.sup(T),
@@ -327,10 +325,11 @@ class _Window:
         )
 
 
-#: Windows of recent (data, strip, T0) keys, for check_bound, which meets
-#: many heights on one T0.  The keys are frozen and a window reads only
-#: fields that == compares, so an equal key gives a bit-identical window.
-#: typed keeps T0 = 30 and 30.0 apart.  A raising constructor caches nothing.
+#: The one way to a window: each public bound below takes its window from
+#: this memo of the 16 latest (data, strip, T0) keys, so calls on one T0
+#: share one.  The keys are frozen and a window reads only fields that ==
+#: compares, so an equal key gives a bit-identical window.  typed keeps
+#: T0 = 30 and 30.0 apart.  A raising constructor caches nothing.
 _window = functools.lru_cache(maxsize=16, typed=True)(_Window)
 
 
@@ -339,7 +338,7 @@ def total_count_error(data: LFunctionData, strip: StripParams, T0: float, T: flo
 
     T0 must be admissible and T > T0 finite.
     """
-    return _Window(data, strip, T0).at(T)[2]
+    return _window(data, strip, T0).at(T)[2]
 
 
 @dataclass(frozen=True)
@@ -367,7 +366,7 @@ def window_coefficients(data: LFunctionData, strip: StripParams, T0: float) -> C
     carries the 1/(T - 2R) payloads through the monotone substitution
     1/(T - 2R) <= T0 / ((T0 - 2R) T).
     """
-    return _Window(data, strip, T0).coefficients[0]
+    return _window(data, strip, T0).coefficients[0]
 
 
 def doubling_coefficients(data: LFunctionData, strip: StripParams, T0: float) -> Coefficients:
@@ -377,7 +376,7 @@ def doubling_coefficients(data: LFunctionData, strip: StripParams, T0: float) ->
     so no T0 log T0 term survives; both disc bounds grow with log T, which
     doubles the c1 slope relative to the single window.
     """
-    return _Window(data, strip, T0).coefficients[1]
+    return _window(data, strip, T0).coefficients[1]
 
 
 def shifted_constant(c2_main: float, n_plus_T0: int, n_minus_T0: int) -> float:
@@ -442,4 +441,4 @@ class BoundReport:
 
 def bound_report(data: LFunctionData, strip: StripParams, T0: float, T: float) -> BoundReport:
     """Evaluate every bound of the pipeline at one (T0, T) pair."""
-    return _Window(data, strip, T0).report(T)
+    return _window(data, strip, T0).report(T)

@@ -22,7 +22,7 @@ import sys
 from importlib import resources
 
 from . import presets
-from .bounds import _Window, bound_report
+from .bounds import bound_report, total_count_error, window_coefficients
 from .errors import ZeroboundError
 from .newform import read_pairs_csv, table_generate
 from .selberg import document_dict, load_document
@@ -142,13 +142,12 @@ def _cmd_constants(args) -> int:
 
 def _cmd_bound(args) -> int:
     data, strip = _load_input(args.input)
-    window = _Window(data, strip, args.t0)
-    coeffs = window.coefficients[0]
+    coeffs = window_coefficients(data, strip, args.t0)
     _emit_json(
         {
             "t0": args.t0,
             "t": args.t,
-            "r_total": window.at(args.t)[2],
+            "r_total": total_count_error(data, strip, args.t0, args.t),
             "c1": coeffs.c1,
             "c2": coeffs.c2,
             "c3": coeffs.c3,

@@ -151,19 +151,23 @@ def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:
     )
 
 
+def _interp_exponent(data: LFunctionData, err: float) -> float:
+    """max(0, 2.5 log(lambda Q^2) + 2.5 sqrt(5) d + |Im mu_cap| + err), the peak exponent."""
+    lq2, d, im = data.lambda_q2, data.degree, data.mu_cap.imag
+    return max(0.0, 2.5 * math.log(lq2) + 2.5 * math.sqrt(5.0) * d + abs(im) + err)
+
+
 def _mid_band_peak(data: LFunctionData, strip: StripParams, T: float) -> float:
     """Convexity-interpolation peak for the middle band of the envelope.
 
-    max of the right-edge constant and the left-edge constant, each carrying
-    the 3^k pole allowance; the left edge includes the gamma-ratio error
-    envelope along sigma = -2.
+    base * exp(_interp_exponent(data, err)), base = 3^k a1 pi^2 / 6 the
+    right-edge constant and err the gamma-ratio error envelope along
+    sigma = -2.  In exact arithmetic this is max(base, base * x), the larger
+    of the right-edge constant and the left-edge constant base * x, x =
+    (lambda Q^2)^2.5 exp(2.5 sqrt(5) d + |Im mu_cap| + err).
     """
     err = _kernel_sum(data, -2.0) / (T - 2.0 * strip.R)
-    base = 3.0 ** data.k * data.a1 * math.pi ** 2 / 6.0
-    left = base * data.lambda_q2 ** 2.5 * math.exp(
-        2.5 * math.sqrt(5.0) * data.degree + abs(data.mu_cap.imag) + err
-    )
-    return max(base, left)
+    return 3.0 ** data.k * data.a1 * math.pi ** 2 / 6.0 * math.exp(_interp_exponent(data, err))
 
 
 def magnitude_envelope(

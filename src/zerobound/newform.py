@@ -18,7 +18,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .bounds import _Window, ceil_guarded
+from .bounds import ceil_guarded, doubling_coefficients, window_coefficients
 from .errors import ValidationError
 from .selberg import GammaFactor, LFunctionData, StripParams, select_strip
 
@@ -36,12 +36,11 @@ class NewformSpec:
     weight: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.level, int) or self.level < 1:
-            raise ValidationError(f"level must be a positive integer, got {self.level}")
-        if not isinstance(self.weight, int) or self.weight < 2 or self.weight % 2:
-            raise ValidationError(
-                f"weight must be an even integer >= 2, got {self.weight}"
-            )
+        n, w = self.level, self.weight
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValidationError(f"level must be a positive integer, got {n}")
+        if isinstance(w, bool) or not isinstance(w, int) or w < 2 or w % 2:
+            raise ValidationError(f"weight must be an even integer >= 2, got {w}")
 
     @property
     def min_height(self) -> int:
@@ -71,8 +70,8 @@ def newform_strip() -> StripParams:
 
 def pipeline_constants(spec: NewformSpec) -> tuple[float, float, float, float, float, float]:
     """The six pre-ceiling constants via the generic pipeline."""
-    window = _Window(newform_params(spec), newform_strip(), float(spec.min_height))
-    main, dbl = window.coefficients
+    data, strip, T0 = newform_params(spec), newform_strip(), float(spec.min_height)
+    main, dbl = window_coefficients(data, strip, T0), doubling_coefficients(data, strip, T0)
     return (main.c1, main.c2, main.c3, dbl.c1, dbl.c2, dbl.c3)
 
 

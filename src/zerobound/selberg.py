@@ -162,40 +162,6 @@ class LFunctionData:
             for lm, mu in ((f.lam + f.mu.conjugate(), f.mu) for f in self.factors)
         )
 
-    def to_json_dict(self) -> dict:
-        """Interchange form used by the CLI (see also load_document)."""
-        return {
-            "factors": [
-                {"lambda": f.lam, "mu_re": f.mu.real, "mu_im": f.mu.imag}
-                for f in self.factors
-            ],
-            "Q": self.Q,
-            "omega_re": self.omega.real,
-            "omega_im": self.omega.imag,
-            "k": self.k,
-            "a1": self.a1,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "LFunctionData":
-        """Inverse of to_json_dict; k must be a JSON integer."""
-        try:
-            factors = tuple(
-                GammaFactor(f["lambda"], complex(f["mu_re"], f.get("mu_im", 0.0)))
-                for f in obj["factors"]
-            )
-            return cls(
-                factors=factors,
-                Q=obj["Q"],
-                omega=complex(obj["omega_re"], obj.get("omega_im", 0.0)),
-                k=obj["k"],
-                a1=obj["a1"],
-            )
-        except ValidationError:
-            raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"malformed L-function document: {exc}") from exc
-
 
 def tail_sum(x: float, a1: float) -> float:
     """Upper bound for sum_{n>=2} a1 * n^-x, at one cost for every x and a1.
@@ -394,8 +360,25 @@ def main_term(data: LFunctionData, T: float) -> float:
 
 
 def load_document(obj: dict) -> tuple[LFunctionData, StripParams]:
-    """Parse the CLI interchange document: datum plus optional a/b overrides."""
-    data = LFunctionData.from_json_dict(obj)
+    """Parse the CLI interchange document: datum plus optional a/b overrides.
+
+    k must be a JSON integer.
+    """
+    try:
+        data = LFunctionData(
+            factors=tuple(
+                GammaFactor(f["lambda"], complex(f["mu_re"], f.get("mu_im", 0.0)))
+                for f in obj["factors"]
+            ),
+            Q=obj["Q"],
+            omega=complex(obj["omega_re"], obj.get("omega_im", 0.0)),
+            k=obj["k"],
+            a1=obj["a1"],
+        )
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed L-function document: {exc}") from exc
     a, b = obj.get("a"), obj.get("b")
     if not all(v is None or type(v) in (int, float) for v in (a, b)):
         raise InvalidStripError(f"strip overrides must be JSON numbers, got a = {a!r}, b = {b!r}")
@@ -404,7 +387,16 @@ def load_document(obj: dict) -> tuple[LFunctionData, StripParams]:
 
 def document_dict(data: LFunctionData, strip: StripParams) -> dict:
     """Inverse of load_document (strip recorded explicitly)."""
-    doc = data.to_json_dict()
-    doc["a"] = strip.a
-    doc["b"] = strip.b
-    return doc
+    return {
+        "factors": [
+            {"lambda": f.lam, "mu_re": f.mu.real, "mu_im": f.mu.imag}
+            for f in data.factors
+        ],
+        "Q": data.Q,
+        "omega_re": data.omega.real,
+        "omega_im": data.omega.imag,
+        "k": data.k,
+        "a1": data.a1,
+        "a": strip.a,
+        "b": strip.b,
+    }

@@ -16,7 +16,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 
-from .bounds import _window
+from .bounds import total_count_error, window_coefficients
 from .errors import DomainError, ZeroFileError
 from .selberg import LFunctionData, StripParams, main_term
 
@@ -160,9 +160,8 @@ def check_bound(
     count = count_window(zeros, T0, T)
     smooth = main_term(data, T)
     deviation = abs(count - smooth)
-    window = _window(data, strip, T0)
-    r_total = window.at(T)[2]
-    coeff_bound = window.coefficients[0].evaluate(T)
+    r_total = total_count_error(data, strip, T0, T)
+    coeff_bound = window_coefficients(data, strip, T0).evaluate(T)
     return VerificationReport(
         count=count,
         main_term=smooth,

@@ -1,12 +1,18 @@
-"""Shared fixtures: preset data and zero-table paths."""
+"""Shared fixtures: preset data, zero-table paths and an empty window memo."""
 
 from pathlib import Path
 
 import pytest
 
-from zerobound import presets
+from zerobound import bounds, presets
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def empty_window_memo():
+    """Start each test with no memoized window, so call counts and invariants start cold."""
+    bounds._window.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import sys
+from operator import attrgetter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -422,12 +423,13 @@ def _count_calls(monkeypatch, *functions):
 
 
 def test_each_window_computes_its_t0_pieces_once(monkeypatch):
-    # one window per call: one admissibility check of T0, one branch choice,
-    # and kernel sums only for the left edge, the log slope and S; check_bound
-    # calls on one (data, strip, T0) share one window
+    # every public bound takes its window from one memo: a cold bound_report
+    # makes one admissibility check of T0, one branch choice, and kernel sums
+    # only for the left edge and the ratio-error slope; check_bound on the
+    # same (data, strip, T0) then builds nothing, and check_bound at 200
+    # heights on another T0 builds one window
     from zerobound import bounds, gammabounds, selberg
 
-    bounds._window.cache_clear()
     data, strip = presets.zeta()
     zeros = ZeroList((14.134725, 21.02204, 25.010858, 30.424876))
     calls = _count_calls(
@@ -440,13 +442,11 @@ def test_each_window_computes_its_t0_pieces_once(monkeypatch):
         return calls["_kernel_sum"], calls["branch_constants"], calls["require_admissible"]
 
     kernel_sums, branches, checks = counts_of(lambda: bound_report(data, strip, 16.0, 100.0))
-    assert kernel_sums <= 5 and (branches, checks) == (1, 1), calls
-    kernel_sums, branches, checks = counts_of(lambda: check_bound(data, strip, zeros, 16.0, 100.0))
     assert kernel_sums <= 3 and (branches, checks) == (1, 1), calls
-    bounds._window.cache_clear()
-    heights = [17.0 + 0.5 * i for i in range(200)]
+    assert counts_of(lambda: check_bound(data, strip, zeros, 16.0, 100.0)) == (0, 0, 0), calls
+    heights = [21.0 + 0.5 * i for i in range(200)]
     kernel_sums, branches, checks = counts_of(
-        lambda: [check_bound(data, strip, zeros, 16.0, t) for t in heights]
+        lambda: [check_bound(data, strip, zeros, 20.0, t) for t in heights]
     )
     assert kernel_sums <= 3 and (branches, checks) == (1, 1), calls
     assert counts_of(lambda: table_row(NewformSpec(1, 12)))[2] == 1
@@ -481,6 +481,7 @@ def test_bound_report_equals_the_standalone_bounds(window):
     # each report field is the same shared formula, so equality is exact
     data, strip, t0, t = window
     rep = bound_report(data, strip, t0, t)
+    assert rep.S == integrated_ratio_error(data, strip, t0, t)
     assert rep.R_total == total_count_error(data, strip, t0, t)
     assert rep.R1 == log_integral_bound(data, strip, t0, t)
     assert rep.R2_T0 == disc_count_bound(data, strip, t0)
@@ -493,24 +494,30 @@ def test_bound_report_equals_the_standalone_bounds(window):
     assert (rep.c1_dbl, rep.c2_dbl, rep.c3_dbl) == (dbl.c1, dbl.c2, dbl.c3)
 
 
-# --- the window memo of check_bound ---------------------------------------------------
+# --- the window memo ---------------------------------------------------------------------
+
+def _bits(numbers):
+    """float.hex of each number."""
+    return tuple(float.hex(float(x)) for x in numbers)
+
 
 def _window_bits(window, t):
     """float.hex of every number a window holds and of its (R1, R2(T), total) at t."""
     bc, (main, dbl) = window.bc, window.coefficients
-    numbers = (
-        window.T0, window.K, window.slope, bc.alpha, bc.h1, bc.h2, window.r2_t0,
-        window.head, window.vertical, window.trivial,
+    return _bits((
+        window.T0, window.K, window.ratio_slope, window.slope, bc.alpha, bc.h1, bc.h2,
+        window.r2_t0, window.head, window.trivial,
         main.c1, main.c2, main.c3, dbl.c1, dbl.c2, dbl.c3, *window.at(t),
-    )
-    return tuple(float.hex(float(x)) for x in numbers)
+    ))
 
 
 @settings(max_examples=60, deadline=None)
 @given(admissible_windows(), st.floats(0.0, 1.0), st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=6))
 def test_memoized_check_bound_equals_a_fresh_window(window, shift, gaps):
     # two T0s, taken in turn with equal but distinct key objects, so the memo
-    # both misses and hits; every report matches a window built afresh
+    # both misses and hits; check_bound and the four public bounds, called in
+    # an order that rotates which of them meets a key first, all match a
+    # window built afresh
     from zerobound.bounds import _Window
 
     data, strip, t0, _ = window
@@ -520,18 +527,33 @@ def test_memoized_check_bound_equals_a_fresh_window(window, shift, gaps):
         key_data = data if i % 3 else dataclasses.replace(data)
         key_strip = strip if i % 3 else dataclasses.replace(strip)
         T = T0 * (1.0 + gap)
-        report = check_bound(key_data, key_strip, zeros, T0, T)
+        memoized = [
+            lambda: attrgetter("r_total", "coeff_bound")(
+                check_bound(key_data, key_strip, zeros, T0, T)
+            ),
+            lambda: dataclasses.astuple(bound_report(key_data, key_strip, T0, T)),
+            lambda: (total_count_error(key_data, key_strip, T0, T),),
+            lambda: dataclasses.astuple(window_coefficients(key_data, key_strip, T0)),
+            lambda: dataclasses.astuple(doubling_coefficients(key_data, key_strip, T0)),
+        ]
+        order = [(i + j) % len(memoized) for j in range(len(memoized))]
+        got = {j: _bits(memoized[j]()) for j in order}
         fresh = _Window(data, strip, T0)
-        assert (float.hex(report.r_total), float.hex(report.coeff_bound)) == (
-            float.hex(fresh.at(T)[2]), float.hex(fresh.coefficients[0].evaluate(T))
-        )
+        main, dbl = fresh.coefficients
+        expected = [
+            (fresh.at(T)[2], main.evaluate(T)),
+            dataclasses.astuple(fresh.report(T)),
+            (fresh.at(T)[2],),
+            dataclasses.astuple(main),
+            dataclasses.astuple(dbl),
+        ]
+        assert [got[j] for j in range(len(expected))] == [_bits(e) for e in expected]
 
 
 def test_check_bound_raises_alike_for_an_inadmissible_t0():
     # exceptions are not cached: the second call checks T0 again
     from zerobound import bounds
 
-    bounds._window.cache_clear()
     data, strip = presets.zeta()
     zeros = ZeroList((20.0,))
     messages = []

@@ -30,6 +30,12 @@ def test_spec_validation():
         NewformSpec(0, 12)
     with pytest.raises(ValidationError):
         NewformSpec(1, "12")
+    # bool is an int subclass, but True is no level: it used to pass as 1,
+    # and table_generate printed it as the level "True"
+    with pytest.raises(ValidationError, match="^level must be a positive integer, got True$"):
+        NewformSpec(True, 12)
+    with pytest.raises(ValidationError, match="^weight must be an even integer >= 2, got False$"):
+        NewformSpec(1, False)
 
 
 def test_params_level_one_weight_twelve():
