@@ -3,7 +3,10 @@
 A newform of even weight kappa and level N has a degree-2 L-function with
 one gamma factor Gamma(s + (kappa-1)/2), conductor factor sqrt(N)/(2 pi),
 root number i^kappa and Deligne bound a1 = 1, which fixes the strip at
-(a, b) = (3, -4) and the admissible height at 15 + kappa.
+(a, b) = (3, -4) and the admissible height at 15 + kappa.  The pipeline
+runs in floats, so NewformSpec also bounds the sizes: the level must
+convert to a float (N < about 1.8e308) and the height 15 + kappa must be a
+float exactly (kappa <= 2^53 - 16).
 
 table_row runs these data through the generic pipeline.  An independent
 route that re-states all six constants directly in (N, kappa) lives with
@@ -14,6 +17,7 @@ generic assembly.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -27,10 +31,17 @@ TABLE_HEADER = ("N", "kappa", "T0", "cL1", "cL2", "cL3", "c1", "c2", "c3")
 
 _I_POWERS = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
 
+#: largest min_height allowed: every integer up to 2^53 is a float, larger ones can round down
+_MAX_EXACT_HEIGHT = 2 ** 53
+
 
 @dataclass(frozen=True)
 class NewformSpec:
-    """Level and weight of a holomorphic newform (weight even, >= 2)."""
+    """Level and weight of a holomorphic newform.
+
+    The level is a positive integer that converts to a float; the weight is
+    even, with 2 <= weight <= 2^53 - 16.
+    """
 
     level: int
     weight: int
@@ -41,10 +52,23 @@ class NewformSpec:
             raise ValidationError(f"level must be a positive integer, got {n}")
         if isinstance(w, bool) or not isinstance(w, int) or w < 2 or w % 2:
             raise ValidationError(f"weight must be an even integer >= 2, got {w}")
+        try:
+            float(n)
+        except OverflowError:
+            raise ValidationError(f"level is too large to convert to a float "
+                                  f"({n.bit_length()} bits)") from None
+        if 15 + w > _MAX_EXACT_HEIGHT:
+            raise ValidationError(f"weight must be <= {_MAX_EXACT_HEIGHT - 16}, "
+                                  f"so that the height 15 + weight is exact in a float")
 
     @property
     def min_height(self) -> int:
-        """Smallest admissible height, 15 + weight."""
+        """Smallest admissible height, 15 + weight.
+
+        The weight limit keeps it at most 2^53, so float(min_height) is
+        exact; a larger height could round below its own gamma-shift
+        threshold.
+        """
         return 15 + self.weight
 
 
@@ -59,11 +83,14 @@ def newform_params(spec: NewformSpec) -> LFunctionData:
     )
 
 
+@functools.cache
 def newform_strip() -> StripParams:
     """The (3, -4) strip; a1 = 1 admits it and the integer search finds it.
 
-    Strip selection costs a few fixed-size tail sums, so it is recomputed
-    on each call rather than cached.
+    Every newform has a1 = 1, so the strip is selected once per process:
+    the first call runs select_strip(1.0) with both of its tail-sum checks,
+    and later calls return that same frozen value.  Two threads that make
+    the first call together may both select it; they get equal strips.
     """
     return select_strip(1.0)
 

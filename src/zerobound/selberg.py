@@ -25,6 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 from .errors import AdmissibilityError, DomainError, InvalidStripError, ValidationError
 
@@ -33,6 +34,9 @@ OMEGA_MODULUS_TOL = 1e-12
 
 #: N of tail_sum: terms n < N are added one by one, Euler-Maclaurin covers n >= N
 _TAIL_TERMS = 256
+
+#: the head bases 2.0 .. _TAIL_TERMS - 1 of tail_sum, converted to float once
+_TAIL_BASES = tuple(map(float, range(2, _TAIL_TERMS)))
 
 
 @dataclass(frozen=True)
@@ -179,7 +183,7 @@ def tail_sum(x: float, a1: float) -> float:
     if not 1.0 < x < math.inf:
         raise DomainError(f"tail sum needs a finite exponent x > 1, got {x}")
     n = _TAIL_TERMS
-    head = math.fsum(k ** -x for k in range(2, n))
+    head = math.fsum(map(pow, _TAIL_BASES, repeat(-x)))
     rest = n ** (1.0 - x) / (x - 1.0) + n ** -x / 2.0 + x * n ** (-x - 1.0) / 12.0
     return a1 * (head + rest) * (1.0 + 1e-14)
 

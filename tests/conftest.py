@@ -1,18 +1,19 @@
-"""Shared fixtures: preset data, zero-table paths and an empty window memo."""
+"""Shared fixtures: preset data, zero-table paths and empty memos."""
 
 from pathlib import Path
 
 import pytest
 
-from zerobound import bounds, presets
+from zerobound import bounds, newform, presets
 
 DATA_DIR = Path(__file__).parent / "data"
 
 
 @pytest.fixture(autouse=True)
 def empty_window_memo():
-    """Start each test with no memoized window, so call counts and invariants start cold."""
+    """Start each test with no memoized window or newform strip, so call counts start cold."""
     bounds._window.cache_clear()
+    newform.newform_strip.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -218,6 +218,15 @@ def test_table_custom_pairs(tmp_path, capsys):
     assert out.strip().split("\n")[1] == "11,2,17,229,2941,21661,432,1879,24239"
 
 
+@pytest.mark.parametrize("pair", [f"{10 ** 320},12", f"1,{2 ** 53 - 14}"], ids=["level", "weight"])
+def test_table_pairs_too_large_names_the_line(tmp_path, capsys, pair):
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text(f"N,kappa\n11,2\n{pair}\n")
+    code, out, err = run_cli(capsys, "table", "--preset", "newform", "--pairs", str(pairs))
+    assert code == 1 and out == ""
+    assert "pairs file line 3:" in err and "Traceback" not in err
+
+
 def test_table_out_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code, out, _ = run_cli(capsys, "table", "--preset", "newform", "--out", str(target))

@@ -8,9 +8,11 @@ from zerobound import (
     NewformSpec,
     ValidationError,
     min_admissible_height,
+    newform,
     newform_params,
     newform_strip,
     pipeline_constants,
+    select_strip,
     table_generate,
     table_row,
 )
@@ -38,6 +40,25 @@ def test_spec_validation():
         NewformSpec(1, False)
 
 
+def test_spec_rejects_sizes_the_pipeline_cannot_run():
+    # float(10**320) overflows: newform_params raised a bare OverflowError
+    with pytest.raises(ValidationError, match="level is too large to convert to a float"):
+        NewformSpec(10 ** 320, 12)
+    # 15 + weight rounded to 2^53, below the gamma-shift threshold 2^53 + 2:
+    # table_row raised AdmissibilityError on its own min_height
+    with pytest.raises(ValidationError, match="^weight must be <= 9007199254740976,"):
+        NewformSpec(1, 2 ** 53 - 14)
+
+
+@pytest.mark.filterwarnings("ignore::zerobound.errors.BoundaryWarning")
+@pytest.mark.parametrize("level, weight", [(1, 2 ** 53 - 16), (10 ** 308, 12)])
+def test_largest_accepted_sizes_give_a_row(level, weight):
+    # at these sizes several constants exceed 2^53, so ceil_guarded warns
+    spec = NewformSpec(level, weight)
+    assert float(spec.min_height) == spec.min_height
+    assert len(table_row(spec)) == 6
+
+
 def test_params_level_one_weight_twelve():
     data = newform_params(NewformSpec(1, 12))
     assert data.Q == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
@@ -60,6 +81,25 @@ def test_conductor_product_is_level_over_four_pi_squared():
         assert data.lambda_q2 == pytest.approx(
             level / (4.0 * math.pi ** 2), rel=1e-14
         )
+
+
+def test_newform_strip_is_select_strip_at_unit_coefficient():
+    assert newform_strip() == select_strip(1.0)
+
+
+def test_table_selects_the_strip_once_per_process(monkeypatch):
+    calls = []
+
+    def counting_select_strip(a1, a=None, b=None):
+        calls.append(a1)
+        return select_strip(a1, a, b)
+
+    monkeypatch.setattr(newform, "select_strip", counting_select_strip)
+    specs = [NewformSpec(*pair) for pair in PUBLISHED_TABLE]
+    first = table_generate(specs)
+    assert calls == [1.0]
+    assert table_generate(specs) == first
+    assert calls == [1.0]
 
 
 def test_min_height_matches_spec_property():
@@ -116,5 +156,7 @@ def test_read_pairs_csv():
         read_pairs_csv("kappa,N\n12,1\n")
     with pytest.raises(ValidationError, match="line 3"):
         read_pairs_csv("N,kappa\n1,12\n1,oops\n")
+    with pytest.raises(ValidationError, match="^pairs file line 3: weight must be <="):
+        read_pairs_csv(f"N,kappa\n1,12\n1,{2 ** 53 - 14}\n")
     with pytest.raises(ValidationError):
         read_pairs_csv("")

@@ -22,7 +22,7 @@ from zerobound import (
     select_strip,
     tail_sum,
 )
-from zerobound.selberg import _constraints, _pole_window, document_dict
+from zerobound.selberg import _TAIL_TERMS, _constraints, _pole_window, document_dict
 
 # frozen by scripts/derive_oracle_values.py (mpmath, 40 digits)
 TAIL_2 = 0.6449340668482264
@@ -157,6 +157,17 @@ def test_tail_sum_is_upper_bound_over_the_strip_range():
 @given(st.floats(min_value=1.01, max_value=12.0), st.floats(min_value=0.25, max_value=3.0))
 def test_tail_sum_decreasing_in_exponent(x, step):
     assert tail_sum(x + step, 1.0) < tail_sum(x, 1.0)
+
+
+@given(st.floats(min_value=1.0, max_value=5000.0, exclude_min=True),
+       st.sampled_from([0.0, 1.0, 7.3, 1e100, 1e297]))
+def test_tail_sum_matches_the_generator_form(x, a1):
+    # the head as one generator of k ** -x, as tail_sum first computed it:
+    # each term is the same float power, so the sums are bit-identical
+    n = _TAIL_TERMS
+    head = math.fsum(k ** -x for k in range(2, n))
+    rest = n ** (1.0 - x) / (x - 1.0) + n ** -x / 2.0 + x * n ** (-x - 1.0) / 12.0
+    assert tail_sum(x, a1) == a1 * (head + rest) * (1.0 + 1e-14)
 
 
 def test_tail_sum_decreasing_at_low_exponent():
