@@ -218,9 +218,9 @@ class _Window:
     Construction checks that T0 is admissible, so every finite T > T0 is too,
     and computes every T0-only piece once.  K is ratio_error_sup's numerator,
     ratio_slope the log(T/T0) coefficient of the integrated ratio error S,
-    slope that of R1, head the two main-term pieces at T0 and trivial the
-    trivial-zero allowance.  The coefficient triples are computed on first
-    use and kept.  Build windows through _window only.
+    slope that of R1, head the two main-term pieces at T0, trivial the
+    trivial-zero allowance and coefficients the window_coefficients and
+    doubling_coefficients triples.  Build windows through _window only.
     """
 
     data: LFunctionData
@@ -233,6 +233,7 @@ class _Window:
     r2_t0: float = field(init=False)
     head: float = field(init=False)
     trivial: float = field(init=False)
+    coefficients: tuple[Coefficients, Coefficients] = field(init=False)
 
     def __post_init__(self) -> None:
         data, strip, T0 = self.data, self.strip, self.T0
@@ -247,6 +248,7 @@ class _Window:
         )
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "trivial", trivial_zero_window(data, strip))
+        object.__setattr__(self, "coefficients", self._coefficients())
 
     def sup(self, T: float) -> float:
         """ratio_error_sup(T) for T > 2R."""
@@ -270,8 +272,7 @@ class _Window:
             + self.trivial
         )
 
-    @functools.cached_property
-    def coefficients(self) -> tuple[Coefficients, Coefficients]:
+    def _coefficients(self) -> tuple[Coefficients, Coefficients]:
         """The window_coefficients and doubling_coefficients triples."""
         d, T0, bc = self.data.degree, self.T0, self.bc
         a, b, r = self.strip.a, self.strip.b, self.strip.R

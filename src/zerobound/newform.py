@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import ceil_guarded, doubling_coefficients, window_coefficients
-from .errors import ValidationError
+from .errors import ValidationError, _value_text
 from .selberg import GammaFactor, LFunctionData, StripParams, select_strip
 
 #: CSV header shared by table_generate and the CLI
@@ -49,9 +49,9 @@ class NewformSpec:
     def __post_init__(self) -> None:
         n, w = self.level, self.weight
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValidationError(f"level must be a positive integer, got {n}")
+            raise ValidationError(f"level must be a positive integer, got {_value_text(n)}")
         if isinstance(w, bool) or not isinstance(w, int) or w < 2 or w % 2:
-            raise ValidationError(f"weight must be an even integer >= 2, got {w}")
+            raise ValidationError(f"weight must be an even integer >= 2, got {_value_text(w)}")
         try:
             float(n)
         except OverflowError:

@@ -23,11 +23,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import repeat
 
-from .errors import AdmissibilityError, DomainError, InvalidStripError, ValidationError
+from .errors import (
+    AdmissibilityError,
+    DomainError,
+    InvalidStripError,
+    ValidationError,
+    _value_text,
+)
 
 #: tolerance for the |omega| = 1 check
 OMEGA_MODULUS_TOL = 1e-12
@@ -72,9 +77,25 @@ class LFunctionData:
     a1      : Ramanujan constant, |a(n)| <= a1 * n with a1 >= 1
 
     Every number, and lambda Q^2, must be finite, and lambda Q^2 nonzero.
-    The data-only invariants below are computed on first use and cached
-    on the instance; the datum is immutable, so a cached value never goes
-    stale.
+    Construction also computes the data-only invariants below, once, as
+    plain attributes; they are left out of repr, == and hash, which see the
+    five fields only.  A datum whose invariants overflow a float is
+    rejected.
+
+    Invariants
+    ----------
+    degree           : d = 2 * sum_j lam_j
+    lambda_cap       : prod_j lam_j^(2 lam_j)
+    lambda_q2        : lambda_cap * Q^2, the combination entering every main term
+    mu_cap           : 4 * sum_j (1/2 - mu_j); only its imaginary part enters a bound
+    shift_max        : max_j 2|lam_j + conj(mu_j)| / lam_j, the gamma-shift admissibility term
+    arg_max          : max_j 2|mu_j| / lam_j, the gamma-argument admissibility term
+    threshold_height : max(shift_max, arg_max); every gamma-ratio bound is
+                       valid for ordinates at or above it, and it is the
+                       imaginary part pinned inside all the secant arguments
+    series_blocks    : per factor |l|^2 + 2|l(l - 1/2)| + |mu|^2 + 2|mu(mu - 1/2)|,
+                       l = lam + conj(mu), the truncated-logarithm part of
+                       that factor's gamma-ratio error
     """
 
     factors: tuple[GammaFactor, ...]
@@ -82,89 +103,75 @@ class LFunctionData:
     omega: complex
     k: int
     a1: float
+    degree: float = field(init=False, repr=False, compare=False)
+    lambda_cap: float = field(init=False, repr=False, compare=False)
+    lambda_q2: float = field(init=False, repr=False, compare=False)
+    mu_cap: complex = field(init=False, repr=False, compare=False)
+    shift_max: float = field(init=False, repr=False, compare=False)
+    arg_max: float = field(init=False, repr=False, compare=False)
+    threshold_height: float = field(init=False, repr=False, compare=False)
+    series_blocks: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(self.factors))
+        factors = tuple(self.factors)
+        object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "Q", float(self.Q))
         object.__setattr__(self, "omega", complex(self.omega))
         object.__setattr__(self, "a1", float(self.a1))
-        if not self.factors:
+        if not factors:
             raise ValidationError("need at least one gamma factor")
-        if not all(isinstance(f, GammaFactor) for f in self.factors):
+        if not all(isinstance(f, GammaFactor) for f in factors):
             raise ValidationError("factors must be GammaFactor instances")
         if not 0.0 < self.Q < math.inf:
             raise ValidationError(f"Q must be positive and finite, got {self.Q}")
         if not abs(abs(self.omega) - 1.0) <= OMEGA_MODULUS_TOL:
             raise ValidationError(f"|omega| must be 1, got |{self.omega}| = {abs(self.omega)}")
         if isinstance(self.k, bool) or not isinstance(self.k, int) or not 0 <= self.k <= 10 ** 15:
-            raise ValidationError(f"pole order k must be an integer in [0, 10^15], got {self.k!r}")
+            raise ValidationError(
+                f"pole order k must be an integer in [0, 10^15], got {_value_text(self.k, repr)}"
+            )
         if not 1.0 <= self.a1 < math.inf:
             raise ValidationError(f"a1 must be finite and >= 1, got {self.a1}")
-        if self.degree < 1.0:
-            raise ValidationError(
-                f"degree {self.degree} < 1; degenerate data is rejected"
-            )
+        degree = 2.0 * math.fsum(f.lam for f in factors)
+        if degree < 1.0:
+            raise ValidationError(f"degree {degree} < 1; degenerate data is rejected")
         try:
-            lambda_q2 = self.lambda_q2
+            lambda_cap = math.prod(f.lam ** (2.0 * f.lam) for f in factors)
         except OverflowError:  # lam ** (2 lam) for a large lam
             raise ValidationError("lambda Q^2 overflows a float") from None
+        lambda_q2 = lambda_cap * self.Q * self.Q
         if not 0.0 < lambda_q2 < math.inf:
             raise ValidationError(f"lambda Q^2 = {lambda_q2} is not a positive finite float")
+        mu_cap = sum((4.0 * (0.5 - f.mu) for f in factors), 0j)
+        try:
+            shift_max = max(2.0 * abs(f.lam + f.mu.conjugate()) / f.lam for f in factors)
+            arg_max = max(2.0 * abs(f.mu) / f.lam for f in factors)
+            series_blocks = tuple(
+                abs(lm) ** 2 + 2.0 * abs(lm * (lm - 0.5)) + abs(mu) ** 2 + 2.0 * abs(mu * (mu - 0.5))
+                for lm, mu in ((f.lam + f.mu.conjugate(), f.mu) for f in factors)
+            )
+            if math.inf in series_blocks:  # a sum of finite terms rounded to inf
+                raise OverflowError
+        except OverflowError:  # |lam + conj(mu)|, |mu| or a square of them for a large mu
+            raise ValidationError(
+                "a gamma factor's series block overflows a float (|mu| is too large)"
+            ) from None
+        for name, value in (
+            ("degree", degree),
+            ("lambda_cap", lambda_cap),
+            ("lambda_q2", lambda_q2),
+            ("mu_cap", mu_cap),
+            ("shift_max", shift_max),
+            ("arg_max", arg_max),
+            ("threshold_height", max(shift_max, arg_max)),
+            ("series_blocks", series_blocks),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def f(self) -> int:
         """Number of gamma factors."""
         return len(self.factors)
-
-    @cached_property
-    def degree(self) -> float:
-        """d = 2 * sum_j lam_j."""
-        return 2.0 * math.fsum(f.lam for f in self.factors)
-
-    @cached_property
-    def lambda_cap(self) -> float:
-        """prod_j lam_j^(2 lam_j)."""
-        return math.prod(f.lam ** (2.0 * f.lam) for f in self.factors)
-
-    @cached_property
-    def lambda_q2(self) -> float:
-        """lambda_cap * Q^2, the combination entering every main term."""
-        return self.lambda_cap * self.Q * self.Q
-
-    @cached_property
-    def mu_cap(self) -> complex:
-        """4 * sum_j (1/2 - mu_j); only its imaginary part enters a bound."""
-        return sum((4.0 * (0.5 - f.mu) for f in self.factors), 0j)
-
-    @cached_property
-    def shift_max(self) -> float:
-        """max_j 2|lam_j + conj(mu_j)| / lam_j, the gamma-shift admissibility term."""
-        return max(2.0 * abs(f.lam + f.mu.conjugate()) / f.lam for f in self.factors)
-
-    @cached_property
-    def arg_max(self) -> float:
-        """max_j 2|mu_j| / lam_j, the gamma-argument admissibility term."""
-        return max(2.0 * abs(f.mu) / f.lam for f in self.factors)
-
-    @cached_property
-    def threshold_height(self) -> float:
-        """max(shift_max, arg_max).
-
-        Every gamma-ratio bound is valid for ordinates at or above this height,
-        and it is the imaginary part pinned inside all the secant arguments.
-        """
-        return max(self.shift_max, self.arg_max)
-
-    @cached_property
-    def series_blocks(self) -> tuple[float, ...]:
-        """Per factor |l|^2 + 2|l(l - 1/2)| + |mu|^2 + 2|mu(mu - 1/2)|, l = lam + conj(mu).
-
-        The truncated-logarithm part of that factor's gamma-ratio error.
-        """
-        return tuple(
-            abs(lm) ** 2 + 2.0 * abs(lm * (lm - 0.5)) + abs(mu) ** 2 + 2.0 * abs(mu * (mu - 0.5))
-            for lm, mu in ((f.lam + f.mu.conjugate(), f.mu) for f in self.factors)
-        )
 
 
 def tail_sum(x: float, a1: float) -> float:
@@ -254,7 +261,7 @@ def select_strip(a1: float, a: float | None = None, b: float | None = None) -> S
 
 
 def threshold_height(data: LFunctionData) -> float:
-    """max over factors of max(2|lam + conj(mu)|/lam, 2|mu|/lam) (cached on the datum)."""
+    """max over factors of max(2|lam + conj(mu)|/lam, 2|mu|/lam), computed at construction."""
     return data.threshold_height
 
 

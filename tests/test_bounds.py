@@ -1,7 +1,6 @@
 """Explicit constant assembly: integrals, disc bound, branch logic, coefficients."""
 
 import dataclasses
-import functools
 import math
 import sys
 from operator import attrgetter
@@ -382,28 +381,33 @@ def test_bound_report_fields(nf12_pair):
     }
 
 
-def test_bound_report_derives_each_invariant_once(monkeypatch):
-    calls = {}
-    for name, prop in vars(LFunctionData).items():
-        if isinstance(prop, functools.cached_property):
-            def counted(data, _func=prop.func, _name=name):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _func(data)
+INVARIANTS = (
+    "degree", "lambda_cap", "lambda_q2", "mu_cap",
+    "shift_max", "arg_max", "threshold_height", "series_blocks",
+)
 
-            monkeypatch.setattr(prop, "func", counted)
-    # a fresh datum (the zeta preset's numbers), so no invariant is cached yet
+
+def test_bound_report_derives_each_invariant_once():
+    # construction computes every data-only invariant, and the window both
+    # coefficient triples; the bounds read them and never replace them
+    from zerobound import bounds
+
     data = LFunctionData(
         factors=(GammaFactor(0.5, 0j),), Q=1.0 / math.sqrt(math.pi), omega=1 + 0j, k=1, a1=1.0
     )
+    built = {name: vars(data)[name] for name in INVARIANTS if name in vars(data)}
+    assert set(built) == set(INVARIANTS)
     strip = select_strip(1.0)
+    window = bounds._window(data, strip, 16.0)
+    coefficients = vars(window)["coefficients"]
     first = bound_report(data, strip, 16.0, 100.0)
     assert bound_report(data, strip, 16.0, 100.0) == first
     assert first.R_total == pytest.approx(RTOT_ZETA_16_100, rel=1e-12)
-    assert set(calls) == {
-        "degree", "lambda_cap", "lambda_q2", "mu_cap",
-        "shift_max", "arg_max", "threshold_height", "series_blocks",
-    }
-    assert all(count == 1 for count in calls.values()), calls
+    check_bound(data, strip, ZeroList((14.134725, 21.02204)), 16.0, 100.0)
+    check_bound(data, strip, ZeroList((14.134725, 21.02204)), 20.0, 100.0)
+    assert all(vars(data)[name] is value for name, value in built.items())
+    assert vars(window)["coefficients"] is coefficients
+    assert (first.c1_main, first.c1_dbl) == (coefficients[0].c1, coefficients[1].c1)
 
 
 def _count_calls(monkeypatch, *functions):

@@ -38,6 +38,12 @@ def test_spec_validation():
         NewformSpec(True, 12)
     with pytest.raises(ValidationError, match="^weight must be an even integer >= 2, got False$"):
         NewformSpec(1, False)
+    # past Python's 4300-digit int-to-str limit the message gave a bare
+    # ValueError; it now gives the bit length
+    with pytest.raises(ValidationError, match="got a negative integer of 16610 bits$"):
+        NewformSpec(-10 ** 5000, 12)
+    with pytest.raises(ValidationError, match="got an integer of 16610 bits$"):
+        NewformSpec(1, 10 ** 5000 + 1)
 
 
 def test_spec_rejects_sizes_the_pipeline_cannot_run():

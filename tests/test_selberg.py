@@ -1,12 +1,13 @@
 """Core datum, derived invariants, strip selection, admissibility, main term."""
 
+import cmath
 import json
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zerobound import (
     DomainError,
@@ -67,6 +68,14 @@ def test_datum_validation():
                          ("factors", (GammaFactor(200.0, 0j),))):  # lam^(2 lam) overflows
         with pytest.raises(ValidationError):
             LFunctionData(**{**good, field: value})
+    # |lam + conj(mu)|^2 overflows: bound_report raised a bare OverflowError;
+    # at 1e154 the block's sum rounds to inf, and the window total was inf
+    for mu in (1e200, complex(1e308, 1e308), 1e154):
+        with pytest.raises(ValidationError, match="series block overflows a float"):
+            LFunctionData(**{**good, "factors": (GammaFactor(1.0, mu),)})
+    # past Python's 4300-digit int-to-str limit the message gave a bare ValueError
+    with pytest.raises(ValidationError, match="got an integer of 16610 bits$"):
+        LFunctionData(**{**good, "k": 10 ** 5000})
 
 
 def test_omega_modulus_tolerance():
@@ -108,6 +117,71 @@ def test_derive_quantities_is_pure(nf12_pair):
     fresh = LFunctionData(data.factors, data.Q, data.omega, data.k, data.a1)
     for name in ("degree", "lambda_cap", "lambda_q2", "mu_cap"):
         assert getattr(data, name) == getattr(fresh, name), name
+
+
+def _lazy_invariants(data):
+    """The invariants by the expressions of the former lazy properties, one each."""
+    fs = data.factors
+    lambda_cap = math.prod(f.lam ** (2.0 * f.lam) for f in fs)
+    shift_max = max(2.0 * abs(f.lam + f.mu.conjugate()) / f.lam for f in fs)
+    arg_max = max(2.0 * abs(f.mu) / f.lam for f in fs)
+    return {
+        "degree": 2.0 * math.fsum(f.lam for f in fs),
+        "lambda_cap": lambda_cap,
+        "lambda_q2": lambda_cap * data.Q * data.Q,
+        "mu_cap": sum((4.0 * (0.5 - f.mu) for f in fs), 0j),
+        "shift_max": shift_max,
+        "arg_max": arg_max,
+        "threshold_height": max(shift_max, arg_max),
+        "series_blocks": tuple(
+            abs(lm) ** 2 + 2.0 * abs(lm * (lm - 0.5)) + abs(mu) ** 2 + 2.0 * abs(mu * (mu - 0.5))
+            for lm, mu in ((f.lam + f.mu.conjugate(), f.mu) for f in fs)
+        ),
+    }
+
+
+def _hex(value):
+    """float.hex of a float, of both parts of a complex, or of each float in a tuple."""
+    if isinstance(value, tuple):
+        return tuple(map(_hex, value))
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    return value.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            GammaFactor,
+            st.floats(0.05, 60.0),
+            st.builds(complex, st.floats(0.0, 1e6), st.floats(-1e6, 1e6)),
+        ),
+        min_size=1, max_size=4,
+    ),
+    st.floats(-20.0, 20.0),
+    st.floats(-math.pi, math.pi),
+    st.integers(0, 10 ** 15),
+    st.floats(1.0, 1e300),
+)
+def test_invariants_match_the_lazy_formulas(factors, log_q, theta, k, a1):
+    # computed at construction, each invariant is bit-equal to the expression
+    # the lazy property used; repr, == and hash still see the five fields only
+    try:
+        data = LFunctionData(tuple(factors), math.exp(log_q), cmath.exp(1j * theta), k, a1)
+    except ValidationError:
+        assume(False)
+    expected = _lazy_invariants(data)
+    assert {name: _hex(vars(data)[name]) for name in expected} == {
+        name: _hex(value) for name, value in expected.items()
+    }
+    twin = LFunctionData(data.factors, data.Q, data.omega, data.k, data.a1)
+    assert twin == data and hash(twin) == hash(data) and repr(twin) == repr(data)
+    assert hash(data) == hash((data.factors, data.Q, data.omega, data.k, data.a1))
+    assert repr(data) == (
+        f"LFunctionData(factors={data.factors!r}, Q={data.Q!r}, omega={data.omega!r}, "
+        f"k={data.k!r}, a1={data.a1!r})"
+    )
 
 
 # --- tail sums ----------------------------------------------------------------
