@@ -44,6 +44,16 @@ _TAIL_TERMS = 256
 _TAIL_BASES = tuple(map(float, range(2, _TAIL_TERMS)))
 
 
+def _convert(convert, value: object, name: str):
+    """convert(value), or a ValidationError naming name if value is past the float range."""
+    try:
+        return convert(value)
+    except OverflowError:  # an int too large for a float
+        raise ValidationError(
+            f"{name} is too large to convert to a float, got {_value_text(value)}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class GammaFactor:
     """One factor Gamma(lam * s + mu) of the completed series.
@@ -55,8 +65,8 @@ class GammaFactor:
     mu: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "mu", complex(self.mu))
+        object.__setattr__(self, "lam", _convert(float, self.lam, "gamma factor lam"))
+        object.__setattr__(self, "mu", _convert(complex, self.mu, "gamma factor mu"))
         if not 0.0 < self.lam < math.inf:
             raise ValidationError(f"gamma factor needs finite lam > 0, got {self.lam}")
         if not (cmath.isfinite(self.mu) and self.mu.real >= 0.0):
@@ -79,8 +89,9 @@ class LFunctionData:
     Every number, and lambda Q^2, must be finite, and lambda Q^2 nonzero.
     Construction also computes the data-only invariants below, once, as
     plain attributes; they are left out of repr, == and hash, which see the
-    five fields only.  A datum whose invariants overflow a float is
-    rejected.
+    five fields only.  The hash of those five is computed there too, so a
+    memo lookup keyed by the datum does not hash its factors again.  A datum
+    whose invariants overflow a float is rejected.
 
     Invariants
     ----------
@@ -111,13 +122,14 @@ class LFunctionData:
     arg_max: float = field(init=False, repr=False, compare=False)
     threshold_height: float = field(init=False, repr=False, compare=False)
     series_blocks: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         factors = tuple(self.factors)
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "Q", float(self.Q))
-        object.__setattr__(self, "omega", complex(self.omega))
-        object.__setattr__(self, "a1", float(self.a1))
+        object.__setattr__(self, "Q", _convert(float, self.Q, "Q"))
+        object.__setattr__(self, "omega", _convert(complex, self.omega, "omega"))
+        object.__setattr__(self, "a1", _convert(float, self.a1, "a1"))
         if not factors:
             raise ValidationError("need at least one gamma factor")
         if not all(isinstance(f, GammaFactor) for f in factors):
@@ -165,8 +177,12 @@ class LFunctionData:
             ("arg_max", arg_max),
             ("threshold_height", max(shift_max, arg_max)),
             ("series_blocks", series_blocks),
+            ("_hash", hash((factors, self.Q, self.omega, self.k, self.a1))),
         ):
             object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def f(self) -> int:

@@ -21,8 +21,8 @@ from .errors import DomainError, ZeroFileError
 from .selberg import LFunctionData, StripParams, main_term
 
 
-#: characters of whole lines read and parsed at a time by load_zeros
-_CHUNK_CHARS = 1 << 16
+#: bytes read at a time by load_zeros; each block is split and parsed whole
+_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -57,39 +57,46 @@ def load_zeros(path: str | os.PathLike) -> ZeroList:
     """Read a UTF-8 zero-ordinate text file.
 
     One decimal ordinate per line; lines starting with '#' and blank lines
-    are skipped; LF or CRLF both fine.  Unparsable, non-positive or
-    non-finite entries raise ZeroFileError with the offending line number.
+    are skipped; LF, CRLF or CR line ends are all fine.  Unparsable,
+    non-positive or non-finite entries raise ZeroFileError with the
+    offending line number, and so does a line that is not UTF-8.  When a
+    file has several such problems, the first in the file is reported.
     The result is sorted ascending (ties kept).
 
-    The file is read in chunks of whole lines, each parsed by one map of
-    float, so memory beyond the result stays at one chunk.  A comment, blank
-    or bad line makes float raise, and its chunk is parsed again with its
-    lines stripped and the comments and blanks dropped.  A bad entry sends
-    the file through a per-line rescan that names the first bad line in file
-    order.  The sorted ordinates are checked once, by their two ends and
-    one NaN-propagating sum, and not again by ZeroList.
+    The file is read in binary blocks of _BLOCK_BYTES.  Each block, after
+    the partial line carried over from the one before, is split on LF and
+    parsed by one map of float over the bytes lines: a line that float
+    accepts as bytes is ASCII, so it is UTF-8 and gives the same float as
+    its decoded text.  A comment, a blank, lines separated by a lone CR,
+    non-ASCII text or a bad entry makes that map raise, and only then is
+    the block decoded and parsed as text: universal newlines, each line
+    stripped, comments and blanks dropped.  A block without an LF cuts the
+    carried line at its last CR, so CR-only files are read a block at a
+    time too, and memory beyond the result stays at a few blocks.  An
+    undecodable block or a bad entry sends the file through a per-line
+    rescan that names the first problem in file order.  The sorted
+    ordinates are checked once, by their two ends and one NaN-propagating
+    sum, and not again by ZeroList.
     """
     ordinates: list[float] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            while chunk := fh.readlines(_CHUNK_CHARS):
-                try:
-                    values = list(map(float, chunk))
-                except ValueError:  # a comment, blank or bad line
-                    lines = [s for s in map(str.strip, chunk) if s and s[0] != "#"]
-                    try:
-                        values = list(map(float, lines))
-                    except ValueError:
-                        raise _first_bad_line(path) from None
-                ordinates += values
-        ordinates.sort()
-        t = tuple(ordinates)
-        # Sorted, so the ends decide positivity and infinity; a NaN, wherever
-        # sorting left it, makes the sum NaN, and an overflowing sum is inf.
-        if t and not (t[0] > 0.0 and t[-1] < math.inf and not math.isnan(sum(t))):
-            raise _first_bad_line(path)
-    except UnicodeDecodeError as exc:
-        raise ZeroFileError(f"{path}: not a UTF-8 text file ({exc})") from None
+    with open(path, "rb") as fh:
+        rest = b""
+        while block := fh.read(_BLOCK_BYTES):
+            lines = block.split(b"\n")
+            lines[0] = rest + lines[0]
+            rest = lines.pop()
+            if not lines and b"\r" in rest:  # no LF in a whole block: CR line ends
+                head, _, rest = rest.rpartition(b"\r")
+                lines.append(head)
+            _parse_lines(path, lines, ordinates)
+    if rest:
+        _parse_lines(path, [rest], ordinates)
+    ordinates.sort()
+    t = tuple(ordinates)
+    # Sorted, so the ends decide positivity and infinity; a NaN, wherever
+    # sorting left it, makes the sum NaN, and an overflowing sum is inf.
+    if t and not (t[0] > 0.0 and t[-1] < math.inf and not math.isnan(sum(t))):
+        raise _first_bad_line(path)
     # Built past __post_init__, whose conversion and checks t has just passed.
     zeros = object.__new__(ZeroList)
     object.__setattr__(zeros, "ordinates", t)
@@ -97,14 +104,39 @@ def load_zeros(path: str | os.PathLike) -> ZeroList:
     return zeros
 
 
-def _first_bad_line(path: str | os.PathLike) -> ZeroFileError:
-    """The error naming the first unparsable, non-positive or non-finite line of path.
+def _parse_lines(path: str | os.PathLike, lines: list[bytes], ordinates: list[float]) -> None:
+    """Append the ordinates of lines, a block of path split on LF, to ordinates."""
+    n = len(ordinates)
+    try:
+        ordinates.extend(map(float, lines))
+    except ValueError:  # a comment, blank, lone CR, non-ASCII or bad entry
+        del ordinates[n:]
+        try:
+            # Universal newlines; a CRLF gives an extra blank line, dropped with the others.
+            text = b"\n".join(lines).decode("utf-8").replace("\r", "\n")
+            ordinates.extend(
+                map(float, [s for s in map(str.strip, text.split("\n")) if s and s[0] != "#"])
+            )
+        except ValueError:  # UnicodeDecodeError is a ValueError too
+            raise _first_bad_line(path) from None
 
-    Only called once load_zeros has met a bad entry, so a file in which
-    this scan finds none changed while it was read.
+
+def _first_bad_line(path: str | os.PathLike) -> ZeroFileError:
+    """The error naming the first undecodable, unparsable, non-positive or non-finite line of path.
+
+    The file is read as text with universal newlines.  Bytes that are not
+    UTF-8 are kept as escapes, so the scan goes on past them, and a line
+    holding one is reported where it stands, with the UTF-8 decoder's error
+    for that line.  Only called once load_zeros has met a problem, so a file
+    in which this scan finds none changed while it was read.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    return ZeroFileError(f"{path}: not a UTF-8 text file ({exc})")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

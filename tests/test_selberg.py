@@ -78,6 +78,38 @@ def test_datum_validation():
         LFunctionData(**{**good, "k": 10 ** 5000})
 
 
+def test_oversized_integers_are_validation_errors():
+    # float() or complex() of an int past the float range raised a bare OverflowError
+    big = 10 ** 400
+    factor = (GammaFactor(1.0, 0j),)
+    cases = (
+        (lambda: GammaFactor(big, 0), "gamma factor lam"),
+        (lambda: GammaFactor(1.0, big), "gamma factor mu"),
+        (lambda: LFunctionData(factor, Q=big, omega=1, k=0, a1=1.0), "Q"),
+        (lambda: LFunctionData(factor, Q=1.0, omega=big, k=0, a1=1.0), "omega"),
+        (lambda: LFunctionData(factor, Q=1.0, omega=1, k=0, a1=big), "a1"),
+    )
+    for build, name in cases:
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == f"{name} is too large to convert to a float, got 1{'0' * 400}"
+    # past the 4300-digit int-to-str limit the message gives the bit length
+    with pytest.raises(ValidationError) as err:
+        LFunctionData(factor, Q=1.0, omega=1, k=0, a1=10 ** 5000)
+    assert str(err.value) == "a1 is too large to convert to a float, got an integer of 16610 bits"
+
+
+def test_datum_hash_is_stored_at_construction(nf12_pair, monkeypatch):
+    # the hash the dataclass generated, computed once: hashing the datum again
+    # (two window-memo lookups per checked height) does not hash its factors
+    data, _ = nf12_pair
+    assert hash(data) == hash((data.factors, data.Q, data.omega, data.k, data.a1))
+    calls = []
+    monkeypatch.setattr(GammaFactor, "__hash__", lambda self: calls.append(self) or 0)
+    hash(data)
+    assert calls == []
+
+
 def test_omega_modulus_tolerance():
     # unimodular up to 1e-12 passes, beyond fails
     LFunctionData(

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from zerobound import (
     load_zeros,
     main_term,
 )
+from zerobound.zeros import _BLOCK_BYTES
 
 
 # --- loading -----------------------------------------------------------------
@@ -99,7 +102,7 @@ def test_zerolist_invariants():
             ZeroList(bad)
 
 
-# --- the chunked loader against a line-by-line reference ------------------------
+# --- the block loader against a line-by-line reference --------------------------
 
 def reference_load(path):
     """One float per line, as load_zeros specifies it, read one line at a time."""
@@ -202,6 +205,114 @@ def test_chunked_load_reports_errors_in_file_order(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ZeroFileError, match="line 15001: cannot parse 'abc'"):
         load_zeros(path)
+
+
+def outcome(load, path):
+    """The ordinates load gives for path, or its ZeroFileError message."""
+    try:
+        return load(path)
+    except ZeroFileError as exc:
+        return str(exc)
+
+
+def assert_loads_as_reference(path):
+    got = outcome(lambda p: load_zeros(p).ordinates, path)
+    assert got == outcome(reference_load, path)
+    return got
+
+
+def test_block_load_cr_line_ends(tmp_path):
+    path = tmp_path / "z.txt"
+    for data in (b"14.1\r21.0\r", b"14.1\r21.0", b"# head\r14.1\r\r21.0\r",
+                 b"14.1\n21.0\r25.0\r\n30.0", b"\r14.1\r\n\r21.0\n", b"14.1\r-2.0\r"):
+        path.write_bytes(data)
+        assert_loads_as_reference(path)
+    path.write_bytes(b"14.1\r21.0\r25.0")
+    assert load_zeros(path).ordinates == (14.1, 21.0, 25.0)
+
+
+def test_block_load_of_a_cr_only_file_holds_a_few_blocks(tmp_path):
+    # without an LF the carried partial line must not grow to the whole file
+    rng = random.Random(5)
+    lines = [f"{rng.uniform(1.0, 1e4):.10f}" for _ in range(60_000)]
+    path = tmp_path / "z.txt"
+    path.write_bytes(("\r".join(lines) + "\r").encode())
+    assert path.stat().st_size > 12 * _BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        zeros = load_zeros(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert zeros.ordinates == tuple(sorted(map(float, lines)))
+    n = len(zeros)
+    result = sys.getsizeof(zeros.ordinates) + n * sys.getsizeof(1.0)
+    sort_list = n * 8 * 9 // 8  # the list sorted in place, over-allocated by at most 1/8
+    assert peak - result - sort_list < 4 * _BLOCK_BYTES
+
+
+def test_block_load_crlf_split_across_blocks(tmp_path):
+    # the CR of one CRLF is the last byte of the first block, its LF the first of the next
+    head = b"14.1\r\n"
+    filler = b"15.25\r\n"
+    body = head + filler * ((_BLOCK_BYTES - len(head) - 16) // len(filler))
+    line = b"1" * (_BLOCK_BYTES - len(body) - 3) + b".5"
+    data = body + line + b"\r\n" + b"16.5\r\n" * 10
+    assert data[_BLOCK_BYTES - 1:_BLOCK_BYTES + 1] == b"\r\n"
+    path = tmp_path / "z.txt"
+    path.write_bytes(data)
+    got = assert_loads_as_reference(path)
+    assert float(line) in got and len(got) == data.count(b"\n")
+
+
+def test_block_load_last_line_without_newline(tmp_path):
+    path = tmp_path / "z.txt"
+    path.write_bytes(b"14.1\n21.0")
+    assert load_zeros(path).ordinates == (14.1, 21.0)
+    lines = [f"{10.0 + i / 7:.10f}" for i in range(10_000)]
+    path.write_text("\n".join(lines))
+    assert path.stat().st_size > 2 * _BLOCK_BYTES
+    assert assert_loads_as_reference(path)[-1] == float(lines[-1])
+    path.write_text("\n".join(lines) + "\n# no newline after this comment")
+    assert_loads_as_reference(path)
+
+
+@pytest.mark.parametrize("line", ["\u0085 14.1", "14.1\u0085", "\u00a014.1\u00a0", "\u300014.1\u3000",
+                                  "\x0b14.1\x0c", "\x1c14.1"])
+def test_block_load_unicode_whitespace(tmp_path, line):
+    # float strips Unicode whitespace from text, but only ASCII whitespace from bytes
+    path = tmp_path / "z.txt"
+    path.write_text(f"13.0\n{line}\n15.0\n", encoding="utf-8")
+    assert assert_loads_as_reference(path) == (13.0, 14.1, 15.0)
+
+
+def test_block_load_non_ascii_and_odd_entries(tmp_path):
+    path = tmp_path / "z.txt"
+    path.write_text("\uff11\uff14.\uff11\n1_000.5\n", encoding="utf-8")
+    assert assert_loads_as_reference(path) == (14.1, 1000.5)
+    path.write_bytes(b"\xef\xbb\xbf14.1\n21.0\n")
+    assert assert_loads_as_reference(path) == f"{path}: line 1: cannot parse '\\ufeff14.1'"
+    path.write_bytes(b"14.1\n21.0\x00\n")
+    assert assert_loads_as_reference(path) == f"{path}: line 2: cannot parse '21.0\\x00'"
+
+
+def test_block_load_reports_the_first_problem_in_file_order(tmp_path):
+    # a file both undecodable and with a bad line reports whichever comes first;
+    # a UTF-8 error gives its position within the line
+    path = tmp_path / "z.txt"
+    lines = [f"{10.0 + i / 7:.10f}".encode() for i in range(10_000)]
+    undecodable = b"12.5\xff"
+    for bad_at, utf8_at, expected in (
+        (2, 9_000, f"{path}: line 3: non-positive ordinate -2.0"),
+        (9_000, 2, f"{path}: not a UTF-8 text file ('utf-8' codec can't decode byte 0xff "
+                   f"in position 4: invalid start byte)"),
+        (100, 101, f"{path}: line 101: non-positive ordinate -2.0"),
+    ):
+        bad = list(lines)
+        bad[bad_at] = b"-2.0"
+        bad[utf8_at] = undecodable
+        path.write_bytes(b"\n".join(bad) + b"\n")
+        assert outcome(load_zeros, path) == expected
 
 
 # --- counting ------------------------------------------------------------------
