@@ -26,11 +26,10 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, fields
 
 from .errors import BoundaryWarning, DomainError, ValidationError
 from .gammabounds import _interp_exponent, _kernel_sum, ratio_error_sup
-from .selberg import LFunctionData, StripParams, require_admissible
+from .selberg import LFunctionData, StripParams, _Value, require_admissible
 
 LOG2 = math.log(2.0)
 TWO_PI = 2.0 * math.pi
@@ -176,8 +175,7 @@ def trivial_zero_window(data: LFunctionData, strip: StripParams) -> float:
     )
 
 
-@dataclass(frozen=True)
-class BranchConstants:
+class BranchConstants(_Value):
     """Branch selector and the two constants it gates.
 
     alpha = 0 keeps the reflection branch (h2 then carries the 1/(T - 2R)
@@ -185,9 +183,12 @@ class BranchConstants:
     Either way h1 + h2/(T - 2R) dominates both branches for every T >= T0.
     """
 
-    alpha: int
-    h1: float
-    h2: float
+    __match_args__ = _fields = ("alpha", "h1", "h2")
+
+    def __init__(self, alpha: int, h1: float, h2: float) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "h2", h2)
 
 
 def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> BranchConstants:
@@ -211,8 +212,7 @@ def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> Bran
     return BranchConstants(alpha=1, h1=h1_interp, h2=0.0)
 
 
-@dataclass(frozen=True)
-class _Window:
+class _Window(_Value):
     """The (T0, T]-window bound of one (data, strip, T0).
 
     Construction checks that T0 is admissible, so every finite T > T0 is too,
@@ -223,20 +223,14 @@ class _Window:
     doubling_coefficients triples.  Build windows through _window only.
     """
 
-    data: LFunctionData
-    strip: StripParams
-    T0: float
-    K: float = field(init=False)
-    ratio_slope: float = field(init=False)
-    slope: float = field(init=False)
-    bc: BranchConstants = field(init=False)
-    r2_t0: float = field(init=False)
-    head: float = field(init=False)
-    trivial: float = field(init=False)
-    coefficients: tuple[Coefficients, Coefficients] = field(init=False)
+    __match_args__ = ("data", "strip", "T0")
+    _fields = (*__match_args__, "K", "ratio_slope", "slope", "bc", "r2_t0", "head", "trivial",
+               "coefficients")
 
-    def __post_init__(self) -> None:
-        data, strip, T0 = self.data, self.strip, self.T0
+    def __init__(self, data: LFunctionData, strip: StripParams, T0: float) -> None:
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "strip", strip)
+        object.__setattr__(self, "T0", T0)
         require_admissible(data, strip, T0, label="T0")
         object.__setattr__(self, "K", _kernel_sum(data, -(strip.a + 2.0 * strip.R)))
         object.__setattr__(self, "ratio_slope", _ratio_error_slope(data, strip))
@@ -342,13 +336,15 @@ def total_count_error(data: LFunctionData, strip: StripParams, T0: float, T: flo
     return _window(data, strip, T0).at(T)[2]
 
 
-@dataclass(frozen=True)
-class Coefficients:
+class Coefficients(_Value):
     """One (c1, c2, c3) triple of the flattened bound c1 log T + c2 + c3/T."""
 
-    c1: float
-    c2: float
-    c3: float
+    __match_args__ = _fields = ("c1", "c2", "c3")
+
+    def __init__(self, c1: float, c2: float, c3: float) -> None:
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "c3", c3)
 
     def evaluate(self, T: float) -> float:
         if not 0.0 < T < math.inf:
@@ -404,40 +400,48 @@ def ceil_guarded(x: float, label: str = "") -> int:
     return math.ceil(x)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Value):
     """Every intermediate bound plus the headline constants for one (T0, T)."""
 
-    T0: float
-    T: float
-    S: float
-    R1: float
-    V_star_T0: float
-    V_star_T: float
-    R2_T0: float
-    R2_T: float
-    alpha: int
-    h1: float
-    h2: float
-    R_total: float
-    c1_main: float
-    c2_main: float
-    c3_main: float
-    c1_dbl: float
-    c2_dbl: float
-    c3_dbl: float
+    __match_args__ = _fields = (
+        "T0", "T", "S", "R1", "V_star_T0", "V_star_T", "R2_T0", "R2_T", "alpha", "h1", "h2",
+        "R_total", "c1_main", "c2_main", "c3_main", "c1_dbl", "c2_dbl", "c3_dbl",
+    )
 
-    def __post_init__(self) -> None:
-        if self.S < 0.0 or self.V_star_T0 < 0.0 or self.V_star_T < 0.0:
+    def __init__(
+        self, T0: float, T: float, S: float, R1: float, V_star_T0: float, V_star_T: float,
+        R2_T0: float, R2_T: float, alpha: int, h1: float, h2: float, R_total: float,
+        c1_main: float, c2_main: float, c3_main: float,
+        c1_dbl: float, c2_dbl: float, c3_dbl: float,
+    ) -> None:
+        if S < 0.0 or V_star_T0 < 0.0 or V_star_T < 0.0:
             raise ValidationError("negative error envelope in bound report")
-        if self.R2_T0 <= 0.0 or self.R2_T <= 0.0 or self.R_total <= 0.0:
+        if R2_T0 <= 0.0 or R2_T <= 0.0 or R_total <= 0.0:
             raise ValidationError("non-positive count bound in bound report")
-        if self.alpha not in (0, 1):
-            raise ValidationError(f"alpha must be 0 or 1, got {self.alpha}")
+        if alpha not in (0, 1):
+            raise ValidationError(f"alpha must be 0 or 1, got {alpha}")
+        object.__setattr__(self, "T0", T0)
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "R1", R1)
+        object.__setattr__(self, "V_star_T0", V_star_T0)
+        object.__setattr__(self, "V_star_T", V_star_T)
+        object.__setattr__(self, "R2_T0", R2_T0)
+        object.__setattr__(self, "R2_T", R2_T)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "h2", h2)
+        object.__setattr__(self, "R_total", R_total)
+        object.__setattr__(self, "c1_main", c1_main)
+        object.__setattr__(self, "c2_main", c2_main)
+        object.__setattr__(self, "c3_main", c3_main)
+        object.__setattr__(self, "c1_dbl", c1_dbl)
+        object.__setattr__(self, "c2_dbl", c2_dbl)
+        object.__setattr__(self, "c3_dbl", c3_dbl)
 
     def to_json_dict(self) -> dict:
         """The fields in order, each keyed by its name in lower case."""
-        return {f.name.lower(): getattr(self, f.name) for f in fields(self)}
+        return dict(zip(map(str.lower, self._fields), self._values(self)))
 
 
 def bound_report(data: LFunctionData, strip: StripParams, T0: float, T: float) -> BoundReport:

@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 
 from . import presets
 from .bounds import bound_report, total_count_error, window_coefficients
@@ -159,6 +158,8 @@ def _cmd_bound(args) -> int:
 
 
 def _bundled_pairs() -> str:
+    from importlib import resources  # only table --preset newform without --pairs reads it
+
     return resources.files("zerobound.data").joinpath("table_pairs.csv").read_text("utf-8")
 
 

@@ -20,11 +20,10 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass
 
 from .bounds import ceil_guarded, doubling_coefficients, window_coefficients
 from .errors import ValidationError, _value_text
-from .selberg import GammaFactor, LFunctionData, StripParams, select_strip
+from .selberg import GammaFactor, LFunctionData, StripParams, _Value, select_strip
 
 #: CSV header shared by table_generate and the CLI
 TABLE_HEADER = ("N", "kappa", "T0", "cL1", "cL2", "cL3", "c1", "c2", "c3")
@@ -35,19 +34,17 @@ _I_POWERS = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
 _MAX_EXACT_HEIGHT = 2 ** 53
 
 
-@dataclass(frozen=True)
-class NewformSpec:
+class NewformSpec(_Value):
     """Level and weight of a holomorphic newform.
 
     The level is a positive integer that converts to a float; the weight is
     even, with 2 <= weight <= 2^53 - 16.
     """
 
-    level: int
-    weight: int
+    __match_args__ = _fields = ("level", "weight")
 
-    def __post_init__(self) -> None:
-        n, w = self.level, self.weight
+    def __init__(self, level: int, weight: int) -> None:
+        n, w = level, weight
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValidationError(f"level must be a positive integer, got {_value_text(n)}")
         if isinstance(w, bool) or not isinstance(w, int) or w < 2 or w % 2:
@@ -60,6 +57,8 @@ class NewformSpec:
         if 15 + w > _MAX_EXACT_HEIGHT:
             raise ValidationError(f"weight must be <= {_MAX_EXACT_HEIGHT - 16}, "
                                   f"so that the height 15 + weight is exact in a float")
+        object.__setattr__(self, "level", n)
+        object.__setattr__(self, "weight", w)
 
     @property
     def min_height(self) -> int:

@@ -14,34 +14,32 @@ import math
 import operator
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, fields
 
 from .bounds import total_count_error, window_coefficients
 from .errors import DomainError, ZeroFileError
-from .selberg import LFunctionData, StripParams, main_term
+from .selberg import LFunctionData, StripParams, _Value, main_term
 
 
 #: bytes read at a time by load_zeros; each block is split and parsed whole
 _BLOCK_BYTES = 1 << 16
 
 
-@dataclass(frozen=True)
-class ZeroList:
+class ZeroList(_Value):
     """Sorted, positive, finite zero ordinates with a provenance label."""
 
-    ordinates: tuple[float, ...]
-    source_label: str = ""
+    __match_args__ = _fields = ("ordinates", "source_label")
 
-    def __post_init__(self) -> None:
+    def __init__(self, ordinates: tuple[float, ...], source_label: str = "") -> None:
         try:
-            t = tuple(map(float, self.ordinates))
+            t = tuple(map(float, ordinates))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ZeroFileError(f"ordinates must be real numbers: {exc}") from None
-        object.__setattr__(self, "ordinates", t)
         # One C-level pass: NaN fails <=, and once the tuple is sorted its
         # ends decide positivity and finiteness.  The generators below only
         # word the error.
         if all(map(operator.le, t, t[1:])) and (not t or (t[0] > 0.0 and t[-1] < math.inf)):
+            object.__setattr__(self, "ordinates", t)
+            object.__setattr__(self, "source_label", source_label)
             return
         if any(x <= 0.0 for x in t):
             raise ZeroFileError("all ordinates must be positive")
@@ -97,7 +95,7 @@ def load_zeros(path: str | os.PathLike) -> ZeroList:
     # sorting left it, makes the sum NaN, and an overflowing sum is inf.
     if t and not (t[0] > 0.0 and t[-1] < math.inf and not math.isnan(sum(t))):
         raise _first_bad_line(path)
-    # Built past __post_init__, whose conversion and checks t has just passed.
+    # Built past __init__, whose conversion and checks t has just passed.
     zeros = object.__new__(ZeroList)
     object.__setattr__(zeros, "ordinates", t)
     object.__setattr__(zeros, "source_label", str(path))
@@ -136,7 +134,7 @@ def _first_bad_line(path: str | os.PathLike) -> ZeroFileError:
                 try:
                     raw.encode("utf-8", "surrogateescape").decode("utf-8")
                 except UnicodeDecodeError as exc:
-                    return ZeroFileError(f"{path}: not a UTF-8 text file ({exc})")
+                    return ZeroFileError(f"{path}: line {lineno}: not a UTF-8 text file ({exc})")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -158,21 +156,28 @@ def count_window(zeros: ZeroList, T0: float, T: float) -> int:
     return bisect_right(zeros.ordinates, T) - bisect_right(zeros.ordinates, T0)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
     """Outcome of checking one zero table against both inequalities."""
 
-    count: int
-    main_term: float
-    deviation: float
-    r_total: float
-    coeff_bound: float
-    pass_lemma: bool
-    pass_theorem: bool
+    __match_args__ = _fields = (
+        "count", "main_term", "deviation", "r_total", "coeff_bound", "pass_lemma", "pass_theorem",
+    )
+
+    def __init__(
+        self, count: int, main_term: float, deviation: float, r_total: float,
+        coeff_bound: float, pass_lemma: bool, pass_theorem: bool,
+    ) -> None:
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "main_term", main_term)
+        object.__setattr__(self, "deviation", deviation)
+        object.__setattr__(self, "r_total", r_total)
+        object.__setattr__(self, "coeff_bound", coeff_bound)
+        object.__setattr__(self, "pass_lemma", pass_lemma)
+        object.__setattr__(self, "pass_theorem", pass_theorem)
 
     def to_json_dict(self) -> dict:
         """The fields in order, keyed by name."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(self._fields, self._values(self)))
 
 
 def check_bound(

@@ -1,6 +1,5 @@
 """Explicit constant assembly: integrals, disc bound, branch logic, coefficients."""
 
-import dataclasses
 import math
 import sys
 from operator import attrgetter
@@ -31,6 +30,7 @@ from zerobound import (
     GammaFactor,
     LFunctionData,
     NewformSpec,
+    StripParams,
     ZeroboundError,
     ZeroList,
     check_bound,
@@ -505,6 +505,14 @@ def _bits(numbers):
     return tuple(float.hex(float(x)) for x in numbers)
 
 
+#: every field of a BoundReport and of a Coefficients triple, in order
+_report_fields = attrgetter(
+    "T0", "T", "S", "R1", "V_star_T0", "V_star_T", "R2_T0", "R2_T", "alpha", "h1", "h2",
+    "R_total", "c1_main", "c2_main", "c3_main", "c1_dbl", "c2_dbl", "c3_dbl",
+)
+_coefficient_fields = attrgetter("c1", "c2", "c3")
+
+
 def _window_bits(window, t):
     """float.hex of every number a window holds and of its (R1, R2(T), total) at t."""
     bc, (main, dbl) = window.bc, window.coefficients
@@ -528,17 +536,17 @@ def test_memoized_check_bound_equals_a_fresh_window(window, shift, gaps):
     zeros = ZeroList((t0 * 1.5, t0 * 3.0))
     for i, gap in enumerate(gaps * 2):
         T0 = t0 if i % 2 else t0 * (1.0 + shift)
-        key_data = data if i % 3 else dataclasses.replace(data)
-        key_strip = strip if i % 3 else dataclasses.replace(strip)
+        key_data = data if i % 3 else LFunctionData(data.factors, data.Q, data.omega, data.k, data.a1)
+        key_strip = strip if i % 3 else StripParams(strip.a, strip.b, strip.R)
         T = T0 * (1.0 + gap)
         memoized = [
             lambda: attrgetter("r_total", "coeff_bound")(
                 check_bound(key_data, key_strip, zeros, T0, T)
             ),
-            lambda: dataclasses.astuple(bound_report(key_data, key_strip, T0, T)),
+            lambda: _report_fields(bound_report(key_data, key_strip, T0, T)),
             lambda: (total_count_error(key_data, key_strip, T0, T),),
-            lambda: dataclasses.astuple(window_coefficients(key_data, key_strip, T0)),
-            lambda: dataclasses.astuple(doubling_coefficients(key_data, key_strip, T0)),
+            lambda: _coefficient_fields(window_coefficients(key_data, key_strip, T0)),
+            lambda: _coefficient_fields(doubling_coefficients(key_data, key_strip, T0)),
         ]
         order = [(i + j) % len(memoized) for j in range(len(memoized))]
         got = {j: _bits(memoized[j]()) for j in order}
@@ -546,10 +554,10 @@ def test_memoized_check_bound_equals_a_fresh_window(window, shift, gaps):
         main, dbl = fresh.coefficients
         expected = [
             (fresh.at(T)[2], main.evaluate(T)),
-            dataclasses.astuple(fresh.report(T)),
+            _report_fields(fresh.report(T)),
             (fresh.at(T)[2],),
-            dataclasses.astuple(main),
-            dataclasses.astuple(dbl),
+            _coefficient_fields(main),
+            _coefficient_fields(dbl),
         ]
         assert [got[j] for j in range(len(expected))] == [_bits(e) for e in expected]
 
@@ -588,7 +596,7 @@ def test_data_differing_in_the_sign_of_a_zero_share_bit_identical_windows(window
     def zero_imaginary_parts(sign):
         zero = math.copysign(0.0, sign)
         factors = tuple(GammaFactor(f.lam, complex(f.mu.real, zero)) for f in data.factors)
-        return dataclasses.replace(data, factors=factors, omega=complex(1.0, zero))
+        return LFunctionData(factors, data.Q, complex(1.0, zero), data.k, data.a1)
 
     plus, minus = zero_imaginary_parts(1.0), zero_imaginary_parts(-1.0)
     assert plus == minus and hash(plus) == hash(minus)

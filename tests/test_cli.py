@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -240,6 +241,24 @@ def test_table_deterministic_across_processes():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.decode().count("\n") == 26
+
+
+#: the import check CI's stdlib-only step runs: the CLI's import leaves out the
+#: modules only some commands need (or none: the value types are not dataclasses)
+IMPORT_CHECK = (
+    "import zerobound.cli, sys; "
+    "loaded = {'dataclasses', 'importlib.resources', 'inspect'} & set(sys.modules); "
+    "sys.exit(f'import zerobound.cli loaded {sorted(loaded)}' if loaded else 0)"
+)
+
+
+def test_cli_import_loads_no_dataclasses_resources_or_inspect():
+    # -S, because a site .pth file may import importlib.resources before any package
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-S", "-c", IMPORT_CHECK], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 # --- verify ---------------------------------------------------------------------------

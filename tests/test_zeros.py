@@ -107,20 +107,24 @@ def test_zerolist_invariants():
 def reference_load(path):
     """One float per line, as load_zeros specifies it, read one line at a time."""
     ordinates = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise ZeroFileError(f"{path}: line {lineno}: cannot parse {line!r}") from None
-            if value <= 0.0:
-                raise ZeroFileError(f"{path}: line {lineno}: non-positive ordinate {value}")
-            if not value < math.inf:
-                raise ZeroFileError(f"{path}: line {lineno}: non-finite ordinate {value}")
-            ordinates.append(value)
+    # bytes.splitlines ends a line at LF, CRLF or a lone CR: universal newlines
+    for lineno, raw_bytes in enumerate(path.read_bytes().splitlines(keepends=True), start=1):
+        try:
+            raw = raw_bytes.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ZeroFileError(f"{path}: line {lineno}: not a UTF-8 text file ({exc})") from None
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise ZeroFileError(f"{path}: line {lineno}: cannot parse {line!r}") from None
+        if value <= 0.0:
+            raise ZeroFileError(f"{path}: line {lineno}: non-positive ordinate {value}")
+        if not value < math.inf:
+            raise ZeroFileError(f"{path}: line {lineno}: non-finite ordinate {value}")
+        ordinates.append(value)
     return tuple(sorted(ordinates))
 
 
@@ -304,7 +308,7 @@ def test_block_load_reports_the_first_problem_in_file_order(tmp_path):
     undecodable = b"12.5\xff"
     for bad_at, utf8_at, expected in (
         (2, 9_000, f"{path}: line 3: non-positive ordinate -2.0"),
-        (9_000, 2, f"{path}: not a UTF-8 text file ('utf-8' codec can't decode byte 0xff "
+        (9_000, 2, f"{path}: line 3: not a UTF-8 text file ('utf-8' codec can't decode byte 0xff "
                    f"in position 4: invalid start byte)"),
         (100, 101, f"{path}: line 101: non-positive ordinate -2.0"),
     ):
@@ -313,6 +317,20 @@ def test_block_load_reports_the_first_problem_in_file_order(tmp_path):
         bad[utf8_at] = undecodable
         path.write_bytes(b"\n".join(bad) + b"\n")
         assert outcome(load_zeros, path) == expected
+
+
+def test_undecodable_line_is_named_by_its_line_number(tmp_path):
+    # the UTF-8 error names its line, counted across LF, CRLF and CR ends as for a bad entry
+    path = tmp_path / "z.txt"
+    path.write_bytes(b"14.1\n\xff\n")
+    assert outcome(load_zeros, path) == (
+        f"{path}: line 2: not a UTF-8 text file "
+        f"('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)"
+    )
+    for data in (b"# head\r\n14.1\r21.0\n12.5\xe2\x82\r\n", b"14.1\r\r\xc3(\n-2.0\n",
+                 b"14.1\n21.0\r\n25.0\r3\xff0.0"):
+        path.write_bytes(data)
+        assert assert_loads_as_reference(path).startswith(f"{path}: line ")
 
 
 # --- counting ------------------------------------------------------------------
