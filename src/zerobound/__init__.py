@@ -56,7 +56,6 @@ from .selberg import (
     require_admissible,
     select_strip,
     tail_sum,
-    threshold_height,
 )
 from .zeros import VerificationReport, ZeroList, check_bound, count_window, load_zeros
 

@@ -183,8 +183,6 @@ class BranchConstants(_Value):
     Either way h1 + h2/(T - 2R) dominates both branches for every T >= T0.
     """
 
-    __match_args__ = _fields = ("alpha", "h1", "h2")
-
     def __init__(self, alpha: int, h1: float, h2: float) -> None:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "h1", h1)
@@ -220,12 +218,9 @@ class _Window(_Value):
     ratio_slope the log(T/T0) coefficient of the integrated ratio error S,
     slope that of R1, head the two main-term pieces at T0, trivial the
     trivial-zero allowance and coefficients the window_coefficients and
-    doubling_coefficients triples.  Build windows through _window only.
+    doubling_coefficients triples.  repr, == and hash see data, strip and
+    T0 only, which fix every other field.  Build windows through _window only.
     """
-
-    __match_args__ = ("data", "strip", "T0")
-    _fields = (*__match_args__, "K", "ratio_slope", "slope", "bc", "r2_t0", "head", "trivial",
-               "coefficients")
 
     def __init__(self, data: LFunctionData, strip: StripParams, T0: float) -> None:
         object.__setattr__(self, "data", data)
@@ -339,8 +334,6 @@ def total_count_error(data: LFunctionData, strip: StripParams, T0: float, T: flo
 class Coefficients(_Value):
     """One (c1, c2, c3) triple of the flattened bound c1 log T + c2 + c3/T."""
 
-    __match_args__ = _fields = ("c1", "c2", "c3")
-
     def __init__(self, c1: float, c2: float, c3: float) -> None:
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "c2", c2)
@@ -402,11 +395,6 @@ def ceil_guarded(x: float, label: str = "") -> int:
 
 class BoundReport(_Value):
     """Every intermediate bound plus the headline constants for one (T0, T)."""
-
-    __match_args__ = _fields = (
-        "T0", "T", "S", "R1", "V_star_T0", "V_star_T", "R2_T0", "R2_T", "alpha", "h1", "h2",
-        "R_total", "c1_main", "c2_main", "c3_main", "c1_dbl", "c2_dbl", "c3_dbl",
-    )
 
     def __init__(
         self, T0: float, T: float, S: float, R1: float, V_star_T0: float, V_star_T: float,

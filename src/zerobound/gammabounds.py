@@ -82,7 +82,7 @@ def _kernel_sum(data: LFunctionData, x: float) -> float:
 def remainder_pair_bound(data: LFunctionData, j: int, sigma: float, t: float) -> float:
     """Bound for |W(-lam_j s)| + |W(lam_j s)| at s = sigma + i t.
 
-    Needs t at or above threshold_height(data); the two remainders then sit
+    Needs t at or above data.threshold_height; the two remainders then sit
     away from the branch cut and the flat secant factor 2 covers the side
     whose half-argument stays below pi/4.
     """

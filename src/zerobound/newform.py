@@ -17,7 +17,6 @@ generic assembly.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 
@@ -40,8 +39,6 @@ class NewformSpec(_Value):
     The level is a positive integer that converts to a float; the weight is
     even, with 2 <= weight <= 2^53 - 16.
     """
-
-    __match_args__ = _fields = ("level", "weight")
 
     def __init__(self, level: int, weight: int) -> None:
         n, w = level, weight
@@ -82,16 +79,18 @@ def newform_params(spec: NewformSpec) -> LFunctionData:
     )
 
 
-@functools.cache
+#: the strip of every newform (a1 = 1)
+_STRIP = select_strip(1.0)
+
+
 def newform_strip() -> StripParams:
     """The (3, -4) strip; a1 = 1 admits it and the integer search finds it.
 
-    Every newform has a1 = 1, so the strip is selected once per process:
-    the first call runs select_strip(1.0) with both of its tail-sum checks,
-    and later calls return that same frozen value.  Two threads that make
-    the first call together may both select it; they get equal strips.
+    Every newform has a1 = 1, so the strip is selected once, when the module
+    is imported, by select_strip(1.0) with both of its tail-sum checks; every
+    call returns that same frozen value.
     """
-    return select_strip(1.0)
+    return _STRIP
 
 
 def pipeline_constants(spec: NewformSpec) -> tuple[float, float, float, float, float, float]:

@@ -27,8 +27,6 @@ _BLOCK_BYTES = 1 << 16
 class ZeroList(_Value):
     """Sorted, positive, finite zero ordinates with a provenance label."""
 
-    __match_args__ = _fields = ("ordinates", "source_label")
-
     def __init__(self, ordinates: tuple[float, ...], source_label: str = "") -> None:
         try:
             t = tuple(map(float, ordinates))
@@ -158,10 +156,6 @@ def count_window(zeros: ZeroList, T0: float, T: float) -> int:
 
 class VerificationReport(_Value):
     """Outcome of checking one zero table against both inequalities."""
-
-    __match_args__ = _fields = (
-        "count", "main_term", "deviation", "r_total", "coeff_bound", "pass_lemma", "pass_theorem",
-    )
 
     def __init__(
         self, count: int, main_term: float, deviation: float, r_total: float,

@@ -22,7 +22,6 @@ from zerobound import (
     reflection_log_main,
     remainder_pair_bound,
     table_row,
-    threshold_height,
     total_count_error,
     window_coefficients,
 )
@@ -129,7 +128,7 @@ def test_criterion_4_lemma_property_suite():
 
     per_data = n // len(datasets)
     for data in datasets:
-        h = threshold_height(data)
+        h = data.threshold_height
         sig = rng.uniform(-30.0, 30.0, size=per_data)
         t_vals = np.exp(rng.uniform(math.log(h), math.log(2e3), size=per_data))
         for s, t in zip(sig, t_vals):
@@ -148,7 +147,7 @@ def test_criterion_5_reflection_remainder_envelope():
     mp.mp.dps = 30
     rng = np.random.default_rng(SEED + 1)
     for data, _strip in (presets.zeta(), presets.newform(1, 12)):
-        h = threshold_height(data)
+        h = data.threshold_height
         sig = rng.uniform(-20.0, 20.0, size=SAMPLES_REMAINDER)
         t_vals = np.exp(rng.uniform(math.log(h), math.log(1e4), size=SAMPLES_REMAINDER))
         for s, t in zip(sig, t_vals):

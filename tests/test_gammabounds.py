@@ -17,7 +17,6 @@ from zerobound import (
     reflection_log_main,
     remainder_pair_bound,
     stirling_remainder_bound,
-    threshold_height,
 )
 
 from lemma_oracles import edge_real_check, log1p_check, log_diff_check, log_linear_check, rotation_check
@@ -90,7 +89,7 @@ def test_pair_bound_symmetric_point():
     from zerobound import GammaFactor, LFunctionData
 
     data = LFunctionData(factors=(GammaFactor(1.0, 0j),), Q=1.0, omega=1 + 0j, k=0, a1=1.0)
-    assert threshold_height(data) == 2.0
+    assert data.threshold_height == 2.0
     assert remainder_pair_bound(data, 0, 0.0, 2.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
 
 
@@ -116,7 +115,7 @@ def test_pair_bound_below_threshold(nf12_pair):
 
 def test_pair_bound_majorizes_true_remainders(nf12_pair, zeta_pair):
     for data, _ in (nf12_pair, zeta_pair):
-        h = threshold_height(data)
+        h = data.threshold_height
         for sigma in (-6.0, -1.0, 0.0, 2.5, 8.0):
             for t in (h, 2 * h, 10 * h + 0.7):
                 for j, f in enumerate(data.factors):
@@ -153,7 +152,7 @@ def test_ratio_bound_majorizes_true_factor_error(zeta_pair, nf12_pair):
     mp.mp.dps = 30
     rng = random.Random(7)
     for data, _ in (zeta_pair, nf12_pair):
-        h = threshold_height(data)
+        h = data.threshold_height
         for _ in range(120):
             sigma = rng.uniform(-25.0, 25.0)
             t = math.exp(rng.uniform(math.log(h), math.log(3e3)))
@@ -243,7 +242,7 @@ def test_reflection_log_matches_loggamma_oracle(zeta_pair, nf12_pair):
     # the acceptance suite randomizes this over 10^3 points per preset
     mp.mp.dps = 30
     for data, _ in (zeta_pair, nf12_pair):
-        h = threshold_height(data)
+        h = data.threshold_height
         for sigma in (-4.0, 0.5, 2.0):
             for t in (h + 1.0, 3 * h + 0.3, 150.0):
                 s = mp.mpc(sigma, t)

@@ -118,13 +118,24 @@ def test_omega_modulus_tolerance():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("Q", "abc"), ("k", 1.7), ("k", True), ("a1", None), ("a", "abc"), ("b", math.inf),
+    ("Q", "abc"), ("Q", "0.56"), ("k", 1.7), ("k", True), ("a1", None), ("a1", True),
+    ("omega_re", True), ("omega_im", "0"), ("a", "abc"), ("b", math.inf), ("b", False),
     pytest.param("a1", 10 ** 400, id="a1-int-beyond-float"),
+    pytest.param("a", 10 ** 400, id="a-int-beyond-float"),
+    pytest.param("omega_re", 10 ** 400, id="omega_re-int-beyond-float"),
+    pytest.param("factors[0].mu_re", 10 ** 400, id="mu_re-int-beyond-float"),
+    ("factors[0].lambda", "0.5"), ("factors[0].lambda", True), ("factors[0].mu_re", True),
+    ("factors[0].mu_im", "0"), ("factors[0].mu_im", None),
 ])
 def test_document_rejects_mistyped_fields(nf12_pair, field, value):
     doc = document_dict(*nf12_pair)
-    with pytest.raises(ValidationError):
-        load_document({**doc, field: value})
+    if field.startswith("factors[0]."):
+        doc["factors"][0][field.removeprefix("factors[0].")] = value
+    else:
+        doc[field] = value
+    with pytest.raises(ValidationError) as err:
+        load_document(doc)
+    assert field in str(err.value)
 
 
 # --- derived quantities ------------------------------------------------------

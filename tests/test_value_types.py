@@ -1,6 +1,7 @@
 """The value types' contract: immutable, dataclass-style repr, == and hash, copy, pickle, match."""
 
 import copy
+import inspect
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -24,6 +25,8 @@ from zerobound import (
     presets,
     window_coefficients,
 )
+from zerobound.bounds import _Window
+from zerobound.selberg import _Value
 
 ZETA_ORDINATES = (14.134725141734695, 21.022039638771556)
 
@@ -154,6 +157,26 @@ def test_copied_datum_keeps_its_invariants(values):
 @pytest.mark.parametrize("name", NAMES)
 def test_match_args_are_the_constructor_fields(values, name):
     assert type(values[name]).__match_args__ == FIELDS[name]
+
+
+def test_fields_are_the_constructor_parameters():
+    classes = {cls.__name__: cls for cls in _Value.__subclasses__()}
+    assert set(classes) == {*NAMES, "_Window"}
+    for cls in classes.values():
+        params = tuple(
+            p.name for p in inspect.signature(cls).parameters.values()
+            if p.kind is p.POSITIONAL_OR_KEYWORD
+        )
+        assert cls.__match_args__ == cls._fields == params, cls.__name__
+
+
+def test_window_is_compared_by_its_three_inputs():
+    data, strip = presets.zeta()
+    window = _Window(data, strip, 16.0)
+    twin = _Window(*presets.zeta(), 16.0)
+    assert twin is not window and twin == window and hash(twin) == hash(window)
+    assert repr(window) == f"_Window(data={data!r}, strip={strip!r}, T0=16.0)"
+    assert window != _Window(data, strip, 17.0)
 
 
 def test_positional_match_patterns(values):
