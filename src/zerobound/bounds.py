@@ -28,7 +28,7 @@ import math
 import warnings
 
 from .errors import BoundaryWarning, DomainError, ValidationError
-from .gammabounds import _interp_exponent, _kernel_sum, ratio_error_sup
+from .gammabounds import _kernel_sum, _log_interp_peak, ratio_error_sup
 from .selberg import LFunctionData, StripParams, _Value, require_admissible
 
 LOG2 = math.log(2.0)
@@ -110,14 +110,6 @@ def _reflection_head(data: LFunctionData, c: float) -> float:
     return max(2.5 * log_lq2, c * log_lq2)
 
 
-def _h1_interp(data: LFunctionData) -> float:
-    """The interpolation branch's constant, which no height enters.
-
-    (2.5 d + 1) log 2 + k log 3 + max(0, 2.5 log(lambda Q^2) + 2.5 sqrt(5) d + |Im mu_cap|).
-    """
-    return (2.5 * data.degree + 1.0) * LOG2 + data.k * math.log(3.0) + _interp_exponent(data, 0.0)
-
-
 def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float:
     """Bound for the zero count of the auxiliary disc function at height T.
 
@@ -147,7 +139,7 @@ def _disc_bound(data: LFunctionData, strip: StripParams, sup: float, T: float) -
         d * c * math.log(2.0 * T)
         + _log_a1_zeta2(data)
         + sup
-        + max(reflect, _h1_interp(data))
+        + max(reflect, _log_interp_peak(data, 0.0))
     ) / LOG2
 
 
@@ -204,7 +196,7 @@ def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> Bran
     c = 0.5 - a + two_r
     h1_reflect = _reflection_head(data, c) + d * (-1.5 + 4.0 * r)
     h2_reflect = d * c * (a + two_r) + (a + two_r) * abs(data.mu_cap.imag / 2.0)
-    h1_interp = _h1_interp(data)
+    h1_interp = _log_interp_peak(data, 0.0)
     if h1_reflect + h2_reflect / (T0 - two_r) > h1_interp:
         return BranchConstants(alpha=0, h1=max(h1_reflect, h1_interp), h2=h2_reflect)
     return BranchConstants(alpha=1, h1=h1_interp, h2=0.0)

@@ -80,36 +80,38 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="zerobound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("params", parents=[], help="emit a functional-equation document")
+    p = sub.add_parser("params", help="emit a functional-equation document")
+    p.set_defaults(run=_cmd_params)
     p.add_argument("--preset", required=True, choices=["newform", "zeta"])
     p.add_argument("--level", type=int, help="newform level N")
     p.add_argument("--weight", type=int, help="newform weight (even)")
-    p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("constants", help="emit the full bound report as JSON")
+    p.set_defaults(run=_cmd_constants)
     p.add_argument("--input", required=True, help="functional-equation document (JSON)")
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--t", type=float, help="upper height (default 2 * t0)")
-    p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("bound", help="emit the total error bound for a window")
+    p.set_defaults(run=_cmd_bound)
     p.add_argument("--input", required=True)
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("table", help="regenerate the constants table as CSV")
+    p.set_defaults(run=_cmd_table)
     p.add_argument("--preset", required=True, choices=["newform"])
     p.add_argument("--pairs", help="CSV of N,kappa pairs (default: bundled 25 pairs)")
-    p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("verify", help="check a zero table against both inequalities")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--input", required=True)
     p.add_argument("--zeros", required=True, help="zero-ordinate text file")
     p.add_argument("--t0", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--out", help="output path (default stdout)")
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="output path (default stdout)")
     return parser
 
 
@@ -182,15 +184,6 @@ def _cmd_verify(args) -> int:
     return 0 if (report.pass_lemma and report.pass_theorem) else 2
 
 
-_COMMANDS = {
-    "params": _cmd_params,
-    "constants": _cmd_constants,
-    "bound": _cmd_bound,
-    "table": _cmd_table,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -198,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ZeroboundError, OSError, json.JSONDecodeError, OverflowError) as exc:
         print(f"zerobound: error: {exc}", file=sys.stderr)
         return 1

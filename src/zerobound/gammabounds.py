@@ -36,7 +36,9 @@ def _sec_sq(x: float) -> float:
 
 
 def _phase(z: complex) -> float:
-    """Principal argument, rejecting the branch cut and the origin."""
+    """Principal argument, rejecting a non-finite z, the branch cut and the origin."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"argument of {z} is not finite")
     if z == 0:
         raise DomainError("argument of zero is undefined")
     ph = cmath.phase(z)
@@ -48,7 +50,7 @@ def _phase(z: complex) -> float:
 def stirling_remainder_bound(z: complex) -> float:
     """Majorant B2 / (2|z|) * sec^2(arg(z)/2) for the one-term Stirling remainder.
 
-    Valid on |arg z| < pi, z != 0.
+    Valid on |arg z| < pi, z != 0, z finite.
     """
     z = complex(z)
     ph = _phase(z)
@@ -128,8 +130,11 @@ def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:
     Equals (1/2 - sigma)(d log t + log(lambda Q^2)) + d sigma
     + Re(log(1 - sigma i / t) (d (1/2 - s) + Im(mu_cap) i / 2));
     callers pair it with ratio_error_total as the remainder envelope.
-    Requires finite t > 0 and both gamma arguments off the branch cut.
+    Requires finite sigma, finite t > 0 and both gamma arguments off the
+    branch cut.
     """
+    if not math.isfinite(sigma):
+        raise DomainError(f"need a finite real part sigma, got {sigma}")
     if not 0.0 < t < math.inf:
         raise DomainError(f"need finite t > 0, got {t}")
     s = complex(sigma, t)
@@ -138,9 +143,7 @@ def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:
             _phase(f.lam * (1.0 - s) + f.mu.conjugate())
             _phase(f.lam * s + f.mu)
         except DomainError as exc:
-            raise AdmissibilityError(
-                f"gamma argument on the branch cut at s = {s}: {exc}"
-            ) from None
+            raise AdmissibilityError(f"gamma argument unusable at s = {s}: {exc}") from None
     d = data.degree
     swing = cmath.log(1.0 - complex(0.0, sigma) / t)
     weight = d * (0.5 - s) + complex(0.0, data.mu_cap.imag / 2.0)
@@ -151,23 +154,18 @@ def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:
     )
 
 
-def _interp_exponent(data: LFunctionData, err: float) -> float:
-    """max(0, 2.5 log(lambda Q^2) + 2.5 sqrt(5) d + |Im mu_cap| + err), the peak exponent."""
-    lq2, d, im = data.lambda_q2, data.degree, data.mu_cap.imag
-    return max(0.0, 2.5 * math.log(lq2) + 2.5 * math.sqrt(5.0) * d + abs(im) + err)
+def _log_interp_peak(data: LFunctionData, err: float) -> float:
+    """Log of the convexity-interpolation peak, (2.5 d + 1) log 2 + k log 3 + max(0, e).
 
-
-def _mid_band_peak(data: LFunctionData, strip: StripParams, T: float) -> float:
-    """Convexity-interpolation peak for the middle band of the envelope.
-
-    base * exp(_interp_exponent(data, err)), base = 3^k a1 pi^2 / 6 the
-    right-edge constant and err the gamma-ratio error envelope along
-    sigma = -2.  In exact arithmetic this is max(base, base * x), the larger
-    of the right-edge constant and the left-edge constant base * x, x =
-    (lambda Q^2)^2.5 exp(2.5 sqrt(5) d + |Im mu_cap| + err).
+    e = 2.5 log(lambda Q^2) + 2.5 sqrt(5) d + |Im mu_cap| + err.  At err = 0
+    it is h1, the disc bound's interpolation branch.  With err the gamma-ratio
+    error envelope along sigma = -2, a1 pi^2 / 6 times its exp is the middle
+    band's peak in magnitude_envelope: 2^(2.5 d + 1) times the larger of the
+    right-edge constant 3^k a1 pi^2 / 6 and the left-edge one, exp(e) times it.
     """
-    err = _kernel_sum(data, -2.0) / (T - 2.0 * strip.R)
-    return 3.0 ** data.k * data.a1 * math.pi ** 2 / 6.0 * math.exp(_interp_exponent(data, err))
+    lq2, d, im = data.lambda_q2, data.degree, data.mu_cap.imag
+    e = 2.5 * math.log(lq2) + 2.5 * math.sqrt(5.0) * d + abs(im) + err
+    return (2.5 * d + 1.0) * math.log(2.0) + data.k * math.log(3.0) + max(0.0, e)
 
 
 def magnitude_envelope(
@@ -178,8 +176,11 @@ def magnitude_envelope(
     T must be admissible and t must lie in [T - 2R, T + 2R].  Right of
     sigma = 3 the Dirichlet series gives the constant a1 pi^2 / 6; left of
     sigma = -2 the reflection factor gives a power of t times an explicit
-    exponential; in between a convexity interpolation applies.
+    exponential; in between a convexity interpolation applies.  sigma must
+    be finite.
     """
+    if not math.isfinite(sigma):
+        raise DomainError(f"need a finite real part sigma, got {sigma}")
     require_admissible(data, strip, T)
     two_r = 2.0 * strip.R
     if not (T - two_r <= t <= T + two_r):
@@ -190,6 +191,6 @@ def magnitude_envelope(
     if sigma <= -2.0:
         expo = reflection_log_main(data, sigma, t) + ratio_error_total(data, sigma, t)
         return const * math.exp(expo)
-    d = data.degree
-    return 2.0 ** (2.5 * d + 1.0) * _mid_band_peak(data, strip, T) * t ** (0.5 * d * (3.0 - sigma))
+    peak = _log_interp_peak(data, _kernel_sum(data, -2.0) / (T - two_r))
+    return const * math.exp(peak) * t ** (0.5 * data.degree * (3.0 - sigma))
 

@@ -233,10 +233,13 @@ def tail_sum(x: float, a1: float) -> float:
     after rounding the head, which outgrows that surplus for large x.  Terms
     below 2^-1074 underflow to 0.
 
-    Raises DomainError for x <= 1 (divergent series) or non-finite x.
+    Raises DomainError for x <= 1 (divergent series), non-finite x or
+    non-finite a1.
     """
     if not 1.0 < x < math.inf:
         raise DomainError(f"tail sum needs a finite exponent x > 1, got {x}")
+    if not math.isfinite(a1):
+        raise DomainError(f"tail sum needs a finite coefficient a1, got {a1}")
     n = _TAIL_TERMS
     head = math.fsum(map(pow, _TAIL_BASES, repeat(-x)))
     rest = n ** (1.0 - x) / (x - 1.0) + n ** -x / 2.0 + x * n ** (-x - 1.0) / 12.0
@@ -244,7 +247,7 @@ def tail_sum(x: float, a1: float) -> float:
 
 
 class StripParams(_Value):
-    """Abscissae of the counting rectangle: a > 2, b < -3, R = a - b.
+    """Abscissae of the counting rectangle: finite a > 2 and b < -3, R = a - b.
 
     Construct through select_strip so the two tail-sum conditions are
     actually verified; the constructor itself only checks the cheap shape
@@ -253,10 +256,10 @@ class StripParams(_Value):
 
     def __init__(self, a: float, b: float, R: float) -> None:
         a, b, R = float(a), float(b), float(R)
-        if not a > 2.0:
-            raise InvalidStripError(f"strip needs a > 2, got a = {a}")
-        if not b < -3.0:
-            raise InvalidStripError(f"strip needs b < -3, got b = {b}")
+        if not 2.0 < a < math.inf:
+            raise InvalidStripError(f"strip needs finite a > 2, got a = {a}")
+        if not -math.inf < b < -3.0:
+            raise InvalidStripError(f"strip needs finite b < -3, got b = {b}")
         if R != a - b:
             raise InvalidStripError(f"R must equal a - b, got R = {R}")
         object.__setattr__(self, "a", a)
@@ -265,7 +268,7 @@ class StripParams(_Value):
 
 
 def select_strip(a1: float, a: float | None = None, b: float | None = None) -> StripParams:
-    """Choose (or validate) the strip abscissae for a given a1 >= 1.
+    """Choose (or validate) the strip abscissae for a given finite a1 >= 1.
 
     Without overrides, a is the smallest integer > 2 with
     tail_sum(a, a1) < 1/2 and b the largest integer < -3 with
@@ -274,8 +277,8 @@ def select_strip(a1: float, a: float | None = None, b: float | None = None) -> S
     two inequalities; a violation raises InvalidStripError naming the
     failed condition.
     """
-    if a1 < 1.0:
-        raise ValidationError(f"a1 must be >= 1, got {a1}")
+    if not 1.0 <= a1 < math.inf:
+        raise ValidationError(f"a1 must be finite and >= 1, got {a1}")
 
     if a is None:
         n = 3
@@ -350,7 +353,10 @@ def _sum_up(x: float, y: float) -> float:
 
 
 def _constraints(data: LFunctionData, strip: StripParams) -> list[tuple[str, float, bool]]:
-    """(name, threshold, is_strict) triples for the admissibility of T, thresholds rounded up."""
+    """(name, threshold, is_strict) triples for the admissibility of T, thresholds rounded up.
+
+    The last triple is the gamma-argument constraint, the only strict one.
+    """
     two_r = 2.0 * strip.R
     cons = [
         ("base-window", _sum_up(two_r, 1.0), False),
@@ -372,15 +378,12 @@ def min_admissible_height(data: LFunctionData, strip: StripParams) -> Admissible
     float is as close above the threshold as any fixed small nudge would put
     it.
     """
-    cons = _constraints(data, strip)
-    weak = [(name, val) for name, val, strict in cons if not strict]
-    strict = [(name, val) for name, val, strict in cons if strict]
-    name, value = max(weak, key=lambda c: c[1])
-    for sname, sval in strict:
-        if sval >= value:
-            return AdmissibleHeight(
-                value=math.nextafter(sval, math.inf), binding=sname, strict_adjusted=True
-            )
+    *weak, (sname, sval, _) = _constraints(data, strip)
+    name, value, _ = max(weak, key=lambda c: c[1])
+    if sval >= value:
+        return AdmissibleHeight(
+            value=math.nextafter(sval, math.inf), binding=sname, strict_adjusted=True
+        )
     return AdmissibleHeight(value=value, binding=name, strict_adjusted=False)
 
 

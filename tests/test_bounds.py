@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from zerobound import (
     AdmissibilityError,
     BoundaryWarning,
+    BoundReport,
     DomainError,
     ValidationError,
     argument_integral_bound,
@@ -34,14 +35,17 @@ from zerobound import (
     ZeroboundError,
     ZeroList,
     check_bound,
+    magnitude_envelope,
     main_term,
     min_admissible_height,
     presets,
     ratio_error_bound,
     ratio_error_sup,
+    ratio_error_total,
     reflection_log_main,
     remainder_pair_bound,
     select_strip,
+    stirling_remainder_bound,
     table_row,
 )
 
@@ -291,6 +295,21 @@ def test_non_finite_height_is_rejected(nf12_pair, call, height):
         call(*nf12_pair, height)
 
 
+@pytest.mark.parametrize("call", [
+    lambda d, s, sigma: remainder_pair_bound(d, 0, sigma, 30.0),
+    lambda d, s, sigma: ratio_error_bound(d, 0, sigma, 30.0),
+    lambda d, s, sigma: ratio_error_total(d, sigma, 30.0),
+    lambda d, s, sigma: reflection_log_main(d, sigma, 30.0),
+    lambda d, s, sigma: magnitude_envelope(d, s, sigma, 30.0, 30.0),
+    lambda d, s, sigma: stirling_remainder_bound(complex(sigma, 1.0)),
+])
+@pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
+def test_non_finite_real_part_is_rejected(nf12_pair, call, sigma):
+    # no bound holds at a non-finite real part, so none may come back as nan (or 0)
+    with pytest.raises(DomainError):
+        call(*nf12_pair, sigma)
+
+
 # --- coefficient forms --------------------------------------------------------------------------
 
 def test_window_coefficients_zeta_frozen(zeta_pair):
@@ -379,6 +398,19 @@ def test_bound_report_fields(nf12_pair):
         "alpha", "h1", "h2", "r_total", "c1_main", "c2_main", "c3_main",
         "c1_dbl", "c2_dbl", "c3_dbl",
     }
+    fields = dict(zip(rep._fields, rep._values(rep)))
+    assert BoundReport(**fields) == rep
+    for name, value, message in (
+        ("S", -1.0, "negative error envelope"),
+        ("V_star_T0", -1e-300, "negative error envelope"),
+        ("V_star_T", -1.0, "negative error envelope"),
+        ("R2_T0", 0.0, "non-positive count bound"),
+        ("R2_T", -1.0, "non-positive count bound"),
+        ("R_total", 0.0, "non-positive count bound"),
+        ("alpha", 2, "alpha must be 0 or 1, got 2"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            BoundReport(**{**fields, name: value})
 
 
 INVARIANTS = (

@@ -320,11 +320,37 @@ def test_unknown_subcommand_exits_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command, usage", [
+    ("", "usage: zerobound [-h] {params,constants,bound,table,verify} ...\n"),
+    ("params", "usage: zerobound params [-h] --preset {newform,zeta} [--level LEVEL]\n"
+               "                        [--weight WEIGHT] [--out OUT]\n"),
+    ("constants", "usage: zerobound constants [-h] --input INPUT --t0 T0 [--t T] [--out OUT]\n"),
+    ("bound", "usage: zerobound bound [-h] --input INPUT --t0 T0 --t T [--out OUT]\n"),
+    ("table", "usage: zerobound table [-h] --preset {newform} [--pairs PAIRS] [--out OUT]\n"),
+    ("verify", "usage: zerobound verify [-h] --input INPUT --zeros ZEROS --t0 T0 --t T\n"
+               "                        [--out OUT]\n"),
+])
+def test_usage_lines_are_pinned(capsys, monkeypatch, command, usage):
+    # argparse wraps usage at the terminal width, so fix it at the default 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    code, _, err = run_cli(capsys, *command.split())
+    assert code == 1
+    prog = " ".join(["zerobound", *command.split()])
+    assert err.startswith(f"{usage}{prog}: error: the following arguments are required: ")
+
+
 def test_precision_env_override(newform_doc, capsys, monkeypatch):
     monkeypatch.setenv("ZEROBOUND_PRECISION", "4")
     code, out, _ = run_cli(capsys, "params", "--preset", "newform", "--level", "1", "--weight", "12")
     assert code == 0
     assert json.loads(out)["Q"] == 0.1592
+    # a value that is not an integer falls back to the default 12 digits
+    for raw in ("x", "4.5"):
+        monkeypatch.setenv("ZEROBOUND_PRECISION", raw)
+        code, out, _ = run_cli(capsys, "params", "--preset", "newform", "--level", "1",
+                               "--weight", "12")
+        assert code == 0
+        assert json.loads(out)["Q"] == 0.159154943092  # 1/(2 pi) to 12 digits
 
 
 def test_json_uses_twelve_significant_digits(capsys):

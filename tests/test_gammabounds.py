@@ -260,6 +260,12 @@ def test_reflection_log_domain(zeta_pair):
     data, _ = zeta_pair
     with pytest.raises(DomainError):
         reflection_log_main(data, 0.5, 0.0)
+    # lam t past the float range makes the gamma arguments non-finite: no bound is given there
+    from zerobound import GammaFactor, LFunctionData
+
+    data = LFunctionData(factors=(GammaFactor(3.0, 1 + 0j),), Q=1.0, omega=1 + 0j, k=0, a1=1.0)
+    with pytest.raises(AdmissibilityError, match=r"unusable at s = .*: argument of .* is not finite"):
+        reflection_log_main(data, -2.0, 1e308)
 
 
 def test_reflection_log_branch_cut_is_admissibility_error():

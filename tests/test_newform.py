@@ -157,6 +157,10 @@ def test_table_generate_shapes():
 def test_read_pairs_csv():
     specs = read_pairs_csv("N,kappa\n1,12\n11,2\n")
     assert [(s.level, s.weight) for s in specs] == [(1, 12), (11, 2)]
+    # empty and all-blank rows are skipped, and later line numbers still count them
+    assert read_pairs_csv("N,kappa\n\n1,12\n , \n11,2\n") == specs
+    with pytest.raises(ValidationError, match="^pairs file line 4: "):
+        read_pairs_csv("N,kappa\n\n , \n1,oops\n")
     with pytest.raises(ValidationError):
         read_pairs_csv("kappa,N\n12,1\n")
     with pytest.raises(ValidationError, match="line 3"):

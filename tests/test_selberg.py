@@ -65,7 +65,8 @@ def test_datum_validation():
     for field, value in (("Q", math.nan), ("Q", math.inf), ("a1", math.nan), ("a1", math.inf),
                          ("omega", complex(math.nan, 0.0)), ("omega", complex(math.inf, 0.0)),
                          ("k", True), ("k", 1.0), ("k", 10 ** 16), ("Q", 1e-300), ("Q", 1e300),
-                         ("factors", (GammaFactor(200.0, 0j),))):  # lam^(2 lam) overflows
+                         ("factors", (GammaFactor(200.0, 0j),)),  # lam^(2 lam) overflows
+                         ("factors", ((1.0, 0j),))):  # not a GammaFactor
         with pytest.raises(ValidationError):
             LFunctionData(**{**good, field: value})
     # |lam + conj(mu)|^2 overflows: bound_report raised a bare OverflowError;
@@ -247,6 +248,10 @@ def test_tail_sum_divergent():
     for x in (math.inf, math.nan):
         with pytest.raises(DomainError):
             tail_sum(x, 1.0)
+    # a non-finite coefficient would make the sum nan or inf
+    for a1 in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite coefficient a1"):
+            tail_sum(3.0, a1)
 
 
 def test_tail_sum_is_upper_bound():
@@ -333,8 +338,26 @@ def test_select_strip_huge_coefficient():
 
 
 def test_select_strip_rejects_small_a1():
-    with pytest.raises(ValidationError):
-        select_strip(0.9)
+    # with nan every tail-sum comparison is false, so neither inequality is really
+    # checked; with inf every tail sum is infinite
+    for a1 in (0.9, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="^a1 must be finite and >= 1, got"):
+            select_strip(a1)
+
+
+def test_strip_params_checks_its_shape():
+    assert StripParams(3.0, -4.0, 7.0).R == 7.0
+    for a, b, R, message in (
+        (2.0, -4.0, 6.0, "finite a > 2, got a = 2.0"),
+        (math.nan, -4.0, math.nan, "finite a > 2, got a = nan"),
+        (math.inf, -4.0, math.inf, "finite a > 2, got a = inf"),
+        (3.0, -3.0, 6.0, "finite b < -3, got b = -3.0"),
+        (3.0, math.nan, math.nan, "finite b < -3, got b = nan"),
+        (3.0, -math.inf, math.inf, "finite b < -3, got b = -inf"),
+        (3.0, -4.0, 7.5, "R must equal a - b, got R = 7.5"),
+    ):
+        with pytest.raises(InvalidStripError, match=message):
+            StripParams(a, b, R)
 
 
 # --- admissible heights -----------------------------------------------------------

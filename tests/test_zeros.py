@@ -18,6 +18,7 @@ from zerobound import (
     load_zeros,
     main_term,
 )
+from zerobound import zeros as zeros_module
 from zerobound.zeros import _BLOCK_BYTES
 
 
@@ -317,6 +318,20 @@ def test_block_load_reports_the_first_problem_in_file_order(tmp_path):
         bad[utf8_at] = undecodable
         path.write_bytes(b"\n".join(bad) + b"\n")
         assert outcome(load_zeros, path) == expected
+
+
+def test_file_mended_while_read_is_reported_as_changed(tmp_path, monkeypatch):
+    # the rescan that names a bad line finds none if the file was mended after the read
+    path = tmp_path / "z.txt"
+    path.write_text("14.1\nbad\n")
+    rescan = zeros_module._first_bad_line
+
+    def mend_then_rescan(p):
+        path.write_text("14.1\n21.0\n")
+        return rescan(p)
+
+    monkeypatch.setattr(zeros_module, "_first_bad_line", mend_then_rescan)
+    assert outcome(load_zeros, path) == f"{path}: changed while it was read"
 
 
 def test_undecodable_line_is_named_by_its_line_number(tmp_path):
