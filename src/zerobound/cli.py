@@ -16,6 +16,7 @@ failed.  Output is deterministic; floats print with 12 significant digits
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -76,7 +77,9 @@ def _emit_json(obj: dict, out_path: str | None) -> None:
     _emit(text, out_path)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The root parser with its five subcommands, built on the first call only."""
     parser = _Parser(prog="zerobound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -185,9 +188,17 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one zerobound command and return its exit code.
+
+    The argument parser is built on the first call and reused by every later
+    call in the process.  Each call still reads argv, the environment
+    (COLUMNS, ZEROBOUND_PRECISION) and the current sys.stdout and sys.stderr
+    afresh.  The reused parser is no reason to call main from several
+    threads: its output goes to the process-wide streams, which
+    contextlib.redirect_stdout swaps for the whole process.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -177,7 +177,8 @@ def magnitude_envelope(
     sigma = 3 the Dirichlet series gives the constant a1 pi^2 / 6; left of
     sigma = -2 the reflection factor gives a power of t times an explicit
     exponential; in between a convexity interpolation applies.  sigma must
-    be finite.
+    be finite.  Raises DomainError where the envelope exceeds the float
+    range, as it can for a large |Im mu_cap|.
     """
     if not math.isfinite(sigma):
         raise DomainError(f"need a finite real part sigma, got {sigma}")
@@ -190,7 +191,15 @@ def magnitude_envelope(
         return const
     if sigma <= -2.0:
         expo = reflection_log_main(data, sigma, t) + ratio_error_total(data, sigma, t)
-        return const * math.exp(expo)
-    peak = _log_interp_peak(data, _kernel_sum(data, -2.0) / (T - two_r))
-    return const * math.exp(peak) * t ** (0.5 * data.degree * (3.0 - sigma))
+        power = 0.0
+    else:
+        expo = _log_interp_peak(data, _kernel_sum(data, -2.0) / (T - two_r))
+        power = 0.5 * data.degree * (3.0 - sigma)
+    try:
+        value = const * math.exp(expo) * t ** power
+    except OverflowError:  # math.exp or the power of t past the float range
+        value = math.inf
+    if not value < math.inf:
+        raise DomainError(f"the envelope at sigma = {sigma}, t = {t} exceeds the float range")
+    return value
 

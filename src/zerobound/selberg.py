@@ -238,8 +238,12 @@ def tail_sum(x: float, a1: float) -> float:
     """
     if not 1.0 < x < math.inf:
         raise DomainError(f"tail sum needs a finite exponent x > 1, got {x}")
-    if not math.isfinite(a1):
-        raise DomainError(f"tail sum needs a finite coefficient a1, got {a1}")
+    try:
+        finite = math.isfinite(a1)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise DomainError(f"tail sum needs a finite coefficient a1, got {_value_text(a1)}")
     n = _TAIL_TERMS
     head = math.fsum(map(pow, _TAIL_BASES, repeat(-x)))
     rest = n ** (1.0 - x) / (x - 1.0) + n ** -x / 2.0 + x * n ** (-x - 1.0) / 12.0
@@ -277,6 +281,7 @@ def select_strip(a1: float, a: float | None = None, b: float | None = None) -> S
     two inequalities; a violation raises InvalidStripError naming the
     failed condition.
     """
+    a1 = _convert(float, a1, "a1")
     if not 1.0 <= a1 < math.inf:
         raise ValidationError(f"a1 must be finite and >= 1, got {a1}")
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zerobound import presets
+from zerobound import cli, presets
 from zerobound.cli import main
 from zerobound.selberg import document_dict
 
@@ -245,12 +245,15 @@ def test_table_deterministic_across_processes():
 
 #: the import check CI's stdlib-only step runs: the CLI's import leaves out the
 #: modules only some commands need (or none: the value types are not dataclasses,
-#: and read their fields from __init__'s code object, not through inspect)
+#: and read their fields from __init__'s code object, not through inspect); nor
+#: does it build the argument parser, which only main needs
 IMPORT_CHECK = (
     "import zerobound.cli, sys; "
     "loaded = {'ast', 'dataclasses', 'dis', 'importlib.resources', 'inspect', 'typing'} "
     "& set(sys.modules); "
-    "sys.exit(f'import zerobound.cli loaded {sorted(loaded)}' if loaded else 0)"
+    "built = zerobound.cli._build_parser.cache_info().currsize; "
+    "sys.exit(f'import zerobound.cli loaded {sorted(loaded)}, built {built} parsers' "
+    "if loaded or built else 0)"
 )
 
 
@@ -331,11 +334,17 @@ def test_unknown_subcommand_exits_one(capsys):
                "                        [--out OUT]\n"),
 ])
 def test_usage_lines_are_pinned(capsys, monkeypatch, command, usage):
+    prog = " ".join(["zerobound", *command.split()])
+    # the parser is reused, but each call reads the terminal width afresh: a wide
+    # terminal first, where no usage line wraps
+    monkeypatch.setenv("COLUMNS", "200")
+    code, _, err = run_cli(capsys, *command.split())
+    assert code == 1
+    assert err.startswith(f"{' '.join(usage.split())}\n{prog}: error: ")
     # argparse wraps usage at the terminal width, so fix it at the default 80 columns
     monkeypatch.setenv("COLUMNS", "80")
     code, _, err = run_cli(capsys, *command.split())
     assert code == 1
-    prog = " ".join(["zerobound", *command.split()])
     assert err.startswith(f"{usage}{prog}: error: the following arguments are required: ")
 
 
@@ -366,15 +375,67 @@ DATA_DIR = Path(__file__).parent / "data"
 CLI_GOLDEN = DATA_DIR / "cli"
 
 
-@pytest.mark.parametrize("name, argv", [
-    ("zeta", ["params", "--preset", "zeta"]),
-    ("constants", ["constants", "--input", str(CLI_GOLDEN / "zeta.json"), "--t0", "16"]),
-    ("bound", ["bound", "--input", str(CLI_GOLDEN / "zeta.json"), "--t0", "16", "--t", "100"]),
-    ("verify", ["verify", "--input", str(CLI_GOLDEN / "zeta.json"),
-                "--zeros", str(DATA_DIR / "zeta_zeros_200.txt"), "--t0", "16", "--t", "100"]),
-])
+GOLDEN_ARGV = {
+    "zeta": ["params", "--preset", "zeta"],
+    "constants": ["constants", "--input", str(CLI_GOLDEN / "zeta.json"), "--t0", "16"],
+    "bound": ["bound", "--input", str(CLI_GOLDEN / "zeta.json"), "--t0", "16", "--t", "100"],
+    "verify": ["verify", "--input", str(CLI_GOLDEN / "zeta.json"),
+               "--zeros", str(DATA_DIR / "zeta_zeros_200.txt"), "--t0", "16", "--t", "100"],
+}
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_ARGV.items())
 def test_cli_output_matches_golden_bytes(capsys, monkeypatch, name, argv):
     monkeypatch.delenv("ZEROBOUND_PRECISION", raising=False)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.encode("utf-8") == (CLI_GOLDEN / f"{name}.json").read_bytes()
+
+
+# --- the parser, built once per process -------------------------------------------------
+
+#: every golden output: the four above and the published table, one per subcommand
+GOLDEN_RUNS = [
+    *((CLI_GOLDEN / f"{name}.json", argv) for name, argv in GOLDEN_ARGV.items()),
+    (Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "table.out",
+     ["table", "--preset", "newform"]),
+]
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    made = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    counts = []
+    for _, argv in GOLDEN_RUNS * 2:
+        before = len(made)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        counts.append(len(made) - before)
+    # the root parser and its five subcommands, on the first call only
+    assert counts == [6] + [0] * 9
+    assert made == ["zerobound", *(f"zerobound {c}" for c in
+                                   ("params", "constants", "bound", "table", "verify"))]
+
+
+def test_a_bad_call_leaves_the_next_good_one_unchanged(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("ZEROBOUND_PRECISION", raising=False)
+    for golden, argv in GOLDEN_RUNS:
+        expected = golden.read_bytes()
+        code, out, err = run_cli(capsys, *argv, "--bogus")
+        assert (code, out) == (1, "") and "unrecognized arguments: --bogus" in err
+        code, out, _ = run_cli(capsys, argv[0], "-h")
+        assert code == 0 and out.startswith(f"usage: zerobound {argv[0]} [-h]")
+        target = tmp_path / golden.name
+        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_bytes() == expected
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.encode("utf-8") == expected

@@ -306,6 +306,20 @@ def test_envelope_band_consistency_at_three(nf12_pair):
     assert mid >= data.a1 * math.pi ** 2 / 6.0
 
 
+def test_envelope_past_the_float_range_is_domain_error():
+    # |Im mu_cap| = 4000 enters the exponent of both the middle and the left band
+    from zerobound import GammaFactor, LFunctionData, min_admissible_height, select_strip
+
+    data = LFunctionData((GammaFactor(1.0, 0.5 + 1000j),), Q=1, omega=1, k=0, a1=1)
+    strip = select_strip(data.a1)
+    T = min_admissible_height(data, strip).value
+    for sigma in (0.0, -3.0):
+        with pytest.raises(DomainError, match=f"sigma = {sigma}, t = {T} exceeds the float range"):
+            magnitude_envelope(data, strip, sigma, T, T)
+    for sigma in (3.0, 4.0):
+        assert magnitude_envelope(data, strip, sigma, T, T) == data.a1 * math.pi ** 2 / 6.0
+
+
 def test_envelope_window_domain(nf12_pair):
     data, strip = nf12_pair
     with pytest.raises(DomainError):

@@ -249,7 +249,7 @@ def test_tail_sum_divergent():
         with pytest.raises(DomainError):
             tail_sum(x, 1.0)
     # a non-finite coefficient would make the sum nan or inf
-    for a1 in (math.inf, -math.inf, math.nan):
+    for a1 in (math.inf, -math.inf, math.nan, 10 ** 400):
         with pytest.raises(DomainError, match="finite coefficient a1"):
             tail_sum(3.0, a1)
 
@@ -343,6 +343,9 @@ def test_select_strip_rejects_small_a1():
     for a1 in (0.9, math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError, match="^a1 must be finite and >= 1, got"):
             select_strip(a1)
+    # an int past the float range
+    with pytest.raises(ValidationError, match="^a1 is too large to convert to a float"):
+        select_strip(10 ** 400)
 
 
 def test_strip_params_checks_its_shape():
