@@ -191,9 +191,10 @@ def main(argv: list[str] | None = None) -> int:
     """Run one zerobound command and return its exit code.
 
     The argument parser is built on the first call and reused by every later
-    call in the process.  Each call still reads argv, the environment
-    (COLUMNS, ZEROBOUND_PRECISION) and the current sys.stdout and sys.stderr
-    afresh.  The reused parser is no reason to call main from several
+    call in the process; that saves time only where one process calls main
+    more than once, since a zerobound command calls it once.  Each call
+    still reads argv, the environment (COLUMNS, ZEROBOUND_PRECISION) and the
+    current sys.stdout and sys.stderr afresh.  The reused parser is no reason to call main from several
     threads: its output goes to the process-wide streams, which
     contextlib.redirect_stdout swaps for the whole process.
     """
