@@ -99,15 +99,9 @@ def vertical_integral_bound() -> float:
     return math.pi ** 2 / (3.0 * LOG2)
 
 
-def _log_a1_zeta2(data: LFunctionData) -> float:
-    """log(a1 pi^2/6), the coefficient-tail term of every disc bound."""
-    return math.log(data.a1 * math.pi ** 2 / 6.0)
-
-
 def _reflection_head(data: LFunctionData, c: float) -> float:
     """max(2.5 log(lambda Q^2), c log(lambda Q^2)), the head of the reflection branch."""
-    log_lq2 = math.log(data.lambda_q2)
-    return max(2.5 * log_lq2, c * log_lq2)
+    return max(2.5 * data.log_lambda_q2, c * data.log_lambda_q2)
 
 
 def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float:
@@ -124,20 +118,18 @@ def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float
 def _disc_bound(data: LFunctionData, strip: StripParams, sup: float, T: float) -> float:
     """disc_count_bound at an admissible T, given the ratio-error sup there."""
     d, im = data.degree, data.mu_cap.imag
-    a, r = strip.a, strip.R
-    two_r = 2.0 * r
-    c = 0.5 - a + two_r
-    edge = abs(complex(1.0, -(a + two_r) / (T - two_r)))
+    two_r, right, c = strip.two_r, strip.right_edge, strip.disc_slope
+    edge = abs(complex(1.0, -right / (T - two_r)))
     reflect = (
         _reflection_head(data, c)
         - 2.0 * d
         + edge * d * c
-        + d * (a + two_r)
-        + (a + two_r) / (T - two_r) * abs(im / 2.0)
+        + d * right
+        + right / (T - two_r) * abs(im / 2.0)
     )
     return (
         d * c * math.log(2.0 * T)
-        + _log_a1_zeta2(data)
+        + data.log_a1_zeta2
         + sup
         + max(reflect, _log_interp_peak(data, 0.0))
     ) / LOG2
@@ -188,16 +180,13 @@ def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> Bran
     branch's h1 is max(h1_reflect, h1_interp): its h2 payload decays with
     T, so the interpolation constant can overtake it above T0.
     """
-    two_r = 2.0 * strip.R
-    if not two_r < T0 < math.inf:
-        raise DomainError(f"needs finite T0 > 2R = {two_r}, got {T0}")
-    d = data.degree
-    a, r = strip.a, strip.R
-    c = 0.5 - a + two_r
-    h1_reflect = _reflection_head(data, c) + d * (-1.5 + 4.0 * r)
-    h2_reflect = d * c * (a + two_r) + (a + two_r) * abs(data.mu_cap.imag / 2.0)
+    if not strip.two_r < T0 < math.inf:
+        raise DomainError(f"needs finite T0 > 2R = {strip.two_r}, got {T0}")
+    d, right, c = data.degree, strip.right_edge, strip.disc_slope
+    h1_reflect = _reflection_head(data, c) + d * (-1.5 + 4.0 * strip.R)
+    h2_reflect = d * c * right + right * abs(data.mu_cap.imag / 2.0)
     h1_interp = _log_interp_peak(data, 0.0)
-    if h1_reflect + h2_reflect / (T0 - two_r) > h1_interp:
+    if h1_reflect + h2_reflect / (T0 - strip.two_r) > h1_interp:
         return BranchConstants(alpha=0, h1=max(h1_reflect, h1_interp), h2=h2_reflect)
     return BranchConstants(alpha=1, h1=h1_interp, h2=0.0)
 
@@ -219,21 +208,20 @@ class _Window(_Value):
         object.__setattr__(self, "strip", strip)
         object.__setattr__(self, "T0", T0)
         require_admissible(data, strip, T0, label="T0")
-        object.__setattr__(self, "K", _kernel_sum(data, -(strip.a + 2.0 * strip.R)))
+        object.__setattr__(self, "K", _kernel_sum(data, -strip.right_edge))
         object.__setattr__(self, "ratio_slope", _ratio_error_slope(data, strip))
         object.__setattr__(self, "slope", _log_slope(data, strip, self.ratio_slope))
         object.__setattr__(self, "bc", branch_constants(data, strip, T0))
         object.__setattr__(self, "r2_t0", _disc_bound(data, strip, self.sup(T0), T0))
-        head = data.degree / TWO_PI * T0 * math.log(T0 / math.e) + T0 / TWO_PI * abs(
-            math.log(data.lambda_q2)
-        )
+        head = data.degree / TWO_PI * T0 * math.log(T0 / math.e)
+        head += T0 / TWO_PI * abs(data.log_lambda_q2)
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "trivial", trivial_zero_window(data, strip))
         object.__setattr__(self, "coefficients", self._coefficients())
 
     def sup(self, T: float) -> float:
         """ratio_error_sup(T) for T > 2R."""
-        return self.K / (T - 2.0 * self.strip.R)
+        return self.K / (T - self.strip.two_r)
 
     def at(self, T: float) -> tuple[float, float, float]:
         """(R1, R2(T), window total) at a finite T > T0."""
@@ -255,12 +243,10 @@ class _Window(_Value):
 
     def _coefficients(self) -> tuple[Coefficients, Coefficients]:
         """The window_coefficients and doubling_coefficients triples."""
-        d, T0, bc = self.data.degree, self.T0, self.bc
-        a, b, r = self.strip.a, self.strip.b, self.strip.R
-        two_r = 2.0 * r
-        c = 0.5 - a + two_r
+        d, T0, bc, log_a1_zeta2 = self.data.degree, self.T0, self.bc, self.data.log_a1_zeta2
+        b, r, two_r, c = self.strip.b, self.strip.R, self.strip.two_r, self.strip.disc_slope
         r1 = _log_integral(self.data, self.strip, self.slope, T0, 1.0) + 3.0 * d * (b * b + b) / T0
-        r2_t = d * c + (_log_a1_zeta2(self.data) + bc.h1) / LOG2
+        r2_t = d * c + (log_a1_zeta2 + bc.h1) / LOG2
         main = Coefficients(
             c1=self.slope / TWO_PI + (r - 0.5) * d * c / LOG2,
             c2=self._total(r1, r2_t),
@@ -270,8 +256,8 @@ class _Window(_Value):
             LOG2 * self.slope / TWO_PI
             + 2.0 * vertical_integral_bound() / math.pi
             + 4.0 * r - 2.0
-            + 3.0 * d * (2.0 * r - 1.0) * c
-            + (2.0 * r - 1.0) / LOG2 * (_log_a1_zeta2(self.data) + bc.h1)
+            + 3.0 * d * (two_r - 1.0) * c
+            + (two_r - 1.0) / LOG2 * (log_a1_zeta2 + bc.h1)
         )
         dbl_c3 = (
             3.0 * d * (b * b + b) / (4.0 * math.pi)
@@ -279,7 +265,7 @@ class _Window(_Value):
             * T0 * (3.0 * T0 - 4.0 * r) / (2.0 * (T0 - two_r) * (T0 - r))
             * (self.sup(T0) + bc.h2)
         )
-        return main, Coefficients(c1=d / LOG2 * (2.0 * r - 1.0) * c, c2=dbl_c2, c3=dbl_c3)
+        return main, Coefficients(c1=d / LOG2 * (two_r - 1.0) * c, c2=dbl_c2, c3=dbl_c3)
 
     def report(self, T: float) -> BoundReport:
         """The bound_report at height T."""

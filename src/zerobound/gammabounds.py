@@ -81,6 +81,12 @@ def _kernel_sum(data: LFunctionData, x: float) -> float:
     return math.fsum(_factor_kernels(data, x))
 
 
+def _require_remainder_height(data: LFunctionData, t: float) -> None:
+    """Raise AdmissibilityError unless t is finite and at or above data.threshold_height."""
+    if not (h := data.threshold_height) <= t < math.inf:
+        raise AdmissibilityError(f"needs finite t at or above the remainder threshold {h}, got {t}")
+
+
 def remainder_pair_bound(data: LFunctionData, j: int, sigma: float, t: float) -> float:
     """Bound for |W(-lam_j s)| + |W(lam_j s)| at s = sigma + i t.
 
@@ -88,9 +94,7 @@ def remainder_pair_bound(data: LFunctionData, j: int, sigma: float, t: float) ->
     away from the branch cut and the flat secant factor 2 covers the side
     whose half-argument stays below pi/4.
     """
-    h = data.threshold_height
-    if not h <= t < math.inf:
-        raise AdmissibilityError(f"needs finite t at or above the remainder threshold {h}, got {t}")
+    _require_remainder_height(data, t)
     return B2 / (2.0 * data.factors[j].lam * t) * _pair_secant(data, -abs(sigma))
 
 
@@ -101,15 +105,14 @@ def ratio_error_bound(data: LFunctionData, j: int, sigma: float, t: float) -> fl
     lam_j t, which under-estimates |lam_j s| and so over-estimates the
     error) plus the paired Stirling-remainder bound.  Scales exactly as 1/t.
     """
-    h = data.threshold_height
-    if not h <= t < math.inf:
-        raise AdmissibilityError(f"needs finite t at or above the remainder threshold {h}, got {t}")
+    _require_remainder_height(data, t)
     return _factor_kernels(data, -abs(sigma))[j] / t
 
 
 def ratio_error_total(data: LFunctionData, sigma: float, t: float) -> float:
     """Sum of ratio_error_bound over all factors."""
-    return math.fsum(ratio_error_bound(data, j, sigma, t) for j in range(data.f))
+    _require_remainder_height(data, t)
+    return math.fsum(k / t for k in _factor_kernels(data, -abs(sigma)))
 
 
 def ratio_error_sup(data: LFunctionData, strip: StripParams, T: float) -> float:
@@ -118,10 +121,9 @@ def ratio_error_sup(data: LFunctionData, strip: StripParams, T: float) -> float:
     Covers sigma in [a - 2R, a + 2R] and t in [T - 2R, T + 2R]; only the
     prefactor 1/(T - 2R) depends on T.  Requires finite T > 2R.
     """
-    two_r = 2.0 * strip.R
-    if not two_r < T < math.inf:
-        raise DomainError(f"supremum envelope needs finite T > 2R = {two_r}, got {T}")
-    return _kernel_sum(data, -(strip.a + two_r)) / (T - two_r)
+    if not strip.two_r < T < math.inf:
+        raise DomainError(f"supremum envelope needs finite T > 2R = {strip.two_r}, got {T}")
+    return _kernel_sum(data, -strip.right_edge) / (T - strip.two_r)
 
 
 def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:
@@ -148,7 +150,7 @@ def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:
     swing = cmath.log(1.0 - complex(0.0, sigma) / t)
     weight = d * (0.5 - s) + complex(0.0, data.mu_cap.imag / 2.0)
     return (
-        (0.5 - sigma) * (d * math.log(t) + math.log(data.lambda_q2))
+        (0.5 - sigma) * (d * math.log(t) + data.log_lambda_q2)
         + d * sigma
         + (swing * weight).real
     )
@@ -163,8 +165,8 @@ def _log_interp_peak(data: LFunctionData, err: float) -> float:
     band's peak in magnitude_envelope: 2^(2.5 d + 1) times the larger of the
     right-edge constant 3^k a1 pi^2 / 6 and the left-edge one, exp(e) times it.
     """
-    lq2, d, im = data.lambda_q2, data.degree, data.mu_cap.imag
-    e = 2.5 * math.log(lq2) + 2.5 * math.sqrt(5.0) * d + abs(im) + err
+    d, im = data.degree, data.mu_cap.imag
+    e = 2.5 * data.log_lambda_q2 + 2.5 * math.sqrt(5.0) * d + abs(im) + err
     return (2.5 * d + 1.0) * math.log(2.0) + data.k * math.log(3.0) + max(0.0, e)
 
 
@@ -183,9 +185,8 @@ def magnitude_envelope(
     if not math.isfinite(sigma):
         raise DomainError(f"need a finite real part sigma, got {sigma}")
     require_admissible(data, strip, T)
-    two_r = 2.0 * strip.R
-    if not (T - two_r <= t <= T + two_r):
-        raise DomainError(f"t = {t} outside the window [{T - two_r}, {T + two_r}]")
+    if not (T - strip.two_r <= t <= T + strip.two_r):
+        raise DomainError(f"t = {t} outside the window [{T - strip.two_r}, {T + strip.two_r}]")
     const = data.a1 * math.pi ** 2 / 6.0
     if sigma >= 3.0:
         return const
@@ -193,7 +194,7 @@ def magnitude_envelope(
         expo = reflection_log_main(data, sigma, t) + ratio_error_total(data, sigma, t)
         power = 0.0
     else:
-        expo = _log_interp_peak(data, _kernel_sum(data, -2.0) / (T - two_r))
+        expo = _log_interp_peak(data, _kernel_sum(data, -2.0) / (T - strip.two_r))
         power = 0.5 * data.degree * (3.0 - sigma)
     try:
         value = const * math.exp(expo) * t ** power

@@ -5,14 +5,14 @@ from __future__ import annotations
 import math
 
 from .newform import NewformSpec, newform_params, newform_strip
-from .selberg import GammaFactor, LFunctionData, StripParams, select_strip
+from .selberg import GammaFactor, LFunctionData, StripParams
 
 
 def zeta() -> tuple[LFunctionData, StripParams]:
     """The Riemann-zeta-shaped datum.
 
     One factor Gamma(s/2), conductor factor pi^(-1/2), simple pole (k = 1),
-    a1 = 1, so the default strip (3, -4) applies and lambda Q^2 = 1/(2 pi).
+    a1 = 1, so the newform strip (3, -4) applies and lambda Q^2 = 1/(2 pi).
     """
     data = LFunctionData(
         factors=(GammaFactor(0.5, 0j),),
@@ -21,7 +21,7 @@ def zeta() -> tuple[LFunctionData, StripParams]:
         k=1,
         a1=1.0,
     )
-    return data, select_strip(1.0)
+    return data, newform_strip()
 
 
 def newform(level: int, weight: int) -> tuple[LFunctionData, StripParams]:

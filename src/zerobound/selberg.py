@@ -139,6 +139,8 @@ class LFunctionData(_Value):
     degree           : d = 2 * sum_j lam_j
     lambda_cap       : prod_j lam_j^(2 lam_j)
     lambda_q2        : lambda_cap * Q^2, the combination entering every main term
+    log_lambda_q2    : log(lambda Q^2)
+    log_a1_zeta2     : log(a1 pi^2 / 6); inf where a1 pi^2 overflows, for a1 > ~1.82e307
     mu_cap           : 4 * sum_j (1/2 - mu_j); only its imaginary part enters a bound
     shift_max        : max_j 2|lam_j + conj(mu_j)| / lam_j, the gamma-shift admissibility term
     arg_max          : max_j 2|mu_j| / lam_j, the gamma-argument admissibility term
@@ -204,6 +206,8 @@ class LFunctionData(_Value):
             ("degree", degree),
             ("lambda_cap", lambda_cap),
             ("lambda_q2", lambda_q2),
+            ("log_lambda_q2", math.log(lambda_q2)),
+            ("log_a1_zeta2", math.log(a1 * math.pi ** 2 / 6.0)),
             ("mu_cap", mu_cap),
             ("shift_max", shift_max),
             ("arg_max", arg_max),
@@ -253,9 +257,15 @@ def tail_sum(x: float, a1: float) -> float:
 class StripParams(_Value):
     """Abscissae of the counting rectangle: finite a > 2 and b < -3, R = a - b.
 
-    Construct through select_strip so the two tail-sum conditions are
-    actually verified; the constructor itself only checks the cheap shape
-    invariants.
+    Construct through select_strip, which verifies the two tail-sum
+    conditions; the constructor checks only the shape invariants and computes
+    the strip-only invariants below, once, leaving them out of repr, == and hash.
+
+    Invariants
+    ----------
+    two_r      : 2R, the half-height of the counting rectangle
+    right_edge : a + 2R, the right edge of the rectangle's disc
+    disc_slope : 1/2 - a + 2R, the disc bound's coefficient of d log(2T)
     """
 
     def __init__(self, a: float, b: float, R: float) -> None:
@@ -269,6 +279,9 @@ class StripParams(_Value):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "R", R)
+        object.__setattr__(self, "two_r", 2.0 * R)
+        object.__setattr__(self, "right_edge", a + self.two_r)
+        object.__setattr__(self, "disc_slope", 0.5 - a + self.two_r)
 
 
 def select_strip(a1: float, a: float | None = None, b: float | None = None) -> StripParams:
@@ -362,14 +375,13 @@ def _constraints(data: LFunctionData, strip: StripParams) -> list[tuple[str, flo
 
     The last triple is the gamma-argument constraint, the only strict one.
     """
-    two_r = 2.0 * strip.R
     cons = [
-        ("base-window", _sum_up(two_r, 1.0), False),
-        ("gamma-shift", _sum_up(two_r, data.shift_max), False),
+        ("base-window", _sum_up(strip.two_r, 1.0), False),
+        ("gamma-shift", _sum_up(strip.two_r, data.shift_max), False),
     ]
     if data.k > 0:
-        cons.append(("pole-window", _sum_up(two_r, _pole_window(data.k)), False))
-    cons.append(("gamma-argument", _sum_up(two_r, data.arg_max), True))
+        cons.append(("pole-window", _sum_up(strip.two_r, _pole_window(data.k)), False))
+    cons.append(("gamma-argument", _sum_up(strip.two_r, data.arg_max), True))
     return cons
 
 
@@ -413,8 +425,8 @@ def main_term(data: LFunctionData, T: float) -> float:
     """Smooth zero-count term (d / 2 pi) T log(T/e) + (T / 2 pi) log(lambda Q^2)."""
     if not 0.0 < T < math.inf:
         raise DomainError(f"main term needs finite T > 0, got {T}")
-    d, lq2 = data.degree, data.lambda_q2
-    return d / (2.0 * math.pi) * T * math.log(T / math.e) + T / (2.0 * math.pi) * math.log(lq2)
+    d, log_lq2 = data.degree, data.log_lambda_q2
+    return d / (2.0 * math.pi) * T * math.log(T / math.e) + T / (2.0 * math.pi) * log_lq2
 
 
 def _number(obj: dict, key: str, factor: int | None = None, default: float | None = None) -> float:

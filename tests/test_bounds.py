@@ -414,7 +414,7 @@ def test_bound_report_fields(nf12_pair):
 
 
 INVARIANTS = (
-    "degree", "lambda_cap", "lambda_q2", "mu_cap",
+    "degree", "lambda_cap", "lambda_q2", "log_lambda_q2", "log_a1_zeta2", "mu_cap",
     "shift_max", "arg_max", "threshold_height", "series_blocks",
 )
 

@@ -235,14 +235,6 @@ def test_table_out_file(tmp_path, capsys):
     assert target.read_text().startswith("N,kappa,T0,")
 
 
-def test_table_deterministic_across_processes():
-    cmd = [sys.executable, "-m", "zerobound.cli", "table", "--preset", "newform"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
-    assert first.stdout == second.stdout
-    assert first.stdout.decode().count("\n") == 26
-
-
 #: the import check CI's stdlib-only step runs: the CLI's import leaves out the
 #: modules only some commands need (or none: the value types are not dataclasses,
 #: and read their fields from __init__'s code object, not through inspect); nor
@@ -264,6 +256,30 @@ def test_cli_import_loads_no_dataclasses_resources_or_inspect():
     done = subprocess.run([sys.executable, "-S", "-c", IMPORT_CHECK], env=env,
                           capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+#: the package's export list; a lazier zerobound/__init__.py must keep it
+EXPORTS = [
+    "AdmissibilityError", "AdmissibleHeight", "BoundReport", "BoundaryWarning",
+    "BranchConstants", "Coefficients", "DomainError", "GammaFactor", "InvalidStripError",
+    "LFunctionData", "NewformSpec", "StripParams", "ValidationError", "VerificationReport",
+    "ZeroFileError", "ZeroList", "ZeroboundError", "argument_integral_bound", "bound_report",
+    "bounds", "branch_constants", "ceil_guarded", "check_bound", "count_window",
+    "disc_count_bound", "doubling_coefficients", "errors", "gammabounds",
+    "integrated_ratio_error", "load_document", "load_zeros", "log_integral_bound",
+    "magnitude_envelope", "main_term", "min_admissible_height", "newform", "newform_params",
+    "newform_strip", "pipeline_constants", "ratio_error_bound", "ratio_error_sup",
+    "ratio_error_total", "reflection_log_main", "remainder_pair_bound", "require_admissible",
+    "selberg", "select_strip", "shifted_constant", "stirling_remainder_bound",
+    "table_generate", "table_row", "tail_sum", "total_count_error", "trivial_zero_window",
+    "vertical_integral_bound", "window_coefficients", "zeros",
+]
+
+
+def test_export_list_is_pinned():
+    import zerobound
+
+    assert sorted(zerobound.__all__) == EXPORTS
 
 
 # --- verify ---------------------------------------------------------------------------

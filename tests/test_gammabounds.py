@@ -75,6 +75,10 @@ def test_remainder_bound_domain():
         stirling_remainder_bound(0)
     with pytest.raises(DomainError):
         stirling_remainder_bound(-3.0)
+    # arg(z) is within 1e-13 of pi, so cos(arg(z) / 2) is below the secant guard
+    too_close = "^secant argument .+ too close to an odd multiple of pi/2$"
+    with pytest.raises(DomainError, match=too_close):
+        stirling_remainder_bound(complex(-1e13, 1.0))
 
 
 def test_remainder_bound_actually_majorizes():

@@ -81,7 +81,7 @@ def test_params_level_four_weight_two():
     assert data.omega == -1 + 0j  # i^2
 
 
-def test_conductor_product_is_level_over_four_pi_squared():
+def test_lambda_q2_is_level_over_four_pi_squared():
     for level in (1, 4, 64):
         data = newform_params(NewformSpec(level, 12))
         assert data.lambda_q2 == pytest.approx(

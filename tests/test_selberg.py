@@ -141,14 +141,14 @@ def test_document_rejects_mistyped_fields(nf12_pair, field, value):
 
 # --- derived quantities ------------------------------------------------------
 
-def test_derive_quantities_newform(nf12_pair):
+def test_newform_datum_invariants(nf12_pair):
     data, _ = nf12_pair
     assert data.degree == 2.0
     assert data.lambda_cap == 1.0
     assert data.mu_cap == complex(4 - 2 * 12, 0)  # 4 - 2*kappa
 
 
-def test_derive_quantities_zeta(zeta_pair):
+def test_zeta_datum_invariants(zeta_pair):
     data, _ = zeta_pair
     assert data.degree == 1.0
     assert data.lambda_cap == pytest.approx(0.5, rel=1e-15)
@@ -156,7 +156,7 @@ def test_derive_quantities_zeta(zeta_pair):
     assert data.lambda_q2 == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
 
 
-def test_derive_quantities_is_pure(nf12_pair):
+def test_rebuilt_datum_has_equal_invariants(nf12_pair):
     data, _ = nf12_pair
     fresh = LFunctionData(data.factors, data.Q, data.omega, data.k, data.a1)
     for name in ("degree", "lambda_cap", "lambda_q2", "mu_cap"):
@@ -173,6 +173,8 @@ def _lazy_invariants(data):
         "degree": 2.0 * math.fsum(f.lam for f in fs),
         "lambda_cap": lambda_cap,
         "lambda_q2": lambda_cap * data.Q * data.Q,
+        "log_lambda_q2": math.log(lambda_cap * data.Q * data.Q),
+        "log_a1_zeta2": math.log(data.a1 * math.pi ** 2 / 6.0),
         "mu_cap": sum((4.0 * (0.5 - f.mu) for f in fs), 0j),
         "shift_max": shift_max,
         "arg_max": arg_max,
@@ -361,6 +363,26 @@ def test_strip_params_checks_its_shape():
     ):
         with pytest.raises(InvalidStripError, match=message):
             StripParams(a, b, R)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=2.0, exclude_min=True, allow_infinity=False),
+    st.floats(max_value=-3.0, exclude_max=True, allow_infinity=False),
+)
+def test_strip_invariants_match_their_expressions(a, b):
+    # computed at construction, each strip invariant is bit-equal to its
+    # expression; repr, == and hash still see a, b and R only
+    strip = StripParams(a, b, a - b)
+    R = strip.R
+    assert {name: vars(strip)[name].hex() for name in ("two_r", "right_edge", "disc_slope")} == {
+        "two_r": (2.0 * R).hex(),
+        "right_edge": (a + 2.0 * R).hex(),
+        "disc_slope": (0.5 - a + 2.0 * R).hex(),
+    }
+    twin = StripParams(strip.a, strip.b, strip.R)
+    assert twin == strip and hash(twin) == hash(strip) == hash((a, b, R))
+    assert repr(strip) == f"StripParams(a={a!r}, b={b!r}, R={R!r})"
 
 
 # --- admissible heights -----------------------------------------------------------

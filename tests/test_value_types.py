@@ -223,8 +223,8 @@ def test_zero_list_label_defaults_to_empty():
 def test_datum_invariants_stay_out_of_repr_eq_and_hash(values):
     data = values["LFunctionData"]
     assert set(vars(data)) - set(FIELDS["LFunctionData"]) == {
-        "degree", "lambda_cap", "lambda_q2", "mu_cap", "shift_max", "arg_max",
-        "threshold_height", "series_blocks", "_hash",
+        "degree", "lambda_cap", "lambda_q2", "log_lambda_q2", "log_a1_zeta2", "mu_cap",
+        "shift_max", "arg_max", "threshold_height", "series_blocks", "_hash",
     }
     assert hash(data) == hash(tuple(getattr(data, f) for f in FIELDS["LFunctionData"]))
 

@@ -163,7 +163,7 @@ def write_lines(path, rng, lines, crlf):
     specials=st.lists(special_lines, max_size=40),
     crlf=st.booleans(),
 )
-def test_chunked_load_matches_reference(tmp_path_factory, seed, filler, specials, crlf):
+def test_block_load_matches_reference(tmp_path_factory, seed, filler, specials, crlf):
     rng = random.Random(seed)
     path = tmp_path_factory.mktemp("zeros") / "z.txt"
     write_lines(path, rng, table_lines(rng, filler, specials), crlf)
@@ -180,7 +180,7 @@ def test_chunked_load_matches_reference(tmp_path_factory, seed, filler, specials
     bad=st.lists(bad_lines, min_size=1, max_size=3),
     crlf=st.booleans(),
 )
-def test_chunked_load_names_first_bad_line(tmp_path_factory, seed, specials, bad, crlf):
+def test_block_load_names_first_bad_line(tmp_path_factory, seed, specials, bad, crlf):
     # the first bad line falls past line 4,500, and so past the first 64 KiB chunk
     rng = random.Random(seed)
     path = tmp_path_factory.mktemp("zeros") / "z.txt"
@@ -197,7 +197,7 @@ def test_chunked_load_names_first_bad_line(tmp_path_factory, seed, specials, bad
     assert str(got.value) == str(expected.value)
 
 
-def test_chunked_load_reports_errors_in_file_order(tmp_path):
+def test_block_load_reports_errors_in_file_order(tmp_path):
     # a non-positive entry in the first chunk comes before an unparsable one in a later chunk
     lines = [f"{10.0 + i / 7:.10f}" for i in range(20_000)]
     lines[1] = "-2.0"
