@@ -168,9 +168,7 @@ class BranchConstants(_Value):
     """
 
     def __init__(self, alpha: int, h1: float, h2: float) -> None:
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", h2)
+        self._set(alpha=alpha, h1=h1, h2=h2)
 
 
 def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> BranchConstants:
@@ -204,20 +202,18 @@ class _Window(_Value):
     """
 
     def __init__(self, data: LFunctionData, strip: StripParams, T0: float) -> None:
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "strip", strip)
-        object.__setattr__(self, "T0", T0)
         require_admissible(data, strip, T0, label="T0")
-        object.__setattr__(self, "K", _kernel_sum(data, -strip.right_edge))
-        object.__setattr__(self, "ratio_slope", _ratio_error_slope(data, strip))
-        object.__setattr__(self, "slope", _log_slope(data, strip, self.ratio_slope))
-        object.__setattr__(self, "bc", branch_constants(data, strip, T0))
-        object.__setattr__(self, "r2_t0", _disc_bound(data, strip, self.sup(T0), T0))
+        K = _kernel_sum(data, -strip.right_edge)
+        ratio_slope = _ratio_error_slope(data, strip)
         head = data.degree / TWO_PI * T0 * math.log(T0 / math.e)
         head += T0 / TWO_PI * abs(data.log_lambda_q2)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "trivial", trivial_zero_window(data, strip))
-        object.__setattr__(self, "coefficients", self._coefficients())
+        self._set(
+            data=data, strip=strip, T0=T0, K=K, ratio_slope=ratio_slope,
+            slope=_log_slope(data, strip, ratio_slope), bc=branch_constants(data, strip, T0),
+            r2_t0=_disc_bound(data, strip, K / (T0 - strip.two_r), T0), head=head,
+            trivial=trivial_zero_window(data, strip),
+        )
+        self._set(coefficients=self._coefficients())  # reads the fields set above
 
     def sup(self, T: float) -> float:
         """ratio_error_sup(T) for T > 2R."""
@@ -313,9 +309,7 @@ class Coefficients(_Value):
     """One (c1, c2, c3) triple of the flattened bound c1 log T + c2 + c3/T."""
 
     def __init__(self, c1: float, c2: float, c3: float) -> None:
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "c3", c3)
+        self._set(c1=c1, c2=c2, c3=c3)
 
     def evaluate(self, T: float) -> float:
         if not 0.0 < T < math.inf:
@@ -386,24 +380,11 @@ class BoundReport(_Value):
             raise ValidationError("non-positive count bound in bound report")
         if alpha not in (0, 1):
             raise ValidationError(f"alpha must be 0 or 1, got {alpha}")
-        object.__setattr__(self, "T0", T0)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "R1", R1)
-        object.__setattr__(self, "V_star_T0", V_star_T0)
-        object.__setattr__(self, "V_star_T", V_star_T)
-        object.__setattr__(self, "R2_T0", R2_T0)
-        object.__setattr__(self, "R2_T", R2_T)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", h2)
-        object.__setattr__(self, "R_total", R_total)
-        object.__setattr__(self, "c1_main", c1_main)
-        object.__setattr__(self, "c2_main", c2_main)
-        object.__setattr__(self, "c3_main", c3_main)
-        object.__setattr__(self, "c1_dbl", c1_dbl)
-        object.__setattr__(self, "c2_dbl", c2_dbl)
-        object.__setattr__(self, "c3_dbl", c3_dbl)
+        self._set(
+            T0=T0, T=T, S=S, R1=R1, V_star_T0=V_star_T0, V_star_T=V_star_T, R2_T0=R2_T0,
+            R2_T=R2_T, alpha=alpha, h1=h1, h2=h2, R_total=R_total, c1_main=c1_main,
+            c2_main=c2_main, c3_main=c3_main, c1_dbl=c1_dbl, c2_dbl=c2_dbl, c3_dbl=c3_dbl,
+        )
 
     def to_json_dict(self) -> dict:
         """The fields in order, each keyed by its name in lower case."""

@@ -54,8 +54,7 @@ class NewformSpec(_Value):
         if 15 + w > _MAX_EXACT_HEIGHT:
             raise ValidationError(f"weight must be <= {_MAX_EXACT_HEIGHT - 16}, "
                                   f"so that the height 15 + weight is exact in a float")
-        object.__setattr__(self, "level", n)
-        object.__setattr__(self, "weight", w)
+        self._set(level=n, weight=w)
 
     @property
     def min_height(self) -> int:

@@ -58,13 +58,14 @@ class _Value:
     """The behaviour the package's immutable value types share.
 
     A subclass declares its fields once, as the positional parameters of
-    its own __init__, which checks its arguments and sets each field with
-    object.__setattr__; __match_args__ and _fields are those parameter
-    names, in order (two or more).  repr shows the fields as name=value;
-    == between two instances of one class, and hash, use the tuple of the
-    fields' values; every assignment or deletion of an attribute raises
+    its own __init__, which checks its arguments and stores the fields with
+    _set; __match_args__ and _fields are those parameter names, in order
+    (two or more).  repr shows the fields as name=value; == between two
+    instances of one class, and hash, use the tuple of the fields' values;
+    every assignment or deletion of an attribute raises
     dataclasses.FrozenInstanceError.  Attributes an __init__ sets beyond
     its parameters are derived from them and stay out of repr, == and hash.
+    _set is called only from constructors and from zeros.load_zeros.
     """
 
     _fields: tuple[str, ...]
@@ -97,6 +98,10 @@ class _Value:
 
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def _set(self, **fields: object) -> None:
+        """Store fields as attributes, past the frozen __setattr__."""
+        vars(self).update(fields)
+
 
 class GammaFactor(_Value):
     """One factor Gamma(lam * s + mu) of the completed series.
@@ -111,8 +116,7 @@ class GammaFactor(_Value):
             raise ValidationError(f"gamma factor needs finite lam > 0, got {lam}")
         if not (cmath.isfinite(mu) and mu.real >= 0.0):
             raise ValidationError(f"gamma factor needs finite mu with Re(mu) >= 0, got {mu}")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
+        self._set(lam=lam, mu=mu)
 
 
 class LFunctionData(_Value):
@@ -140,7 +144,7 @@ class LFunctionData(_Value):
     lambda_cap       : prod_j lam_j^(2 lam_j)
     lambda_q2        : lambda_cap * Q^2, the combination entering every main term
     log_lambda_q2    : log(lambda Q^2)
-    log_a1_zeta2     : log(a1 pi^2 / 6); inf where a1 pi^2 overflows, for a1 > ~1.82e307
+    log_a1_zeta2     : log(a1 pi^2 / 6)
     mu_cap           : 4 * sum_j (1/2 - mu_j); only its imaginary part enters a bound
     shift_max        : max_j 2|lam_j + conj(mu_j)| / lam_j, the gamma-shift admissibility term
     arg_max          : max_j 2|mu_j| / lam_j, the gamma-argument admissibility term
@@ -197,25 +201,16 @@ class LFunctionData(_Value):
             raise ValidationError(
                 "a gamma factor's series block overflows a float (|mu| is too large)"
             ) from None
-        for name, value in (
-            ("factors", factors),
-            ("Q", Q),
-            ("omega", omega),
-            ("k", k),
-            ("a1", a1),
-            ("degree", degree),
-            ("lambda_cap", lambda_cap),
-            ("lambda_q2", lambda_q2),
-            ("log_lambda_q2", math.log(lambda_q2)),
-            ("log_a1_zeta2", math.log(a1 * math.pi ** 2 / 6.0)),
-            ("mu_cap", mu_cap),
-            ("shift_max", shift_max),
-            ("arg_max", arg_max),
-            ("threshold_height", max(shift_max, arg_max)),
-            ("series_blocks", series_blocks),
-            ("_hash", hash((factors, Q, omega, k, a1))),
-        ):
-            object.__setattr__(self, name, value)
+        log_a1_zeta2 = math.log(a1 * math.pi ** 2 / 6.0)
+        if not log_a1_zeta2 < math.inf:  # a1 pi^2 overflows, for a1 > ~1.82e307
+            raise ValidationError(f"a1 pi^2 / 6 overflows a float, got a1 = {a1}")
+        self._set(
+            factors=factors, Q=Q, omega=omega, k=k, a1=a1, degree=degree,
+            lambda_cap=lambda_cap, lambda_q2=lambda_q2, log_lambda_q2=math.log(lambda_q2),
+            log_a1_zeta2=log_a1_zeta2, mu_cap=mu_cap, shift_max=shift_max, arg_max=arg_max,
+            threshold_height=max(shift_max, arg_max), series_blocks=series_blocks,
+            _hash=hash((factors, Q, omega, k, a1)),
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -276,12 +271,11 @@ class StripParams(_Value):
             raise InvalidStripError(f"strip needs finite b < -3, got b = {b}")
         if R != a - b:
             raise InvalidStripError(f"R must equal a - b, got R = {R}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "two_r", 2.0 * R)
-        object.__setattr__(self, "right_edge", a + self.two_r)
-        object.__setattr__(self, "disc_slope", 0.5 - a + self.two_r)
+        two_r = 2.0 * R
+        right_edge = a + two_r
+        if not right_edge < math.inf:  # right_edge >= 2R >= 0, so this covers R and 2R too
+            raise InvalidStripError(f"strip needs a finite a + 2R, got a = {a}, b = {b}")
+        self._set(a=a, b=b, R=R, two_r=two_r, right_edge=right_edge, disc_slope=0.5 - a + two_r)
 
 
 def select_strip(a1: float, a: float | None = None, b: float | None = None) -> StripParams:
@@ -342,9 +336,7 @@ class AdmissibleHeight(_Value):
     """
 
     def __init__(self, value: float, binding: str, strict_adjusted: bool) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "binding", binding)
-        object.__setattr__(self, "strict_adjusted", strict_adjusted)
+        self._set(value=value, binding=binding, strict_adjusted=strict_adjusted)
 
     def __float__(self) -> float:
         return self.value

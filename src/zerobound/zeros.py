@@ -36,8 +36,7 @@ class ZeroList(_Value):
         # ends decide positivity and finiteness.  The generators below only
         # word the error.
         if all(map(operator.le, t, t[1:])) and (not t or (t[0] > 0.0 and t[-1] < math.inf)):
-            object.__setattr__(self, "ordinates", t)
-            object.__setattr__(self, "source_label", source_label)
+            self._set(ordinates=t, source_label=source_label)
             return
         if any(x <= 0.0 for x in t):
             raise ZeroFileError("all ordinates must be positive")
@@ -95,8 +94,7 @@ def load_zeros(path: str | os.PathLike) -> ZeroList:
         raise _first_bad_line(path)
     # Built past __init__, whose conversion and checks t has just passed.
     zeros = object.__new__(ZeroList)
-    object.__setattr__(zeros, "ordinates", t)
-    object.__setattr__(zeros, "source_label", str(path))
+    zeros._set(ordinates=t, source_label=str(path))
     return zeros
 
 
@@ -161,13 +159,10 @@ class VerificationReport(_Value):
         self, count: int, main_term: float, deviation: float, r_total: float,
         coeff_bound: float, pass_lemma: bool, pass_theorem: bool,
     ) -> None:
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "main_term", main_term)
-        object.__setattr__(self, "deviation", deviation)
-        object.__setattr__(self, "r_total", r_total)
-        object.__setattr__(self, "coeff_bound", coeff_bound)
-        object.__setattr__(self, "pass_lemma", pass_lemma)
-        object.__setattr__(self, "pass_theorem", pass_theorem)
+        self._set(
+            count=count, main_term=main_term, deviation=deviation, r_total=r_total,
+            coeff_bound=coeff_bound, pass_lemma=pass_lemma, pass_theorem=pass_theorem,
+        )
 
     def to_json_dict(self) -> dict:
         """The fields in order, keyed by name."""

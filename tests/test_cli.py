@@ -117,6 +117,20 @@ def test_bad_document_exits_one(newform_doc, tmp_path, capsys, field, value):
     assert err.startswith("zerobound: error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edits, message", [
+    # a1 pi^2 overflows: this failed later, with "a result is not finite"
+    ({"a1": 1.83e307}, "a1 pi^2 / 6 overflows a float, got a1 = 1.83e+307"),
+    # R = a - b overflows, so no height was admissible
+    ({"a": 1e308, "b": -1e308}, "strip needs a finite a + 2R, got a = 1e+308, b = -1e+308"),
+])
+def test_overflowing_invariant_exits_one(newform_doc, tmp_path, capsys, edits, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.loads(newform_doc.read_text()), **edits}))
+    code, out, err = run_cli(capsys, "bound", "--input", str(bad), "--t0", "27", "--t", "100")
+    assert (code, out) == (1, "")
+    assert err == f"zerobound: error: {message}\n"
+
+
 def test_non_utf8_zero_file_exits_one(newform_doc, tmp_path, capsys):
     bad = tmp_path / "zeros.txt"
     bad.write_bytes(b"30.1\n\xff\n")

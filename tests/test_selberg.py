@@ -79,6 +79,16 @@ def test_datum_validation():
         LFunctionData(**{**good, "k": 10 ** 5000})
 
 
+def test_a1_whose_zeta2_product_overflows_is_rejected():
+    # a1 pi^2 overflows: log_a1_zeta2 was inf, and so was every R_total
+    factor = (GammaFactor(0.5, 0j),)
+    with pytest.raises(ValidationError) as err:
+        LFunctionData(factor, Q=1.0, omega=1, k=0, a1=1.83e307)
+    assert str(err.value) == "a1 pi^2 / 6 overflows a float, got a1 = 1.83e+307"
+    data = LFunctionData(factor, Q=1.0, omega=1, k=0, a1=1.8e307)
+    assert data.log_a1_zeta2 == math.log(1.8e307 * math.pi ** 2 / 6.0) < math.inf
+
+
 def test_oversized_integers_are_validation_errors():
     # float() or complex() of an int past the float range raised a bare OverflowError
     big = 10 ** 400
@@ -330,6 +340,9 @@ def test_select_strip_overrides():
         select_strip(1.0, b=-3.0)
     with pytest.raises(InvalidStripError, match="tail_sum"):
         select_strip(8.0, b=-3.5)  # 8 * sum n^-2.5 ~ 2.7 >= 1
+    # both overrides pass their tail sums, but R = a - b is inf
+    with pytest.raises(InvalidStripError, match=r"finite a \+ 2R, got a = 1e\+308, b = -1e\+308$"):
+        select_strip(1.0, a=1e308, b=-1e308)
 
 
 def test_select_strip_huge_coefficient():
@@ -360,6 +373,8 @@ def test_strip_params_checks_its_shape():
         (3.0, math.nan, math.nan, "finite b < -3, got b = nan"),
         (3.0, -math.inf, math.inf, "finite b < -3, got b = -inf"),
         (3.0, -4.0, 7.5, "R must equal a - b, got R = 7.5"),
+        # R is finite, 2R is not
+        (5e307, -5e307, 1e308, r"finite a \+ 2R, got a = 5e\+307, b = -5e\+307$"),
     ):
         with pytest.raises(InvalidStripError, match=message):
             StripParams(a, b, R)
@@ -373,6 +388,10 @@ def test_strip_params_checks_its_shape():
 def test_strip_invariants_match_their_expressions(a, b):
     # computed at construction, each strip invariant is bit-equal to its
     # expression; repr, == and hash still see a, b and R only
+    if not a + 2.0 * (a - b) < math.inf:
+        with pytest.raises(InvalidStripError, match=r"finite a \+ 2R"):
+            StripParams(a, b, a - b)
+        return
     strip = StripParams(a, b, a - b)
     R = strip.R
     assert {name: vars(strip)[name].hex() for name in ("two_r", "right_edge", "disc_slope")} == {

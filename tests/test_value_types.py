@@ -21,6 +21,7 @@ from zerobound import (
     bound_report,
     branch_constants,
     check_bound,
+    load_zeros,
     min_admissible_height,
     presets,
     window_coefficients,
@@ -92,6 +93,18 @@ FIELDS = {
     "ZeroList": ("ordinates", "source_label"),
     "VerificationReport": (
         "count", "main_term", "deviation", "r_total", "coeff_bound", "pass_lemma", "pass_theorem",
+    ),
+}
+
+#: the attributes a constructor stores beyond the fields, derived from them
+DERIVED = {
+    "LFunctionData": (
+        "degree", "lambda_cap", "lambda_q2", "log_lambda_q2", "log_a1_zeta2", "mu_cap",
+        "shift_max", "arg_max", "threshold_height", "series_blocks", "_hash",
+    ),
+    "StripParams": ("two_r", "right_edge", "disc_slope"),
+    "_Window": (
+        "K", "ratio_slope", "slope", "bc", "r2_t0", "head", "trivial", "coefficients",
     ),
 }
 
@@ -222,11 +235,27 @@ def test_zero_list_label_defaults_to_empty():
 
 def test_datum_invariants_stay_out_of_repr_eq_and_hash(values):
     data = values["LFunctionData"]
-    assert set(vars(data)) - set(FIELDS["LFunctionData"]) == {
-        "degree", "lambda_cap", "lambda_q2", "log_lambda_q2", "log_a1_zeta2", "mu_cap",
-        "shift_max", "arg_max", "threshold_height", "series_blocks", "_hash",
-    }
+    assert set(vars(data)) - set(FIELDS["LFunctionData"]) == set(DERIVED["LFunctionData"])
     assert hash(data) == hash(tuple(getattr(data, f) for f in FIELDS["LFunctionData"]))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_each_value_stores_its_fields_and_derived_names_only(values, name):
+    # a stray or misspelt name given to _set would add an attribute
+    assert set(vars(values[name])) == {*FIELDS[name], *DERIVED.get(name, ())}
+
+
+def test_window_stores_its_fields_and_derived_names_only():
+    window = _Window(*presets.zeta(), 16.0)
+    assert set(vars(window)) == {*_Window._fields, *DERIVED["_Window"]}
+
+
+def test_loaded_zero_list_stores_its_fields_only(tmp_path):
+    path = tmp_path / "zeros.txt"
+    path.write_text("".join(f"{t!r}\n" for t in ZETA_ORDINATES))
+    zeros = load_zeros(path)
+    assert vars(zeros) == {"ordinates": ZETA_ORDINATES, "source_label": str(path)}
+    assert zeros == ZeroList(ZETA_ORDINATES, str(path))
 
 
 def test_json_dicts_keep_the_field_order(values):
