@@ -400,7 +400,9 @@ def test_json_uses_twelve_significant_digits(capsys):
 
 # --- golden bytes ---------------------------------------------------------------------
 
-#: outputs on the zeta preset document; a changed byte is a changed format or value
+#: outputs on the zeta preset document and on a three-factor document with
+#: k = 2 and a1 = 2, whose factors differ in every field a factor-order slip
+#: could swap; a changed byte is a changed format or value
 DATA_DIR = Path(__file__).parent / "data"
 CLI_GOLDEN = DATA_DIR / "cli"
 
@@ -411,6 +413,10 @@ GOLDEN_ARGV = {
     "bound": ["bound", "--input", str(CLI_GOLDEN / "zeta.json"), "--t0", "16", "--t", "100"],
     "verify": ["verify", "--input", str(CLI_GOLDEN / "zeta.json"),
                "--zeros", str(DATA_DIR / "zeta_zeros_200.txt"), "--t0", "16", "--t", "100"],
+    "three_factor_constants": ["constants", "--input", str(CLI_GOLDEN / "three_factor.json"),
+                               "--t0", "24"],
+    "three_factor_bound": ["bound", "--input", str(CLI_GOLDEN / "three_factor.json"),
+                           "--t0", "24", "--t", "150"],
 }
 
 
@@ -424,7 +430,7 @@ def test_cli_output_matches_golden_bytes(capsys, monkeypatch, name, argv):
 
 # --- the parser, built once per process -------------------------------------------------
 
-#: every golden output: the four above and the published table, one per subcommand
+#: every golden output: the six above and the published table
 GOLDEN_RUNS = [
     *((CLI_GOLDEN / f"{name}.json", argv) for name, argv in GOLDEN_ARGV.items()),
     (Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "table.out",

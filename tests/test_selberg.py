@@ -89,6 +89,36 @@ def test_a1_whose_zeta2_product_overflows_is_rejected():
     assert data.log_a1_zeta2 == math.log(1.8e307 * math.pi ** 2 / 6.0) < math.inf
 
 
+def test_datum_with_several_faults_reports_the_first_check_it_fails():
+    # one message per input with two or more faults, in whatever factor order;
+    # each was recorded from the datum that checked its factors one property
+    # at a time
+    one, block, big_lam = GammaFactor(1.0, 0j), GammaFactor(1.0, 1e200), GammaFactor(200.0, 0j)
+    good = dict(factors=(one,), Q=1.0, omega=1, k=0, a1=1.0)
+    lam_message = "lambda Q^2 overflows a float"
+    block_message = "a gamma factor's series block overflows a float (|mu| is too large)"
+    cases = (
+        ({"factors": (one, (1.0, 0j)), "Q": -1.0}, "factors must be GammaFactor instances"),
+        ({"k": -1, "a1": 0.5}, "pole order k must be an integer in [0, 10^15], got -1"),
+        ({"omega": 2, "k": -1}, "|omega| must be 1, got |(2+0j)| = 2.0"),
+        ({"factors": (GammaFactor(0.1, 1e200),), "a1": 1e308},
+         "degree 0.2 < 1; degenerate data is rejected"),
+        ({"factors": (block, big_lam)}, lam_message),
+        ({"factors": (big_lam, block)}, lam_message),
+        ({"factors": (GammaFactor(200.0, 1e200),), "a1": 1e308}, lam_message),
+        ({"factors": (block,), "Q": 1e200, "a1": 1e308},
+         "lambda Q^2 = inf is not a positive finite float"),
+        ({"factors": (block,), "Q": 1e-200, "a1": 1e308},
+         "lambda Q^2 = 0.0 is not a positive finite float"),
+        ({"factors": (one, block), "a1": 1e308}, block_message),
+        ({"factors": (GammaFactor(1.0, 1e154), one), "a1": 1e308}, block_message),
+    )
+    for faults, message in cases:
+        with pytest.raises(ValidationError) as err:
+            LFunctionData(**{**good, **faults})
+        assert str(err.value) == message, faults
+
+
 def test_oversized_integers_are_validation_errors():
     # float() or complex() of an int past the float range raised a bare OverflowError
     big = 10 ** 400
