@@ -28,10 +28,9 @@ import math
 import warnings
 
 from .errors import BoundaryWarning, DomainError, ValidationError
-from .gammabounds import _kernel_sum, _log_interp_peak, ratio_error_sup
+from .gammabounds import LOG2, _kernel_sums, _log_interp_peak, ratio_error_sup
 from .selberg import LFunctionData, StripParams, _Value, require_admissible
 
-LOG2 = math.log(2.0)
 TWO_PI = 2.0 * math.pi
 
 #: pre-ceiling values closer than this to an integer trigger BoundaryWarning
@@ -43,7 +42,7 @@ def _ratio_error_slope(data: LFunctionData, strip: StripParams) -> float:
 
     The factor kernels summed at real parts -b and -b - 1.
     """
-    return _kernel_sum(data, -strip.b) + _kernel_sum(data, -strip.b - 1.0)
+    return sum(_kernel_sums(data, -strip.b, -strip.b - 1.0))
 
 
 def integrated_ratio_error(data: LFunctionData, strip: StripParams, T0: float, T: float) -> float:
@@ -99,9 +98,10 @@ def vertical_integral_bound() -> float:
     return math.pi ** 2 / (3.0 * LOG2)
 
 
-def _reflection_head(data: LFunctionData, c: float) -> float:
-    """max(2.5 log(lambda Q^2), c log(lambda Q^2)), the head of the reflection branch."""
-    return max(2.5 * data.log_lambda_q2, c * data.log_lambda_q2)
+def _heads(data: LFunctionData, strip: StripParams) -> tuple[float, float]:
+    """The disc bound's T-free branch heads: max(2.5 L, c L), L = log(lambda Q^2), and h1."""
+    log_lq2 = data.log_lambda_q2
+    return max(2.5 * log_lq2, strip.disc_slope * log_lq2), _log_interp_peak(data, 0.0)
 
 
 def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float:
@@ -112,16 +112,19 @@ def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float
     admissible.
     """
     require_admissible(data, strip, T)
-    return _disc_bound(data, strip, ratio_error_sup(data, strip, T), T)
+    return _disc_bound(data, strip, _heads(data, strip), ratio_error_sup(data, strip, T), T)
 
 
-def _disc_bound(data: LFunctionData, strip: StripParams, sup: float, T: float) -> float:
-    """disc_count_bound at an admissible T, given the ratio-error sup there."""
+def _disc_bound(
+    data: LFunctionData, strip: StripParams, heads: tuple, sup: float, T: float
+) -> float:
+    """disc_count_bound at an admissible T, given the _heads and the ratio-error sup there."""
     d, im = data.degree, data.mu_cap.imag
     two_r, right, c = strip.two_r, strip.right_edge, strip.disc_slope
+    reflect_head, interp_peak = heads
     edge = abs(complex(1.0, -right / (T - two_r)))
     reflect = (
-        _reflection_head(data, c)
+        reflect_head
         - 2.0 * d
         + edge * d * c
         + d * right
@@ -131,7 +134,7 @@ def _disc_bound(data: LFunctionData, strip: StripParams, sup: float, T: float) -
         d * c * math.log(2.0 * T)
         + data.log_a1_zeta2
         + sup
-        + max(reflect, _log_interp_peak(data, 0.0))
+        + max(reflect, interp_peak)
     ) / LOG2
 
 
@@ -150,10 +153,7 @@ def trivial_zero_window(data: LFunctionData, strip: StripParams) -> float:
          - min Re mu + max Re mu).
     """
     b = strip.b
-    lmax = max(f.lam for f in data.factors)
-    lmin = min(f.lam for f in data.factors)
-    rmin = min(f.mu.real for f in data.factors)
-    rmax = max(f.mu.real for f in data.factors)
+    lmax, lmin, rmin, rmax = data.lam_max, data.lam_min, data.re_mu_min, data.re_mu_max
     return data.f * (
         abs((b + 1.0) * lmax + rmin) - b * lmax + (b + 1.0) * lmin - rmin + rmax
     )
@@ -180,10 +180,15 @@ def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> Bran
     """
     if not strip.two_r < T0 < math.inf:
         raise DomainError(f"needs finite T0 > 2R = {strip.two_r}, got {T0}")
+    return _branch(data, strip, _heads(data, strip), T0)
+
+
+def _branch(data: LFunctionData, strip: StripParams, heads: tuple, T0: float) -> BranchConstants:
+    """branch_constants at a T0 > 2R, given the _heads."""
     d, right, c = data.degree, strip.right_edge, strip.disc_slope
-    h1_reflect = _reflection_head(data, c) + d * (-1.5 + 4.0 * strip.R)
+    reflect_head, h1_interp = heads
+    h1_reflect = reflect_head + d * (-1.5 + 4.0 * strip.R)
     h2_reflect = d * c * right + right * abs(data.mu_cap.imag / 2.0)
-    h1_interp = _log_interp_peak(data, 0.0)
     if h1_reflect + h2_reflect / (T0 - strip.two_r) > h1_interp:
         return BranchConstants(alpha=0, h1=max(h1_reflect, h1_interp), h2=h2_reflect)
     return BranchConstants(alpha=1, h1=h1_interp, h2=0.0)
@@ -193,24 +198,26 @@ class _Window(_Value):
     """The (T0, T]-window bound of one (data, strip, T0).
 
     Construction checks that T0 is admissible, so every finite T > T0 is too,
-    and computes every T0-only piece once.  K is ratio_error_sup's numerator,
-    ratio_slope the log(T/T0) coefficient of the integrated ratio error S,
-    slope that of R1, head the two main-term pieces at T0, trivial the
-    trivial-zero allowance and coefficients the window_coefficients and
-    doubling_coefficients triples.  repr, == and hash see data, strip and
-    T0 only, which fix every other field.  Build windows through _window only.
+    and computes every T0-only piece once: K (ratio_error_sup's numerator) and
+    ratio_slope (the log(T/T0) coefficient of S) from one _kernel_sums call,
+    slope that of R1, the heads that choose bc and enter every R2, head the
+    main-term pieces at T0, trivial and the two coefficient triples.  repr, ==
+    and hash see data, strip and T0 only, which fix every other field.  Build
+    windows through _window only.
     """
 
     def __init__(self, data: LFunctionData, strip: StripParams, T0: float) -> None:
         require_admissible(data, strip, T0, label="T0")
-        K = _kernel_sum(data, -strip.right_edge)
-        ratio_slope = _ratio_error_slope(data, strip)
+        K, *below = _kernel_sums(data, -strip.right_edge, -strip.b, -strip.b - 1.0)
+        ratio_slope = sum(below)
+        heads = _heads(data, strip)
         head = data.degree / TWO_PI * T0 * math.log(T0 / math.e)
         head += T0 / TWO_PI * abs(data.log_lambda_q2)
         self._set(
             data=data, strip=strip, T0=T0, K=K, ratio_slope=ratio_slope,
-            slope=_log_slope(data, strip, ratio_slope), bc=branch_constants(data, strip, T0),
-            r2_t0=_disc_bound(data, strip, K / (T0 - strip.two_r), T0), head=head,
+            slope=_log_slope(data, strip, ratio_slope), heads=heads,
+            bc=_branch(data, strip, heads, T0),
+            r2_t0=_disc_bound(data, strip, heads, K / (T0 - strip.two_r), T0), head=head,
             trivial=trivial_zero_window(data, strip),
         )
         self._set(coefficients=self._coefficients())  # reads the fields set above
@@ -224,7 +231,7 @@ class _Window(_Value):
         if not self.T0 < T < math.inf:
             raise DomainError(f"needs finite T > T0, got T = {T}, T0 = {self.T0}")
         r1 = _log_integral(self.data, self.strip, self.slope, self.T0, T)
-        r2_t = _disc_bound(self.data, self.strip, self.sup(T), T)
+        r2_t = _disc_bound(self.data, self.strip, self.heads, self.sup(T), T)
         return r1, r2_t, self._total(r1, r2_t)
 
     def _total(self, r1: float, r2_t: float) -> float:

@@ -23,6 +23,7 @@ from .selberg import LFunctionData, StripParams, require_admissible
 
 #: second Bernoulli number, the one-term Stirling remainder coefficient
 B2 = 1.0 / 6.0
+LOG2, LOG3, SQRT5 = math.log(2.0), math.log(3.0), math.sqrt(5.0)
 
 _SEC_GUARD = 1e-12
 
@@ -72,13 +73,13 @@ def _factor_kernels(data: LFunctionData, x: float) -> list[float]:
     secant taken at real part x: the series block covers the truncated
     logarithm series, the secant term the paired Stirling remainders.
     """
-    sec = _pair_secant(data, x)
-    return [(block + B2 / 2.0 * sec) / f.lam for block, f in zip(data.series_blocks, data.factors)]
+    half = B2 / 2.0 * _pair_secant(data, x)
+    return [(block + half) / lam for block, lam in zip(data.series_blocks, data.lams)]
 
 
-def _kernel_sum(data: LFunctionData, x: float) -> float:
-    """Sum over factors of _factor_kernels(data, x)."""
-    return math.fsum(_factor_kernels(data, x))
+def _kernel_sums(data: LFunctionData, *xs: float) -> list[float]:
+    """For each x in xs, the sum over factors of _factor_kernels(data, x)."""
+    return [math.fsum(_factor_kernels(data, x)) for x in xs]
 
 
 def _require_remainder_height(data: LFunctionData, t: float) -> None:
@@ -123,7 +124,7 @@ def ratio_error_sup(data: LFunctionData, strip: StripParams, T: float) -> float:
     """
     if not strip.two_r < T < math.inf:
         raise DomainError(f"supremum envelope needs finite T > 2R = {strip.two_r}, got {T}")
-    return _kernel_sum(data, -strip.right_edge) / (T - strip.two_r)
+    return _kernel_sums(data, -strip.right_edge)[0] / (T - strip.two_r)
 
 
 def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:
@@ -166,8 +167,8 @@ def _log_interp_peak(data: LFunctionData, err: float) -> float:
     right-edge constant 3^k a1 pi^2 / 6 and the left-edge one, exp(e) times it.
     """
     d, im = data.degree, data.mu_cap.imag
-    e = 2.5 * data.log_lambda_q2 + 2.5 * math.sqrt(5.0) * d + abs(im) + err
-    return (2.5 * d + 1.0) * math.log(2.0) + data.k * math.log(3.0) + max(0.0, e)
+    e = 2.5 * data.log_lambda_q2 + 2.5 * SQRT5 * d + abs(im) + err
+    return (2.5 * d + 1.0) * LOG2 + data.k * LOG3 + max(0.0, e)
 
 
 def magnitude_envelope(
@@ -194,7 +195,7 @@ def magnitude_envelope(
         expo = reflection_log_main(data, sigma, t) + ratio_error_total(data, sigma, t)
         power = 0.0
     else:
-        expo = _log_interp_peak(data, _kernel_sum(data, -2.0) / (T - strip.two_r))
+        expo = _log_interp_peak(data, _kernel_sums(data, -2.0)[0] / (T - strip.two_r))
         power = 0.5 * data.degree * (3.0 - sigma)
     try:
         value = const * math.exp(expo) * t ** power

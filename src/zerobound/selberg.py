@@ -132,11 +132,11 @@ class LFunctionData(_Value):
     a1      : Ramanujan constant, |a(n)| <= a1 * n with a1 >= 1
 
     Every number, and lambda Q^2, must be finite, and lambda Q^2 nonzero.
-    Construction also computes the data-only invariants below, once, as
-    plain attributes; they are left out of repr, == and hash, which see the
-    five fields only.  The hash of those five is computed there too, so a
-    memo lookup keyed by the datum does not hash its factors again.  A datum
-    whose invariants overflow a float is rejected.
+    Construction also computes the data-only invariants below, in one pass
+    over the factors, as plain attributes; they are left out of repr, == and
+    hash, which see the five fields only.  The hash of those five is computed
+    there too, so a memo lookup keyed by the datum does not hash its factors
+    again.  A datum whose invariants overflow a float is rejected.
 
     Invariants
     ----------
@@ -154,6 +154,8 @@ class LFunctionData(_Value):
     series_blocks    : per factor |l|^2 + 2|l(l - 1/2)| + |mu|^2 + 2|mu(mu - 1/2)|,
                        l = lam + conj(mu), the truncated-logarithm part of
                        that factor's gamma-ratio error
+    lams             : per factor lam_j, the divisor of that factor's kernel
+    lam_max, lam_min, re_mu_max, re_mu_min : the trivial-zero extremes of lam_j, Re(mu_j)
     """
 
     def __init__(
@@ -177,38 +179,46 @@ class LFunctionData(_Value):
             )
         if not 1.0 <= a1 < math.inf:
             raise ValidationError(f"a1 must be finite and >= 1, got {a1}")
-        degree = 2.0 * math.fsum(f.lam for f in factors)
+        lams, re_mus, mu_terms, series_blocks = [], [], [], []
+        lambda_cap, shift_max, arg_max = 1.0, -math.inf, -math.inf
+        for f in factors:  # one pass; an overflowing block is raised after the checks before it
+            lam, mu = f.lam, f.mu
+            lm = lam + mu.conjugate()
+            lams.append(lam)
+            re_mus.append(mu.real)
+            mu_terms.append(4.0 * (0.5 - mu))
+            try:  # lam ** (2 lam) overflows only for lam > 143, where the degree is > 1
+                lambda_cap *= lam ** (2.0 * lam)
+            except OverflowError:
+                raise ValidationError("lambda Q^2 overflows a float") from None
+            try:
+                shift_max = max(shift_max, 2.0 * abs(lm) / lam)
+                arg_max = max(arg_max, 2.0 * abs(mu) / lam)
+                block = abs(lm) ** 2 + 2.0 * abs(lm * (lm - 0.5)) + abs(mu) ** 2
+                block += 2.0 * abs(mu * (mu - 0.5))
+            except OverflowError:  # |lam + conj(mu)|, |mu| or a square of them for a large mu
+                block = math.inf
+            series_blocks.append(block)
+        degree = 2.0 * math.fsum(lams)
         if degree < 1.0:
             raise ValidationError(f"degree {degree} < 1; degenerate data is rejected")
-        try:
-            lambda_cap = math.prod(f.lam ** (2.0 * f.lam) for f in factors)
-        except OverflowError:  # lam ** (2 lam) for a large lam
-            raise ValidationError("lambda Q^2 overflows a float") from None
         lambda_q2 = lambda_cap * Q * Q
         if not 0.0 < lambda_q2 < math.inf:
             raise ValidationError(f"lambda Q^2 = {lambda_q2} is not a positive finite float")
-        mu_cap = sum((4.0 * (0.5 - f.mu) for f in factors), 0j)
-        try:
-            shift_max = max(2.0 * abs(f.lam + f.mu.conjugate()) / f.lam for f in factors)
-            arg_max = max(2.0 * abs(f.mu) / f.lam for f in factors)
-            series_blocks = tuple(
-                abs(lm) ** 2 + 2.0 * abs(lm * (lm - 0.5)) + abs(mu) ** 2 + 2.0 * abs(mu * (mu - 0.5))
-                for lm, mu in ((f.lam + f.mu.conjugate(), f.mu) for f in factors)
-            )
-            if math.inf in series_blocks:  # a sum of finite terms rounded to inf
-                raise OverflowError
-        except OverflowError:  # |lam + conj(mu)|, |mu| or a square of them for a large mu
+        if math.inf in series_blocks:  # also a sum of finite terms rounded to inf
             raise ValidationError(
                 "a gamma factor's series block overflows a float (|mu| is too large)"
-            ) from None
+            )
         log_a1_zeta2 = math.log(a1 * math.pi ** 2 / 6.0)
         if not log_a1_zeta2 < math.inf:  # a1 pi^2 overflows, for a1 > ~1.82e307
             raise ValidationError(f"a1 pi^2 / 6 overflows a float, got a1 = {a1}")
         self._set(
             factors=factors, Q=Q, omega=omega, k=k, a1=a1, degree=degree,
             lambda_cap=lambda_cap, lambda_q2=lambda_q2, log_lambda_q2=math.log(lambda_q2),
-            log_a1_zeta2=log_a1_zeta2, mu_cap=mu_cap, shift_max=shift_max, arg_max=arg_max,
-            threshold_height=max(shift_max, arg_max), series_blocks=series_blocks,
+            log_a1_zeta2=log_a1_zeta2, mu_cap=sum(mu_terms, 0j), shift_max=shift_max,
+            arg_max=arg_max, threshold_height=max(shift_max, arg_max),
+            series_blocks=tuple(series_blocks), lams=tuple(lams), lam_max=max(lams),
+            lam_min=min(lams), re_mu_max=max(re_mus), re_mu_min=min(re_mus),
             _hash=hash((factors, Q, omega, k, a1)),
         )
 
@@ -254,7 +264,8 @@ class StripParams(_Value):
 
     Construct through select_strip, which verifies the two tail-sum
     conditions; the constructor checks only the shape invariants and computes
-    the strip-only invariants below, once, leaving them out of repr, == and hash.
+    the strip-only invariants below, once, leaving them out of repr, == and hash,
+    and the hash of (a, b, R), as LFunctionData does.
 
     Invariants
     ----------
@@ -275,7 +286,10 @@ class StripParams(_Value):
         right_edge = a + two_r
         if not right_edge < math.inf:  # right_edge >= 2R >= 0, so this covers R and 2R too
             raise InvalidStripError(f"strip needs a finite a + 2R, got a = {a}, b = {b}")
-        self._set(a=a, b=b, R=R, two_r=two_r, right_edge=right_edge, disc_slope=0.5 - a + two_r)
+        self._set(a=a, b=b, R=R, two_r=two_r, right_edge=right_edge, disc_slope=0.5 - a + two_r,
+                  _hash=hash((a, b, R)))
+
+    __hash__ = LFunctionData.__hash__
 
 
 def select_strip(a1: float, a: float | None = None, b: float | None = None) -> StripParams:

@@ -460,32 +460,31 @@ def _count_calls(monkeypatch, *functions):
 
 def test_each_window_computes_its_t0_pieces_once(monkeypatch):
     # every public bound takes its window from one memo: a cold bound_report
-    # makes one admissibility check of T0, one branch choice, and kernel sums
-    # only for the left edge and the ratio-error slope; check_bound on the
-    # same (data, strip, T0) then builds nothing, and check_bound at 200
-    # heights on another T0 builds one window
+    # makes one admissibility check of T0, takes its three kernel sums in one
+    # pass, evaluates the branch heads once and chooses the branch once;
+    # check_bound on the same (data, strip, T0) then builds nothing, and
+    # check_bound at 200 heights on another T0 builds one window
     from zerobound import bounds, gammabounds, selberg
 
     data, strip = presets.zeta()
     zeros = ZeroList((14.134725, 21.02204, 25.010858, 30.424876))
     calls = _count_calls(
-        monkeypatch, gammabounds._kernel_sum, bounds.branch_constants, selberg.require_admissible
+        monkeypatch, gammabounds._kernel_sums, gammabounds._log_interp_peak, bounds._heads,
+        bounds._branch, bounds.branch_constants, selberg.require_admissible,
     )
 
     def counts_of(call):
         calls.update(dict.fromkeys(calls, 0))
         call()
-        return calls["_kernel_sum"], calls["branch_constants"], calls["require_admissible"]
+        return tuple(calls.values())
 
-    kernel_sums, branches, checks = counts_of(lambda: bound_report(data, strip, 16.0, 100.0))
-    assert kernel_sums <= 3 and (branches, checks) == (1, 1), calls
-    assert counts_of(lambda: check_bound(data, strip, zeros, 16.0, 100.0)) == (0, 0, 0), calls
+    # (_kernel_sums, _log_interp_peak, _heads, _branch, branch_constants, require_admissible)
+    once = (1, 1, 1, 1, 0, 1)
+    assert counts_of(lambda: bound_report(data, strip, 16.0, 100.0)) == once, calls
+    assert counts_of(lambda: check_bound(data, strip, zeros, 16.0, 100.0)) == (0,) * 6, calls
     heights = [21.0 + 0.5 * i for i in range(200)]
-    kernel_sums, branches, checks = counts_of(
-        lambda: [check_bound(data, strip, zeros, 20.0, t) for t in heights]
-    )
-    assert kernel_sums <= 3 and (branches, checks) == (1, 1), calls
-    assert counts_of(lambda: table_row(NewformSpec(1, 12)))[2] == 1
+    assert counts_of(lambda: [check_bound(data, strip, zeros, 20.0, t) for t in heights]) == once
+    assert counts_of(lambda: table_row(NewformSpec(1, 12))) == once
 
 
 @st.composite

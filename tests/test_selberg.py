@@ -151,6 +151,15 @@ def test_datum_hash_is_stored_at_construction(nf12_pair, monkeypatch):
     assert calls == []
 
 
+def test_strip_hash_is_stored_at_construction(monkeypatch):
+    # each window-memo lookup hashes the strip; it reads the stored hash of (a, b, R)
+    strip = select_strip(1.0)
+    assert hash(strip) == hash((strip.a, strip.b, strip.R)) == hash(StripParams(3.0, -4.0, 7.0))
+    assert hash(select_strip(1.0, a=5.5, b=-6.5)) == hash(StripParams(5.5, -6.5, 12.0))
+    monkeypatch.setattr(StripParams, "_values", lambda *_: pytest.fail("hashed the fields again"))
+    hash(strip)
+
+
 def test_omega_modulus_tolerance():
     # unimodular up to 1e-12 passes, beyond fails
     LFunctionData(
@@ -194,6 +203,29 @@ def test_zeta_datum_invariants(zeta_pair):
     assert data.lambda_cap == pytest.approx(0.5, rel=1e-15)
     assert data.mu_cap == 2 + 0j
     assert data.lambda_q2 == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(st.floats(0.5, 3.0), st.sampled_from((-0.0, 0.0, 0.5, 2.0, 7.25)),
+              st.floats(-6.0, 6.0)),
+    min_size=1, max_size=8,
+))
+def test_one_pass_invariants_equal_their_definitions(params):
+    # the constructor derives them in one pass; each equals, bit for bit,
+    # its own pass over the factors
+    factors = tuple(GammaFactor(lam, complex(re, im)) for lam, re, im in params)
+    data = LFunctionData(factors, Q=0.7, omega=1, k=0, a1=1.0)
+    lams, mus = [f.lam for f in factors], [f.mu for f in factors]
+    assert data.degree == 2.0 * math.fsum(lams)
+    assert data.lambda_cap == math.prod(lam ** (2.0 * lam) for lam in lams)
+    assert data.mu_cap == sum((4.0 * (0.5 - mu) for mu in mus), 0j)
+    assert data.shift_max == max(2.0 * abs(f.lam + f.mu.conjugate()) / f.lam for f in factors)
+    assert data.arg_max == max(2.0 * abs(f.mu) / f.lam for f in factors)
+    assert data.lams == tuple(lams)
+    extremes = (max(lams), min(lams), max(mu.real for mu in mus), min(mu.real for mu in mus))
+    stored = (data.lam_max, data.lam_min, data.re_mu_max, data.re_mu_min)
+    assert list(map(float.hex, stored)) == list(map(float.hex, extremes))  # -0.0 too
 
 
 def test_rebuilt_datum_has_equal_invariants(nf12_pair):

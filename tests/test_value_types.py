@@ -100,11 +100,12 @@ FIELDS = {
 DERIVED = {
     "LFunctionData": (
         "degree", "lambda_cap", "lambda_q2", "log_lambda_q2", "log_a1_zeta2", "mu_cap",
-        "shift_max", "arg_max", "threshold_height", "series_blocks", "_hash",
+        "shift_max", "arg_max", "threshold_height", "series_blocks", "lams", "lam_max",
+        "lam_min", "re_mu_max", "re_mu_min", "_hash",
     ),
-    "StripParams": ("two_r", "right_edge", "disc_slope"),
+    "StripParams": ("two_r", "right_edge", "disc_slope", "_hash"),
     "_Window": (
-        "K", "ratio_slope", "slope", "bc", "r2_t0", "head", "trivial", "coefficients",
+        "K", "ratio_slope", "slope", "heads", "bc", "r2_t0", "head", "trivial", "coefficients",
     ),
 }
 
