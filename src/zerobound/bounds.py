@@ -99,7 +99,7 @@ def vertical_integral_bound() -> float:
 
 
 def _heads(data: LFunctionData, strip: StripParams) -> tuple[float, float]:
-    """The disc bound's T-free branch heads: max(2.5 L, c L), L = log(lambda Q^2), and h1."""
+    """The disc bound's T-free branch heads: max(2.5 L, c L), L = log(lambda Q^2), and h1_interp."""
     log_lq2 = data.log_lambda_q2
     return max(2.5 * log_lq2, strip.disc_slope * log_lq2), _log_interp_peak(data, 0.0)
 
