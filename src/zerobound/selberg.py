@@ -209,6 +209,11 @@ class LFunctionData(_Value):
             raise ValidationError(
                 "a gamma factor's series block overflows a float (|mu| is too large)"
             )
+        threshold_height = max(shift_max, arg_max)
+        if not threshold_height < math.inf:  # 2 |lam + conj(mu)| / lam overflows
+            raise ValidationError(
+                "the gamma-factor threshold height overflows a float (|mu| / lam is too large)"
+            )
         log_a1_zeta2 = math.log(a1 * math.pi ** 2 / 6.0)
         if not log_a1_zeta2 < math.inf:  # a1 pi^2 overflows, for a1 > ~1.82e307
             raise ValidationError(f"a1 pi^2 / 6 overflows a float, got a1 = {a1}")
@@ -216,7 +221,7 @@ class LFunctionData(_Value):
             factors=factors, Q=Q, omega=omega, k=k, a1=a1, degree=degree,
             lambda_cap=lambda_cap, lambda_q2=lambda_q2, log_lambda_q2=math.log(lambda_q2),
             log_a1_zeta2=log_a1_zeta2, mu_cap=sum(mu_terms, 0j), shift_max=shift_max,
-            arg_max=arg_max, threshold_height=max(shift_max, arg_max),
+            arg_max=arg_max, threshold_height=threshold_height,
             series_blocks=tuple(series_blocks), lams=tuple(lams), lam_max=max(lams),
             lam_min=min(lams), re_mu_max=max(re_mus), re_mu_min=min(re_mus),
             _hash=hash((factors, Q, omega, k, a1)),

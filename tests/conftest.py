@@ -1,4 +1,4 @@
-"""Shared fixtures: preset data, zero-table paths and an empty window memo."""
+"""Shared fixtures: preset data, zero-table paths and empty window memos."""
 
 from pathlib import Path
 
@@ -10,9 +10,10 @@ DATA_DIR = Path(__file__).parent / "data"
 
 
 @pytest.fixture(autouse=True)
-def empty_window_memo():
-    """Start each test with no memoized window, so call counts start cold."""
+def empty_window_memos():
+    """Start each test with no memoized window or window pieces, so call counts start cold."""
     bounds._window.cache_clear()
+    bounds._pieces.clear()
 
 
 @pytest.fixture(scope="session")

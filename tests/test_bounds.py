@@ -463,7 +463,8 @@ def test_each_window_computes_its_t0_pieces_once(monkeypatch):
     # makes one admissibility check of T0, takes its three kernel sums in one
     # pass, evaluates the branch heads once and chooses the branch once;
     # check_bound on the same (data, strip, T0) then builds nothing, and
-    # check_bound at 200 heights on another T0 builds one window
+    # check_bound at 200 heights on another T0 builds one window, on the
+    # memoized kernel sums, or from scratch once both memos are emptied
     from zerobound import bounds, gammabounds, selberg
 
     data, strip = presets.zeta()
@@ -480,11 +481,39 @@ def test_each_window_computes_its_t0_pieces_once(monkeypatch):
 
     # (_kernel_sums, _log_interp_peak, _heads, _branch, branch_constants, require_admissible)
     once = (1, 1, 1, 1, 0, 1)
+    # a new T0 on gamma factors and a strip seen before: the kernel sums are memoized
+    known_factors = (0, 1, 1, 1, 0, 1)
     assert counts_of(lambda: bound_report(data, strip, 16.0, 100.0)) == once, calls
     assert counts_of(lambda: check_bound(data, strip, zeros, 16.0, 100.0)) == (0,) * 6, calls
     heights = [21.0 + 0.5 * i for i in range(200)]
-    assert counts_of(lambda: [check_bound(data, strip, zeros, 20.0, t) for t in heights]) == once
-    assert counts_of(lambda: table_row(NewformSpec(1, 12))) == once
+
+    def scan():
+        return [check_bound(data, strip, zeros, 20.0, t) for t in heights]
+
+    assert counts_of(scan) == known_factors, calls
+    bounds._window.cache_clear()
+    bounds._pieces.clear()
+    assert counts_of(scan) == once, calls
+    assert counts_of(lambda: table_row(NewformSpec(1, 12))) == once, calls
+
+
+def test_bundled_table_computes_the_kernel_sums_once_per_weight(monkeypatch):
+    # the 25 rows have 10 distinct weights, so 10 distinct gamma factors
+    from importlib.resources import files
+
+    from zerobound import gammabounds
+    from zerobound.newform import read_pairs_csv, table_generate
+
+    specs = read_pairs_csv(files("zerobound").joinpath("data/table_pairs.csv").read_text())
+    calls = _count_calls(monkeypatch, gammabounds._kernel_sums)
+    table_generate(specs)
+    assert len(specs) == 25 and len({spec.weight for spec in specs}) == 10
+    assert calls["_kernel_sums"] == 10
+
+
+def _or_zero(floats):
+    """floats, or a zero of either sign."""
+    return st.one_of(st.sampled_from((0.0, -0.0)), floats)
 
 
 @st.composite
@@ -494,7 +523,7 @@ def admissible_windows(draw):
         st.builds(
             GammaFactor,
             st.floats(0.3, 3.0),
-            st.builds(complex, st.floats(0.0, 6.0), st.floats(-6.0, 6.0)),
+            st.builds(complex, _or_zero(st.floats(0.0, 6.0)), _or_zero(st.floats(-6.0, 6.0))),
         ),
         min_size=1, max_size=4,
     ))
@@ -561,6 +590,7 @@ def test_memoized_check_bound_equals_a_fresh_window(window, shift, gaps):
     # both misses and hits; check_bound and the four public bounds, called in
     # an order that rotates which of them meets a key first, all match a
     # window built afresh
+    from zerobound import bounds
     from zerobound.bounds import _Window
 
     data, strip, t0, _ = window
@@ -581,6 +611,7 @@ def test_memoized_check_bound_equals_a_fresh_window(window, shift, gaps):
         ]
         order = [(i + j) % len(memoized) for j in range(len(memoized))]
         got = {j: _bits(memoized[j]()) for j in order}
+        bounds._pieces.clear()  # the fresh window computes its factor-level pieces too
         fresh = _Window(data, strip, T0)
         main, dbl = fresh.coefficients
         expected = [
@@ -619,7 +650,9 @@ def test_window_memo_keeps_int_and_float_t0_apart():
 @settings(max_examples=60, deadline=None)
 @given(admissible_windows())
 def test_data_differing_in_the_sign_of_a_zero_share_bit_identical_windows(window):
-    # such data compare and hash equal, so they share a memoized window
+    # such data compare and hash equal, so they share a memoized window;
+    # both windows here are built cold
+    from zerobound import bounds
     from zerobound.bounds import _Window
 
     data, strip, t0, t = window
@@ -631,4 +664,101 @@ def test_data_differing_in_the_sign_of_a_zero_share_bit_identical_windows(window
 
     plus, minus = zero_imaginary_parts(1.0), zero_imaginary_parts(-1.0)
     assert plus == minus and hash(plus) == hash(minus)
-    assert _window_bits(_Window(plus, strip, t0), t) == _window_bits(_Window(minus, strip, t0), t)
+    plus_bits = _window_bits(_Window(plus, strip, t0), t)
+    bounds._pieces.clear()
+    assert plus_bits == _window_bits(_Window(minus, strip, t0), t)
+
+
+def _flip_zero(x):
+    """-x if x is a zero of either sign, else x."""
+    return -x if x == 0.0 else x
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    admissible_windows(), st.floats(-3.0, 3.0), st.floats(0.0, 2.0 * math.pi),
+    st.integers(0, 7), st.floats(0.0, 6.0), st.floats(0.0, 1.0),
+)
+def test_warm_and_cold_window_pieces_are_bit_identical(window, log_q, angle, k, log_a1, lift):
+    # a twin datum shares the gamma factors, up to the sign of each zero part
+    # of mu, and draws its own Q, omega, k and a1; its window on the same
+    # strip, built on the memoized pieces of the first datum, equals its
+    # window built cold
+    from zerobound import bounds
+    from zerobound.bounds import _Window
+
+    data, strip, t0, t = window
+    factors = tuple(
+        GammaFactor(f.lam, complex(_flip_zero(f.mu.real), _flip_zero(f.mu.imag)))
+        for f in data.factors
+    )
+    try:
+        twin = LFunctionData(
+            factors, data.Q * math.exp(log_q), complex(math.cos(angle), math.sin(angle)), k,
+            math.exp(log_a1),
+        )
+    except ValidationError:
+        assume(False)
+    T0 = min_admissible_height(twin, strip).value * (1.0 + lift)
+    T = T0 * t / t0
+    bounds._pieces.clear()
+    _Window(data, strip, t0)
+    warm = _Window(twin, strip, T0)
+    assert len(bounds._pieces) == 1  # the twin's key found the first datum's pieces
+    bounds._pieces.clear()
+    assert _window_bits(warm, T) == _window_bits(_Window(twin, strip, T0), T)
+
+
+def test_factor_pieces_memo_never_exceeds_its_bound(monkeypatch):
+    # more distinct gamma factors than the memo holds: the oldest go first
+    from zerobound import bounds, gammabounds
+    from zerobound.newform import pipeline_constants
+
+    specs = [NewformSpec(1, 2 * i) for i in range(1, bounds._PIECES_SIZE + 41)]
+    for spec in specs:
+        pipeline_constants(spec)
+        assert len(bounds._pieces) <= bounds._PIECES_SIZE
+    assert len(bounds._pieces) == bounds._PIECES_SIZE
+    calls = _count_calls(monkeypatch, gammabounds._kernel_sums)
+    pipeline_constants(specs[-1])
+    assert calls["_kernel_sums"] == 0
+    pipeline_constants(specs[0])
+    assert calls["_kernel_sums"] == 1
+    assert len(bounds._pieces) == bounds._PIECES_SIZE
+
+
+def test_factor_pieces_memo_keeps_its_bound_and_results_under_threads():
+    # four threads add and evict entries at once, with a short switch interval
+    import threading
+
+    from zerobound import bounds
+    from zerobound.newform import pipeline_constants
+
+    specs = [NewformSpec(1, 2 * i) for i in range(1, bounds._PIECES_SIZE + 41)]
+    expected = [pipeline_constants(spec) for spec in specs]
+    bounds._window.cache_clear()
+    bounds._pieces.clear()
+    results, sizes = {}, []
+
+    def work(offset):
+        order = specs[offset:] + specs[:offset]
+        got = []
+        for spec in order:
+            got.append(pipeline_constants(spec))
+            sizes.append(len(bounds._pieces))
+        results[offset] = got[-offset:] + got[:-offset] if offset else got
+
+    threads = [threading.Thread(target=work, args=(70 * i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 70, 140, 210]
+    assert all(got == expected for got in results.values())
+    assert max(sizes) <= bounds._PIECES_SIZE

@@ -122,6 +122,10 @@ def test_bad_document_exits_one(newform_doc, tmp_path, capsys, field, value):
     ({"a1": 1.83e307}, "a1 pi^2 / 6 overflows a float, got a1 = 1.83e+307"),
     # R = a - b overflows, so no height was admissible
     ({"a": 1e308, "b": -1e308}, "strip needs a finite a + 2R, got a = 1e+308, b = -1e+308"),
+    # 2 |lam + conj(mu)| / lam overflows: this failed with "needs T0 >= inf"
+    ({"factors": [{"lambda": 1e-300, "mu_re": 1e10, "mu_im": 0.0},
+                  {"lambda": 1.0, "mu_re": 0.0, "mu_im": 0.0}]},
+     "the gamma-factor threshold height overflows a float (|mu| / lam is too large)"),
 ])
 def test_overflowing_invariant_exits_one(newform_doc, tmp_path, capsys, edits, message):
     bad = tmp_path / "bad.json"

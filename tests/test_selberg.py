@@ -89,6 +89,18 @@ def test_a1_whose_zeta2_product_overflows_is_rejected():
     assert data.log_a1_zeta2 == math.log(1.8e307 * math.pi ** 2 / 6.0) < math.inf
 
 
+def test_datum_with_an_infinite_threshold_height_is_rejected():
+    # 2 |lam + conj(mu)| / lam overflowed by division: threshold_height was inf,
+    # and no T0 was admissible ("needs T0 >= inf")
+    with pytest.raises(ValidationError) as err:
+        LFunctionData((GammaFactor(1e-300, 1e10), GammaFactor(1.0, 0)), 1.0, 1, 0, 1.0)
+    assert str(err.value) == (
+        "the gamma-factor threshold height overflows a float (|mu| / lam is too large)"
+    )
+    data = LFunctionData((GammaFactor(1e-297, 1e10), GammaFactor(1.0, 0)), 1.0, 1, 0, 1.0)
+    assert data.threshold_height == 2.0 * abs(1e-297 + 1e10) / 1e-297 < math.inf
+
+
 def test_datum_with_several_faults_reports_the_first_check_it_fails():
     # one message per input with two or more faults, in whatever factor order;
     # each was recorded from the datum that checked its factors one property
