@@ -19,8 +19,10 @@ c1 log T + c2 + c3 / T coefficient form (for the (T0, T] and (T, 2T]
 windows respectively).  All three and bound_report take their window of
 (datum, strip, T0) from one memo; a window takes the pieces that depend on
 the gamma factors and the strip alone from a second memo, so each is
-computed once per (data.factors, strip) and the rest once per window.
-Everything is a pure function of the datum, the strip, and the heights.
+computed once per (data.factors, strip) and the rest once per window.  That
+second memo is a selberg._Memo, the bounded, locked, oldest-out dict that
+also keeps each factor tuple's datum invariants.  Everything is a pure
+function of the datum, the strip, and the heights.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from _thread import allocate_lock
 
-from .errors import BoundaryWarning, DomainError, ValidationError
+from .errors import BoundaryWarning, DomainError, ValidationError, _value_text
 from .gammabounds import LOG2, _kernel_sums, _log_interp_peak, ratio_error_sup
-from .selberg import LFunctionData, StripParams, _Value, require_admissible
+from .selberg import _FLOAT_MAX, LFunctionData, StripParams, _Memo, _Value, require_admissible
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,10 +54,10 @@ def integrated_ratio_error(data: LFunctionData, strip: StripParams, T0: float, T
 
     Proportional to log(T/T0); requires finite T >= T0 > 0.
     """
-    if not 0.0 < T0 < math.inf:
-        raise DomainError(f"needs finite T0 > 0, got {T0}")
-    if not T0 <= T < math.inf:
-        raise DomainError(f"needs finite T >= T0, got T = {T}, T0 = {T0}")
+    if not 0.0 < T0 <= _FLOAT_MAX:
+        raise DomainError(f"needs finite T0 > 0, got {_value_text(T0)}")
+    if not T0 <= T <= _FLOAT_MAX:
+        raise DomainError(f"needs finite T >= T0, got T = {_value_text(T)}, T0 = {T0}")
     return math.log(T / T0) * _ratio_error_slope(data, strip)
 
 
@@ -81,10 +82,10 @@ def log_integral_bound(data: LFunctionData, strip: StripParams, T0: float, T: fl
     error.  Deliberately evaluated as a pure expression: the coefficient
     assembly feeds it T = 1 < T0, where the log factor goes negative.
     """
-    if not 0.0 < T0 < math.inf:
-        raise DomainError(f"needs finite T0 > 0, got {T0}")
-    if not 0.0 < T < math.inf:
-        raise DomainError(f"needs finite T > 0, got {T}")
+    if not 0.0 < T0 <= _FLOAT_MAX:
+        raise DomainError(f"needs finite T0 > 0, got {_value_text(T0)}")
+    if not 0.0 < T <= _FLOAT_MAX:
+        raise DomainError(f"needs finite T > 0, got {_value_text(T)}")
     slope = _log_slope(data, strip, _ratio_error_slope(data, strip))
     return _log_integral(data, strip, slope, T0, T)
 
@@ -181,8 +182,8 @@ def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> Bran
     branch's h1 is max(h1_reflect, h1_interp): its h2 payload decays with
     T, so the interpolation constant can overtake it above T0.
     """
-    if not strip.two_r < T0 < math.inf:
-        raise DomainError(f"needs finite T0 > 2R = {strip.two_r}, got {T0}")
+    if not strip.two_r < T0 <= _FLOAT_MAX:
+        raise DomainError(f"needs finite T0 > 2R = {strip.two_r}, got {_value_text(T0)}")
     return _branch(data, strip, _heads(data, strip), T0)
 
 
@@ -199,11 +200,9 @@ def _branch(data: LFunctionData, strip: StripParams, heads: tuple, T0: float) ->
 
 #: The _factor_pieces of the latest _PIECES_SIZE (data.factors, strip) keys, oldest
 #: out first.  A table or a T0 scan touches one key per distinct factor tuple (the
-#: 25 bundled rows touch 10).  Entries go in and out under _pieces_lock, a lock from
-#: _thread, which every interpreter has loaded, so no threading import is added.
+#: 25 bundled rows touch 10).
 _PIECES_SIZE = 256
-_pieces: dict = {}
-_pieces_lock = allocate_lock()
+_pieces = _Memo(_PIECES_SIZE)
 
 
 def _factor_pieces(data: LFunctionData, strip: StripParams) -> tuple[float, float, float, float]:
@@ -219,11 +218,7 @@ def _factor_pieces(data: LFunctionData, strip: StripParams) -> tuple[float, floa
         K, *below = _kernel_sums(data, -strip.right_edge, -strip.b, -strip.b - 1.0)
         ratio_slope = sum(below)
         slope = _log_slope(data, strip, ratio_slope)
-        pieces = K, ratio_slope, slope, trivial_zero_window(data, strip)
-        with _pieces_lock:
-            if len(_pieces) >= _PIECES_SIZE:
-                del _pieces[next(iter(_pieces))]
-            _pieces[key] = pieces
+        pieces = _pieces.add(key, (K, ratio_slope, slope, trivial_zero_window(data, strip)))
     return pieces
 
 
@@ -260,8 +255,8 @@ class _Window(_Value):
 
     def at(self, T: float) -> tuple[float, float, float]:
         """(R1, R2(T), window total) at a finite T > T0."""
-        if not self.T0 < T < math.inf:
-            raise DomainError(f"needs finite T > T0, got T = {T}, T0 = {self.T0}")
+        if not self.T0 < T <= _FLOAT_MAX:
+            raise DomainError(f"needs finite T > T0, got T = {_value_text(T)}, T0 = {self.T0}")
         r1 = _log_integral(self.data, self.strip, self.slope, self.T0, T)
         r2_t = _disc_bound(self.data, self.strip, self.heads, self.sup(T), T)
         return r1, r2_t, self._total(r1, r2_t)
@@ -351,8 +346,8 @@ class Coefficients(_Value):
         self._set(c1=c1, c2=c2, c3=c3)
 
     def evaluate(self, T: float) -> float:
-        if not 0.0 < T < math.inf:
-            raise DomainError(f"needs finite T > 0, got {T}")
+        if not 0.0 < T <= _FLOAT_MAX:
+            raise DomainError(f"needs finite T > 0, got {_value_text(T)}")
         return self.c1 * math.log(T) + self.c2 + self.c3 / T
 
 
@@ -384,7 +379,11 @@ def shifted_constant(c2_main: float, n_plus_T0: int, n_minus_T0: int) -> float:
     """c2 shifted by the known zero count up to T0: c2 + max(N+, N-)."""
     if n_plus_T0 < 0 or n_minus_T0 < 0:
         raise ValidationError("zero counts must be nonnegative")
-    return c2_main + max(n_plus_T0, n_minus_T0)
+    n = max(n_plus_T0, n_minus_T0)
+    try:
+        return c2_main + n
+    except OverflowError:  # an int count too large for a float
+        raise ValidationError(f"zero count {_value_text(n)} is too large for a float") from None
 
 
 def ceil_guarded(x: float, label: str = "") -> int:

@@ -18,8 +18,8 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import AdmissibilityError, DomainError
-from .selberg import LFunctionData, StripParams, require_admissible
+from .errors import AdmissibilityError, DomainError, _value_text
+from .selberg import _FLOAT_MAX, LFunctionData, StripParams, require_admissible
 
 #: second Bernoulli number, the one-term Stirling remainder coefficient
 B2 = 1.0 / 6.0
@@ -84,8 +84,10 @@ def _kernel_sums(data: LFunctionData, *xs: float) -> list[float]:
 
 def _require_remainder_height(data: LFunctionData, t: float) -> None:
     """Raise AdmissibilityError unless t is finite and at or above data.threshold_height."""
-    if not (h := data.threshold_height) <= t < math.inf:
-        raise AdmissibilityError(f"needs finite t at or above the remainder threshold {h}, got {t}")
+    if not (h := data.threshold_height) <= t <= _FLOAT_MAX:
+        raise AdmissibilityError(
+            f"needs finite t at or above the remainder threshold {h}, got {_value_text(t)}"
+        )
 
 
 def remainder_pair_bound(data: LFunctionData, j: int, sigma: float, t: float) -> float:
@@ -122,8 +124,10 @@ def ratio_error_sup(data: LFunctionData, strip: StripParams, T: float) -> float:
     Covers sigma in [a - 2R, a + 2R] and t in [T - 2R, T + 2R]; only the
     prefactor 1/(T - 2R) depends on T.  Requires finite T > 2R.
     """
-    if not strip.two_r < T < math.inf:
-        raise DomainError(f"supremum envelope needs finite T > 2R = {strip.two_r}, got {T}")
+    if not strip.two_r < T <= _FLOAT_MAX:
+        raise DomainError(
+            f"supremum envelope needs finite T > 2R = {strip.two_r}, got {_value_text(T)}"
+        )
     return _kernel_sums(data, -strip.right_edge)[0] / (T - strip.two_r)
 
 
@@ -138,8 +142,8 @@ def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:
     """
     if not math.isfinite(sigma):
         raise DomainError(f"need a finite real part sigma, got {sigma}")
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"need finite t > 0, got {t}")
+    if not 0.0 < t <= _FLOAT_MAX:
+        raise DomainError(f"need finite t > 0, got {_value_text(t)}")
     s = complex(sigma, t)
     for f in data.factors:
         try:

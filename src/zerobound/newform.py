@@ -17,6 +17,7 @@ generic assembly.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 
@@ -67,10 +68,19 @@ class NewformSpec(_Value):
         return 15 + self.weight
 
 
+@functools.lru_cache(maxsize=256)
+def _weight_factors(weight: int) -> tuple[GammaFactor]:
+    """The gamma factors of weight, one tuple shared by every datum of that weight.
+
+    The 256 latest weights are kept; a table touches one per distinct weight.
+    """
+    return (GammaFactor(1.0, complex((weight - 1) / 2.0, 0.0)),)
+
+
 def newform_params(spec: NewformSpec) -> LFunctionData:
     """Functional-equation datum of the normalized newform L-function."""
     return LFunctionData(
-        factors=(GammaFactor(1.0, complex((spec.weight - 1) / 2.0, 0.0)),),
+        factors=_weight_factors(spec.weight),
         Q=math.sqrt(spec.level) / (2.0 * math.pi),
         omega=_I_POWERS[spec.weight % 4],
         k=0,

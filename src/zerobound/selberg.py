@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
+from _thread import allocate_lock
 from itertools import repeat
 from operator import attrgetter
 
@@ -43,13 +45,17 @@ _TAIL_TERMS = 256
 #: the head bases 2.0 .. _TAIL_TERMS - 1 of tail_sum, converted to float once
 _TAIL_BASES = tuple(map(float, range(2, _TAIL_TERMS)))
 
+#: the largest float: a check x <= _FLOAT_MAX, unlike x < math.inf, also fails for an
+#: int past the float range, which would raise a bare OverflowError in the arithmetic
+_FLOAT_MAX = sys.float_info.max
 
-def _convert(convert, value: object, name: str):
-    """convert(value), or a ValidationError naming name if value is past the float range."""
+
+def _convert(convert, value: object, name: str, error: type = ValidationError):
+    """convert(value), or an error of class error naming name if value is past the float range."""
     try:
         return convert(value)
     except OverflowError:  # an int too large for a float
-        raise ValidationError(
+        raise error(
             f"{name} is too large to convert to a float, got {_value_text(value)}"
         ) from None
 
@@ -98,9 +104,39 @@ class _Value:
 
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def _set(self, **fields: object) -> None:
-        """Store fields as attributes, past the frozen __setattr__."""
-        vars(self).update(fields)
+    def _set(self, shared: dict | None = None, /, **fields: object) -> None:
+        """Store the entries of shared, then fields, as attributes, past the frozen __setattr__.
+
+        shared is a dict of attributes that several instances take from a
+        memo; passed whole, it is not merged into the keywords first.
+        """
+        attributes = vars(self)
+        if shared is not None:
+            attributes.update(shared)
+        attributes.update(fields)
+
+
+class _Memo(dict):
+    """A dict that keeps its latest maxsize entries, oldest out first.
+
+    Lookups are plain dict.get.  add stores an entry under the memo's lock,
+    a lock from _thread, which every interpreter has loaded, so no threading
+    import is added; two threads that miss one key at once may both compute
+    it, and the memo keeps one.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        super().__init__()
+        self.maxsize = maxsize
+        self._lock = allocate_lock()
+
+    def add(self, key: object, value: object) -> object:
+        """Store value under key, first dropping the oldest entry if full; return value."""
+        with self._lock:
+            if len(self) >= self.maxsize:
+                del self[next(iter(self))]
+            self[key] = value
+        return value
 
 
 class GammaFactor(_Value):
@@ -116,7 +152,56 @@ class GammaFactor(_Value):
             raise ValidationError(f"gamma factor needs finite lam > 0, got {lam}")
         if not (cmath.isfinite(mu) and mu.real >= 0.0):
             raise ValidationError(f"gamma factor needs finite mu with Re(mu) >= 0, got {mu}")
-        self._set(lam=lam, mu=mu)
+        self._set(lam=lam, mu=mu, _hash=hash((lam, mu)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+#: The _factor_pass of the latest _FACTOR_MEMO_SIZE factor tuples, oldest out first.
+#: A table touches one tuple per distinct weight (the 25 bundled rows touch 10).
+_FACTOR_MEMO_SIZE = 256
+_factor_memo = _Memo(_FACTOR_MEMO_SIZE)
+
+
+def _factor_pass(factors: tuple[GammaFactor, ...]) -> dict:
+    """The factor-only invariants of a datum, by name, in one pass over its factors.
+
+    Raises the datum's ValidationError for an overflowing lambda_cap or a
+    degree below 1.  An overflowing series block or threshold height is kept
+    as inf, for LFunctionData to reject after its lambda Q^2 check.  No
+    invariant here reads mu but through abs or a sum from 0j, so factor
+    tuples that differ only in the sign of a zero part of mu, which compare
+    equal, give equal bits; the extremes of Re(mu) are left to each datum.
+    """
+    lams, mu_terms, series_blocks = [], [], []
+    lambda_cap, shift_max, arg_max = 1.0, -math.inf, -math.inf
+    for f in factors:  # one pass; an overflowing block is kept as inf, for the datum to reject
+        lam, mu = f.lam, f.mu
+        lm = lam + mu.conjugate()
+        lams.append(lam)
+        mu_terms.append(4.0 * (0.5 - mu))
+        try:  # lam ** (2 lam) overflows only for lam > 143, where the degree is > 1
+            lambda_cap *= lam ** (2.0 * lam)
+        except OverflowError:
+            raise ValidationError("lambda Q^2 overflows a float") from None
+        try:
+            shift_max = max(shift_max, 2.0 * abs(lm) / lam)
+            arg_max = max(arg_max, 2.0 * abs(mu) / lam)
+            block = abs(lm) ** 2 + 2.0 * abs(lm * (lm - 0.5)) + abs(mu) ** 2
+            block += 2.0 * abs(mu * (mu - 0.5))
+        except OverflowError:  # |lam + conj(mu)|, |mu| or a square of them for a large mu
+            block = math.inf
+        series_blocks.append(block)
+    degree = 2.0 * math.fsum(lams)
+    if degree < 1.0:
+        raise ValidationError(f"degree {degree} < 1; degenerate data is rejected")
+    return dict(
+        degree=degree, lambda_cap=lambda_cap, mu_cap=sum(mu_terms, 0j), shift_max=shift_max,
+        arg_max=arg_max, threshold_height=max(shift_max, arg_max),
+        series_blocks=tuple(series_blocks), lams=tuple(lams), lam_max=max(lams),
+        lam_min=min(lams),
+    )
 
 
 class LFunctionData(_Value):
@@ -132,11 +217,15 @@ class LFunctionData(_Value):
     a1      : Ramanujan constant, |a(n)| <= a1 * n with a1 >= 1
 
     Every number, and lambda Q^2, must be finite, and lambda Q^2 nonzero.
-    Construction also computes the data-only invariants below, in one pass
-    over the factors, as plain attributes; they are left out of repr, == and
-    hash, which see the five fields only.  The hash of those five is computed
-    there too, so a memo lookup keyed by the datum does not hash its factors
-    again.  A datum whose invariants overflow a float is rejected.
+    Construction also stores the data-only invariants below as plain
+    attributes; they are left out of repr, == and hash, which see the five
+    fields only.  Those that depend on the factors alone (degree through
+    lam_min, but for lambda_q2, log_lambda_q2 and log_a1_zeta2) are computed
+    once per distinct factor tuple, by one pass over the factors, and taken
+    from a bounded memo by every later datum on an equal tuple; the rest are
+    computed per datum.  The hash of the five fields is computed there too,
+    so a memo lookup keyed by the datum does not hash its factors again.  A
+    datum whose invariants overflow a float is rejected.
 
     Invariants
     ----------
@@ -179,56 +268,31 @@ class LFunctionData(_Value):
             )
         if not 1.0 <= a1 < math.inf:
             raise ValidationError(f"a1 must be finite and >= 1, got {a1}")
-        lams, re_mus, mu_terms, series_blocks = [], [], [], []
-        lambda_cap, shift_max, arg_max = 1.0, -math.inf, -math.inf
-        for f in factors:  # one pass; an overflowing block is raised after the checks before it
-            lam, mu = f.lam, f.mu
-            lm = lam + mu.conjugate()
-            lams.append(lam)
-            re_mus.append(mu.real)
-            mu_terms.append(4.0 * (0.5 - mu))
-            try:  # lam ** (2 lam) overflows only for lam > 143, where the degree is > 1
-                lambda_cap *= lam ** (2.0 * lam)
-            except OverflowError:
-                raise ValidationError("lambda Q^2 overflows a float") from None
-            try:
-                shift_max = max(shift_max, 2.0 * abs(lm) / lam)
-                arg_max = max(arg_max, 2.0 * abs(mu) / lam)
-                block = abs(lm) ** 2 + 2.0 * abs(lm * (lm - 0.5)) + abs(mu) ** 2
-                block += 2.0 * abs(mu * (mu - 0.5))
-            except OverflowError:  # |lam + conj(mu)|, |mu| or a square of them for a large mu
-                block = math.inf
-            series_blocks.append(block)
-        degree = 2.0 * math.fsum(lams)
-        if degree < 1.0:
-            raise ValidationError(f"degree {degree} < 1; degenerate data is rejected")
-        lambda_q2 = lambda_cap * Q * Q
+        invariants = _factor_memo.get(factors)
+        if invariants is None:  # a raising pass caches nothing
+            invariants = _factor_memo.add(factors, _factor_pass(factors))
+        lambda_q2 = invariants["lambda_cap"] * Q * Q
         if not 0.0 < lambda_q2 < math.inf:
             raise ValidationError(f"lambda Q^2 = {lambda_q2} is not a positive finite float")
-        if math.inf in series_blocks:  # also a sum of finite terms rounded to inf
+        if math.inf in invariants["series_blocks"]:  # also a sum of finite terms rounded to inf
             raise ValidationError(
                 "a gamma factor's series block overflows a float (|mu| is too large)"
             )
-        threshold_height = max(shift_max, arg_max)
-        if not threshold_height < math.inf:  # 2 |lam + conj(mu)| / lam overflows
+        if not invariants["threshold_height"] < math.inf:  # 2 |lam + conj(mu)| / lam overflows
             raise ValidationError(
                 "the gamma-factor threshold height overflows a float (|mu| / lam is too large)"
             )
         log_a1_zeta2 = math.log(a1 * math.pi ** 2 / 6.0)
         if not log_a1_zeta2 < math.inf:  # a1 pi^2 overflows, for a1 > ~1.82e307
             raise ValidationError(f"a1 pi^2 / 6 overflows a float, got a1 = {a1}")
+        re_mus = [f.mu.real for f in factors]  # per datum: a zero Re(mu) keys the memo unsigned
         self._set(
-            factors=factors, Q=Q, omega=omega, k=k, a1=a1, degree=degree,
-            lambda_cap=lambda_cap, lambda_q2=lambda_q2, log_lambda_q2=math.log(lambda_q2),
-            log_a1_zeta2=log_a1_zeta2, mu_cap=sum(mu_terms, 0j), shift_max=shift_max,
-            arg_max=arg_max, threshold_height=threshold_height,
-            series_blocks=tuple(series_blocks), lams=tuple(lams), lam_max=max(lams),
-            lam_min=min(lams), re_mu_max=max(re_mus), re_mu_min=min(re_mus),
-            _hash=hash((factors, Q, omega, k, a1)),
+            invariants, factors=factors, Q=Q, omega=omega, k=k, a1=a1, lambda_q2=lambda_q2,
+            log_lambda_q2=math.log(lambda_q2), log_a1_zeta2=log_a1_zeta2,
+            re_mu_max=max(re_mus), re_mu_min=min(re_mus), _hash=hash((factors, Q, omega, k, a1)),
         )
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = GammaFactor.__hash__
 
     @property
     def f(self) -> int:
@@ -250,8 +314,8 @@ def tail_sum(x: float, a1: float) -> float:
     Raises DomainError for x <= 1 (divergent series), non-finite x or
     non-finite a1.
     """
-    if not 1.0 < x < math.inf:
-        raise DomainError(f"tail sum needs a finite exponent x > 1, got {x}")
+    if not 1.0 < x <= _FLOAT_MAX:
+        raise DomainError(f"tail sum needs a finite exponent x > 1, got {_value_text(x)}")
     try:
         finite = math.isfinite(a1)
     except OverflowError:  # an int too large for a float
@@ -280,7 +344,9 @@ class StripParams(_Value):
     """
 
     def __init__(self, a: float, b: float, R: float) -> None:
-        a, b, R = float(a), float(b), float(R)
+        a = _convert(float, a, "strip a", InvalidStripError)
+        b = _convert(float, b, "strip b", InvalidStripError)
+        R = _convert(float, R, "strip R", InvalidStripError)
         if not 2.0 < a < math.inf:
             raise InvalidStripError(f"strip needs finite a > 2, got a = {a}")
         if not -math.inf < b < -3.0:
@@ -294,7 +360,7 @@ class StripParams(_Value):
         self._set(a=a, b=b, R=R, two_r=two_r, right_edge=right_edge, disc_slope=0.5 - a + two_r,
                   _hash=hash((a, b, R)))
 
-    __hash__ = LFunctionData.__hash__
+    __hash__ = GammaFactor.__hash__
 
 
 def select_strip(a1: float, a: float | None = None, b: float | None = None) -> StripParams:
@@ -317,7 +383,7 @@ def select_strip(a1: float, a: float | None = None, b: float | None = None) -> S
             n += 1
         a = float(n)
     else:
-        a = float(a)
+        a = _convert(float, a, "override a", InvalidStripError)
         if not 2.0 < a < math.inf:
             raise InvalidStripError(f"override a = {a} does not satisfy a > 2 or is not finite")
         if not (tail := tail_sum(a, a1)) < 0.5:
@@ -329,7 +395,7 @@ def select_strip(a1: float, a: float | None = None, b: float | None = None) -> S
             n -= 1
         b = float(n)
     else:
-        b = float(b)
+        b = _convert(float, b, "override b", InvalidStripError)
         if not -math.inf < b < -3.0:
             raise InvalidStripError(f"override b = {b} does not satisfy b < -3 or is not finite")
         if not (tail := tail_sum(-b - 1.0, a1)) < 1.0:
@@ -417,8 +483,8 @@ def min_admissible_height(data: LFunctionData, strip: StripParams) -> Admissible
 
 def require_admissible(data: LFunctionData, strip: StripParams, T: float, label: str = "T") -> None:
     """Raise AdmissibilityError naming the first constraint T violates, or if T is not finite."""
-    if not math.isfinite(T):
-        raise AdmissibilityError(f"{label} = {T} is not a finite height")
+    if not abs(T) <= _FLOAT_MAX:
+        raise AdmissibilityError(f"{label} = {_value_text(T)} is not a finite height")
     for name, val, strict in _constraints(data, strip):
         if strict:
             ok = T > val
@@ -434,8 +500,8 @@ def require_admissible(data: LFunctionData, strip: StripParams, T: float, label:
 
 def main_term(data: LFunctionData, T: float) -> float:
     """Smooth zero-count term (d / 2 pi) T log(T/e) + (T / 2 pi) log(lambda Q^2)."""
-    if not 0.0 < T < math.inf:
-        raise DomainError(f"main term needs finite T > 0, got {T}")
+    if not 0.0 < T <= _FLOAT_MAX:
+        raise DomainError(f"main term needs finite T > 0, got {_value_text(T)}")
     d, log_lq2 = data.degree, data.log_lambda_q2
     return d / (2.0 * math.pi) * T * math.log(T / math.e) + T / (2.0 * math.pi) * log_lq2
 

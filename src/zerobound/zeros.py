@@ -16,7 +16,7 @@ import os
 from bisect import bisect_right
 
 from .bounds import total_count_error, window_coefficients
-from .errors import DomainError, ZeroFileError
+from .errors import DomainError, ZeroFileError, _value_text
 from .selberg import LFunctionData, StripParams, _Value, main_term
 
 
@@ -28,6 +28,10 @@ class ZeroList(_Value):
     """Sorted, positive, finite zero ordinates with a provenance label."""
 
     def __init__(self, ordinates: tuple[float, ...], source_label: str = "") -> None:
+        if isinstance(ordinates, (str, bytes, bytearray)):  # float would take each character
+            raise ZeroFileError(
+                f"ordinates must be a sequence of real numbers, got a {type(ordinates).__name__}"
+            )
         try:
             t = tuple(map(float, ordinates))
         except (TypeError, ValueError, OverflowError) as exc:
@@ -148,7 +152,7 @@ def _first_bad_line(path: str | os.PathLike) -> ZeroFileError:
 def count_window(zeros: ZeroList, T0: float, T: float) -> int:
     """Number of ordinates in the half-open window (T0, T]."""
     if not T > T0:
-        raise DomainError(f"needs T > T0, got T = {T} <= T0 = {T0}")
+        raise DomainError(f"needs T > T0, got T = {_value_text(T)} <= T0 = {_value_text(T0)}")
     return bisect_right(zeros.ordinates, T) - bisect_right(zeros.ordinates, T0)
 
 

@@ -1,19 +1,21 @@
-"""Shared fixtures: preset data, zero-table paths and empty window memos."""
+"""Shared fixtures: preset data, zero-table paths and empty memos."""
 
 from pathlib import Path
 
 import pytest
 
-from zerobound import bounds, presets
+from zerobound import bounds, newform, presets, selberg
 
 DATA_DIR = Path(__file__).parent / "data"
 
 
 @pytest.fixture(autouse=True)
-def empty_window_memos():
-    """Start each test with no memoized window or window pieces, so call counts start cold."""
+def empty_memos():
+    """Start each test with every memo empty, so call counts start cold."""
     bounds._window.cache_clear()
     bounds._pieces.clear()
+    selberg._factor_memo.clear()
+    newform._weight_factors.cache_clear()
 
 
 @pytest.fixture(scope="session")

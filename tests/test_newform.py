@@ -5,6 +5,7 @@ import math
 import pytest
 
 from zerobound import (
+    GammaFactor,
     NewformSpec,
     ValidationError,
     min_admissible_height,
@@ -87,6 +88,16 @@ def test_lambda_q2_is_level_over_four_pi_squared():
         assert data.lambda_q2 == pytest.approx(
             level / (4.0 * math.pi ** 2), rel=1e-14
         )
+
+
+def test_data_of_one_weight_share_one_factor_tuple():
+    # the tuple is built once per weight and kept for the 256 latest weights
+    same = [newform_params(NewformSpec(level, 12)).factors for level in (1, 11, 389)]
+    assert same[0] is same[1] is same[2] == (GammaFactor(1.0, complex(5.5, 0.0)),)
+    assert newform_params(NewformSpec(1, 14)).factors is not same[0]
+    for weight in range(2, 2 * 300, 2):
+        newform_params(NewformSpec(1, weight))
+    assert newform._weight_factors.cache_info().currsize == 256
 
 
 def test_newform_strip_is_select_strip_at_unit_coefficient():

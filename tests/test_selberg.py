@@ -25,6 +25,8 @@ from zerobound import (
 )
 from zerobound.selberg import _TAIL_TERMS, _constraints, _pole_window, document_dict
 
+from test_bounds import _flip_zero, _or_zero
+
 # frozen by scripts/derive_oracle_values.py (mpmath, 40 digits)
 TAIL_2 = 0.6449340668482264
 TAIL_3 = 0.2020569031595943
@@ -152,6 +154,45 @@ def test_oversized_integers_are_validation_errors():
     assert str(err.value) == "a1 is too large to convert to a float, got an integer of 16610 bits"
 
 
+def _past_the_float_range_cases():
+    """One param per entry point taking a height or abscissa: a call of an int, its error class."""
+    from zerobound import (
+        AdmissibilityError, Coefficients, ZeroList, bound_report, check_bound, disc_count_bound,
+        presets, shifted_constant, window_coefficients,
+    )
+
+    data, strip = presets.zeta()
+    zeros = ZeroList((14.134725, 21.02204))
+    cases = {
+        "require_admissible": (lambda v: require_admissible(data, strip, v), AdmissibilityError),
+        "bound_report": (lambda v: bound_report(data, strip, 16.0, v), DomainError),
+        "window_coefficients": (lambda v: window_coefficients(data, strip, v), AdmissibilityError),
+        "check_bound": (lambda v: check_bound(data, strip, zeros, 16.0, v), DomainError),
+        "main_term": (lambda v: main_term(data, v), DomainError),
+        "evaluate": (lambda v: Coefficients(1.0, 2.0, 3.0).evaluate(v), DomainError),
+        "disc_count_bound": (lambda v: disc_count_bound(data, strip, v), AdmissibilityError),
+        "tail_sum": (lambda v: tail_sum(v, 1.0), DomainError),
+        "select_strip_a": (lambda v: select_strip(1.0, a=v), InvalidStripError),
+        "select_strip_b": (lambda v: select_strip(1.0, b=-v), InvalidStripError),
+        "StripParams": (lambda v: StripParams(v, -5.0, 1.0), InvalidStripError),
+        "shifted_constant": (lambda v: shifted_constant(1.0, v, 0), ValidationError),
+    }
+    return [pytest.param(call, error, id=name) for name, (call, error) in cases.items()]
+
+
+@pytest.mark.parametrize("big", [10 ** 400, 10 ** 5000], ids=["10^400", "10^5000"])
+@pytest.mark.parametrize("call, error", _past_the_float_range_cases())
+def test_ints_past_the_float_range_raise_the_package_errors(call, error, big):
+    # each call raised a bare OverflowError; the message writes the int (or its
+    # negative) through _value_text, so 10^5000 is given by its bit length
+    from zerobound.errors import _value_text
+
+    with pytest.raises(error) as err:
+        call(big)
+    assert type(err.value) is error
+    assert _value_text(big) in str(err.value) or _value_text(-big) in str(err.value)
+
+
 def test_datum_hash_is_stored_at_construction(nf12_pair, monkeypatch):
     # the hash the dataclass generated, computed once: hashing the datum again
     # (two window-memo lookups per checked height) does not hash its factors
@@ -161,6 +202,14 @@ def test_datum_hash_is_stored_at_construction(nf12_pair, monkeypatch):
     monkeypatch.setattr(GammaFactor, "__hash__", lambda self: calls.append(self) or 0)
     hash(data)
     assert calls == []
+
+
+def test_gamma_factor_hash_is_stored_at_construction():
+    # the memo keys hash factor tuples; each factor returns the hash its
+    # constructor stored, the hash of (lam, mu), so equal factors share it
+    factor = GammaFactor(1.0, complex(5.5, -0.0))
+    assert vars(factor)["_hash"] == hash(factor) == hash((1.0, complex(5.5, 0.0)))
+    assert hash(factor) == hash(GammaFactor(1, 5.5))
 
 
 def test_strip_hash_is_stored_at_construction(monkeypatch):
@@ -312,6 +361,137 @@ def test_invariants_match_the_lazy_formulas(factors, log_q, theta, k, a1):
         f"LFunctionData(factors={data.factors!r}, Q={data.Q!r}, omega={data.omega!r}, "
         f"k={data.k!r}, a1={data.a1!r})"
     )
+
+
+# --- the factor-invariant memo -------------------------------------------------
+
+def _invariant_bits(data):
+    """_hex of every invariant a datum stores beyond its five fields and its hash."""
+    skip = {*LFunctionData._fields, "_hash"}
+    return {name: _hex(value) for name, value in vars(data).items() if name not in skip}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(0.05, 60.0), _or_zero(st.floats(0.0, 1e6)),
+                  _or_zero(st.floats(-1e6, 1e6))),
+        min_size=1, max_size=4,
+    ),
+    st.floats(-20.0, 20.0), st.floats(-math.pi, math.pi), st.integers(0, 7), st.floats(1.0, 1e6),
+)
+def test_datum_on_a_memoized_twin_tuple_has_the_bits_of_a_cold_one(params, log_q, theta, k, a1):
+    # the twin tuple flips the sign of every zero part of mu, so it compares
+    # equal and is the memo key the datum finds; every invariant, the extremes
+    # of Re(mu) included, has the bits of the same datum built on an empty memo
+    from zerobound import selberg
+
+    factors = tuple(GammaFactor(lam, complex(re, im)) for lam, re, im in params)
+    twin = tuple(
+        GammaFactor(f.lam, complex(_flip_zero(f.mu.real), _flip_zero(f.mu.imag))) for f in factors
+    )
+    args = math.exp(log_q), cmath.exp(1j * theta), k, a1
+    selberg._factor_memo.clear()
+    try:
+        LFunctionData(twin, *args)
+    except ValidationError:
+        assume(False)
+    warm = LFunctionData(factors, *args)
+    assert len(selberg._factor_memo) == 1
+    selberg._factor_memo.clear()
+    assert _invariant_bits(warm) == _invariant_bits(LFunctionData(factors, *args))
+
+
+def _count_factor_passes(monkeypatch):
+    """Count the calls of selberg._factor_pass from here on."""
+    from zerobound import selberg
+
+    calls = []
+    factor_pass = selberg._factor_pass
+    monkeypatch.setattr(selberg, "_factor_pass", lambda f: calls.append(f) or factor_pass(f))
+    return calls
+
+
+def _distinct_factor_tuples(n):
+    """n distinct one-factor tuples."""
+    return [(GammaFactor(1.0, complex(0.5 * i, 0.25)),) for i in range(n)]
+
+
+def test_factor_memo_never_exceeds_its_bound(monkeypatch):
+    # more distinct factor tuples than the memo holds: the oldest go first, and
+    # a revisit gives the bits of the first visit
+    from zerobound import selberg
+
+    tuples = _distinct_factor_tuples(selberg._FACTOR_MEMO_SIZE + 40)
+    first = []
+    for factors in tuples:
+        first.append(_invariant_bits(LFunctionData(factors, 0.7, 1, 0, 1.0)))
+        assert len(selberg._factor_memo) <= selberg._FACTOR_MEMO_SIZE
+    assert len(selberg._factor_memo) == selberg._FACTOR_MEMO_SIZE
+    calls = _count_factor_passes(monkeypatch)
+    for i in (-1, 0, 1, -1):
+        assert _invariant_bits(LFunctionData(tuples[i], 0.7, 1, 0, 1.0)) == first[i]
+    assert calls == [tuples[0], tuples[1]]  # the last was kept, the first two were dropped
+    assert len(selberg._factor_memo) == selberg._FACTOR_MEMO_SIZE
+
+
+def test_raising_factor_pass_caches_nothing():
+    from zerobound import selberg
+
+    for factors in ((GammaFactor(0.1, 1.0),), (GammaFactor(200.0, 0j),)):
+        with pytest.raises(ValidationError):
+            LFunctionData(factors, 1.0, 1, 0, 1.0)
+    assert len(selberg._factor_memo) == 0
+
+
+def test_factor_memo_keeps_its_bound_and_results_under_threads():
+    # four threads add and evict entries at once, with a short switch interval
+    import sys
+    import threading
+
+    from zerobound import selberg
+
+    tuples = _distinct_factor_tuples(selberg._FACTOR_MEMO_SIZE + 40)
+    expected = [_invariant_bits(LFunctionData(f, 0.7, 1, 0, 1.0)) for f in tuples]
+    selberg._factor_memo.clear()
+    results, sizes = {}, []
+
+    def work(offset):
+        order = tuples[offset:] + tuples[:offset]
+        got = []
+        for factors in order:
+            got.append(_invariant_bits(LFunctionData(factors, 0.7, 1, 0, 1.0)))
+            sizes.append(len(selberg._factor_memo))
+        results[offset] = got[-offset:] + got[:-offset] if offset else got
+
+    threads = [threading.Thread(target=work, args=(70 * i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 70, 140, 210]
+    assert all(got == expected for got in results.values())
+    assert max(sizes) <= selberg._FACTOR_MEMO_SIZE
+
+
+def test_bundled_table_runs_the_factor_pass_once_per_weight(monkeypatch):
+    # the 25 rows have 10 distinct weights, so 10 distinct factor tuples; each
+    # row built its datum, and ran the pass, anew before the memo
+    from importlib.resources import files
+
+    from zerobound.newform import read_pairs_csv, table_generate
+
+    specs = read_pairs_csv(files("zerobound").joinpath("data/table_pairs.csv").read_text())
+    calls = _count_factor_passes(monkeypatch)
+    table_generate(specs)
+    assert len(specs) == 25 and len({spec.weight for spec in specs}) == 10
+    assert len(calls) == 10
 
 
 # --- tail sums ----------------------------------------------------------------

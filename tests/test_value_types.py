@@ -98,6 +98,7 @@ FIELDS = {
 
 #: the attributes a constructor stores beyond the fields, derived from them
 DERIVED = {
+    "GammaFactor": ("_hash",),
     "LFunctionData": (
         "degree", "lambda_cap", "lambda_q2", "log_lambda_q2", "log_a1_zeta2", "mu_cap",
         "shift_max", "arg_max", "threshold_height", "series_blocks", "lams", "lam_max",

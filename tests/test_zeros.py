@@ -103,6 +103,16 @@ def test_zerolist_invariants():
             ZeroList(bad)
 
 
+@pytest.mark.parametrize(
+    "text, kind", [("123", "str"), (b"\x01\x02", "bytes"), (bytearray(b"\x01"), "bytearray")]
+)
+def test_zerolist_rejects_text_and_bytes(text, kind):
+    # float would read a string digit by digit and bytes as small ints
+    with pytest.raises(ZeroFileError) as err:
+        ZeroList(text)
+    assert str(err.value) == f"ordinates must be a sequence of real numbers, got a {kind}"
+
+
 # --- the block loader against a line-by-line reference --------------------------
 
 def reference_load(path):
