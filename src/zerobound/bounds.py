@@ -17,12 +17,10 @@ total_count_error stitches these into the (T0, T]-window bound, and
 window_coefficients / doubling_coefficients flatten that bound into the
 c1 log T + c2 + c3 / T coefficient form (for the (T0, T] and (T, 2T]
 windows respectively).  All three and bound_report take their window of
-(datum, strip, T0) from one memo; a window takes the pieces that depend on
-the gamma factors and the strip alone from a second memo, so each is
-computed once per (data.factors, strip) and the rest once per window.  That
-second memo is a selberg._Memo, the bounded, locked, oldest-out dict that
-also keeps each factor tuple's datum invariants.  Everything is a pure
-function of the datum, the strip, and the heights.
+(datum, strip, T0) from the cache _window; a window takes the pieces that
+depend on the gamma factors and the strip alone from the cache
+_factor_pieces.  Everything is a pure function of the datum, the strip, and
+the heights.
 """
 
 from __future__ import annotations
@@ -33,7 +31,9 @@ import warnings
 
 from .errors import BoundaryWarning, DomainError, ValidationError, _value_text
 from .gammabounds import LOG2, _kernel_sums, _log_interp_peak, ratio_error_sup
-from .selberg import _FLOAT_MAX, LFunctionData, StripParams, _Memo, _Value, require_admissible
+from .selberg import (
+    _FLOAT_MAX, GammaFactor, LFunctionData, StripParams, _factor_pass, _Value, require_admissible,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -198,28 +198,18 @@ def _branch(data: LFunctionData, strip: StripParams, heads: tuple, T0: float) ->
     return BranchConstants(alpha=1, h1=h1_interp, h2=0.0)
 
 
-#: The _factor_pieces of the latest _PIECES_SIZE (data.factors, strip) keys, oldest
-#: out first.  A table or a T0 scan touches one key per distinct factor tuple (the
-#: 25 bundled rows touch 10).
-_PIECES_SIZE = 256
-_pieces = _Memo(_PIECES_SIZE)
+@functools.lru_cache(maxsize=256)
+def _factor_pieces(
+    factors: tuple[GammaFactor, ...], strip: StripParams
+) -> tuple[float, float, float]:
+    """K, ratio_slope and slope of every window on these gamma factors and this strip.
 
-
-def _factor_pieces(data: LFunctionData, strip: StripParams) -> tuple[float, float, float, float]:
-    """K, ratio_slope, slope and trivial of a window on (data, strip), memoized in _pieces.
-
-    None of them reads Q, omega, k or a1, and each reads mu only through abs
-    or trivial_zero_window's extremes sum, so equal factors give equal bits
-    even where a zero part of mu differs in sign.  A raising call caches nothing.
+    Each reads only the factor pass's invariants and the strip.
     """
-    key = data.factors, strip
-    pieces = _pieces.get(key)
-    if pieces is None:
-        K, *below = _kernel_sums(data, -strip.right_edge, -strip.b, -strip.b - 1.0)
-        ratio_slope = sum(below)
-        slope = _log_slope(data, strip, ratio_slope)
-        pieces = _pieces.add(key, (K, ratio_slope, slope, trivial_zero_window(data, strip)))
-    return pieces
+    profile = _factor_pass(factors)
+    K, *below = _kernel_sums(profile, -strip.right_edge, -strip.b, -strip.b - 1.0)
+    ratio_slope = sum(below)
+    return K, ratio_slope, _log_slope(profile, strip, ratio_slope)
 
 
 class _Window(_Value):
@@ -227,17 +217,16 @@ class _Window(_Value):
 
     Construction checks that T0 is admissible, so every finite T > T0 is too.
     It takes K (ratio_error_sup's numerator), ratio_slope (the log(T/T0)
-    coefficient of S), slope (that of R1) and trivial from _factor_pieces,
-    once per (data.factors, strip), and computes every other T0-only piece
-    once: the heads that choose bc and enter every R2, R2(T0), head the
-    main-term pieces at T0, and the two coefficient triples.  repr, == and
-    hash see data, strip and T0 only, which fix every other field.  Build
-    windows through _window only.
+    coefficient of S) and slope (that of R1) from _factor_pieces, and
+    computes every other T0-only piece once: the heads that choose bc and
+    enter every R2, R2(T0), head the main-term pieces at T0, trivial, and
+    the two coefficient triples.  repr, == and hash see data, strip and T0
+    only, which fix every other field.  Build windows through _window only.
     """
 
     def __init__(self, data: LFunctionData, strip: StripParams, T0: float) -> None:
         require_admissible(data, strip, T0, label="T0")
-        K, ratio_slope, slope, trivial = _factor_pieces(data, strip)
+        K, ratio_slope, slope = _factor_pieces(data.factors, strip)
         heads = _heads(data, strip)
         head = data.degree / TWO_PI * T0 * math.log(T0 / math.e)
         head += T0 / TWO_PI * abs(data.log_lambda_q2)
@@ -245,7 +234,7 @@ class _Window(_Value):
             data=data, strip=strip, T0=T0, K=K, ratio_slope=ratio_slope, slope=slope,
             heads=heads, bc=_branch(data, strip, heads, T0),
             r2_t0=_disc_bound(data, strip, heads, K / (T0 - strip.two_r), T0), head=head,
-            trivial=trivial,
+            trivial=trivial_zero_window(data, strip),
         )
         self._set(coefficients=self._coefficients())  # reads the fields set above
 

@@ -19,7 +19,7 @@ import cmath
 import math
 
 from .errors import AdmissibilityError, DomainError, _value_text
-from .selberg import _FLOAT_MAX, LFunctionData, StripParams, require_admissible
+from .selberg import _FLOAT_MAX, LFunctionData, StripParams, _convert, require_admissible
 
 #: second Bernoulli number, the one-term Stirling remainder coefficient
 B2 = 1.0 / 6.0
@@ -53,7 +53,7 @@ def stirling_remainder_bound(z: complex) -> float:
 
     Valid on |arg z| < pi, z != 0, z finite.
     """
-    z = complex(z)
+    z = _convert(complex, z, "z", DomainError)
     ph = _phase(z)
     return B2 / (2.0 * abs(z)) * _sec_sq(ph / 2.0)
 
@@ -98,6 +98,7 @@ def remainder_pair_bound(data: LFunctionData, j: int, sigma: float, t: float) ->
     whose half-argument stays below pi/4.
     """
     _require_remainder_height(data, t)
+    sigma = _convert(float, sigma, "sigma", DomainError)
     return B2 / (2.0 * data.factors[j].lam * t) * _pair_secant(data, -abs(sigma))
 
 
@@ -109,12 +110,14 @@ def ratio_error_bound(data: LFunctionData, j: int, sigma: float, t: float) -> fl
     error) plus the paired Stirling-remainder bound.  Scales exactly as 1/t.
     """
     _require_remainder_height(data, t)
+    sigma = _convert(float, sigma, "sigma", DomainError)
     return _factor_kernels(data, -abs(sigma))[j] / t
 
 
 def ratio_error_total(data: LFunctionData, sigma: float, t: float) -> float:
     """Sum of ratio_error_bound over all factors."""
     _require_remainder_height(data, t)
+    sigma = _convert(float, sigma, "sigma", DomainError)
     return math.fsum(k / t for k in _factor_kernels(data, -abs(sigma)))
 
 
@@ -140,6 +143,7 @@ def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:
     Requires finite sigma, finite t > 0 and both gamma arguments off the
     branch cut.
     """
+    sigma = _convert(float, sigma, "sigma", DomainError)
     if not math.isfinite(sigma):
         raise DomainError(f"need a finite real part sigma, got {sigma}")
     if not 0.0 < t <= _FLOAT_MAX:
@@ -187,11 +191,14 @@ def magnitude_envelope(
     be finite.  Raises DomainError where the envelope exceeds the float
     range, as it can for a large |Im mu_cap|.
     """
+    sigma = _convert(float, sigma, "sigma", DomainError)
     if not math.isfinite(sigma):
         raise DomainError(f"need a finite real part sigma, got {sigma}")
     require_admissible(data, strip, T)
     if not (T - strip.two_r <= t <= T + strip.two_r):
-        raise DomainError(f"t = {t} outside the window [{T - strip.two_r}, {T + strip.two_r}]")
+        raise DomainError(
+            f"t = {_value_text(t)} outside the window [{T - strip.two_r}, {T + strip.two_r}]"
+        )
     const = data.a1 * math.pi ** 2 / 6.0
     if sigma >= 3.0:
         return const

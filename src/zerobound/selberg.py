@@ -22,11 +22,12 @@ Every value type is immutable (see _Value); every function is pure.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
-from _thread import allocate_lock
 from itertools import repeat
 from operator import attrgetter
+from types import SimpleNamespace
 
 from .errors import (
     AdmissibilityError,
@@ -108,35 +109,12 @@ class _Value:
         """Store the entries of shared, then fields, as attributes, past the frozen __setattr__.
 
         shared is a dict of attributes that several instances take from a
-        memo; passed whole, it is not merged into the keywords first.
+        cache; passed whole, it is not merged into the keywords first.
         """
         attributes = vars(self)
         if shared is not None:
             attributes.update(shared)
         attributes.update(fields)
-
-
-class _Memo(dict):
-    """A dict that keeps its latest maxsize entries, oldest out first.
-
-    Lookups are plain dict.get.  add stores an entry under the memo's lock,
-    a lock from _thread, which every interpreter has loaded, so no threading
-    import is added; two threads that miss one key at once may both compute
-    it, and the memo keeps one.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        super().__init__()
-        self.maxsize = maxsize
-        self._lock = allocate_lock()
-
-    def add(self, key: object, value: object) -> object:
-        """Store value under key, first dropping the oldest entry if full; return value."""
-        with self._lock:
-            if len(self) >= self.maxsize:
-                del self[next(iter(self))]
-            self[key] = value
-        return value
 
 
 class GammaFactor(_Value):
@@ -158,14 +136,9 @@ class GammaFactor(_Value):
         return self._hash
 
 
-#: The _factor_pass of the latest _FACTOR_MEMO_SIZE factor tuples, oldest out first.
-#: A table touches one tuple per distinct weight (the 25 bundled rows touch 10).
-_FACTOR_MEMO_SIZE = 256
-_factor_memo = _Memo(_FACTOR_MEMO_SIZE)
-
-
-def _factor_pass(factors: tuple[GammaFactor, ...]) -> dict:
-    """The factor-only invariants of a datum, by name, in one pass over its factors.
+@functools.lru_cache(maxsize=256)
+def _factor_pass(factors: tuple[GammaFactor, ...]) -> SimpleNamespace:
+    """The factor-only invariants of a datum, as attributes, in one pass over its factors.
 
     Raises the datum's ValidationError for an overflowing lambda_cap or a
     degree below 1.  An overflowing series block or threshold height is kept
@@ -196,7 +169,7 @@ def _factor_pass(factors: tuple[GammaFactor, ...]) -> dict:
     degree = 2.0 * math.fsum(lams)
     if degree < 1.0:
         raise ValidationError(f"degree {degree} < 1; degenerate data is rejected")
-    return dict(
+    return SimpleNamespace(
         degree=degree, lambda_cap=lambda_cap, mu_cap=sum(mu_terms, 0j), shift_max=shift_max,
         arg_max=arg_max, threshold_height=max(shift_max, arg_max),
         series_blocks=tuple(series_blocks), lams=tuple(lams), lam_max=max(lams),
@@ -217,15 +190,12 @@ class LFunctionData(_Value):
     a1      : Ramanujan constant, |a(n)| <= a1 * n with a1 >= 1
 
     Every number, and lambda Q^2, must be finite, and lambda Q^2 nonzero.
-    Construction also stores the data-only invariants below as plain
-    attributes; they are left out of repr, == and hash, which see the five
+    Construction also stores the data-only invariants below, and the hash
+    of the five fields, as plain attributes; repr, == and hash see the five
     fields only.  Those that depend on the factors alone (degree through
-    lam_min, but for lambda_q2, log_lambda_q2 and log_a1_zeta2) are computed
-    once per distinct factor tuple, by one pass over the factors, and taken
-    from a bounded memo by every later datum on an equal tuple; the rest are
-    computed per datum.  The hash of the five fields is computed there too,
-    so a memo lookup keyed by the datum does not hash its factors again.  A
-    datum whose invariants overflow a float is rejected.
+    lam_min, but for lambda_q2, log_lambda_q2 and log_a1_zeta2) come from
+    _factor_pass, cached per factor tuple; the rest are computed per datum.
+    A datum whose invariants overflow a float is rejected.
 
     Invariants
     ----------
@@ -268,26 +238,24 @@ class LFunctionData(_Value):
             )
         if not 1.0 <= a1 < math.inf:
             raise ValidationError(f"a1 must be finite and >= 1, got {a1}")
-        invariants = _factor_memo.get(factors)
-        if invariants is None:  # a raising pass caches nothing
-            invariants = _factor_memo.add(factors, _factor_pass(factors))
-        lambda_q2 = invariants["lambda_cap"] * Q * Q
+        profile = _factor_pass(factors)
+        lambda_q2 = profile.lambda_cap * Q * Q
         if not 0.0 < lambda_q2 < math.inf:
             raise ValidationError(f"lambda Q^2 = {lambda_q2} is not a positive finite float")
-        if math.inf in invariants["series_blocks"]:  # also a sum of finite terms rounded to inf
+        if math.inf in profile.series_blocks:  # also a sum of finite terms rounded to inf
             raise ValidationError(
                 "a gamma factor's series block overflows a float (|mu| is too large)"
             )
-        if not invariants["threshold_height"] < math.inf:  # 2 |lam + conj(mu)| / lam overflows
+        if not profile.threshold_height < math.inf:  # 2 |lam + conj(mu)| / lam overflows
             raise ValidationError(
                 "the gamma-factor threshold height overflows a float (|mu| / lam is too large)"
             )
         log_a1_zeta2 = math.log(a1 * math.pi ** 2 / 6.0)
         if not log_a1_zeta2 < math.inf:  # a1 pi^2 overflows, for a1 > ~1.82e307
             raise ValidationError(f"a1 pi^2 / 6 overflows a float, got a1 = {a1}")
-        re_mus = [f.mu.real for f in factors]  # per datum: a zero Re(mu) keys the memo unsigned
+        re_mus = [f.mu.real for f in factors]  # per datum: a zero Re(mu) keys the cache unsigned
         self._set(
-            invariants, factors=factors, Q=Q, omega=omega, k=k, a1=a1, lambda_q2=lambda_q2,
+            vars(profile), factors=factors, Q=Q, omega=omega, k=k, a1=a1, lambda_q2=lambda_q2,
             log_lambda_q2=math.log(lambda_q2), log_a1_zeta2=log_a1_zeta2,
             re_mu_max=max(re_mus), re_mu_min=min(re_mus), _hash=hash((factors, Q, omega, k, a1)),
         )

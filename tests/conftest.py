@@ -1,21 +1,30 @@
-"""Shared fixtures: preset data, zero-table paths and empty memos."""
+"""Shared fixtures: preset data, zero-table paths and empty caches."""
 
 from pathlib import Path
 
 import pytest
 
-from zerobound import bounds, newform, presets, selberg
+from zerobound import bounds, cli, newform, presets, selberg
 
 DATA_DIR = Path(__file__).parent / "data"
+
+#: every functools cache of the package, as test_every_cache_is_bounded_and_emptied_per_test checks
+CACHES = (
+    bounds._window, bounds._factor_pieces, selberg._factor_pass, newform._weight_factors,
+    cli._build_parser,
+)
+
+
+def empty_caches():
+    """cache_clear() each of CACHES."""
+    for cache in CACHES:
+        cache.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def empty_memos():
-    """Start each test with every memo empty, so call counts start cold."""
-    bounds._window.cache_clear()
-    bounds._pieces.clear()
-    selberg._factor_memo.clear()
-    newform._weight_factors.cache_clear()
+    """Start each test with every cache empty, so call counts start cold."""
+    empty_caches()
 
 
 @pytest.fixture(scope="session")

@@ -301,11 +301,18 @@ def test_non_finite_height_is_rejected(nf12_pair, call, height):
     lambda d, s, sigma: ratio_error_total(d, sigma, 30.0),
     lambda d, s, sigma: reflection_log_main(d, sigma, 30.0),
     lambda d, s, sigma: magnitude_envelope(d, s, sigma, 30.0, 30.0),
-    lambda d, s, sigma: stirling_remainder_bound(complex(sigma, 1.0)),
+    # complex() of an int past the float range would overflow here, before the call
+    lambda d, s, sigma: stirling_remainder_bound(
+        complex(sigma, 1.0) if isinstance(sigma, float) else sigma
+    ),
 ])
-@pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("sigma", [
+    math.inf, -math.inf, math.nan,
+    pytest.param(10 ** 400, id="10^400"), pytest.param(-10 ** 400, id="-10^400"),
+])
 def test_non_finite_real_part_is_rejected(nf12_pair, call, sigma):
-    # no bound holds at a non-finite real part, so none may come back as nan (or 0)
+    # no bound holds at a non-finite real part, so none may come back as nan (or 0);
+    # an int past the float range gets a DomainError too, not a bare OverflowError
     with pytest.raises(DomainError):
         call(*nf12_pair, sigma)
 
@@ -464,7 +471,7 @@ def test_each_window_computes_its_t0_pieces_once(monkeypatch):
     # pass, evaluates the branch heads once and chooses the branch once;
     # check_bound on the same (data, strip, T0) then builds nothing, and
     # check_bound at 200 heights on another T0 builds one window, on the
-    # memoized kernel sums, or from scratch once both memos are emptied
+    # cached kernel sums, or from scratch once both caches are emptied
     from zerobound import bounds, gammabounds, selberg
 
     data, strip = presets.zeta()
@@ -481,7 +488,7 @@ def test_each_window_computes_its_t0_pieces_once(monkeypatch):
 
     # (_kernel_sums, _log_interp_peak, _heads, _branch, branch_constants, require_admissible)
     once = (1, 1, 1, 1, 0, 1)
-    # a new T0 on gamma factors and a strip seen before: the kernel sums are memoized
+    # a new T0 on gamma factors and a strip seen before: the kernel sums are cached
     known_factors = (0, 1, 1, 1, 0, 1)
     assert counts_of(lambda: bound_report(data, strip, 16.0, 100.0)) == once, calls
     assert counts_of(lambda: check_bound(data, strip, zeros, 16.0, 100.0)) == (0,) * 6, calls
@@ -492,7 +499,7 @@ def test_each_window_computes_its_t0_pieces_once(monkeypatch):
 
     assert counts_of(scan) == known_factors, calls
     bounds._window.cache_clear()
-    bounds._pieces.clear()
+    bounds._factor_pieces.cache_clear()
     assert counts_of(scan) == once, calls
     assert counts_of(lambda: table_row(NewformSpec(1, 12))) == once, calls
 
@@ -611,7 +618,7 @@ def test_memoized_check_bound_equals_a_fresh_window(window, shift, gaps):
         ]
         order = [(i + j) % len(memoized) for j in range(len(memoized))]
         got = {j: _bits(memoized[j]()) for j in order}
-        bounds._pieces.clear()  # the fresh window computes its factor-level pieces too
+        bounds._factor_pieces.cache_clear()  # the fresh window computes its factor-level pieces too
         fresh = _Window(data, strip, T0)
         main, dbl = fresh.coefficients
         expected = [
@@ -665,7 +672,7 @@ def test_data_differing_in_the_sign_of_a_zero_share_bit_identical_windows(window
     plus, minus = zero_imaginary_parts(1.0), zero_imaginary_parts(-1.0)
     assert plus == minus and hash(plus) == hash(minus)
     plus_bits = _window_bits(_Window(plus, strip, t0), t)
-    bounds._pieces.clear()
+    bounds._factor_pieces.cache_clear()
     assert plus_bits == _window_bits(_Window(minus, strip, t0), t)
 
 
@@ -701,64 +708,44 @@ def test_warm_and_cold_window_pieces_are_bit_identical(window, log_q, angle, k, 
         assume(False)
     T0 = min_admissible_height(twin, strip).value * (1.0 + lift)
     T = T0 * t / t0
-    bounds._pieces.clear()
+    bounds._factor_pieces.cache_clear()
     _Window(data, strip, t0)
     warm = _Window(twin, strip, T0)
-    assert len(bounds._pieces) == 1  # the twin's key found the first datum's pieces
-    bounds._pieces.clear()
+    assert bounds._factor_pieces.cache_info()[:2] == (1, 1)  # the twin found the first pieces
+    bounds._factor_pieces.cache_clear()
     assert _window_bits(warm, T) == _window_bits(_Window(twin, strip, T0), T)
 
 
-def test_factor_pieces_memo_never_exceeds_its_bound(monkeypatch):
-    # more distinct gamma factors than the memo holds: the oldest go first
-    from zerobound import bounds, gammabounds
+# --- the caches --------------------------------------------------------------------------
+
+def test_every_cache_is_bounded_and_emptied_per_test(zeta_pair):
+    # the functools caches found in the zerobound module dicts are the ones the
+    # autouse fixture empties; each holds a bounded number of entries, but the
+    # parser cache, whose function takes no arguments
+    import inspect
+
+    from conftest import CACHES, empty_caches
+
+    from zerobound import cli
     from zerobound.newform import pipeline_constants
 
-    specs = [NewformSpec(1, 2 * i) for i in range(1, bounds._PIECES_SIZE + 41)]
-    for spec in specs:
-        pipeline_constants(spec)
-        assert len(bounds._pieces) <= bounds._PIECES_SIZE
-    assert len(bounds._pieces) == bounds._PIECES_SIZE
-    calls = _count_calls(monkeypatch, gammabounds._kernel_sums)
-    pipeline_constants(specs[-1])
-    assert calls["_kernel_sums"] == 0
-    pipeline_constants(specs[0])
-    assert calls["_kernel_sums"] == 1
-    assert len(bounds._pieces) == bounds._PIECES_SIZE
-
-
-def test_factor_pieces_memo_keeps_its_bound_and_results_under_threads():
-    # four threads add and evict entries at once, with a short switch interval
-    import threading
-
-    from zerobound import bounds
-    from zerobound.newform import pipeline_constants
-
-    specs = [NewformSpec(1, 2 * i) for i in range(1, bounds._PIECES_SIZE + 41)]
-    expected = [pipeline_constants(spec) for spec in specs]
-    bounds._window.cache_clear()
-    bounds._pieces.clear()
-    results, sizes = {}, []
-
-    def work(offset):
-        order = specs[offset:] + specs[:offset]
-        got = []
-        for spec in order:
-            got.append(pipeline_constants(spec))
-            sizes.append(len(bounds._pieces))
-        results[offset] = got[-offset:] + got[:-offset] if offset else got
-
-    threads = [threading.Thread(target=work, args=(70 * i,)) for i in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert sorted(results) == [0, 70, 140, 210]
-    assert all(got == expected for got in results.values())
-    assert max(sizes) <= bounds._PIECES_SIZE
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "zerobound"]
+    found = {
+        id(value): value
+        for module in modules for value in vars(module).values()
+        if callable(getattr(value, "cache_info", None))
+    }
+    assert sorted(found) == sorted(map(id, CACHES)), [c.__qualname__ for c in found.values()]
+    data, strip = zeta_pair
+    bound_report(data, strip, 20.0, 100.0)
+    pipeline_constants(NewformSpec(1, 12))
+    cli._build_parser()
+    assert all(cache.cache_info().currsize for cache in CACHES)
+    empty_caches()
+    assert [cache.cache_info().currsize for cache in CACHES] == [0] * len(CACHES)
+    for cache in CACHES:
+        if cache is cli._build_parser:
+            assert cache.cache_info().maxsize is None
+            assert not inspect.signature(cache.__wrapped__).parameters
+        else:
+            assert cache.cache_info().maxsize is not None, cache.__qualname__

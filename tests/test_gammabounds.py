@@ -79,6 +79,8 @@ def test_remainder_bound_domain():
     too_close = "^secant argument .+ too close to an odd multiple of pi/2$"
     with pytest.raises(DomainError, match=too_close):
         stirling_remainder_bound(complex(-1e13, 1.0))
+    with pytest.raises(DomainError, match="^z is too large to convert to a float, got 1000"):
+        stirling_remainder_bound(10 ** 400)
 
 
 def test_remainder_bound_actually_majorizes():
@@ -328,6 +330,8 @@ def test_envelope_window_domain(nf12_pair):
     data, strip = nf12_pair
     with pytest.raises(DomainError):
         magnitude_envelope(data, strip, 0.0, 45.0, 30.0)  # t above T + 2R = 44
+    with pytest.raises(DomainError, match=r"^t = an integer of 16610 bits outside the window"):
+        magnitude_envelope(data, strip, 0.0, 10 ** 5000, 30.0)  # too long for str()
     with pytest.raises(AdmissibilityError):
         magnitude_envelope(data, strip, 0.0, 20.0, 20.0)  # T below 27
 

@@ -363,7 +363,7 @@ def test_invariants_match_the_lazy_formulas(factors, log_q, theta, k, a1):
     )
 
 
-# --- the factor-invariant memo -------------------------------------------------
+# --- the factor-invariant cache -------------------------------------------------
 
 def _invariant_bits(data):
     """_hex of every invariant a datum stores beyond its five fields and its hash."""
@@ -382,8 +382,8 @@ def _invariant_bits(data):
 )
 def test_datum_on_a_memoized_twin_tuple_has_the_bits_of_a_cold_one(params, log_q, theta, k, a1):
     # the twin tuple flips the sign of every zero part of mu, so it compares
-    # equal and is the memo key the datum finds; every invariant, the extremes
-    # of Re(mu) included, has the bits of the same datum built on an empty memo
+    # equal and is the cache key the datum finds; every invariant, the extremes
+    # of Re(mu) included, has the bits of the same datum built on an empty cache
     from zerobound import selberg
 
     factors = tuple(GammaFactor(lam, complex(re, im)) for lam, re, im in params)
@@ -391,48 +391,15 @@ def test_datum_on_a_memoized_twin_tuple_has_the_bits_of_a_cold_one(params, log_q
         GammaFactor(f.lam, complex(_flip_zero(f.mu.real), _flip_zero(f.mu.imag))) for f in factors
     )
     args = math.exp(log_q), cmath.exp(1j * theta), k, a1
-    selberg._factor_memo.clear()
+    selberg._factor_pass.cache_clear()
     try:
         LFunctionData(twin, *args)
     except ValidationError:
         assume(False)
     warm = LFunctionData(factors, *args)
-    assert len(selberg._factor_memo) == 1
-    selberg._factor_memo.clear()
+    assert selberg._factor_pass.cache_info()[:2] == (1, 1)  # (hits, misses): the twin's entry
+    selberg._factor_pass.cache_clear()
     assert _invariant_bits(warm) == _invariant_bits(LFunctionData(factors, *args))
-
-
-def _count_factor_passes(monkeypatch):
-    """Count the calls of selberg._factor_pass from here on."""
-    from zerobound import selberg
-
-    calls = []
-    factor_pass = selberg._factor_pass
-    monkeypatch.setattr(selberg, "_factor_pass", lambda f: calls.append(f) or factor_pass(f))
-    return calls
-
-
-def _distinct_factor_tuples(n):
-    """n distinct one-factor tuples."""
-    return [(GammaFactor(1.0, complex(0.5 * i, 0.25)),) for i in range(n)]
-
-
-def test_factor_memo_never_exceeds_its_bound(monkeypatch):
-    # more distinct factor tuples than the memo holds: the oldest go first, and
-    # a revisit gives the bits of the first visit
-    from zerobound import selberg
-
-    tuples = _distinct_factor_tuples(selberg._FACTOR_MEMO_SIZE + 40)
-    first = []
-    for factors in tuples:
-        first.append(_invariant_bits(LFunctionData(factors, 0.7, 1, 0, 1.0)))
-        assert len(selberg._factor_memo) <= selberg._FACTOR_MEMO_SIZE
-    assert len(selberg._factor_memo) == selberg._FACTOR_MEMO_SIZE
-    calls = _count_factor_passes(monkeypatch)
-    for i in (-1, 0, 1, -1):
-        assert _invariant_bits(LFunctionData(tuples[i], 0.7, 1, 0, 1.0)) == first[i]
-    assert calls == [tuples[0], tuples[1]]  # the last was kept, the first two were dropped
-    assert len(selberg._factor_memo) == selberg._FACTOR_MEMO_SIZE
 
 
 def test_raising_factor_pass_caches_nothing():
@@ -441,57 +408,22 @@ def test_raising_factor_pass_caches_nothing():
     for factors in ((GammaFactor(0.1, 1.0),), (GammaFactor(200.0, 0j),)):
         with pytest.raises(ValidationError):
             LFunctionData(factors, 1.0, 1, 0, 1.0)
-    assert len(selberg._factor_memo) == 0
+    info = selberg._factor_pass.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
 
 
-def test_factor_memo_keeps_its_bound_and_results_under_threads():
-    # four threads add and evict entries at once, with a short switch interval
-    import sys
-    import threading
-
-    from zerobound import selberg
-
-    tuples = _distinct_factor_tuples(selberg._FACTOR_MEMO_SIZE + 40)
-    expected = [_invariant_bits(LFunctionData(f, 0.7, 1, 0, 1.0)) for f in tuples]
-    selberg._factor_memo.clear()
-    results, sizes = {}, []
-
-    def work(offset):
-        order = tuples[offset:] + tuples[:offset]
-        got = []
-        for factors in order:
-            got.append(_invariant_bits(LFunctionData(factors, 0.7, 1, 0, 1.0)))
-            sizes.append(len(selberg._factor_memo))
-        results[offset] = got[-offset:] + got[:-offset] if offset else got
-
-    threads = [threading.Thread(target=work, args=(70 * i,)) for i in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert sorted(results) == [0, 70, 140, 210]
-    assert all(got == expected for got in results.values())
-    assert max(sizes) <= selberg._FACTOR_MEMO_SIZE
-
-
-def test_bundled_table_runs_the_factor_pass_once_per_weight(monkeypatch):
+def test_bundled_table_runs_the_factor_pass_once_per_weight():
     # the 25 rows have 10 distinct weights, so 10 distinct factor tuples; each
-    # row built its datum, and ran the pass, anew before the memo
+    # row built its datum, and ran the pass, anew before the cache
     from importlib.resources import files
 
+    from zerobound import selberg
     from zerobound.newform import read_pairs_csv, table_generate
 
     specs = read_pairs_csv(files("zerobound").joinpath("data/table_pairs.csv").read_text())
-    calls = _count_factor_passes(monkeypatch)
     table_generate(specs)
     assert len(specs) == 25 and len({spec.weight for spec in specs}) == 10
-    assert len(calls) == 10
+    assert selberg._factor_pass.cache_info().misses == 10
 
 
 # --- tail sums ----------------------------------------------------------------
