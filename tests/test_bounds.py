@@ -749,3 +749,60 @@ def test_every_cache_is_bounded_and_emptied_per_test(zeta_pair):
             assert not inspect.signature(cache.__wrapped__).parameters
         else:
             assert cache.cache_info().maxsize is not None, cache.__qualname__
+
+
+def test_factor_pieces_memo_never_exceeds_its_bound():
+    # more distinct gamma factors than the cache holds: the least recently used go first
+    from zerobound import bounds
+    from zerobound.newform import pipeline_constants
+
+    size = bounds._factor_pieces.cache_info().maxsize
+    specs = [NewformSpec(1, 2 * i) for i in range(1, size + 41)]
+    for spec in specs:
+        pipeline_constants(spec)
+        assert bounds._factor_pieces.cache_info().currsize <= size
+    assert bounds._factor_pieces.cache_info().currsize == size
+    misses = bounds._factor_pieces.cache_info().misses
+    pipeline_constants(specs[-1])
+    assert bounds._factor_pieces.cache_info().misses == misses
+    pipeline_constants(specs[0])
+    assert bounds._factor_pieces.cache_info().misses == misses + 1
+    assert bounds._factor_pieces.cache_info().currsize == size
+
+
+def test_factor_pieces_memo_keeps_its_bound_and_results_under_threads():
+    # four threads add and evict entries at once, with a short switch interval
+    import threading
+
+    from zerobound import bounds
+    from zerobound.newform import pipeline_constants
+
+    size = bounds._factor_pieces.cache_info().maxsize
+    specs = [NewformSpec(1, 2 * i) for i in range(1, size + 41)]
+    expected = [pipeline_constants(spec) for spec in specs]
+    bounds._window.cache_clear()
+    bounds._factor_pieces.cache_clear()
+    results, sizes = {}, []
+
+    def work(offset):
+        order = specs[offset:] + specs[:offset]
+        got = []
+        for spec in order:
+            got.append(pipeline_constants(spec))
+            sizes.append(bounds._factor_pieces.cache_info().currsize)
+        results[offset] = got[-offset:] + got[:-offset] if offset else got
+
+    threads = [threading.Thread(target=work, args=(70 * i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 70, 140, 210]
+    assert all(got == expected for got in results.values())
+    assert max(sizes) <= size

@@ -402,6 +402,32 @@ def test_datum_on_a_memoized_twin_tuple_has_the_bits_of_a_cold_one(params, log_q
     assert _invariant_bits(warm) == _invariant_bits(LFunctionData(factors, *args))
 
 
+def _distinct_factor_tuples(n):
+    """n distinct one-factor tuples."""
+    return [(GammaFactor(1.0, complex(0.5 * i, 0.25)),) for i in range(n)]
+
+
+def test_factor_memo_never_exceeds_its_bound():
+    # more distinct factor tuples than the cache holds: the least recently used
+    # go first, and a revisit gives the bits of the first visit
+    from zerobound import selberg
+
+    size = selberg._factor_pass.cache_info().maxsize
+    tuples = _distinct_factor_tuples(size + 40)
+    first = []
+    for factors in tuples:
+        first.append(_invariant_bits(LFunctionData(factors, 0.7, 1, 0, 1.0)))
+        assert selberg._factor_pass.cache_info().currsize <= size
+    assert selberg._factor_pass.cache_info().currsize == size
+    misses = []
+    for i in (-1, 0, 1, -1):
+        before = selberg._factor_pass.cache_info().misses
+        assert _invariant_bits(LFunctionData(tuples[i], 0.7, 1, 0, 1.0)) == first[i]
+        misses.append(selberg._factor_pass.cache_info().misses - before)
+    assert misses == [0, 1, 1, 0]  # the last was kept, the first two were dropped
+    assert selberg._factor_pass.cache_info().currsize == size
+
+
 def test_raising_factor_pass_caches_nothing():
     from zerobound import selberg
 
@@ -410,6 +436,43 @@ def test_raising_factor_pass_caches_nothing():
             LFunctionData(factors, 1.0, 1, 0, 1.0)
     info = selberg._factor_pass.cache_info()
     assert (info.misses, info.currsize) == (2, 0)
+
+
+def test_factor_memo_keeps_its_bound_and_results_under_threads():
+    # four threads add and evict entries at once, with a short switch interval
+    import sys
+    import threading
+
+    from zerobound import selberg
+
+    size = selberg._factor_pass.cache_info().maxsize
+    tuples = _distinct_factor_tuples(size + 40)
+    expected = [_invariant_bits(LFunctionData(f, 0.7, 1, 0, 1.0)) for f in tuples]
+    selberg._factor_pass.cache_clear()
+    results, sizes = {}, []
+
+    def work(offset):
+        order = tuples[offset:] + tuples[:offset]
+        got = []
+        for factors in order:
+            got.append(_invariant_bits(LFunctionData(factors, 0.7, 1, 0, 1.0)))
+            sizes.append(selberg._factor_pass.cache_info().currsize)
+        results[offset] = got[-offset:] + got[:-offset] if offset else got
+
+    threads = [threading.Thread(target=work, args=(70 * i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 70, 140, 210]
+    assert all(got == expected for got in results.values())
+    assert max(sizes) <= size
 
 
 def test_bundled_table_runs_the_factor_pass_once_per_weight():
