@@ -18,9 +18,9 @@ window_coefficients / doubling_coefficients flatten that bound into the
 c1 log T + c2 + c3 / T coefficient form (for the (T0, T] and (T, 2T]
 windows respectively).  All three and bound_report take their window of
 (datum, strip, T0) from the cache _window; a window takes the pieces that
-depend on the gamma factors and the strip alone from the cache
-_factor_pieces.  Everything is a pure function of the datum, the strip, and
-the heights.
+depend on the gamma factors and the strip alone, the trivial-zero allowance
+among them, from the cache _factor_pieces.  Everything is a pure function of
+the datum, the strip, and the heights.
 """
 
 from __future__ import annotations
@@ -158,9 +158,7 @@ def trivial_zero_window(data: LFunctionData, strip: StripParams) -> float:
     """
     b = strip.b
     lmax, lmin, rmin, rmax = data.lam_max, data.lam_min, data.re_mu_min, data.re_mu_max
-    return data.f * (
-        abs((b + 1.0) * lmax + rmin) - b * lmax + (b + 1.0) * lmin - rmin + rmax
-    )
+    return data.f * (abs((b + 1.0) * lmax + rmin) - b * lmax + (b + 1.0) * lmin - rmin + rmax)
 
 
 class BranchConstants(_Value):
@@ -199,42 +197,40 @@ def _branch(data: LFunctionData, strip: StripParams, heads: tuple, T0: float) ->
 
 
 @functools.lru_cache(maxsize=256)
-def _factor_pieces(
-    factors: tuple[GammaFactor, ...], strip: StripParams
-) -> tuple[float, float, float]:
-    """K, ratio_slope and slope of every window on these gamma factors and this strip.
+def _factor_pieces(factors: tuple[GammaFactor, ...], strip: StripParams) -> tuple[float, ...]:
+    """K, ratio_slope, slope and trivial of every window on these gamma factors and this strip.
 
     Each reads only the factor pass's invariants and the strip.
     """
     profile = _factor_pass(factors)
     K, *below = _kernel_sums(profile, -strip.right_edge, -strip.b, -strip.b - 1.0)
     ratio_slope = sum(below)
-    return K, ratio_slope, _log_slope(profile, strip, ratio_slope)
+    slope = _log_slope(profile, strip, ratio_slope)
+    return K, ratio_slope, slope, trivial_zero_window(profile, strip)
 
 
 class _Window(_Value):
     """The (T0, T]-window bound of one (data, strip, T0).
 
     Construction checks that T0 is admissible, so every finite T > T0 is too.
-    It takes K (ratio_error_sup's numerator), ratio_slope (the log(T/T0)
-    coefficient of S) and slope (that of R1) from _factor_pieces, and
+    It takes K (ratio_error_sup's numerator), ratio_slope and slope (the
+    log(T/T0) coefficients of S and R1) and trivial from _factor_pieces, and
     computes every other T0-only piece once: the heads that choose bc and
-    enter every R2, R2(T0), head the main-term pieces at T0, trivial, and
-    the two coefficient triples.  repr, == and hash see data, strip and T0
-    only, which fix every other field.  Build windows through _window only.
+    enter every R2, R2(T0), head the main-term pieces at T0, and the two
+    coefficient triples.  repr, == and hash see data, strip and T0 only,
+    which fix every other field.  Build windows through _window only.
     """
 
     def __init__(self, data: LFunctionData, strip: StripParams, T0: float) -> None:
         require_admissible(data, strip, T0, label="T0")
-        K, ratio_slope, slope = _factor_pieces(data.factors, strip)
+        K, ratio_slope, slope, trivial = _factor_pieces(data.factors, strip)
         heads = _heads(data, strip)
         head = data.degree / TWO_PI * T0 * math.log(T0 / math.e)
         head += T0 / TWO_PI * abs(data.log_lambda_q2)
         self._set(
             data=data, strip=strip, T0=T0, K=K, ratio_slope=ratio_slope, slope=slope,
-            heads=heads, bc=_branch(data, strip, heads, T0),
+            trivial=trivial, heads=heads, bc=_branch(data, strip, heads, T0),
             r2_t0=_disc_bound(data, strip, heads, K / (T0 - strip.two_r), T0), head=head,
-            trivial=trivial_zero_window(data, strip),
         )
         self._set(coefficients=self._coefficients())  # reads the fields set above
 
@@ -365,14 +361,15 @@ def doubling_coefficients(data: LFunctionData, strip: StripParams, T0: float) ->
 
 
 def shifted_constant(c2_main: float, n_plus_T0: int, n_minus_T0: int) -> float:
-    """c2 shifted by the known zero count up to T0: c2 + max(N+, N-)."""
-    if n_plus_T0 < 0 or n_minus_T0 < 0:
-        raise ValidationError("zero counts must be nonnegative")
+    """c2 shifted by the known zero count up to T0: c2 + max(N+, N-), for int counts >= 0."""
+    if not all(type(n) is int and n >= 0 for n in (n_plus_T0, n_minus_T0)):
+        raise ValidationError("zero counts must be nonnegative ints")
     n = max(n_plus_T0, n_minus_T0)
-    try:
-        return c2_main + n
-    except OverflowError:  # an int count too large for a float
-        raise ValidationError(f"zero count {_value_text(n)} is too large for a float") from None
+    if not n <= _FLOAT_MAX:
+        raise ValidationError(f"zero count {_value_text(n)} is too large for a float")
+    if not abs(shifted := c2_main + n) <= _FLOAT_MAX:
+        raise ValidationError(f"c2_main + {n} is not finite, got c2_main = {_value_text(c2_main)}")
+    return shifted
 
 
 def ceil_guarded(x: float, label: str = "") -> int:
@@ -380,15 +377,19 @@ def ceil_guarded(x: float, label: str = "") -> int:
 
     The published table entries are ceilings of smooth values nowhere near
     integers, so proximity signals a transcription or rounding hazard
-    rather than a legitimate value.
+    rather than a legitimate value.  A nan, or an x past the float range, raises DomainError.
     """
-    if abs(x - round(x)) < CEIL_GUARD:
-        warnings.warn(
-            f"pre-ceiling value {x!r}{' for ' + label if label else ''} is within "
-            f"{CEIL_GUARD} of an integer; the ceiling may be unreliable",
-            BoundaryWarning,
-            stacklevel=2,
-        )
+    finite = abs(x) <= _FLOAT_MAX  # else round() raises a bare ValueError or OverflowError
+    if finite and abs(x - round(x)) >= CEIL_GUARD:
+        return math.ceil(x)
+    value = f"pre-ceiling value {_value_text(x, repr)}{' for ' + label if label else ''}"
+    if not finite:
+        raise DomainError(f"{value} is not a finite float")
+    warnings.warn(
+        f"{value} is within {CEIL_GUARD} of an integer; the ceiling may be unreliable",
+        BoundaryWarning,
+        stacklevel=2,
+    )
     return math.ceil(x)
 
 

@@ -143,16 +143,17 @@ def _factor_pass(factors: tuple[GammaFactor, ...]) -> SimpleNamespace:
     Raises the datum's ValidationError for an overflowing lambda_cap or a
     degree below 1.  An overflowing series block or threshold height is kept
     as inf, for LFunctionData to reject after its lambda Q^2 check.  No
-    invariant here reads mu but through abs or a sum from 0j, so factor
-    tuples that differ only in the sign of a zero part of mu, which compare
-    equal, give equal bits; the extremes of Re(mu) are left to each datum.
+    invariant here reads mu but through abs, a sum from 0j or an extreme of
+    Re(mu) plus 0.0, so factor tuples that differ only in the sign of a zero
+    part of mu, which compare equal, give equal bits: a zero extreme is +0.0.
     """
-    lams, mu_terms, series_blocks = [], [], []
+    lams, re_mus, mu_terms, series_blocks = [], [], [], []
     lambda_cap, shift_max, arg_max = 1.0, -math.inf, -math.inf
     for f in factors:  # one pass; an overflowing block is kept as inf, for the datum to reject
         lam, mu = f.lam, f.mu
         lm = lam + mu.conjugate()
         lams.append(lam)
+        re_mus.append(mu.real)
         mu_terms.append(4.0 * (0.5 - mu))
         try:  # lam ** (2 lam) overflows only for lam > 143, where the degree is > 1
             lambda_cap *= lam ** (2.0 * lam)
@@ -171,9 +172,9 @@ def _factor_pass(factors: tuple[GammaFactor, ...]) -> SimpleNamespace:
         raise ValidationError(f"degree {degree} < 1; degenerate data is rejected")
     return SimpleNamespace(
         degree=degree, lambda_cap=lambda_cap, mu_cap=sum(mu_terms, 0j), shift_max=shift_max,
-        arg_max=arg_max, threshold_height=max(shift_max, arg_max),
+        arg_max=arg_max, threshold_height=max(shift_max, arg_max), f=len(factors),
         series_blocks=tuple(series_blocks), lams=tuple(lams), lam_max=max(lams),
-        lam_min=min(lams),
+        lam_min=min(lams), re_mu_max=max(re_mus) + 0.0, re_mu_min=min(re_mus) + 0.0,
     )
 
 
@@ -192,10 +193,10 @@ class LFunctionData(_Value):
     Every number, and lambda Q^2, must be finite, and lambda Q^2 nonzero.
     Construction also stores the data-only invariants below, and the hash
     of the five fields, as plain attributes; repr, == and hash see the five
-    fields only.  Those that depend on the factors alone (degree through
-    lam_min, but for lambda_q2, log_lambda_q2 and log_a1_zeta2) come from
-    _factor_pass, cached per factor tuple; the rest are computed per datum.
-    A datum whose invariants overflow a float is rejected.
+    fields only.  All but lambda_q2, log_lambda_q2 and log_a1_zeta2 depend
+    on the factors alone and come from _factor_pass, cached per factor
+    tuple, which stores a zero extreme of Re(mu) as +0.0.  A datum whose
+    invariants overflow a float is rejected.
 
     Invariants
     ----------
@@ -215,6 +216,7 @@ class LFunctionData(_Value):
                        that factor's gamma-ratio error
     lams             : per factor lam_j, the divisor of that factor's kernel
     lam_max, lam_min, re_mu_max, re_mu_min : the trivial-zero extremes of lam_j, Re(mu_j)
+    f                : the number of gamma factors
     """
 
     def __init__(
@@ -253,19 +255,13 @@ class LFunctionData(_Value):
         log_a1_zeta2 = math.log(a1 * math.pi ** 2 / 6.0)
         if not log_a1_zeta2 < math.inf:  # a1 pi^2 overflows, for a1 > ~1.82e307
             raise ValidationError(f"a1 pi^2 / 6 overflows a float, got a1 = {a1}")
-        re_mus = [f.mu.real for f in factors]  # per datum: a zero Re(mu) keys the cache unsigned
         self._set(
             vars(profile), factors=factors, Q=Q, omega=omega, k=k, a1=a1, lambda_q2=lambda_q2,
             log_lambda_q2=math.log(lambda_q2), log_a1_zeta2=log_a1_zeta2,
-            re_mu_max=max(re_mus), re_mu_min=min(re_mus), _hash=hash((factors, Q, omega, k, a1)),
+            _hash=hash((factors, Q, omega, k, a1)),
         )
 
     __hash__ = GammaFactor.__hash__
-
-    @property
-    def f(self) -> int:
-        """Number of gamma factors."""
-        return len(self.factors)
 
 
 def tail_sum(x: float, a1: float) -> float:

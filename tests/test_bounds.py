@@ -378,13 +378,22 @@ def test_coefficient_dominance_where_the_interpolation_branch_overtakes():
 def test_shifted_constant():
     assert shifted_constant(5.0, 0, 0) == 5.0
     assert shifted_constant(5.0, 10, 12) == 17.0
-    with pytest.raises(ValidationError):
-        shifted_constant(5.0, -1, 0)
+    # a count must be an int >= 0 but not a bool, and c2_main finite
+    for c2, counts in (
+        (5.0, (-1, 0)), (1.0, (math.nan, 0)), (1.0, ("3", 0)), (1.0, (1.5, 0)),
+        (1.0, (0, True)), (math.nan, (1, 0)), (math.inf, (1, 0)), (-math.inf, (0, 0)),
+        (1.7e308, (10 ** 308, 0)),  # a finite c2 and count whose sum overflows
+    ):
+        with pytest.raises(ValidationError):
+            shifted_constant(c2, *counts)
 
 
 def test_ceil_guarded_plain():
     assert ceil_guarded(2.5) == 3
     assert ceil_guarded(-91.4) == -91
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=f"pre-ceiling value {x!r} for c2 is not a finite"):
+            ceil_guarded(x, label="c2")
 
 
 def test_ceil_guarded_warns_near_integer():
@@ -516,6 +525,20 @@ def test_bundled_table_computes_the_kernel_sums_once_per_weight(monkeypatch):
     table_generate(specs)
     assert len(specs) == 25 and len({spec.weight for spec in specs}) == 10
     assert calls["_kernel_sums"] == 10
+
+
+def test_bundled_table_computes_the_trivial_zero_window_once_per_weight(monkeypatch):
+    # the window pieces cached per gamma factors and strip carry the allowance
+    from importlib.resources import files
+
+    from zerobound import bounds
+    from zerobound.newform import read_pairs_csv, table_generate
+
+    specs = read_pairs_csv(files("zerobound").joinpath("data/table_pairs.csv").read_text())
+    calls = _count_calls(monkeypatch, bounds.trivial_zero_window)
+    table_generate(specs)
+    assert len({spec.weight for spec in specs}) == 10
+    assert calls["trivial_zero_window"] == 10
 
 
 def _or_zero(floats):
@@ -674,6 +697,29 @@ def test_data_differing_in_the_sign_of_a_zero_share_bit_identical_windows(window
     plus_bits = _window_bits(_Window(plus, strip, t0), t)
     bounds._factor_pieces.cache_clear()
     assert plus_bits == _window_bits(_Window(minus, strip, t0), t)
+
+
+def test_sign_twins_store_plus_zero_extremes_of_re_mu_in_either_order():
+    # every Re(mu) is a zero, so both extremes are; the datum built second
+    # finds its twin's factor-pass entry, and either way each stores +0.0
+    from zerobound import selberg
+
+    strip = select_strip(1.0)
+
+    def datum(sign):
+        zero = math.copysign(0.0, sign)
+        factors = (GammaFactor(0.5, complex(zero, zero)), GammaFactor(1.0, complex(zero, 2.0)))
+        return LFunctionData(factors, Q=0.4, omega=1, k=0, a1=1.0)
+
+    bits = []
+    for order in ((-1.0, 1.0), (1.0, -1.0)):
+        selberg._factor_pass.cache_clear()
+        built = [datum(sign) for sign in order]
+        assert selberg._factor_pass.cache_info()[:2] == (1, 1)  # (hits, misses)
+        for data in built:
+            assert (data.re_mu_min.hex(), data.re_mu_max.hex()) == ("0x0.0p+0", "0x0.0p+0")
+            bits.append(trivial_zero_window(data, strip).hex())
+    assert len(bits) == 4 and len(set(bits)) == 1
 
 
 def _flip_zero(x):

@@ -421,6 +421,9 @@ GOLDEN_ARGV = {
                                "--t0", "24"],
     "three_factor_bound": ["bound", "--input", str(CLI_GOLDEN / "three_factor.json"),
                            "--t0", "24", "--t", "150"],
+    # a factor with mu = -0.0 - 0.0i: the echoed input keeps both signs
+    "signed_zero_constants": ["constants", "--input", str(CLI_GOLDEN / "signed_zero.json"),
+                              "--t0", "30"],
 }
 
 
@@ -434,7 +437,7 @@ def test_cli_output_matches_golden_bytes(capsys, monkeypatch, name, argv):
 
 # --- the parser, built once per process -------------------------------------------------
 
-#: every golden output: the six above and the published table
+#: every golden output: the seven above and the published table
 GOLDEN_RUNS = [
     *((CLI_GOLDEN / f"{name}.json", argv) for name, argv in GOLDEN_ARGV.items()),
     (Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "table.out",

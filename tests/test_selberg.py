@@ -284,9 +284,12 @@ def test_one_pass_invariants_equal_their_definitions(params):
     assert data.shift_max == max(2.0 * abs(f.lam + f.mu.conjugate()) / f.lam for f in factors)
     assert data.arg_max == max(2.0 * abs(f.mu) / f.lam for f in factors)
     assert data.lams == tuple(lams)
-    extremes = (max(lams), min(lams), max(mu.real for mu in mus), min(mu.real for mu in mus))
+    assert data.f == len(factors)
+    # a zero extreme of Re(mu) is stored as +0.0, whatever the sign of the zeros
+    re_mus = [mu.real for mu in mus]
+    extremes = (max(lams), min(lams), max(re_mus) + 0.0, min(re_mus) + 0.0)
     stored = (data.lam_max, data.lam_min, data.re_mu_max, data.re_mu_min)
-    assert list(map(float.hex, stored)) == list(map(float.hex, extremes))  # -0.0 too
+    assert list(map(float.hex, stored)) == list(map(float.hex, extremes))
 
 
 def test_rebuilt_datum_has_equal_invariants(nf12_pair):
@@ -366,9 +369,12 @@ def test_invariants_match_the_lazy_formulas(factors, log_q, theta, k, a1):
 # --- the factor-invariant cache -------------------------------------------------
 
 def _invariant_bits(data):
-    """_hex of every invariant a datum stores beyond its five fields and its hash."""
+    """_hex of every invariant a datum stores beyond its five fields and its hash; int f as is."""
     skip = {*LFunctionData._fields, "_hash"}
-    return {name: _hex(value) for name, value in vars(data).items() if name not in skip}
+    return {
+        name: value if type(value) is int else _hex(value)
+        for name, value in vars(data).items() if name not in skip
+    }
 
 
 @settings(max_examples=200, deadline=None)

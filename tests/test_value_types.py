@@ -102,7 +102,7 @@ DERIVED = {
     "LFunctionData": (
         "degree", "lambda_cap", "lambda_q2", "log_lambda_q2", "log_a1_zeta2", "mu_cap",
         "shift_max", "arg_max", "threshold_height", "series_blocks", "lams", "lam_max",
-        "lam_min", "re_mu_max", "re_mu_min", "_hash",
+        "lam_min", "re_mu_max", "re_mu_min", "f", "_hash",
     ),
     "StripParams": ("two_r", "right_edge", "disc_slope", "_hash"),
     "_Window": (
