@@ -32,7 +32,8 @@ import warnings
 from .errors import BoundaryWarning, DomainError, ValidationError, _value_text
 from .gammabounds import LOG2, _kernel_sums, _log_interp_peak, ratio_error_sup
 from .selberg import (
-    _FLOAT_MAX, GammaFactor, LFunctionData, StripParams, _factor_pass, _Value, require_admissible,
+    _FLOAT_MAX, GammaFactor, LFunctionData, StripParams, _convert, _factor_pass, _Value,
+    require_admissible,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -367,7 +368,7 @@ def shifted_constant(c2_main: float, n_plus_T0: int, n_minus_T0: int) -> float:
     n = max(n_plus_T0, n_minus_T0)
     if not n <= _FLOAT_MAX:
         raise ValidationError(f"zero count {_value_text(n)} is too large for a float")
-    if not abs(shifted := c2_main + n) <= _FLOAT_MAX:
+    if not abs(shifted := _convert(lambda c2: c2 + n, c2_main, "c2_main")) <= _FLOAT_MAX:
         raise ValidationError(f"c2_main + {n} is not finite, got c2_main = {_value_text(c2_main)}")
     return shifted
 
@@ -377,11 +378,15 @@ def ceil_guarded(x: float, label: str = "") -> int:
 
     The published table entries are ceilings of smooth values nowhere near
     integers, so proximity signals a transcription or rounding hazard
-    rather than a legitimate value.  A nan, or an x past the float range, raises DomainError.
+    rather than a legitimate value.  A nan, an x past the float range or an
+    x that is no real number raises DomainError.
     """
-    finite = abs(x) <= _FLOAT_MAX  # else round() raises a bare ValueError or OverflowError
-    if finite and abs(x - round(x)) >= CEIL_GUARD:
-        return math.ceil(x)
+    try:
+        finite = abs(x) <= _FLOAT_MAX  # else round() raises a bare ValueError or OverflowError
+        if finite and abs(x - round(x)) >= CEIL_GUARD:
+            return math.ceil(x)
+    except TypeError:  # a str, None or a complex
+        finite = False
     value = f"pre-ceiling value {_value_text(x, repr)}{' for ' + label if label else ''}"
     if not finite:
         raise DomainError(f"{value} is not a finite float")

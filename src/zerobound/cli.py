@@ -163,9 +163,10 @@ def _cmd_bound(args) -> int:
 
 
 def _bundled_pairs() -> str:
-    from importlib import resources  # only table --preset newform without --pairs reads it
-
-    return resources.files("zerobound.data").joinpath("table_pairs.csv").read_text("utf-8")
+    # a plain open: importlib.resources (or pkgutil) would import far more than the read costs
+    path = os.path.join(os.path.dirname(__file__), "data", "table_pairs.csv")
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _cmd_table(args) -> int:

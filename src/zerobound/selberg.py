@@ -52,13 +52,16 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def _convert(convert, value: object, name: str, error: type = ValidationError):
-    """convert(value), or an error of class error naming name if value is past the float range."""
+    """convert(value), or an error of class error naming name if value is no number or too large."""
     try:
         return convert(value)
     except OverflowError:  # an int too large for a float
         raise error(
             f"{name} is too large to convert to a float, got {_value_text(value)}"
         ) from None
+    except (TypeError, ValueError):  # None, a list, a str that reads as no number
+        kind = "number" if convert is complex else "real number"
+        raise error(f"{name} must be a {kind}, got {_value_text(value, repr)}") from None
 
 
 class _Value:
@@ -265,7 +268,7 @@ class LFunctionData(_Value):
 
 
 def tail_sum(x: float, a1: float) -> float:
-    """Upper bound for sum_{n>=2} a1 * n^-x, at one cost for every x and a1.
+    """Upper bound for sum_{n>=2} a1 * n^-x, memoized by the float (x, a1).
 
     The Euler-Maclaurin sum with N = _TAIL_TERMS, cut after the B2 term:
     a1 * (sum_{2<=n<N} n^-x + N^(1-x)/(x-1) + N^-x/2 + x N^(-x-1)/12).
@@ -273,19 +276,23 @@ def tail_sum(x: float, a1: float) -> float:
     omitted B4 term, -x(x+1)(x+2) N^(-x-3)/720 < 0, so the cut sum exceeds
     the series, by < 1e-13 for x >= 2.  The factor 1 + 1e-14 keeps it above
     after rounding the head, which outgrows that surplus for large x.  Terms
-    below 2^-1074 underflow to 0.
+    below 2^-1074 underflow to 0.  A sum costs the same for every x and a1;
+    _tail_sum keeps the 1024 last used, so a strip search evaluates each once.
 
     Raises DomainError for x <= 1 (divergent series), non-finite x or
-    non-finite a1.
+    non-finite a1, or for either not a real number.
     """
-    if not 1.0 < x <= _FLOAT_MAX:
+    if not _convert(lambda v: 1.0 < v <= _FLOAT_MAX, x, "tail sum exponent x", DomainError):
         raise DomainError(f"tail sum needs a finite exponent x > 1, got {_value_text(x)}")
-    try:
-        finite = math.isfinite(a1)
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not finite:
+    if not _convert(lambda v: -_FLOAT_MAX <= v <= _FLOAT_MAX, a1, "tail sum coefficient a1",
+                    DomainError):
         raise DomainError(f"tail sum needs a finite coefficient a1, got {_value_text(a1)}")
+    return _tail_sum(float(x), float(a1))
+
+
+@functools.lru_cache(maxsize=1024)  # a strip search tries x = 3 .. a, and a <= 1026
+def _tail_sum(x: float, a1: float) -> float:
+    """tail_sum's value for a float x > 1 and a finite float a1, which it has checked."""
     n = _TAIL_TERMS
     head = math.fsum(map(pow, _TAIL_BASES, repeat(-x)))
     rest = n ** (1.0 - x) / (x - 1.0) + n ** -x / 2.0 + x * n ** (-x - 1.0) / 12.0

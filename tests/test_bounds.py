@@ -386,6 +386,10 @@ def test_shifted_constant():
     ):
         with pytest.raises(ValidationError):
             shifted_constant(c2, *counts)
+    # a c2_main that is no number raised a bare TypeError
+    for c2 in ("x", "5", None):
+        with pytest.raises(ValidationError, match=f"^c2_main must be a real number, got {c2!r}$"):
+            shifted_constant(c2, 1, 0)
 
 
 def test_ceil_guarded_plain():
@@ -393,6 +397,10 @@ def test_ceil_guarded_plain():
     assert ceil_guarded(-91.4) == -91
     for x in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match=f"pre-ceiling value {x!r} for c2 is not a finite"):
+            ceil_guarded(x, label="c2")
+    # a value that is no real number raised a bare TypeError from abs() or round()
+    for x in ("x", None, 1j):
+        with pytest.raises(DomainError, match=f"^pre-ceiling value {x!r} for c2 is not a finite"):
             ceil_guarded(x, label="c2")
 
 
@@ -785,6 +793,7 @@ def test_every_cache_is_bounded_and_emptied_per_test(zeta_pair):
     data, strip = zeta_pair
     bound_report(data, strip, 20.0, 100.0)
     pipeline_constants(NewformSpec(1, 12))
+    select_strip(2.0)  # the calls above reuse strips selected before the caches were emptied
     cli._build_parser()
     assert all(cache.cache_info().currsize for cache in CACHES)
     empty_caches()

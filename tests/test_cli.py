@@ -267,13 +267,34 @@ IMPORT_CHECK = (
 )
 
 
-def test_cli_import_loads_no_dataclasses_resources_or_inspect():
+#: the table check CI's stdlib-only step runs, its stdout compared with
+#: perfbench/ref/table.out: the bundled pairs are read with a plain open
+TABLE_CHECK = (
+    "import sys, zerobound.cli; "
+    "code = zerobound.cli.main(['table', '--preset', 'newform']); "
+    "loaded = {'importlib.resources', 'zipfile'} & set(sys.modules); "
+    "sys.exit(f'zerobound table loaded {sorted(loaded)}, exit {code}' if loaded or code else 0)"
+)
+
+
+def _run_stdlib_child(check: str) -> subprocess.CompletedProcess:
     # -S, because a site .pth file may import importlib.resources before any package
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-S", "-c", IMPORT_CHECK], env=env,
+    return subprocess.run([sys.executable, "-S", "-c", check], env=env,
                           capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_dataclasses_resources_or_inspect():
+    done = _run_stdlib_child(IMPORT_CHECK)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_table_process_reads_the_bundled_pairs_without_importlib_resources():
+    done = _run_stdlib_child(TABLE_CHECK)
+    ref = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "table.out"
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == ref.read_text(encoding="utf-8")
 
 
 #: the package's export list; a lazier zerobound/__init__.py must keep it

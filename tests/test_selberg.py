@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -23,7 +24,7 @@ from zerobound import (
     select_strip,
     tail_sum,
 )
-from zerobound.selberg import _TAIL_TERMS, _constraints, _pole_window, document_dict
+from zerobound.selberg import _TAIL_TERMS, _constraints, _pole_window, _tail_sum, document_dict
 
 from test_bounds import _flip_zero, _or_zero
 
@@ -191,6 +192,31 @@ def test_ints_past_the_float_range_raise_the_package_errors(call, error, big):
         call(big)
     assert type(err.value) is error
     assert _value_text(big) in str(err.value) or _value_text(-big) in str(err.value)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: select_strip("x"), ValidationError,
+                 "a1 must be a real number, got 'x'", id="select_strip"),
+    pytest.param(lambda: select_strip(1.0, a=[3]), InvalidStripError,
+                 "override a must be a real number, got [3]", id="select_strip_a"),
+    pytest.param(lambda: GammaFactor("x", 0), ValidationError,
+                 "gamma factor lam must be a real number, got 'x'", id="GammaFactor"),
+    pytest.param(lambda: GammaFactor(1.0, "x"), ValidationError,
+                 "gamma factor mu must be a number, got 'x'", id="GammaFactor_mu"),
+    pytest.param(lambda: LFunctionData((GammaFactor(0.5, 0j),), Q="x", omega=1, k=0, a1=1.0),
+                 ValidationError, "Q must be a real number, got 'x'", id="LFunctionData"),
+    pytest.param(lambda: StripParams("x", -4.0, 7.0), InvalidStripError,
+                 "strip a must be a real number, got 'x'", id="StripParams"),
+    pytest.param(lambda: tail_sum(None, 1.0), DomainError,
+                 "tail sum exponent x must be a real number, got None", id="tail_sum_x"),
+    pytest.param(lambda: tail_sum(3.0, "x"), DomainError,
+                 "tail sum coefficient a1 must be a real number, got 'x'", id="tail_sum_a1"),
+])
+def test_values_that_are_no_number_raise_the_package_errors(call, error, message):
+    # each raised a bare ValueError or TypeError from float(), complex() or a comparison
+    with pytest.raises(error) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (error, message)
 
 
 def test_datum_hash_is_stored_at_construction(nf12_pair, monkeypatch):
@@ -561,6 +587,36 @@ def test_tail_sum_matches_the_generator_form(x, a1):
 
 def test_tail_sum_decreasing_at_low_exponent():
     assert tail_sum(2.0, 1.0) > tail_sum(2.25, 1.0) > tail_sum(3.0, 1.0)
+
+
+def test_tail_sum_memo_gives_equal_bits_and_a_float_in_either_call_order():
+    # the memo is keyed by the float (x, a1), whichever call filled the entry
+    for first, second in (((3, 1), (3.0, 1.0)), ((3.0, 1.0), (3, 1))):
+        _tail_sum.cache_clear()
+        values = [tail_sum(*first), tail_sum(*second)]
+        assert [type(v) for v in values] == [float, float]
+        assert values[0].hex() == values[1].hex() == _tail_sum.__wrapped__(3.0, 1.0).hex()
+        assert _tail_sum.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_a_raising_tail_sum_caches_nothing():
+    tail_sum(3.0, 1.0)
+    before = _tail_sum.cache_info()
+    for x, a1 in ((1.0, 1.0), (3.0, math.nan)):
+        with pytest.raises(DomainError):
+            tail_sum(x, a1)
+    assert _tail_sum.cache_info() == before
+
+
+@pytest.mark.parametrize("a1", [100.0, sys.float_info.max])
+def test_select_strip_evaluates_each_tail_sum_once(a1):
+    # the a search tries x = 3 .. a, and the b search's x = 3 .. -b - 1 are among them,
+    # also for the largest a1, whose a search fills the memo exactly
+    strip = select_strip(a1)
+    info = _tail_sum.cache_info()
+    assert -strip.b - 1.0 <= strip.a
+    assert (info.misses, info.hits) == (strip.a - 2.0, -strip.b - 3.0)
+    assert info.currsize <= info.maxsize
 
 
 # --- strip selection ------------------------------------------------------------
