@@ -32,8 +32,8 @@ import warnings
 from .errors import BoundaryWarning, DomainError, ValidationError, _value_text
 from .gammabounds import LOG2, _kernel_sums, _log_interp_peak, ratio_error_sup
 from .selberg import (
-    _FLOAT_MAX, GammaFactor, LFunctionData, StripParams, _convert, _factor_pass, _Value,
-    require_admissible,
+    _FLOAT_MAX, GammaFactor, LFunctionData, StripParams, _convert, _factor_pass,
+    _require_height, _Value, require_admissible,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -55,10 +55,8 @@ def integrated_ratio_error(data: LFunctionData, strip: StripParams, T0: float, T
 
     Proportional to log(T/T0); requires finite T >= T0 > 0.
     """
-    if not 0.0 < T0 <= _FLOAT_MAX:
-        raise DomainError(f"needs finite T0 > 0, got {_value_text(T0)}")
-    if not T0 <= T <= _FLOAT_MAX:
-        raise DomainError(f"needs finite T >= T0, got T = {_value_text(T)}, T0 = {T0}")
+    _require_height(T0, "T0", 0.0)
+    _require_height(T, "T", T0, DomainError, "T0", True)
     return math.log(T / T0) * _ratio_error_slope(data, strip)
 
 
@@ -83,10 +81,8 @@ def log_integral_bound(data: LFunctionData, strip: StripParams, T0: float, T: fl
     error.  Deliberately evaluated as a pure expression: the coefficient
     assembly feeds it T = 1 < T0, where the log factor goes negative.
     """
-    if not 0.0 < T0 <= _FLOAT_MAX:
-        raise DomainError(f"needs finite T0 > 0, got {_value_text(T0)}")
-    if not 0.0 < T <= _FLOAT_MAX:
-        raise DomainError(f"needs finite T > 0, got {_value_text(T)}")
+    _require_height(T0, "T0", 0.0)
+    _require_height(T, "T", 0.0)
     slope = _log_slope(data, strip, _ratio_error_slope(data, strip))
     return _log_integral(data, strip, slope, T0, T)
 
@@ -181,8 +177,7 @@ def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> Bran
     branch's h1 is max(h1_reflect, h1_interp): its h2 payload decays with
     T, so the interpolation constant can overtake it above T0.
     """
-    if not strip.two_r < T0 <= _FLOAT_MAX:
-        raise DomainError(f"needs finite T0 > 2R = {strip.two_r}, got {_value_text(T0)}")
+    _require_height(T0, "T0", strip.two_r, DomainError, "2R")
     return _branch(data, strip, _heads(data, strip), T0)
 
 
@@ -241,8 +236,7 @@ class _Window(_Value):
 
     def at(self, T: float) -> tuple[float, float, float]:
         """(R1, R2(T), window total) at a finite T > T0."""
-        if not self.T0 < T <= _FLOAT_MAX:
-            raise DomainError(f"needs finite T > T0, got T = {_value_text(T)}, T0 = {self.T0}")
+        _require_height(T, "T", self.T0, DomainError, "T0")
         r1 = _log_integral(self.data, self.strip, self.slope, self.T0, T)
         r2_t = _disc_bound(self.data, self.strip, self.heads, self.sup(T), T)
         return r1, r2_t, self._total(r1, r2_t)
@@ -332,8 +326,7 @@ class Coefficients(_Value):
         self._set(c1=c1, c2=c2, c3=c3)
 
     def evaluate(self, T: float) -> float:
-        if not 0.0 < T <= _FLOAT_MAX:
-            raise DomainError(f"needs finite T > 0, got {_value_text(T)}")
+        _require_height(T, "T", 0.0)
         return self.c1 * math.log(T) + self.c2 + self.c3 / T
 
 

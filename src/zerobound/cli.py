@@ -162,20 +162,11 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _bundled_pairs() -> str:
-    # a plain open: importlib.resources (or pkgutil) would import far more than the read costs
-    path = os.path.join(os.path.dirname(__file__), "data", "table_pairs.csv")
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _cmd_table(args) -> int:
-    if args.pairs:
-        with open(args.pairs, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = _bundled_pairs()
-    specs = read_pairs_csv(text)
+    # a plain open: importlib.resources (or pkgutil) would import far more than the read costs
+    path = args.pairs or os.path.join(os.path.dirname(__file__), "data", "table_pairs.csv")
+    with open(path, "r", encoding="utf-8") as fh:
+        specs = read_pairs_csv(fh.read())
     _emit(table_generate(specs), args.out)
     return 0
 

@@ -19,7 +19,7 @@ import cmath
 import math
 
 from .errors import AdmissibilityError, DomainError, _value_text
-from .selberg import _FLOAT_MAX, LFunctionData, StripParams, _convert, require_admissible
+from .selberg import LFunctionData, StripParams, _convert, _require_height, require_admissible
 
 #: second Bernoulli number, the one-term Stirling remainder coefficient
 B2 = 1.0 / 6.0
@@ -82,12 +82,11 @@ def _kernel_sums(data: LFunctionData, *xs: float) -> list[float]:
     return [math.fsum(_factor_kernels(data, x)) for x in xs]
 
 
-def _require_remainder_height(data: LFunctionData, t: float) -> None:
-    """Raise AdmissibilityError unless t is finite and at or above data.threshold_height."""
-    if not (h := data.threshold_height) <= t <= _FLOAT_MAX:
-        raise AdmissibilityError(
-            f"needs finite t at or above the remainder threshold {h}, got {_value_text(t)}"
-        )
+def _factor_index(data: LFunctionData, j: int) -> int:
+    """j, if it indexes a gamma factor of data: an int (not a bool) with 0 <= j < data.f."""
+    if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < data.f:
+        raise DomainError(f"j must be an int, 0 <= j < f = {data.f}, got {_value_text(j, repr)}")
+    return j
 
 
 def remainder_pair_bound(data: LFunctionData, j: int, sigma: float, t: float) -> float:
@@ -97,9 +96,10 @@ def remainder_pair_bound(data: LFunctionData, j: int, sigma: float, t: float) ->
     away from the branch cut and the flat secant factor 2 covers the side
     whose half-argument stays below pi/4.
     """
-    _require_remainder_height(data, t)
+    _require_height(t, "t", data.threshold_height, AdmissibilityError, "threshold", True)
     sigma = _convert(float, sigma, "sigma", DomainError)
-    return B2 / (2.0 * data.factors[j].lam * t) * _pair_secant(data, -abs(sigma))
+    lam = data.factors[_factor_index(data, j)].lam
+    return B2 / (2.0 * lam * t) * _pair_secant(data, -abs(sigma))
 
 
 def ratio_error_bound(data: LFunctionData, j: int, sigma: float, t: float) -> float:
@@ -109,14 +109,14 @@ def ratio_error_bound(data: LFunctionData, j: int, sigma: float, t: float) -> fl
     lam_j t, which under-estimates |lam_j s| and so over-estimates the
     error) plus the paired Stirling-remainder bound.  Scales exactly as 1/t.
     """
-    _require_remainder_height(data, t)
+    _require_height(t, "t", data.threshold_height, AdmissibilityError, "threshold", True)
     sigma = _convert(float, sigma, "sigma", DomainError)
-    return _factor_kernels(data, -abs(sigma))[j] / t
+    return _factor_kernels(data, -abs(sigma))[_factor_index(data, j)] / t
 
 
 def ratio_error_total(data: LFunctionData, sigma: float, t: float) -> float:
     """Sum of ratio_error_bound over all factors."""
-    _require_remainder_height(data, t)
+    _require_height(t, "t", data.threshold_height, AdmissibilityError, "threshold", True)
     sigma = _convert(float, sigma, "sigma", DomainError)
     return math.fsum(k / t for k in _factor_kernels(data, -abs(sigma)))
 
@@ -127,10 +127,7 @@ def ratio_error_sup(data: LFunctionData, strip: StripParams, T: float) -> float:
     Covers sigma in [a - 2R, a + 2R] and t in [T - 2R, T + 2R]; only the
     prefactor 1/(T - 2R) depends on T.  Requires finite T > 2R.
     """
-    if not strip.two_r < T <= _FLOAT_MAX:
-        raise DomainError(
-            f"supremum envelope needs finite T > 2R = {strip.two_r}, got {_value_text(T)}"
-        )
+    _require_height(T, "T", strip.two_r, DomainError, "2R")
     return _kernel_sums(data, -strip.right_edge)[0] / (T - strip.two_r)
 
 
@@ -146,8 +143,7 @@ def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:
     sigma = _convert(float, sigma, "sigma", DomainError)
     if not math.isfinite(sigma):
         raise DomainError(f"need a finite real part sigma, got {sigma}")
-    if not 0.0 < t <= _FLOAT_MAX:
-        raise DomainError(f"need finite t > 0, got {_value_text(t)}")
+    _require_height(t, "t", 0.0)
     s = complex(sigma, t)
     for f in data.factors:
         try:
@@ -195,10 +191,13 @@ def magnitude_envelope(
     if not math.isfinite(sigma):
         raise DomainError(f"need a finite real part sigma, got {sigma}")
     require_admissible(data, strip, T)
-    if not (T - strip.two_r <= t <= T + strip.two_r):
-        raise DomainError(
-            f"t = {_value_text(t)} outside the window [{T - strip.two_r}, {T + strip.two_r}]"
-        )
+    low, high = T - strip.two_r, T + strip.two_r
+    try:
+        inside = low <= t <= high
+    except TypeError:  # t is no number
+        inside = False
+    if not inside:
+        raise DomainError(f"t = {_value_text(t, repr)} outside the window [{low}, {high}]")
     const = data.a1 * math.pi ** 2 / 6.0
     if sigma >= 3.0:
         return const
@@ -206,7 +205,7 @@ def magnitude_envelope(
         expo = reflection_log_main(data, sigma, t) + ratio_error_total(data, sigma, t)
         power = 0.0
     else:
-        expo = _log_interp_peak(data, _kernel_sums(data, -2.0)[0] / (T - strip.two_r))
+        expo = _log_interp_peak(data, _kernel_sums(data, -2.0)[0] / low)
         power = 0.5 * data.degree * (3.0 - sigma)
     try:
         value = const * math.exp(expo) * t ** power

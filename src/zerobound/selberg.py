@@ -50,18 +50,41 @@ _TAIL_BASES = tuple(map(float, range(2, _TAIL_TERMS)))
 #: int past the float range, which would raise a bare OverflowError in the arithmetic
 _FLOAT_MAX = sys.float_info.max
 
+#: the text classes, whose values float() and complex() would parse
+_TEXT = frozenset((str, bytes, bytearray))
+
 
 def _convert(convert, value: object, name: str, error: type = ValidationError):
     """convert(value), or an error of class error naming name if value is no number or too large."""
     try:
+        if value.__class__ in _TEXT:  # "1" is text, not a number
+            raise TypeError
         return convert(value)
     except OverflowError:  # an int too large for a float
         raise error(
             f"{name} is too large to convert to a float, got {_value_text(value)}"
         ) from None
-    except (TypeError, ValueError):  # None, a list, a str that reads as no number
+    except (TypeError, ValueError):  # None, a list, a str
         kind = "number" if convert is complex else "real number"
         raise error(f"{name} must be a {kind}, got {_value_text(value, repr)}") from None
+
+
+def _require_height(value: object, name: str, low: float, error: type = DomainError,
+                    low_name: str = "", closed: bool = False, high: float = _FLOAT_MAX) -> None:
+    """Raise error unless value is a real number with low < value <= high (low <= value if closed).
+
+    The package's one height rule.  A value that is no number makes the
+    comparison raise TypeError and is refused; only then is a message built.
+    """
+    try:
+        if (low <= value if closed else low < value) and value <= high:
+            return
+    except TypeError:  # None, a str, a complex
+        pass
+    end = f"{low_name} = {_value_text(low, repr)}" if low_name else low
+    finite = "finite " if high < math.inf else ""
+    rel = ">=" if closed else ">"
+    raise error(f"needs a {finite}real {name} {rel} {end}, got {name} = {_value_text(value, repr)}")
 
 
 class _Value:
@@ -453,26 +476,19 @@ def min_admissible_height(data: LFunctionData, strip: StripParams) -> Admissible
 
 
 def require_admissible(data: LFunctionData, strip: StripParams, T: float, label: str = "T") -> None:
-    """Raise AdmissibilityError naming the first constraint T violates, or if T is not finite."""
-    if not abs(T) <= _FLOAT_MAX:
-        raise AdmissibilityError(f"{label} = {_value_text(T)} is not a finite height")
+    """Raise AdmissibilityError naming the first constraint T violates, or if T is no finite real."""
+    _require_height(T, label, -math.inf, AdmissibilityError)
     for name, val, strict in _constraints(data, strip):
-        if strict:
-            ok = T > val
-            rel = ">"
-        else:
-            ok = T >= val
-            rel = ">="
-        if not ok:
+        if not (T > val if strict else T >= val):
             raise AdmissibilityError(
-                f"{label} = {T} violates the '{name}' constraint (needs {label} {rel} {val})"
+                f"{label} = {_value_text(T)} violates the '{name}' constraint "
+                f"(needs {label} {'>' if strict else '>='} {val})"
             )
 
 
 def main_term(data: LFunctionData, T: float) -> float:
     """Smooth zero-count term (d / 2 pi) T log(T/e) + (T / 2 pi) log(lambda Q^2)."""
-    if not 0.0 < T <= _FLOAT_MAX:
-        raise DomainError(f"main term needs finite T > 0, got {_value_text(T)}")
+    _require_height(T, "T", 0.0)
     d, log_lq2 = data.degree, data.log_lambda_q2
     return d / (2.0 * math.pi) * T * math.log(T / math.e) + T / (2.0 * math.pi) * log_lq2
 

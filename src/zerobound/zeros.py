@@ -16,8 +16,8 @@ import os
 from bisect import bisect_right
 
 from .bounds import total_count_error, window_coefficients
-from .errors import DomainError, ZeroFileError, _value_text
-from .selberg import LFunctionData, StripParams, _Value, main_term
+from .errors import DomainError, ZeroFileError
+from .selberg import LFunctionData, StripParams, _require_height, _Value, main_term
 
 
 #: bytes read at a time by load_zeros; each block is split and parsed whole
@@ -150,9 +150,8 @@ def _first_bad_line(path: str | os.PathLike) -> ZeroFileError:
 
 
 def count_window(zeros: ZeroList, T0: float, T: float) -> int:
-    """Number of ordinates in the half-open window (T0, T]."""
-    if not T > T0:
-        raise DomainError(f"needs T > T0, got T = {_value_text(T)} <= T0 = {_value_text(T0)}")
+    """Number of ordinates in the half-open window (T0, T]; an infinite T counts all above T0."""
+    _require_height(T, "T", T0, DomainError, "T0", False, math.inf)
     return bisect_right(zeros.ordinates, T) - bisect_right(zeros.ordinates, T0)
 
 

@@ -35,6 +35,7 @@ from zerobound import (
     ZeroboundError,
     ZeroList,
     check_bound,
+    count_window,
     magnitude_envelope,
     main_term,
     min_admissible_height,
@@ -44,6 +45,7 @@ from zerobound import (
     ratio_error_total,
     reflection_log_main,
     remainder_pair_bound,
+    require_admissible,
     select_strip,
     stirling_remainder_bound,
     table_row,
@@ -288,9 +290,21 @@ def test_total_count_error_domain(nf12_pair):
     lambda d, s, h: remainder_pair_bound(d, 0, -4.0, h),
     lambda d, s, h: reflection_log_main(d, -2.0, h),
     lambda d, s, h: branch_constants(d, s, h),
+    lambda d, s, h: require_admissible(d, s, h),
+    lambda d, s, h: ratio_error_total(d, -2.0, h),
+    lambda d, s, h: magnitude_envelope(d, s, 0.0, 30.0, h),
+    lambda d, s, h: magnitude_envelope(d, s, 0.0, h, 30.0),
+    # an infinite T counts every zero above T0, so the height goes in as T0; check_bound
+    # above reaches count_window's T first
+    lambda d, s, h: count_window(ZeroList((14.1, 30.0)), h, 100.0),
 ])
-@pytest.mark.parametrize("height", [math.inf, math.nan])
+@pytest.mark.parametrize("height", [
+    math.inf, math.nan,
+    pytest.param(None, id="None"), pytest.param("30", id="str"),
+    pytest.param(30 + 0j, id="complex"),
+])
 def test_non_finite_height_is_rejected(nf12_pair, call, height):
+    # a height that is no number made the comparison raise a bare TypeError
     with pytest.raises(ZeroboundError):
         call(*nf12_pair, height)
 

@@ -119,6 +119,17 @@ def test_pair_bound_below_threshold(nf12_pair):
         remainder_pair_bound(data, 0, -4.0, 12.0)  # threshold is 13
 
 
+@pytest.mark.parametrize("j", [1, True, "0", 0.0, -1])
+def test_factor_index_must_name_a_factor(nf12_pair, j):
+    # one factor: 1 and True raised a bare IndexError, "0" and 0.0 a bare
+    # TypeError, and -1 read the last factor
+    data, _ = nf12_pair
+    message = f"^j must be an int, 0 <= j < f = 1, got {j!r}$"
+    for bound in (ratio_error_bound, remainder_pair_bound):
+        with pytest.raises(DomainError, match=message):
+            bound(data, j, -2.0, 30.0)
+
+
 def test_pair_bound_majorizes_true_remainders(nf12_pair, zeta_pair):
     for data, _ in (nf12_pair, zeta_pair):
         h = data.threshold_height

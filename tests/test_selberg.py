@@ -211,9 +211,22 @@ def test_ints_past_the_float_range_raise_the_package_errors(call, error, big):
                  "tail sum exponent x must be a real number, got None", id="tail_sum_x"),
     pytest.param(lambda: tail_sum(3.0, "x"), DomainError,
                  "tail sum coefficient a1 must be a real number, got 'x'", id="tail_sum_a1"),
+    pytest.param(lambda: GammaFactor("1", "0j"), ValidationError,
+                 "gamma factor lam must be a real number, got '1'", id="GammaFactor_numeric_str"),
+    pytest.param(lambda: GammaFactor(1.0, "0j"), ValidationError,
+                 "gamma factor mu must be a number, got '0j'", id="GammaFactor_mu_numeric_str"),
+    pytest.param(lambda: select_strip("1"), ValidationError,
+                 "a1 must be a real number, got '1'", id="select_strip_numeric_str"),
+    pytest.param(lambda: StripParams(b"3", -4.0, 7.0), InvalidStripError,
+                 "strip a must be a real number, got b'3'", id="StripParams_bytes"),
+    pytest.param(lambda: LFunctionData((GammaFactor(0.5, 0j),), Q=bytearray(b"1"), omega=1,
+                                       k=0, a1=1.0),
+                 ValidationError, "Q must be a real number, got bytearray(b'1')",
+                 id="LFunctionData_bytearray"),
 ])
 def test_values_that_are_no_number_raise_the_package_errors(call, error, message):
-    # each raised a bare ValueError or TypeError from float(), complex() or a comparison
+    # each raised a bare ValueError or TypeError from float(), complex() or a comparison,
+    # but a numeric str, bytes or bytearray, which float() and complex() parsed as a number
     with pytest.raises(error) as err:
         call()
     assert (type(err.value), str(err.value)) == (error, message)
