@@ -17,10 +17,13 @@ total_count_error stitches these into the (T0, T]-window bound, and
 window_coefficients / doubling_coefficients flatten that bound into the
 c1 log T + c2 + c3 / T coefficient form (for the (T0, T] and (T, 2T]
 windows respectively).  All three and bound_report take their window of
-(datum, strip, T0) from the cache _window; a window takes the pieces that
-depend on the gamma factors and the strip alone, the trivial-zero allowance
-among them, from the cache _factor_pieces.  Everything is a pure function of
-the datum, the strip, and the heights.
+(datum, strip, T0) from the cache _window.  A window takes every term that
+depends on the gamma factors and the strip alone (the kernel sums, the log
+slopes, the trivial-zero allowance, both c1 and the factor-level heads and
+scales of the other constants) from the cache _factor_pieces, and computes
+as floats only the terms that read log(lambda Q^2), k, a1 or T0.  Value
+objects are built at the public edge, at most once per window.  Everything
+is a pure function of the datum, the strip, and the heights.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from types import SimpleNamespace
 
 from .errors import BoundaryWarning, DomainError, ValidationError, _value_text
 from .gammabounds import LOG2, _kernel_sums, _log_interp_peak, ratio_error_sup
@@ -84,14 +88,12 @@ def log_integral_bound(data: LFunctionData, strip: StripParams, T0: float, T: fl
     _require_height(T0, "T0", 0.0)
     _require_height(T, "T", 0.0)
     slope = _log_slope(data, strip, _ratio_error_slope(data, strip))
-    return _log_integral(data, strip, slope, T0, T)
+    return _log_integral(slope, _factor_terms(data, strip).tail, T0, T)
 
 
-def _log_integral(
-    data: LFunctionData, strip: StripParams, slope: float, T0: float, T: float
-) -> float:
-    """log_integral_bound, given its log(T/T0) coefficient slope."""
-    return math.log(T / T0) * slope + 3.0 * data.degree * (strip.b * strip.b + strip.b) / T0
+def _log_integral(slope: float, tail: float, T0: float, T: float) -> float:
+    """log_integral_bound, given its log(T/T0) coefficient slope and its tail 3 d (b^2 + b)."""
+    return math.log(T / T0) * slope + tail / T0
 
 
 def vertical_integral_bound() -> float:
@@ -113,30 +115,23 @@ def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float
     admissible.
     """
     require_admissible(data, strip, T)
-    return _disc_bound(data, strip, _heads(data, strip), ratio_error_sup(data, strip, T), T)
+    terms, heads = _factor_terms(data, strip), _heads(data, strip)
+    return _disc_bound(terms, strip, data.log_a1_zeta2, heads, ratio_error_sup(data, strip, T), T)
 
 
-def _disc_bound(
-    data: LFunctionData, strip: StripParams, heads: tuple, sup: float, T: float
-) -> float:
-    """disc_count_bound at an admissible T, given the _heads and the ratio-error sup there."""
-    d, im = data.degree, data.mu_cap.imag
-    two_r, right, c = strip.two_r, strip.right_edge, strip.disc_slope
+def _disc_bound(terms: SimpleNamespace, strip: StripParams, log_a1_zeta2: float, heads: tuple,
+                sup: float, T: float) -> float:
+    """disc_count_bound at an admissible T, given the _factor_terms, _heads and ratio-error sup.
+
+    The reflection branch is head - 2d + |1 - i q| d c + d (a + 2R) + q |Im(mu_cap) / 2|,
+    q = (a + 2R) / (T - 2R); -q is -(a + 2R) / (T - 2R) to the bit.
+    """
+    d, right = terms.d, strip.right_edge
     reflect_head, interp_peak = heads
-    edge = abs(complex(1.0, -right / (T - two_r)))
-    reflect = (
-        reflect_head
-        - 2.0 * d
-        + edge * d * c
-        + d * right
-        + right / (T - two_r) * abs(im / 2.0)
-    )
-    return (
-        d * c * math.log(2.0 * T)
-        + data.log_a1_zeta2
-        + sup
-        + max(reflect, interp_peak)
-    ) / LOG2
+    q = right / (T - strip.two_r)
+    reflect = reflect_head - 2.0 * d + abs(complex(1.0, -q)) * d * strip.disc_slope + d * right
+    reflect += q * terms.half_im
+    return (terms.dc * math.log(2.0 * T) + log_a1_zeta2 + sup + max(reflect, interp_peak)) / LOG2
 
 
 def argument_integral_bound(data: LFunctionData, strip: StripParams, T: float) -> float:
@@ -178,128 +173,130 @@ def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> Bran
     T, so the interpolation constant can overtake it above T0.
     """
     _require_height(T0, "T0", strip.two_r, DomainError, "2R")
-    return _branch(data, strip, _heads(data, strip), T0)
+    return BranchConstants(*_branch(_factor_terms(data, strip), strip, _heads(data, strip), T0))
 
 
-def _branch(data: LFunctionData, strip: StripParams, heads: tuple, T0: float) -> BranchConstants:
-    """branch_constants at a T0 > 2R, given the _heads."""
-    d, right, c = data.degree, strip.right_edge, strip.disc_slope
+def _branch(terms: SimpleNamespace, strip: StripParams, heads: tuple, T0: float) -> tuple:
+    """branch_constants' (alpha, h1, h2) at a T0 > 2R, given the _factor_terms and _heads."""
     reflect_head, h1_interp = heads
-    h1_reflect = reflect_head + d * (-1.5 + 4.0 * strip.R)
-    h2_reflect = d * c * right + right * abs(data.mu_cap.imag / 2.0)
+    h1_reflect = reflect_head + terms.h1_lift
+    h2_reflect = terms.h2_reflect
     if h1_reflect + h2_reflect / (T0 - strip.two_r) > h1_interp:
-        return BranchConstants(alpha=0, h1=max(h1_reflect, h1_interp), h2=h2_reflect)
-    return BranchConstants(alpha=1, h1=h1_interp, h2=0.0)
+        return 0, max(h1_reflect, h1_interp), h2_reflect
+    return 1, h1_interp, 0.0
+
+
+def _factor_terms(data: LFunctionData | SimpleNamespace, strip: StripParams) -> SimpleNamespace:
+    """The window terms that read only d, Im(mu_cap) (of a datum or a factor pass) and the strip.
+
+    d; dc = d c, the disc bound's log(2T) coefficient; half_im = |Im(mu_cap) / 2|; tail =
+    3 d (b^2 + b), the log-integral bound's numerator over T0; h1_lift = d (4R - 3/2) and
+    h2_reflect = d c (a + 2R) + (a + 2R) half_im, the reflection branch's h1 over its head and h2.
+    """
+    d, right = data.degree, strip.right_edge
+    dc, half_im = d * strip.disc_slope, abs(data.mu_cap.imag / 2.0)
+    return SimpleNamespace(
+        d=d, dc=dc, half_im=half_im, tail=3.0 * d * (strip.b * strip.b + strip.b),
+        h1_lift=d * (-1.5 + 4.0 * strip.R), h2_reflect=dc * right + right * half_im,
+    )
 
 
 @functools.lru_cache(maxsize=256)
-def _factor_pieces(factors: tuple[GammaFactor, ...], strip: StripParams) -> tuple[float, ...]:
-    """K, ratio_slope, slope and trivial of every window on these gamma factors and this strip.
+def _factor_pieces(factors: tuple[GammaFactor, ...], strip: StripParams) -> SimpleNamespace:
+    """Every window term that reads only these gamma factors and this strip.
 
-    Each reads only the factor pass's invariants and the strip.
+    The _factor_terms, K (ratio_error_sup's numerator), ratio_slope and slope (the
+    log(T/T0) coefficients of S and R1), trivial, both c1, and the factor-level,
+    left-most parts of the other constants, so that a window adding its own terms
+    to one rounds as if it had computed it whole (the head of the doubling c2 runs
+    up to its 3 d (2R - 1) c term).
     """
     profile = _factor_pass(factors)
-    K, *below = _kernel_sums(profile, -strip.right_edge, -strip.b, -strip.b - 1.0)
-    ratio_slope = sum(below)
-    slope = _log_slope(profile, strip, ratio_slope)
-    return K, ratio_slope, slope, trivial_zero_window(profile, strip)
+    p = _factor_terms(profile, strip)
+    d, r, two_r, c = p.d, strip.R, strip.two_r, strip.disc_slope
+    p.K, *below = _kernel_sums(profile, -strip.right_edge, -strip.b, -strip.b - 1.0)
+    p.ratio_slope = sum(below)
+    p.slope = _log_slope(profile, strip, p.ratio_slope)
+    p.trivial = trivial_zero_window(profile, strip)
+    p.c1_main = p.slope / TWO_PI + (r - 0.5) * d * c / LOG2
+    p.c1_dbl = d / LOG2 * (two_r - 1.0) * c
+    p.c2_dbl_head = (LOG2 * p.slope / TWO_PI + 2.0 * vertical_integral_bound() / math.pi
+                     + 4.0 * r - 2.0 + 3.0 * d * (two_r - 1.0) * c)
+    p.c3_dbl_head = p.tail / (4.0 * math.pi)
+    p.c3_scale, p.c2_dbl_scale, p.head_scale = (r - 0.5) / LOG2, (two_r - 1.0) / LOG2, d / TWO_PI
+    return p
 
 
 class _Window(_Value):
     """The (T0, T]-window bound of one (data, strip, T0).
 
     Construction checks that T0 is admissible, so every finite T > T0 is too.
-    It takes K (ratio_error_sup's numerator), ratio_slope and slope (the
-    log(T/T0) coefficients of S and R1) and trivial from _factor_pieces, and
-    computes every other T0-only piece once: the heads that choose bc and
-    enter every R2, R2(T0), head the main-term pieces at T0, and the two
-    coefficient triples.  repr, == and hash see data, strip and T0 only,
-    which fix every other field.  Build windows through _window only.
+    It takes its factor-level pieces from _factor_pieces and computes, as
+    floats, only what reads log(lambda Q^2), k, a1 or T0: the heads that
+    choose the branch (alpha, h1, h2) and enter every R2, R2(T0), head (the
+    main-term pieces at T0) and the six constants, in the order of the
+    window_coefficients and then the doubling_coefficients triple.  The
+    Coefficients pair is built once, when a public function first asks for
+    it.  repr, == and hash see data, strip and T0 only, which fix every
+    other field.  Build windows through _window only.
     """
 
     def __init__(self, data: LFunctionData, strip: StripParams, T0: float) -> None:
         require_admissible(data, strip, T0, label="T0")
-        K, ratio_slope, slope, trivial = _factor_pieces(data.factors, strip)
+        p = _factor_pieces(data.factors, strip)
         heads = _heads(data, strip)
-        head = data.degree / TWO_PI * T0 * math.log(T0 / math.e)
-        head += T0 / TWO_PI * abs(data.log_lambda_q2)
+        alpha, h1, h2 = _branch(p, strip, heads, T0)
+        two_r, r = strip.two_r, strip.R
+        sup_t0, a1_h1 = p.K / (T0 - two_r), data.log_a1_zeta2 + h1
         self._set(
-            data=data, strip=strip, T0=T0, K=K, ratio_slope=ratio_slope, slope=slope,
-            trivial=trivial, heads=heads, bc=_branch(data, strip, heads, T0),
-            r2_t0=_disc_bound(data, strip, heads, K / (T0 - strip.two_r), T0), head=head,
+            data=data, strip=strip, T0=T0, pieces=p, heads=heads, alpha=alpha, h1=h1, h2=h2,
+            r2_t0=_disc_bound(p, strip, data.log_a1_zeta2, heads, sup_t0, T0),
+            head=p.head_scale * T0 * math.log(T0 / math.e) + T0 / TWO_PI * abs(data.log_lambda_q2),
         )
-        self._set(coefficients=self._coefficients())  # reads the fields set above
+        # c2 takes R1 at the formal height T = 1 and counts the tail twice; _total reads the above
+        r1 = _log_integral(p.slope, p.tail, T0, 1.0) + p.tail / T0
+        self._set(constants=(
+            p.c1_main,
+            self._total(r1, p.dc + a1_h1 / LOG2),
+            p.c3_scale * T0 / (T0 - two_r) * (p.K + h2),
+            p.c1_dbl,
+            p.c2_dbl_head + p.c2_dbl_scale * a1_h1,
+            p.c3_dbl_head
+            + p.c3_scale * T0 * (3.0 * T0 - 4.0 * r) / (2.0 * (T0 - two_r) * (T0 - r)) * (sup_t0 + h2),
+        ))
 
     def sup(self, T: float) -> float:
         """ratio_error_sup(T) for T > 2R."""
-        return self.K / (T - self.strip.two_r)
+        return self.pieces.K / (T - self.strip.two_r)
 
     def at(self, T: float) -> tuple[float, float, float]:
         """(R1, R2(T), window total) at a finite T > T0."""
         _require_height(T, "T", self.T0, DomainError, "T0")
-        r1 = _log_integral(self.data, self.strip, self.slope, self.T0, T)
-        r2_t = _disc_bound(self.data, self.strip, self.heads, self.sup(T), T)
+        p = self.pieces
+        r1 = _log_integral(p.slope, p.tail, self.T0, T)
+        r2_t = _disc_bound(p, self.strip, self.data.log_a1_zeta2, self.heads, self.sup(T), T)
         return r1, r2_t, self._total(r1, r2_t)
 
     def _total(self, r1: float, r2_t: float) -> float:
         """The window total, given its log-integral bound r1 and its disc bound r2_t at T."""
-        return (
-            self.head
-            + r1 / TWO_PI
-            + vertical_integral_bound() / math.pi
-            + (self.strip.R - 0.5) * (self.r2_t0 + r2_t + 4.0)
-            + self.trivial
-        )
+        return (self.head + r1 / TWO_PI + vertical_integral_bound() / math.pi
+                + (self.strip.R - 0.5) * (self.r2_t0 + r2_t + 4.0) + self.pieces.trivial)
 
-    def _coefficients(self) -> tuple[Coefficients, Coefficients]:
+    @functools.cached_property
+    def coefficients(self) -> tuple[Coefficients, Coefficients]:
         """The window_coefficients and doubling_coefficients triples."""
-        d, T0, bc, log_a1_zeta2 = self.data.degree, self.T0, self.bc, self.data.log_a1_zeta2
-        b, r, two_r, c = self.strip.b, self.strip.R, self.strip.two_r, self.strip.disc_slope
-        r1 = _log_integral(self.data, self.strip, self.slope, T0, 1.0) + 3.0 * d * (b * b + b) / T0
-        r2_t = d * c + (log_a1_zeta2 + bc.h1) / LOG2
-        main = Coefficients(
-            c1=self.slope / TWO_PI + (r - 0.5) * d * c / LOG2,
-            c2=self._total(r1, r2_t),
-            c3=(r - 0.5) / LOG2 * T0 / (T0 - two_r) * (self.K + bc.h2),
-        )
-        dbl_c2 = (
-            LOG2 * self.slope / TWO_PI
-            + 2.0 * vertical_integral_bound() / math.pi
-            + 4.0 * r - 2.0
-            + 3.0 * d * (two_r - 1.0) * c
-            + (two_r - 1.0) / LOG2 * (log_a1_zeta2 + bc.h1)
-        )
-        dbl_c3 = (
-            3.0 * d * (b * b + b) / (4.0 * math.pi)
-            + (r - 0.5) / LOG2
-            * T0 * (3.0 * T0 - 4.0 * r) / (2.0 * (T0 - two_r) * (T0 - r))
-            * (self.sup(T0) + bc.h2)
-        )
-        return main, Coefficients(c1=d / LOG2 * (two_r - 1.0) * c, c2=dbl_c2, c3=dbl_c3)
+        c = self.constants
+        return Coefficients(*c[:3]), Coefficients(*c[3:])
 
     def report(self, T: float) -> BoundReport:
         """The bound_report at height T."""
         r1, r2_t, total = self.at(T)
-        (main, dbl), bc = self.coefficients, self.bc
+        c1_main, c2_main, c3_main, c1_dbl, c2_dbl, c3_dbl = self.constants
         return BoundReport(
-            T0=self.T0,
-            T=T,
-            S=math.log(T / self.T0) * self.ratio_slope,
-            R1=r1,
-            V_star_T0=self.sup(self.T0),
-            V_star_T=self.sup(T),
-            R2_T0=self.r2_t0,
-            R2_T=r2_t,
-            alpha=bc.alpha,
-            h1=bc.h1,
-            h2=bc.h2,
-            R_total=total,
-            c1_main=main.c1,
-            c2_main=main.c2,
-            c3_main=main.c3,
-            c1_dbl=dbl.c1,
-            c2_dbl=dbl.c2,
-            c3_dbl=dbl.c3,
+            T0=self.T0, T=T, S=math.log(T / self.T0) * self.pieces.ratio_slope, R1=r1,
+            V_star_T0=self.sup(self.T0), V_star_T=self.sup(T), R2_T0=self.r2_t0, R2_T=r2_t,
+            alpha=self.alpha, h1=self.h1, h2=self.h2, R_total=total, c1_main=c1_main,
+            c2_main=c2_main, c3_main=c3_main, c1_dbl=c1_dbl, c2_dbl=c2_dbl, c3_dbl=c3_dbl,
         )
 
 

@@ -21,7 +21,7 @@ import functools
 import io
 import math
 
-from .bounds import ceil_guarded, doubling_coefficients, window_coefficients
+from .bounds import _window, ceil_guarded
 from .errors import ValidationError, _value_text
 from .selberg import GammaFactor, LFunctionData, StripParams, _Value, select_strip
 
@@ -44,9 +44,9 @@ class NewformSpec(_Value):
     def __init__(self, level: int, weight: int) -> None:
         n, w = level, weight
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValidationError(f"level must be a positive integer, got {_value_text(n)}")
+            raise ValidationError(f"level must be a positive integer, got {_value_text(n, repr)}")
         if isinstance(w, bool) or not isinstance(w, int) or w < 2 or w % 2:
-            raise ValidationError(f"weight must be an even integer >= 2, got {_value_text(w)}")
+            raise ValidationError(f"weight must be an even integer >= 2, got {_value_text(w, repr)}")
         try:
             float(n)
         except OverflowError:
@@ -104,9 +104,7 @@ def newform_strip() -> StripParams:
 
 def pipeline_constants(spec: NewformSpec) -> tuple[float, float, float, float, float, float]:
     """The six pre-ceiling constants via the generic pipeline."""
-    data, strip, T0 = newform_params(spec), newform_strip(), float(spec.min_height)
-    main, dbl = window_coefficients(data, strip, T0), doubling_coefficients(data, strip, T0)
-    return (main.c1, main.c2, main.c3, dbl.c1, dbl.c2, dbl.c3)
+    return _window(newform_params(spec), newform_strip(), float(spec.min_height)).constants
 
 
 def table_row(spec: NewformSpec) -> tuple[int, int, int, int, int, int]:

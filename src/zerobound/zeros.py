@@ -17,7 +17,7 @@ from bisect import bisect_right
 
 from .bounds import total_count_error, window_coefficients
 from .errors import DomainError, ZeroFileError
-from .selberg import LFunctionData, StripParams, _require_height, _Value, main_term
+from .selberg import _TEXT, LFunctionData, StripParams, _require_height, _Value, main_term
 
 
 #: bytes read at a time by load_zeros; each block is split and parsed whole
@@ -33,7 +33,10 @@ class ZeroList(_Value):
                 f"ordinates must be a sequence of real numbers, got a {type(ordinates).__name__}"
             )
         try:
-            t = tuple(map(float, ordinates))
+            items = tuple(ordinates)
+            if not _TEXT.isdisjoint(map(type, items)):  # float would parse "1" or b"1"
+                raise TypeError(f"got the text {next(x for x in items if type(x) in _TEXT)!r}")
+            t = tuple(map(float, items))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ZeroFileError(f"ordinates must be real numbers: {exc}") from None
         # One C-level pass: NaN fails <=, and once the tuple is sorted its

@@ -243,6 +243,22 @@ def test_branch_domain(nf12_pair):
         branch_constants(data, strip, 14.0)
 
 
+def test_bounds_that_need_no_left_edge_kernel_sum_hold_on_a_wide_strip(zeta_pair):
+    # at a = 1e12 the disc's left edge a + 2R is so far out that the secant
+    # guard refuses the kernel sum there, so no window and no disc bound
+    # exist; the log-integral bound and the branch constants read no kernel
+    # sum at that edge and keep their values (printed at the parent commit)
+    data, _ = zeta_pair
+    strip = select_strip(1.0, a=1e12)
+    for call in (lambda: disc_count_bound(data, strip, 1e14),
+                 lambda: window_coefficients(data, strip, 1e14)):
+        with pytest.raises(DomainError, match="secant"):
+            call()
+    assert log_integral_bound(data, strip, 1e14, 1e15) == 84.1009231863498
+    bc = branch_constants(data, strip, 1e14)
+    assert (bc.alpha, bc.h1, bc.h2) == (0, 4000000000009.9053, 3.0000000000335e+24)
+
+
 # --- total count error --------------------------------------------------------------------------
 
 def test_total_count_error_frozen(nf12_pair, zeta_pair):
@@ -458,8 +474,10 @@ INVARIANTS = (
 
 
 def test_bound_report_derives_each_invariant_once():
-    # construction computes every data-only invariant, and the window both
-    # coefficient triples; the bounds read them and never replace them
+    # construction computes every data-only invariant; the window takes its
+    # factor-level pieces from the cache and computes its six constants as
+    # floats; the bounds read them and never replace them.  bound_report
+    # builds no Coefficients, and check_bound builds the pair once per window
     from zerobound import bounds
 
     data = LFunctionData(
@@ -469,15 +487,24 @@ def test_bound_report_derives_each_invariant_once():
     assert set(built) == set(INVARIANTS)
     strip = select_strip(1.0)
     window = bounds._window(data, strip, 16.0)
-    coefficients = vars(window)["coefficients"]
+    pieces, constants = window.pieces, window.constants
+    assert pieces is bounds._factor_pieces(data.factors, strip)
     first = bound_report(data, strip, 16.0, 100.0)
     assert bound_report(data, strip, 16.0, 100.0) == first
     assert first.R_total == pytest.approx(RTOT_ZETA_16_100, rel=1e-12)
-    check_bound(data, strip, ZeroList((14.134725, 21.02204)), 16.0, 100.0)
-    check_bound(data, strip, ZeroList((14.134725, 21.02204)), 20.0, 100.0)
+    assert "coefficients" not in vars(window)
+    zeros = ZeroList((14.134725, 21.02204))
+    check_bound(data, strip, zeros, 16.0, 100.0)
+    coefficients = vars(window)["coefficients"]
+    check_bound(data, strip, zeros, 16.0, 200.0)
+    check_bound(data, strip, zeros, 20.0, 100.0)
     assert all(vars(data)[name] is value for name, value in built.items())
+    assert window.pieces is pieces and window.constants is constants
     assert vars(window)["coefficients"] is coefficients
-    assert (first.c1_main, first.c1_dbl) == (coefficients[0].c1, coefficients[1].c1)
+    assert window_coefficients(data, strip, 16.0) is coefficients[0]
+    assert (first.c1_main, first.c1_dbl) == (pieces.c1_main, pieces.c1_dbl)
+    assert _report_fields(first)[-6:] == constants
+    assert tuple(map(_coefficient_fields, coefficients)) == (constants[:3], constants[3:])
 
 
 def _count_calls(monkeypatch, *functions):
@@ -498,18 +525,21 @@ def _count_calls(monkeypatch, *functions):
 
 def test_each_window_computes_its_t0_pieces_once(monkeypatch):
     # every public bound takes its window from one memo: a cold bound_report
-    # makes one admissibility check of T0, takes its three kernel sums in one
-    # pass, evaluates the branch heads once and chooses the branch once;
-    # check_bound on the same (data, strip, T0) then builds nothing, and
-    # check_bound at 200 heights on another T0 builds one window, on the
-    # cached kernel sums, or from scratch once both caches are emptied
+    # makes one admissibility check of T0, computes the factor-level terms and
+    # the three kernel sums once, evaluates the branch heads once, chooses the
+    # branch once and builds no value object but its report; check_bound on
+    # the same (data, strip, T0) then builds the Coefficients pair, and
+    # check_bound at 200 heights on another T0 builds one window and one
+    # pair, on the cached factor-level pieces, or from scratch once both
+    # caches are emptied; table_row builds no value object of the bounds
     from zerobound import bounds, gammabounds, selberg
 
     data, strip = presets.zeta()
     zeros = ZeroList((14.134725, 21.02204, 25.010858, 30.424876))
     calls = _count_calls(
-        monkeypatch, gammabounds._kernel_sums, gammabounds._log_interp_peak, bounds._heads,
-        bounds._branch, bounds.branch_constants, selberg.require_admissible,
+        monkeypatch, gammabounds._kernel_sums, bounds._factor_terms, gammabounds._log_interp_peak,
+        bounds._heads, bounds._branch, bounds.branch_constants, selberg.require_admissible,
+        bounds.BranchConstants, bounds.Coefficients,
     )
 
     def counts_of(call):
@@ -517,21 +547,24 @@ def test_each_window_computes_its_t0_pieces_once(monkeypatch):
         call()
         return tuple(calls.values())
 
-    # (_kernel_sums, _log_interp_peak, _heads, _branch, branch_constants, require_admissible)
-    once = (1, 1, 1, 1, 0, 1)
-    # a new T0 on gamma factors and a strip seen before: the kernel sums are cached
-    known_factors = (0, 1, 1, 1, 0, 1)
+    # (_kernel_sums, _factor_terms, _log_interp_peak, _heads, _branch, branch_constants,
+    #  require_admissible, BranchConstants, Coefficients)
+    once = (1, 1, 1, 1, 1, 0, 1, 0, 0)
+    # a check_bound window, cold or on gamma factors and a strip seen before
+    once_with_pair = (1, 1, 1, 1, 1, 0, 1, 0, 2)
+    known_factors_with_pair = (0, 0, 1, 1, 1, 0, 1, 0, 2)
     assert counts_of(lambda: bound_report(data, strip, 16.0, 100.0)) == once, calls
-    assert counts_of(lambda: check_bound(data, strip, zeros, 16.0, 100.0)) == (0,) * 6, calls
+    assert counts_of(lambda: check_bound(data, strip, zeros, 16.0, 100.0)) == (0,) * 8 + (2,), calls
+    assert counts_of(lambda: check_bound(data, strip, zeros, 16.0, 30.0)) == (0,) * 9, calls
     heights = [21.0 + 0.5 * i for i in range(200)]
 
     def scan():
         return [check_bound(data, strip, zeros, 20.0, t) for t in heights]
 
-    assert counts_of(scan) == known_factors, calls
+    assert counts_of(scan) == known_factors_with_pair, calls
     bounds._window.cache_clear()
     bounds._factor_pieces.cache_clear()
-    assert counts_of(scan) == once, calls
+    assert counts_of(scan) == once_with_pair, calls
     assert counts_of(lambda: table_row(NewformSpec(1, 12))) == once, calls
 
 
@@ -626,13 +659,13 @@ _coefficient_fields = attrgetter("c1", "c2", "c3")
 
 
 def _window_bits(window, t):
-    """float.hex of every number a window holds and of its (R1, R2(T), total) at t."""
-    bc, (main, dbl) = window.bc, window.coefficients
-    return _bits((
-        window.T0, window.K, window.ratio_slope, window.slope, bc.alpha, bc.h1, bc.h2,
-        window.r2_t0, window.head, window.trivial,
-        main.c1, main.c2, main.c3, dbl.c1, dbl.c2, dbl.c3, *window.at(t),
-    ))
+    """float.hex of every number a window holds, its factor-level pieces' too, by name,
+    and of its (R1, R2(T), total) and its BoundReport fields at t."""
+    held = {**vars(window), **{f"pieces.{k}": v for k, v in vars(window.pieces).items()}}
+    for name in ("data", "strip", "pieces", "coefficients"):
+        held.pop(name, None)
+    bits = {name: _bits(v if isinstance(v, tuple) else (v,)) for name, v in held.items()}
+    return bits, _bits(window.at(t)), _bits(_report_fields(window.report(t)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -756,12 +789,9 @@ def _flip_zero(x):
 )
 def test_warm_and_cold_window_pieces_are_bit_identical(window, log_q, angle, k, log_a1, lift):
     # a twin datum shares the gamma factors, up to the sign of each zero part
-    # of mu, and draws its own Q, omega, k and a1; its window on the same
-    # strip, built on the memoized pieces of the first datum, equals its
+    # of mu, and draws its own Q, omega, k and a1; both windows on the same
+    # strip share one entry of factor-level pieces, and each equals its
     # window built cold
-    from zerobound import bounds
-    from zerobound.bounds import _Window
-
     data, strip, t0, t = window
     factors = tuple(
         GammaFactor(f.lam, complex(_flip_zero(f.mu.real), _flip_zero(f.mu.imag)))
@@ -775,13 +805,35 @@ def test_warm_and_cold_window_pieces_are_bit_identical(window, log_q, angle, k, 
     except ValidationError:
         assume(False)
     T0 = min_admissible_height(twin, strip).value * (1.0 + lift)
-    T = T0 * t / t0
+    _assert_shared_pieces_are_datum_free((data, t0, t), (twin, T0, T0 * t / t0), strip)
+
+
+def _assert_shared_pieces_are_datum_free(first, second, strip):
+    """Two (datum, T0, T) on the same gamma factors and strip share one _factor_pieces entry,
+    and each window, its fields and its BoundReport fields, equals one built cold."""
+    from zerobound import bounds
+    from zerobound.bounds import _Window
+
     bounds._factor_pieces.cache_clear()
-    _Window(data, strip, t0)
-    warm = _Window(twin, strip, T0)
-    assert bounds._factor_pieces.cache_info()[:2] == (1, 1)  # the twin found the first pieces
-    bounds._factor_pieces.cache_clear()
-    assert _window_bits(warm, T) == _window_bits(_Window(twin, strip, T0), T)
+    warm = [_Window(data, strip, T0) for data, T0, _ in (first, second)]
+    assert bounds._factor_pieces.cache_info()[:2] == (1, 1)  # the second found the first's pieces
+    assert warm[0].pieces is warm[1].pieces
+    for window, (data, T0, T) in zip(warm, (first, second)):
+        bounds._factor_pieces.cache_clear()
+        cold = _Window(data, strip, T0)
+        assert cold.pieces is not window.pieces
+        assert _window_bits(window, T) == _window_bits(cold, T)
+
+
+def test_factor_pieces_hold_no_datum_level_value():
+    # one gamma factor, two conductors: Q = 1 takes the interpolation branch
+    # at T0 = 55 and Q = 10 the reflection branch, so a datum-level value
+    # cached with the pieces would show in one of the two windows
+    strip = select_strip(1.0)
+    data = [LFunctionData((GammaFactor(0.5, 10j),), Q, 1, 0, 1.0) for Q in (1.0, 10.0)]
+    assert [branch_constants(d, strip, 55.0).alpha for d in data] == [1, 0]
+    _assert_shared_pieces_are_datum_free((data[0], 55.0, 1000.0), (data[1], 55.0, 1000.0), strip)
+    _assert_shared_pieces_are_datum_free((data[1], 55.0, 80.0), (data[0], 60.0, 1e6), strip)
 
 
 # --- the caches --------------------------------------------------------------------------

@@ -445,6 +445,10 @@ GOLDEN_ARGV = {
     # a factor with mu = -0.0 - 0.0i: the echoed input keeps both signs
     "signed_zero_constants": ["constants", "--input", str(CLI_GOLDEN / "signed_zero.json"),
                               "--t0", "30"],
+    # mu = 10i with Q = 1: the interpolation branch (alpha = 1), which no datum above takes
+    "interp_constants": ["constants", "--input", str(CLI_GOLDEN / "interp.json"), "--t0", "55"],
+    "interp_bound": ["bound", "--input", str(CLI_GOLDEN / "interp.json"),
+                     "--t0", "55", "--t", "1000"],
 }
 
 
@@ -458,7 +462,7 @@ def test_cli_output_matches_golden_bytes(capsys, monkeypatch, name, argv):
 
 # --- the parser, built once per process -------------------------------------------------
 
-#: every golden output: the seven above and the published table
+#: every golden output: the nine above and the published table
 GOLDEN_RUNS = [
     *((CLI_GOLDEN / f"{name}.json", argv) for name, argv in GOLDEN_ARGV.items()),
     (Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "table.out",

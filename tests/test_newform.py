@@ -13,6 +13,7 @@ from zerobound import (
     newform_params,
     newform_strip,
     pipeline_constants,
+    presets,
     select_strip,
     table_generate,
     table_row,
@@ -45,6 +46,18 @@ def test_spec_validation():
         NewformSpec(-10 ** 5000, 12)
     with pytest.raises(ValidationError, match="got an integer of 16610 bits$"):
         NewformSpec(1, 10 ** 5000 + 1)
+
+
+def test_spec_messages_write_the_refused_value_with_repr():
+    # a str spelling a valid number is named as the str it is; ints read as before
+    with pytest.raises(ValidationError, match="^level must be a positive integer, got '1'$"):
+        NewformSpec("1", 12)
+    with pytest.raises(ValidationError, match="^weight must be an even integer >= 2, got '12'$"):
+        presets.newform(1, "12")
+    with pytest.raises(ValidationError, match="^weight must be an even integer >= 2, got 11$"):
+        presets.newform(1, 11)
+    with pytest.raises(ValidationError, match="^level must be a positive integer, got 0$"):
+        NewformSpec(0, 12)
 
 
 def test_spec_rejects_sizes_the_pipeline_cannot_run():

@@ -105,10 +105,14 @@ DERIVED = {
         "lam_min", "re_mu_max", "re_mu_min", "f", "_hash",
     ),
     "StripParams": ("two_r", "right_edge", "disc_slope", "_hash"),
-    "_Window": (
-        "K", "ratio_slope", "slope", "heads", "bc", "r2_t0", "head", "trivial", "coefficients",
-    ),
+    "_Window": ("pieces", "heads", "alpha", "h1", "h2", "r2_t0", "head", "constants"),
 }
+
+#: the factor-level pieces a window shares with every window on its gamma factors and strip
+PIECES = (
+    "d", "dc", "half_im", "tail", "h1_lift", "h2_reflect", "K", "ratio_slope", "slope", "trivial",
+    "c1_main", "c1_dbl", "c2_dbl_head", "c3_dbl_head", "c3_scale", "c2_dbl_scale", "head_scale",
+)
 
 NAMES = sorted(GOLDEN_REPR)
 
@@ -248,8 +252,19 @@ def test_each_value_stores_its_fields_and_derived_names_only(values, name):
 
 
 def test_window_stores_its_fields_and_derived_names_only():
+    # floats and a tuple of floats, but the shared pieces; the Coefficients
+    # pair is stored only once a public function has asked for it
     window = _Window(*presets.zeta(), 16.0)
     assert set(vars(window)) == {*_Window._fields, *DERIVED["_Window"]}
+    assert set(vars(window.pieces)) == set(PIECES)
+    assert all(type(v) is float for v in vars(window.pieces).values())
+    assert type(window.alpha) is int and all(type(x) is float for x in window.constants)
+    window.report(100.0)
+    assert set(vars(window)) == {*_Window._fields, *DERIVED["_Window"]}
+    assert [(c.c1, c.c2, c.c3) for c in window.coefficients] == [
+        window.constants[:3], window.constants[3:]
+    ]
+    assert set(vars(window)) == {*_Window._fields, *DERIVED["_Window"], "coefficients"}
 
 
 def test_loaded_zero_list_stores_its_fields_only(tmp_path):

@@ -113,6 +113,16 @@ def test_zerolist_rejects_text_and_bytes(text, kind):
     assert str(err.value) == f"ordinates must be a sequence of real numbers, got a {kind}"
 
 
+@pytest.mark.parametrize(
+    "items, text", [(["1", "2"], "'1'"), ([b"1"], "b'1'"), ((2.0, bytearray(b"3")), "bytearray(b'3')")]
+)
+def test_zerolist_refuses_text_items(items, text):
+    # float would parse each item as the number it spells
+    with pytest.raises(ZeroFileError) as err:
+        ZeroList(items)
+    assert str(err.value) == f"ordinates must be real numbers: got the text {text}"
+
+
 # --- the block loader against a line-by-line reference --------------------------
 
 def reference_load(path):
