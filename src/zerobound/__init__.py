@@ -13,6 +13,7 @@ from .bounds import (
     doubling_coefficients,
     integrated_ratio_error,
     log_integral_bound,
+    ratio_error_sup,
     shifted_constant,
     total_count_error,
     trivial_zero_window,
@@ -31,7 +32,6 @@ from .errors import (
 from .gammabounds import (
     magnitude_envelope,
     ratio_error_bound,
-    ratio_error_sup,
     ratio_error_total,
     reflection_log_main,
     remainder_pair_bound,

@@ -17,13 +17,15 @@ total_count_error stitches these into the (T0, T]-window bound, and
 window_coefficients / doubling_coefficients flatten that bound into the
 c1 log T + c2 + c3 / T coefficient form (for the (T0, T] and (T, 2T]
 windows respectively).  All three and bound_report take their window of
-(datum, strip, T0) from the cache _window.  A window takes every term that
-depends on the gamma factors and the strip alone (the kernel sums, the log
-slopes, the trivial-zero allowance, both c1 and the factor-level heads and
-scales of the other constants) from the cache _factor_pieces, and computes
-as floats only the terms that read log(lambda Q^2), k, a1 or T0.  Value
-objects are built at the public edge, at most once per window.  Everything
-is a pure function of the datum, the strip, and the heights.
+(datum, strip, T0) from the cache _window.  The window and the per-piece
+bounds read every term that depends on the gamma factors and the strip
+alone (the kernel sums, the log slopes, the trivial-zero allowance, both c1
+and the factor-level heads and scales of the other constants) from one
+cached _factor_pieces entry, whose left-edge kernel sum K is computed when
+first read.  A window computes as floats only the terms that read
+log(lambda Q^2), k, a1 or T0.  Value objects are built at the public edge,
+at most once per window.  Everything is a pure function of the datum, the
+strip, and the heights.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from types import SimpleNamespace
 
 from .errors import BoundaryWarning, DomainError, ValidationError, _value_text
-from .gammabounds import LOG2, _kernel_sums, _log_interp_peak, ratio_error_sup
+from .gammabounds import LOG2, _kernel_sums, _log_interp_peak
 from .selberg import (
     _FLOAT_MAX, GammaFactor, LFunctionData, StripParams, _convert, _factor_pass,
     _require_height, _Value, require_admissible,
@@ -46,12 +47,14 @@ TWO_PI = 2.0 * math.pi
 CEIL_GUARD = 1e-6
 
 
-def _ratio_error_slope(data: LFunctionData, strip: StripParams) -> float:
-    """Coefficient of log(T/T0) in the integrated gamma-ratio error.
+def ratio_error_sup(data: LFunctionData, strip: StripParams, T: float) -> float:
+    """Supremum envelope of the total gamma-ratio error on the counting rectangle.
 
-    The factor kernels summed at real parts -b and -b - 1.
+    Covers sigma in [a - 2R, a + 2R] and t in [T - 2R, T + 2R]; only the
+    prefactor 1/(T - 2R) depends on T.  Requires finite T > 2R.
     """
-    return sum(_kernel_sums(data, -strip.b, -strip.b - 1.0))
+    _require_height(T, "T", strip.two_r, DomainError, "2R")
+    return _factor_pieces(data.factors, strip).sup(T)
 
 
 def integrated_ratio_error(data: LFunctionData, strip: StripParams, T0: float, T: float) -> float:
@@ -61,21 +64,7 @@ def integrated_ratio_error(data: LFunctionData, strip: StripParams, T0: float, T
     """
     _require_height(T0, "T0", 0.0)
     _require_height(T, "T", T0, DomainError, "T0", True)
-    return math.log(T / T0) * _ratio_error_slope(data, strip)
-
-
-def _log_slope(data: LFunctionData, strip: StripParams, ratio_slope: float) -> float:
-    """Coefficient of log(T/T0) in the log-integral bound.
-
-    The log-term slope -(7/2) d (2b+1) + 2|-d b + Im(mu_cap) i / 2| + 2d
-    plus the integrated ratio error's slope, ratio_slope.
-    """
-    d, im = data.degree, data.mu_cap.imag
-    b = strip.b
-    return (
-        -3.5 * d * (2.0 * b + 1.0) + 2.0 * abs(complex(-d * b, im / 2.0)) + 2.0 * d
-        + ratio_slope
-    )
+    return math.log(T / T0) * _factor_pieces(data.factors, strip).ratio_slope
 
 
 def log_integral_bound(data: LFunctionData, strip: StripParams, T0: float, T: float) -> float:
@@ -87,13 +76,12 @@ def log_integral_bound(data: LFunctionData, strip: StripParams, T0: float, T: fl
     """
     _require_height(T0, "T0", 0.0)
     _require_height(T, "T", 0.0)
-    slope = _log_slope(data, strip, _ratio_error_slope(data, strip))
-    return _log_integral(slope, _factor_terms(data, strip).tail, T0, T)
+    return _log_integral(_factor_pieces(data.factors, strip), T0, T)
 
 
-def _log_integral(slope: float, tail: float, T0: float, T: float) -> float:
-    """log_integral_bound, given its log(T/T0) coefficient slope and its tail 3 d (b^2 + b)."""
-    return math.log(T / T0) * slope + tail / T0
+def _log_integral(p: _FactorPieces, T0: float, T: float) -> float:
+    """log_integral_bound, given the _factor_pieces p of its gamma factors and strip."""
+    return math.log(T / T0) * p.slope + p.tail / T0
 
 
 def vertical_integral_bound() -> float:
@@ -115,23 +103,22 @@ def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float
     admissible.
     """
     require_admissible(data, strip, T)
-    terms, heads = _factor_terms(data, strip), _heads(data, strip)
-    return _disc_bound(terms, strip, data.log_a1_zeta2, heads, ratio_error_sup(data, strip, T), T)
+    p = _factor_pieces(data.factors, strip)
+    return _disc_bound(p, data.log_a1_zeta2, _heads(data, strip), p.sup(T), T)
 
 
-def _disc_bound(terms: SimpleNamespace, strip: StripParams, log_a1_zeta2: float, heads: tuple,
-                sup: float, T: float) -> float:
-    """disc_count_bound at an admissible T, given the _factor_terms, _heads and ratio-error sup.
+def _disc_bound(p: _FactorPieces, log_a1_zeta2: float, heads: tuple, sup: float, T: float) -> float:
+    """disc_count_bound at an admissible T, given the _factor_pieces, _heads and ratio-error sup.
 
     The reflection branch is head - 2d + |1 - i q| d c + d (a + 2R) + q |Im(mu_cap) / 2|,
     q = (a + 2R) / (T - 2R); -q is -(a + 2R) / (T - 2R) to the bit.
     """
-    d, right = terms.d, strip.right_edge
+    d, strip, right = p.d, p.strip, p.strip.right_edge
     reflect_head, interp_peak = heads
     q = right / (T - strip.two_r)
     reflect = reflect_head - 2.0 * d + abs(complex(1.0, -q)) * d * strip.disc_slope + d * right
-    reflect += q * terms.half_im
-    return (terms.dc * math.log(2.0 * T) + log_a1_zeta2 + sup + max(reflect, interp_peak)) / LOG2
+    reflect += q * p.half_im
+    return (p.dc * math.log(2.0 * T) + log_a1_zeta2 + sup + max(reflect, interp_peak)) / LOG2
 
 
 def argument_integral_bound(data: LFunctionData, strip: StripParams, T: float) -> float:
@@ -173,58 +160,65 @@ def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> Bran
     T, so the interpolation constant can overtake it above T0.
     """
     _require_height(T0, "T0", strip.two_r, DomainError, "2R")
-    return BranchConstants(*_branch(_factor_terms(data, strip), strip, _heads(data, strip), T0))
+    return BranchConstants(*_branch(_factor_pieces(data.factors, strip), _heads(data, strip), T0))
 
 
-def _branch(terms: SimpleNamespace, strip: StripParams, heads: tuple, T0: float) -> tuple:
-    """branch_constants' (alpha, h1, h2) at a T0 > 2R, given the _factor_terms and _heads."""
+def _branch(p: _FactorPieces, heads: tuple, T0: float) -> tuple:
+    """branch_constants' (alpha, h1, h2) at a T0 > 2R, given the _factor_pieces and _heads."""
     reflect_head, h1_interp = heads
-    h1_reflect = reflect_head + terms.h1_lift
-    h2_reflect = terms.h2_reflect
-    if h1_reflect + h2_reflect / (T0 - strip.two_r) > h1_interp:
-        return 0, max(h1_reflect, h1_interp), h2_reflect
+    h1_reflect = reflect_head + p.h1_lift
+    if h1_reflect + p.h2_reflect / (T0 - p.strip.two_r) > h1_interp:
+        return 0, max(h1_reflect, h1_interp), p.h2_reflect
     return 1, h1_interp, 0.0
 
 
-def _factor_terms(data: LFunctionData | SimpleNamespace, strip: StripParams) -> SimpleNamespace:
-    """The window terms that read only d, Im(mu_cap) (of a datum or a factor pass) and the strip.
+class _FactorPieces:
+    """Every window term that reads only one tuple of gamma factors and one strip.
 
-    d; dc = d c, the disc bound's log(2T) coefficient; half_im = |Im(mu_cap) / 2|; tail =
-    3 d (b^2 + b), the log-integral bound's numerator over T0; h1_lift = d (4R - 3/2) and
-    h2_reflect = d c (a + 2R) + (a + 2R) half_im, the reflection branch's h1 over its head and h2.
+    Besides the factor pass (profile) and the strip: d; dc = d c, the disc bound's
+    log(2T) coefficient; half_im = |Im(mu_cap) / 2|; tail = 3 d (b^2 + b), the
+    log-integral bound's numerator over T0; h1_lift = d (4R - 3/2) and h2_reflect =
+    d c (a + 2R) + (a + 2R) half_im, the reflection branch's h1 over its head and h2;
+    ratio_slope and slope, the log(T/T0) coefficients of S and R1; trivial; both c1;
+    and the factor-level, left-most parts of the other constants, so that a window
+    adding its own terms to one rounds as if it had computed it whole (the head of
+    the doubling c2 runs up to its 3 d (2R - 1) c term).  K, ratio_error_sup's
+    numerator, is computed when first read, so where the secant guard refuses it
+    the other terms still serve.  Build through _factor_pieces only.
     """
-    d, right = data.degree, strip.right_edge
-    dc, half_im = d * strip.disc_slope, abs(data.mu_cap.imag / 2.0)
-    return SimpleNamespace(
-        d=d, dc=dc, half_im=half_im, tail=3.0 * d * (strip.b * strip.b + strip.b),
-        h1_lift=d * (-1.5 + 4.0 * strip.R), h2_reflect=dc * right + right * half_im,
-    )
+
+    def __init__(self, factors: tuple[GammaFactor, ...], strip: StripParams) -> None:
+        self.profile, self.strip = _factor_pass(factors), strip
+        d, b, r, two_r, c = self.profile.degree, strip.b, strip.R, strip.two_r, strip.disc_slope
+        right, im = strip.right_edge, self.profile.mu_cap.imag
+        self.d, self.dc, self.half_im = d, d * c, abs(im / 2.0)
+        self.tail = 3.0 * d * (b * b + b)
+        self.h1_lift, self.h2_reflect = d * (-1.5 + 4.0 * r), self.dc * right + right * self.half_im
+        self.ratio_slope = sum(_kernel_sums(self.profile, -b, -b - 1.0))
+        # the log-term slope -(7/2) d (2b+1) + 2|-d b + Im(mu_cap) i / 2| + 2d, plus ratio_slope
+        self.slope = (-3.5 * d * (2.0 * b + 1.0) + 2.0 * abs(complex(-d * b, im / 2.0)) + 2.0 * d
+                      + self.ratio_slope)
+        self.trivial = trivial_zero_window(self.profile, strip)
+        self.c1_main = self.slope / TWO_PI + (r - 0.5) * d * c / LOG2
+        self.c1_dbl = d / LOG2 * (two_r - 1.0) * c
+        self.c2_dbl_head = (LOG2 * self.slope / TWO_PI + 2.0 * vertical_integral_bound() / math.pi
+                            + 4.0 * r - 2.0 + 3.0 * d * (two_r - 1.0) * c)
+        self.c3_dbl_head = self.tail / (4.0 * math.pi)
+        self.c3_scale, self.c2_dbl_scale = (r - 0.5) / LOG2, (two_r - 1.0) / LOG2
+        self.head_scale = d / TWO_PI
+
+    @functools.cached_property
+    def K(self) -> float:
+        """The factor kernels summed at the disc's left edge, -(a + 2R)."""
+        return _kernel_sums(self.profile, -self.strip.right_edge)[0]
+
+    def sup(self, T: float) -> float:
+        """ratio_error_sup at a T > 2R: K / (T - 2R)."""
+        return self.K / (T - self.strip.two_r)
 
 
-@functools.lru_cache(maxsize=256)
-def _factor_pieces(factors: tuple[GammaFactor, ...], strip: StripParams) -> SimpleNamespace:
-    """Every window term that reads only these gamma factors and this strip.
-
-    The _factor_terms, K (ratio_error_sup's numerator), ratio_slope and slope (the
-    log(T/T0) coefficients of S and R1), trivial, both c1, and the factor-level,
-    left-most parts of the other constants, so that a window adding its own terms
-    to one rounds as if it had computed it whole (the head of the doubling c2 runs
-    up to its 3 d (2R - 1) c term).
-    """
-    profile = _factor_pass(factors)
-    p = _factor_terms(profile, strip)
-    d, r, two_r, c = p.d, strip.R, strip.two_r, strip.disc_slope
-    p.K, *below = _kernel_sums(profile, -strip.right_edge, -strip.b, -strip.b - 1.0)
-    p.ratio_slope = sum(below)
-    p.slope = _log_slope(profile, strip, p.ratio_slope)
-    p.trivial = trivial_zero_window(profile, strip)
-    p.c1_main = p.slope / TWO_PI + (r - 0.5) * d * c / LOG2
-    p.c1_dbl = d / LOG2 * (two_r - 1.0) * c
-    p.c2_dbl_head = (LOG2 * p.slope / TWO_PI + 2.0 * vertical_integral_bound() / math.pi
-                     + 4.0 * r - 2.0 + 3.0 * d * (two_r - 1.0) * c)
-    p.c3_dbl_head = p.tail / (4.0 * math.pi)
-    p.c3_scale, p.c2_dbl_scale, p.head_scale = (r - 0.5) / LOG2, (two_r - 1.0) / LOG2, d / TWO_PI
-    return p
+#: The 256 latest (factors, strip) keys; an entry whose K is refused stays cached.
+_factor_pieces = functools.lru_cache(maxsize=256)(_FactorPieces)
 
 
 class _Window(_Value):
@@ -245,16 +239,16 @@ class _Window(_Value):
         require_admissible(data, strip, T0, label="T0")
         p = _factor_pieces(data.factors, strip)
         heads = _heads(data, strip)
-        alpha, h1, h2 = _branch(p, strip, heads, T0)
+        alpha, h1, h2 = _branch(p, heads, T0)
         two_r, r = strip.two_r, strip.R
-        sup_t0, a1_h1 = p.K / (T0 - two_r), data.log_a1_zeta2 + h1
+        sup_t0, a1_h1 = p.sup(T0), data.log_a1_zeta2 + h1
         self._set(
             data=data, strip=strip, T0=T0, pieces=p, heads=heads, alpha=alpha, h1=h1, h2=h2,
-            r2_t0=_disc_bound(p, strip, data.log_a1_zeta2, heads, sup_t0, T0),
+            r2_t0=_disc_bound(p, data.log_a1_zeta2, heads, sup_t0, T0),
             head=p.head_scale * T0 * math.log(T0 / math.e) + T0 / TWO_PI * abs(data.log_lambda_q2),
         )
         # c2 takes R1 at the formal height T = 1 and counts the tail twice; _total reads the above
-        r1 = _log_integral(p.slope, p.tail, T0, 1.0) + p.tail / T0
+        r1 = _log_integral(p, T0, 1.0) + p.tail / T0
         self._set(constants=(
             p.c1_main,
             self._total(r1, p.dc + a1_h1 / LOG2),
@@ -265,16 +259,12 @@ class _Window(_Value):
             + p.c3_scale * T0 * (3.0 * T0 - 4.0 * r) / (2.0 * (T0 - two_r) * (T0 - r)) * (sup_t0 + h2),
         ))
 
-    def sup(self, T: float) -> float:
-        """ratio_error_sup(T) for T > 2R."""
-        return self.pieces.K / (T - self.strip.two_r)
-
     def at(self, T: float) -> tuple[float, float, float]:
         """(R1, R2(T), window total) at a finite T > T0."""
         _require_height(T, "T", self.T0, DomainError, "T0")
         p = self.pieces
-        r1 = _log_integral(p.slope, p.tail, self.T0, T)
-        r2_t = _disc_bound(p, self.strip, self.data.log_a1_zeta2, self.heads, self.sup(T), T)
+        r1 = _log_integral(p, self.T0, T)
+        r2_t = _disc_bound(p, self.data.log_a1_zeta2, self.heads, p.sup(T), T)
         return r1, r2_t, self._total(r1, r2_t)
 
     def _total(self, r1: float, r2_t: float) -> float:
@@ -292,20 +282,30 @@ class _Window(_Value):
         """The bound_report at height T."""
         r1, r2_t, total = self.at(T)
         c1_main, c2_main, c3_main, c1_dbl, c2_dbl, c3_dbl = self.constants
+        p = self.pieces
         return BoundReport(
-            T0=self.T0, T=T, S=math.log(T / self.T0) * self.pieces.ratio_slope, R1=r1,
-            V_star_T0=self.sup(self.T0), V_star_T=self.sup(T), R2_T0=self.r2_t0, R2_T=r2_t,
+            T0=self.T0, T=T, S=math.log(T / self.T0) * p.ratio_slope, R1=r1,
+            V_star_T0=p.sup(self.T0), V_star_T=p.sup(T), R2_T0=self.r2_t0, R2_T=r2_t,
             alpha=self.alpha, h1=self.h1, h2=self.h2, R_total=total, c1_main=c1_main,
             c2_main=c2_main, c3_main=c3_main, c1_dbl=c1_dbl, c2_dbl=c2_dbl, c3_dbl=c3_dbl,
         )
 
 
 #: The one way to a window: each public bound below takes its window from
-#: this memo of the 16 latest (data, strip, T0) keys, so calls on one T0
-#: share one.  The keys are frozen and a window reads only fields that ==
-#: compares, so an equal key gives a bit-identical window.  typed keeps
-#: T0 = 30 and 30.0 apart.  A raising constructor caches nothing.
+#: this memo of the 16 latest (data, strip, T0) keys, through _window_of, so
+#: calls on one T0 share one.  The keys are frozen and a window reads only
+#: fields that == compares, so an equal key gives a bit-identical window.
+#: typed keeps T0 = 30 and 30.0 apart.  A raising constructor caches nothing.
 _window = functools.lru_cache(maxsize=16, typed=True)(_Window)
+
+
+def _window_of(data: LFunctionData, strip: StripParams, T0: float) -> _Window:
+    """_window(data, strip, T0), or for an unhashable T0 the AdmissibilityError of T0 = "16"."""
+    try:
+        return _window(data, strip, T0)
+    except TypeError:  # hashing the key refused T0 (a list, say); only now is T0 checked again
+        require_admissible(data, strip, T0, label="T0")
+        raise
 
 
 def total_count_error(data: LFunctionData, strip: StripParams, T0: float, T: float) -> float:
@@ -313,7 +313,7 @@ def total_count_error(data: LFunctionData, strip: StripParams, T0: float, T: flo
 
     T0 must be admissible and T > T0 finite.
     """
-    return _window(data, strip, T0).at(T)[2]
+    return _window_of(data, strip, T0).at(T)[2]
 
 
 class Coefficients(_Value):
@@ -338,7 +338,7 @@ def window_coefficients(data: LFunctionData, strip: StripParams, T0: float) -> C
     carries the 1/(T - 2R) payloads through the monotone substitution
     1/(T - 2R) <= T0 / ((T0 - 2R) T).
     """
-    return _window(data, strip, T0).coefficients[0]
+    return _window_of(data, strip, T0).coefficients[0]
 
 
 def doubling_coefficients(data: LFunctionData, strip: StripParams, T0: float) -> Coefficients:
@@ -348,7 +348,7 @@ def doubling_coefficients(data: LFunctionData, strip: StripParams, T0: float) ->
     so no T0 log T0 term survives; both disc bounds grow with log T, which
     doubles the c1 slope relative to the single window.
     """
-    return _window(data, strip, T0).coefficients[1]
+    return _window_of(data, strip, T0).coefficients[1]
 
 
 def shifted_constant(c2_main: float, n_plus_T0: int, n_minus_T0: int) -> float:
@@ -377,7 +377,8 @@ def ceil_guarded(x: float, label: str = "") -> int:
             return math.ceil(x)
     except TypeError:  # a str, None or a complex
         finite = False
-    value = f"pre-ceiling value {_value_text(x, repr)}{' for ' + label if label else ''}"
+    named = f" for {_value_text(label)}" if label else ""
+    value = f"pre-ceiling value {_value_text(x, repr)}{named}"
     if not finite:
         raise DomainError(f"{value} is not a finite float")
     warnings.warn(
@@ -416,4 +417,4 @@ class BoundReport(_Value):
 
 def bound_report(data: LFunctionData, strip: StripParams, T0: float, T: float) -> BoundReport:
     """Evaluate every bound of the pipeline at one (T0, T) pair."""
-    return _window(data, strip, T0).report(T)
+    return _window_of(data, strip, T0).report(T)

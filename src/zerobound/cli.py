@@ -120,7 +120,10 @@ def _build_parser() -> _Parser:
 
 def _load_input(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return load_document(json.load(fh))
+        try:
+            return load_document(json.load(fh))
+        except RecursionError:  # json's parser refuses nesting past the interpreter's limit
+            raise ZeroboundError(f"{path}: the JSON document is nested too deeply") from None
 
 
 def _cmd_params(args) -> int:
@@ -196,7 +199,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except (ZeroboundError, OSError, json.JSONDecodeError, OverflowError) as exc:
+    except (ZeroboundError, OSError, json.JSONDecodeError, OverflowError,
+            UnicodeDecodeError) as exc:  # UnicodeDecodeError: an input file that is not UTF-8
         print(f"zerobound: error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,9 +8,10 @@ The reflection factor of the functional equation,
 controls |L(s)| left of the critical strip.  A one-term Stirling expansion
 of each log-Gamma turns log|Delta| into an explicit main part
 (reflection_log_main) plus a per-factor remainder whose modulus is bounded
-here (ratio_error_bound and its aggregates).  The same machinery produces
-the piecewise upper envelope for |L(s)| on a window around height T
-(magnitude_envelope).
+here (ratio_error_bound and ratio_error_total); bounds sums the same factor
+kernels into ratio_error_sup and the integrated ratio error, once per gamma
+factors and strip.  The same machinery produces the piecewise upper
+envelope for |L(s)| on a window around height T (magnitude_envelope).
 """
 
 from __future__ import annotations
@@ -119,16 +120,6 @@ def ratio_error_total(data: LFunctionData, sigma: float, t: float) -> float:
     _require_height(t, "t", data.threshold_height, AdmissibilityError, "threshold", True)
     sigma = _convert(float, sigma, "sigma", DomainError)
     return math.fsum(k / t for k in _factor_kernels(data, -abs(sigma)))
-
-
-def ratio_error_sup(data: LFunctionData, strip: StripParams, T: float) -> float:
-    """Supremum envelope of the total gamma-ratio error on the counting rectangle.
-
-    Covers sigma in [a - 2R, a + 2R] and t in [T - 2R, T + 2R]; only the
-    prefactor 1/(T - 2R) depends on T.  Requires finite T > 2R.
-    """
-    _require_height(T, "T", strip.two_r, DomainError, "2R")
-    return _kernel_sums(data, -strip.right_edge)[0] / (T - strip.two_r)
 
 
 def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:

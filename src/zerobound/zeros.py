@@ -16,7 +16,7 @@ import os
 from bisect import bisect_right
 
 from .bounds import total_count_error, window_coefficients
-from .errors import DomainError, ZeroFileError
+from .errors import DomainError, ZeroFileError, _value_text
 from .selberg import _TEXT, LFunctionData, StripParams, _require_height, _Value, main_term
 
 
@@ -78,8 +78,11 @@ def load_zeros(path: str | os.PathLike) -> ZeroList:
     undecodable block or a bad entry sends the file through a per-line
     rescan that names the first problem in file order.  The sorted
     ordinates are checked once, by their two ends and one NaN-propagating
-    sum, and not again by ZeroList.
+    sum, and not again by ZeroList.  A path that is no str, bytes or
+    os.PathLike (open takes an int as a file descriptor) is refused unopened.
     """
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ZeroFileError(f"load_zeros needs a file path, got {_value_text(path, repr)}")
     ordinates: list[float] = []
     with open(path, "rb") as fh:
         rest = b""

@@ -1,6 +1,7 @@
 """Explicit constant assembly: integrals, disc bound, branch logic, coefficients."""
 
 import math
+import re
 import sys
 from operator import attrgetter
 
@@ -259,6 +260,25 @@ def test_bounds_that_need_no_left_edge_kernel_sum_hold_on_a_wide_strip(zeta_pair
     assert (bc.alpha, bc.h1, bc.h2) == (0, 4000000000009.9053, 3.0000000000335e+24)
 
 
+def test_a_refused_left_edge_kernel_sum_leaves_its_pieces_cached(zeta_pair):
+    # the pieces of the a = 1e12 strip are built once and kept; K is refused
+    # on every read, by the pieces, ratio_error_sup or a window, and never stored
+    from zerobound import bounds
+
+    data, _ = zeta_pair
+    strip = select_strip(1.0, a=1e12)
+    log_integral_bound(data, strip, 1e14, 1e15)
+    pieces = bounds._factor_pieces(data.factors, strip)
+    for read in (lambda: pieces.K, lambda: pieces.sup(1e14), lambda: pieces.K,
+                 lambda: ratio_error_sup(data, strip, 1e14),
+                 lambda: bound_report(data, strip, 1e14, 1e15)):
+        with pytest.raises(DomainError, match="secant"):
+            read()
+        assert "K" not in vars(pieces)
+    assert bounds._factor_pieces(data.factors, strip) is pieces
+    assert bounds._factor_pieces.cache_info()[:2] == (4, 1)  # (hits, misses)
+
+
 # --- total count error --------------------------------------------------------------------------
 
 def test_total_count_error_frozen(nf12_pair, zeta_pair):
@@ -317,10 +337,11 @@ def test_total_count_error_domain(nf12_pair):
 @pytest.mark.parametrize("height", [
     math.inf, math.nan,
     pytest.param(None, id="None"), pytest.param("30", id="str"),
-    pytest.param(30 + 0j, id="complex"),
+    pytest.param(30 + 0j, id="complex"), pytest.param([30.0], id="list"),
 ])
 def test_non_finite_height_is_rejected(nf12_pair, call, height):
-    # a height that is no number made the comparison raise a bare TypeError
+    # a height that is no number made the comparison raise a bare TypeError,
+    # and a T0 that cannot be hashed the window memo's key
     with pytest.raises(ZeroboundError):
         call(*nf12_pair, height)
 
@@ -432,6 +453,12 @@ def test_ceil_guarded_plain():
     for x in ("x", None, 1j):
         with pytest.raises(DomainError, match=f"^pre-ceiling value {x!r} for c2 is not a finite"):
             ceil_guarded(x, label="c2")
+    # a label that is no str raised a bare TypeError from the concatenation
+    for label, text in ((1, "1"), (2 ** 20000, "an integer of 20001 bits"), ([0], "[0]")):
+        with pytest.raises(DomainError, match=fr"^pre-ceiling value nan for {re.escape(text)} is"):
+            ceil_guarded(math.nan, label=label)
+        with pytest.warns(BoundaryWarning, match=fr"^pre-ceiling value 2.0 for {re.escape(text)} is"):
+            assert ceil_guarded(2.0, label=label) == 2
 
 
 def test_ceil_guarded_warns_near_integer():
@@ -525,9 +552,11 @@ def _count_calls(monkeypatch, *functions):
 
 def test_each_window_computes_its_t0_pieces_once(monkeypatch):
     # every public bound takes its window from one memo: a cold bound_report
-    # makes one admissibility check of T0, computes the factor-level terms and
-    # the three kernel sums once, evaluates the branch heads once, chooses the
-    # branch once and builds no value object but its report; check_bound on
+    # makes one admissibility check of T0, builds the factor-level pieces once
+    # (one _factor_pieces miss: its constructor sums the kernels at -b and
+    # -b - 1 in one call, and its K, which the window reads, at -(a + 2R) in
+    # another), evaluates the branch heads once, chooses the branch once and
+    # builds no value object but its report; check_bound on
     # the same (data, strip, T0) then builds the Coefficients pair, and
     # check_bound at 200 heights on another T0 builds one window and one
     # pair, on the cached factor-level pieces, or from scratch once both
@@ -537,21 +566,23 @@ def test_each_window_computes_its_t0_pieces_once(monkeypatch):
     data, strip = presets.zeta()
     zeros = ZeroList((14.134725, 21.02204, 25.010858, 30.424876))
     calls = _count_calls(
-        monkeypatch, gammabounds._kernel_sums, bounds._factor_terms, gammabounds._log_interp_peak,
+        monkeypatch, gammabounds._kernel_sums, gammabounds._log_interp_peak,
         bounds._heads, bounds._branch, bounds.branch_constants, selberg.require_admissible,
         bounds.BranchConstants, bounds.Coefficients,
     )
 
     def counts_of(call):
         calls.update(dict.fromkeys(calls, 0))
+        misses = bounds._factor_pieces.cache_info().misses
         call()
-        return tuple(calls.values())
+        return (calls["_kernel_sums"], bounds._factor_pieces.cache_info().misses - misses,
+                *list(calls.values())[1:])
 
-    # (_kernel_sums, _factor_terms, _log_interp_peak, _heads, _branch, branch_constants,
+    # (_kernel_sums, _factor_pieces misses, _log_interp_peak, _heads, _branch, branch_constants,
     #  require_admissible, BranchConstants, Coefficients)
-    once = (1, 1, 1, 1, 1, 0, 1, 0, 0)
+    once = (2, 1, 1, 1, 1, 0, 1, 0, 0)
     # a check_bound window, cold or on gamma factors and a strip seen before
-    once_with_pair = (1, 1, 1, 1, 1, 0, 1, 0, 2)
+    once_with_pair = (2, 1, 1, 1, 1, 0, 1, 0, 2)
     known_factors_with_pair = (0, 0, 1, 1, 1, 0, 1, 0, 2)
     assert counts_of(lambda: bound_report(data, strip, 16.0, 100.0)) == once, calls
     assert counts_of(lambda: check_bound(data, strip, zeros, 16.0, 100.0)) == (0,) * 8 + (2,), calls
@@ -569,17 +600,37 @@ def test_each_window_computes_its_t0_pieces_once(monkeypatch):
 
 
 def test_bundled_table_computes_the_kernel_sums_once_per_weight(monkeypatch):
-    # the 25 rows have 10 distinct weights, so 10 distinct gamma factors
+    # the 25 rows have 10 distinct weights, so 10 distinct gamma factors, and
+    # each evaluates the factor kernels at its three real parts once
     from importlib.resources import files
 
     from zerobound import gammabounds
     from zerobound.newform import read_pairs_csv, table_generate
 
     specs = read_pairs_csv(files("zerobound").joinpath("data/table_pairs.csv").read_text())
-    calls = _count_calls(monkeypatch, gammabounds._kernel_sums)
+    calls = _count_calls(monkeypatch, gammabounds._factor_kernels)
     table_generate(specs)
     assert len(specs) == 25 and len({spec.weight for spec in specs}) == 10
-    assert calls["_kernel_sums"] == 10
+    assert calls["_factor_kernels"] == 30
+
+
+def test_per_piece_bounds_and_a_report_share_one_pieces_entry(monkeypatch, zeta_pair):
+    # on cold caches, the five per-piece bounds and a bound_report build the
+    # factor-level pieces once: two kernel sums in the constructor, and K on
+    # the first read
+    from zerobound import bounds, gammabounds
+
+    data, strip = zeta_pair
+    calls = _count_calls(monkeypatch, gammabounds._factor_kernels)
+    log_integral_bound(data, strip, 16.0, 100.0)
+    integrated_ratio_error(data, strip, 16.0, 100.0)
+    branch_constants(data, strip, 16.0)
+    assert calls["_factor_kernels"] == 2
+    ratio_error_sup(data, strip, 30.0)
+    disc_count_bound(data, strip, 30.0)
+    bound_report(data, strip, 16.0, 100.0)
+    assert calls["_factor_kernels"] == 3
+    assert bounds._factor_pieces.cache_info()[:2] == (5, 1)  # (hits, misses)
 
 
 def test_bundled_table_computes_the_trivial_zero_window_once_per_weight(monkeypatch):
@@ -659,10 +710,10 @@ _coefficient_fields = attrgetter("c1", "c2", "c3")
 
 
 def _window_bits(window, t):
-    """float.hex of every number a window holds, its factor-level pieces' too, by name,
-    and of its (R1, R2(T), total) and its BoundReport fields at t."""
+    """float.hex of every number a window holds, its factor-level pieces' too (K once read),
+    by name, and of its (R1, R2(T), total) and its BoundReport fields at t."""
     held = {**vars(window), **{f"pieces.{k}": v for k, v in vars(window.pieces).items()}}
-    for name in ("data", "strip", "pieces", "coefficients"):
+    for name in ("data", "strip", "pieces", "coefficients", "pieces.profile", "pieces.strip"):
         held.pop(name, None)
     bits = {name: _bits(v if isinstance(v, tuple) else (v,)) for name, v in held.items()}
     return bits, _bits(window.at(t)), _bits(_report_fields(window.report(t)))
@@ -828,10 +879,14 @@ def _assert_shared_pieces_are_datum_free(first, second, strip):
 def test_factor_pieces_hold_no_datum_level_value():
     # one gamma factor, two conductors: Q = 1 takes the interpolation branch
     # at T0 = 55 and Q = 10 the reflection branch, so a datum-level value
-    # cached with the pieces would show in one of the two windows
+    # cached with the pieces would show in one of the two windows; the branch
+    # constants read the pieces without their left-edge kernel sum K
+    from zerobound import bounds
+
     strip = select_strip(1.0)
     data = [LFunctionData((GammaFactor(0.5, 10j),), Q, 1, 0, 1.0) for Q in (1.0, 10.0)]
     assert [branch_constants(d, strip, 55.0).alpha for d in data] == [1, 0]
+    assert "K" not in vars(bounds._factor_pieces(data[0].factors, strip))
     _assert_shared_pieces_are_datum_free((data[0], 55.0, 1000.0), (data[1], 55.0, 1000.0), strip)
     _assert_shared_pieces_are_datum_free((data[1], 55.0, 80.0), (data[0], 60.0, 1e6), strip)
 

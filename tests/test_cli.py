@@ -146,6 +146,21 @@ def test_non_utf8_zero_file_exits_one(newform_doc, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, content", [
+    (["constants", "--t0", "16", "--input"], b"\xff\xfe{}"),
+    (["bound", "--t0", "16", "--t", "100", "--input"], b"[" * 100_000),
+    (["table", "--preset", "newform", "--pairs"], b"\xff\xfeN,kappa\n11,2\n"),
+], ids=["input-not-utf8", "input-nested", "pairs-not-utf8"])
+def test_unreadable_input_file_exits_one(tmp_path, capsys, argv, content):
+    # a file that is not UTF-8, or a JSON document nested past the recursion
+    # limit, raised UnicodeDecodeError or RecursionError out of main
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    code, out, err = run_cli(capsys, *argv, str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("zerobound: error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("t", ["inf", "1e999", "nan"])
 def test_non_finite_height_exits_one(newform_doc, capsys, t):
     code, out, err = run_cli(capsys, "bound", "--input", str(newform_doc), "--t0", "27", "--t", t)

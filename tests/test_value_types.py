@@ -108,9 +108,10 @@ DERIVED = {
     "_Window": ("pieces", "heads", "alpha", "h1", "h2", "r2_t0", "head", "constants"),
 }
 
-#: the factor-level pieces a window shares with every window on its gamma factors and strip
+#: the factor-level pieces a window shares with every window on its gamma factors and strip:
+#: the factor pass and the strip, then floats, of which K is stored once it has been read
 PIECES = (
-    "d", "dc", "half_im", "tail", "h1_lift", "h2_reflect", "K", "ratio_slope", "slope", "trivial",
+    "profile", "strip", "d", "dc", "half_im", "tail", "h1_lift", "h2_reflect", "K", "ratio_slope", "slope", "trivial",
     "c1_main", "c1_dbl", "c2_dbl_head", "c3_dbl_head", "c3_scale", "c2_dbl_scale", "head_scale",
 )
 
@@ -252,12 +253,20 @@ def test_each_value_stores_its_fields_and_derived_names_only(values, name):
 
 
 def test_window_stores_its_fields_and_derived_names_only():
-    # floats and a tuple of floats, but the shared pieces; the Coefficients
-    # pair is stored only once a public function has asked for it
-    window = _Window(*presets.zeta(), 16.0)
+    # floats and a tuple of floats, but the shared pieces; the pieces store K
+    # once the window has read it; the Coefficients pair is stored only once a
+    # public function has asked for it
+    from zerobound import bounds, selberg
+
+    data, strip = presets.zeta()
+    pieces = bounds._factor_pieces(data.factors, strip)
+    assert set(vars(pieces)) == set(PIECES) - {"K"}
+    window = _Window(data, strip, 16.0)
+    assert window.pieces is pieces
     assert set(vars(window)) == {*_Window._fields, *DERIVED["_Window"]}
-    assert set(vars(window.pieces)) == set(PIECES)
-    assert all(type(v) is float for v in vars(window.pieces).values())
+    assert set(vars(pieces)) == set(PIECES)
+    assert pieces.profile is selberg._factor_pass(data.factors) and pieces.strip is strip
+    assert all(type(v) is float for k, v in vars(pieces).items() if k not in PIECES[:2])
     assert type(window.alpha) is int and all(type(x) is float for x in window.constants)
     window.report(100.0)
     assert set(vars(window)) == {*_Window._fields, *DERIVED["_Window"]}

@@ -1,7 +1,9 @@
 """Zero-table ingestion, window counting, and the data-driven bound checks."""
 
 import math
+import os
 import random
+import re
 import sys
 import tracemalloc
 
@@ -84,6 +86,21 @@ def test_load_rejects_non_utf8(tmp_path):
     path.write_bytes(b"14.1\n\xff\n")
     with pytest.raises(ZeroFileError, match="UTF-8"):
         load_zeros(path)
+
+
+def test_load_zeros_takes_only_a_path(tmp_path):
+    # open would take an int or a bool as a file descriptor, read it and close
+    # it: load_zeros(True) closed stdout, and None raised a bare TypeError
+    fd = os.open(tmp_path / "z.txt", os.O_RDONLY | os.O_CREAT)
+    try:
+        for path in (None, True, fd, 14.1, [b"z"]):
+            text = re.escape(repr(path))
+            with pytest.raises(ZeroFileError, match=f"^load_zeros needs a file path, got {text}$"):
+                load_zeros(path)
+        os.fstat(fd)  # still open
+        os.fstat(sys.stdout.fileno())
+    finally:
+        os.close(fd)
 
 
 def test_zerolist_invariants():
