@@ -22,10 +22,10 @@ bounds read every term that depends on the gamma factors and the strip
 alone (the kernel sums, the log slopes, the trivial-zero allowance, both c1
 and the factor-level heads and scales of the other constants) from one
 cached _factor_pieces entry, whose left-edge kernel sum K is computed when
-first read.  A window computes as floats only the terms that read
-log(lambda Q^2), k, a1 or T0.  Value objects are built at the public edge,
-at most once per window.  Everything is a pure function of the datum, the
-strip, and the heights.
+first read.  The window reads the terms that also read T0 from _height,
+which checks T0, and computes as floats only what reads log(lambda Q^2) or
+a1.  Value objects are built at the public edge, at most once per window.
+Everything is a pure function of the datum, the strip, and the heights.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ import math
 import warnings
 
 from .errors import BoundaryWarning, DomainError, ValidationError, _value_text
-from .gammabounds import LOG2, _kernel_sums, _log_interp_peak
+from .gammabounds import LOG2, _interp_terms, _kernel_sums, _log_interp_peak
 from .selberg import (
-    _FLOAT_MAX, GammaFactor, LFunctionData, StripParams, _convert, _factor_pass,
-    _require_height, _Value, require_admissible,
+    _FLOAT_MAX, GammaFactor, LFunctionData, StripParams, _admissible, _convert, _factor_pass,
+    _require_height, _thresholds, _Value, require_admissible,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -64,7 +64,12 @@ def integrated_ratio_error(data: LFunctionData, strip: StripParams, T0: float, T
     """
     _require_height(T0, "T0", 0.0)
     _require_height(T, "T", T0, DomainError, "T0", True)
-    return math.log(T / T0) * _factor_pieces(data.factors, strip).ratio_slope
+    return _ratio_integral(_factor_pieces(data.factors, strip), T0, T)
+
+
+def _ratio_integral(p: _FactorPieces, T0: float, T: float) -> float:
+    """integrated_ratio_error, given the _factor_pieces p of its gamma factors and strip."""
+    return math.log(T / T0) * p.ratio_slope
 
 
 def log_integral_bound(data: LFunctionData, strip: StripParams, T0: float, T: float) -> float:
@@ -89,10 +94,14 @@ def vertical_integral_bound() -> float:
     return math.pi ** 2 / (3.0 * LOG2)
 
 
-def _heads(data: LFunctionData, strip: StripParams) -> tuple[float, float]:
+#: vertical_integral_bound() / pi, the window total's term for the two vertical integrals
+_VERTICAL = vertical_integral_bound() / math.pi
+
+
+def _heads(p: _FactorPieces, data: LFunctionData) -> tuple[float, float]:
     """The disc bound's T-free branch heads: max(2.5 L, c L), L = log(lambda Q^2), and h1_interp."""
     log_lq2 = data.log_lambda_q2
-    return max(2.5 * log_lq2, strip.disc_slope * log_lq2), _log_interp_peak(data, 0.0)
+    return max(2.5 * log_lq2, p.strip.disc_slope * log_lq2), _log_interp_peak(p.interp, data, 0.0)
 
 
 def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float:
@@ -104,21 +113,28 @@ def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float
     """
     require_admissible(data, strip, T)
     p = _factor_pieces(data.factors, strip)
-    return _disc_bound(p, data.log_a1_zeta2, _heads(data, strip), p.sup(T), T)
+    return _disc_bound(p, data.log_a1_zeta2, _heads(p, data), _disc_terms(p, T))
 
 
-def _disc_bound(p: _FactorPieces, log_a1_zeta2: float, heads: tuple, sup: float, T: float) -> float:
-    """disc_count_bound at an admissible T, given the _factor_pieces, _heads and ratio-error sup.
+def _disc_terms(p: _FactorPieces, T: float) -> tuple[float, float, float, float]:
+    """d c log(2T), |1 - i q| d c, q |Im(mu_cap) / 2| and K / (T - 2R), disc_count_bound's T-terms.
 
-    The reflection branch is head - 2d + |1 - i q| d c + d (a + 2R) + q |Im(mu_cap) / 2|,
     q = (a + 2R) / (T - 2R); -q is -(a + 2R) / (T - 2R) to the bit.
     """
-    d, strip, right = p.d, p.strip, p.strip.right_edge
+    q = p.strip.right_edge / (T - p.strip.two_r)
+    bend = abs(complex(1.0, -q)) * p.d * p.strip.disc_slope
+    return p.dc * math.log(2.0 * T), bend, q * p.half_im, p.sup(T)
+
+
+def _disc_bound(p: _FactorPieces, log_a1_zeta2: float, heads: tuple, terms: tuple) -> float:
+    """disc_count_bound at an admissible T, given the _factor_pieces, _heads and _disc_terms at T.
+
+    The reflection branch is head - 2d + |1 - i q| d c + d (a + 2R) + q |Im(mu_cap) / 2|.
+    """
+    log_term, bend, lean, sup = terms
     reflect_head, interp_peak = heads
-    q = right / (T - strip.two_r)
-    reflect = reflect_head - 2.0 * d + abs(complex(1.0, -q)) * d * strip.disc_slope + d * right
-    reflect += q * p.half_im
-    return (p.dc * math.log(2.0 * T) + log_a1_zeta2 + sup + max(reflect, interp_peak)) / LOG2
+    reflect = reflect_head - 2.0 * p.d + bend + p.d * p.strip.right_edge + lean
+    return (log_term + log_a1_zeta2 + sup + max(reflect, interp_peak)) / LOG2
 
 
 def argument_integral_bound(data: LFunctionData, strip: StripParams, T: float) -> float:
@@ -160,7 +176,8 @@ def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> Bran
     T, so the interpolation constant can overtake it above T0.
     """
     _require_height(T0, "T0", strip.two_r, DomainError, "2R")
-    return BranchConstants(*_branch(_factor_pieces(data.factors, strip), _heads(data, strip), T0))
+    p = _factor_pieces(data.factors, strip)
+    return BranchConstants(*_branch(p, _heads(p, data), T0))
 
 
 def _branch(p: _FactorPieces, heads: tuple, T0: float) -> tuple:
@@ -180,11 +197,12 @@ class _FactorPieces:
     log-integral bound's numerator over T0; h1_lift = d (4R - 3/2) and h2_reflect =
     d c (a + 2R) + (a + 2R) half_im, the reflection branch's h1 over its head and h2;
     ratio_slope and slope, the log(T/T0) coefficients of S and R1; trivial; both c1;
-    and the factor-level, left-most parts of the other constants, so that a window
-    adding its own terms to one rounds as if it had computed it whole (the head of
-    the doubling c2 runs up to its 3 d (2R - 1) c term).  K, ratio_error_sup's
-    numerator, is computed when first read, so where the secant guard refuses it
-    the other terms still serve.  Build through _factor_pieces only.
+    thresholds and interp, the _thresholds and _interp_terms; and the factor-level,
+    left-most parts of the other constants, so that a window adding its own terms
+    to one rounds as if it had computed it whole (the head of the doubling c2 runs
+    up to its 3 d (2R - 1) c term).  K, ratio_error_sup's numerator, is computed
+    when first read, so where the secant guard refuses it the other terms still
+    serve.  Build through _factor_pieces only.
     """
 
     def __init__(self, factors: tuple[GammaFactor, ...], strip: StripParams) -> None:
@@ -206,6 +224,7 @@ class _FactorPieces:
         self.c3_dbl_head = self.tail / (4.0 * math.pi)
         self.c3_scale, self.c2_dbl_scale = (r - 0.5) / LOG2, (two_r - 1.0) / LOG2
         self.head_scale = d / TWO_PI
+        self.thresholds, self.interp = _thresholds(self.profile, strip), _interp_terms(self.profile)
 
     @functools.cached_property
     def K(self) -> float:
@@ -221,42 +240,53 @@ class _FactorPieces:
 _factor_pieces = functools.lru_cache(maxsize=256)(_FactorPieces)
 
 
+#: The 64 latest keys, one per weight of a newform table with kappa <= 64; T0 = 30 and 30.0 differ.
+@functools.lru_cache(maxsize=64, typed=True)
+def _height(p: _FactorPieces, k: int, T0: float) -> tuple:
+    """R2(T0)'s _disc_terms, (d / 2 pi) T0 log(T0 / e), T0 / 2 pi, c2's R1 / 2 pi and c3's scales.
+
+    The window's terms that read only p and T0, once T0 is admissible, each left-most in its sum.
+    """
+    two_r, r = p.strip.two_r, p.strip.R
+    _admissible(p.thresholds, two_r, k, T0, "T0")
+    # c2 takes R1 at the formal height T = 1 and counts the tail twice
+    return (_disc_terms(p, T0), p.head_scale * T0 * math.log(T0 / math.e), T0 / TWO_PI,
+            (_log_integral(p, T0, 1.0) + p.tail / T0) / TWO_PI, p.c3_scale * T0 / (T0 - two_r),
+            p.c3_scale * T0 * (3.0 * T0 - 4.0 * r) / (2.0 * (T0 - two_r) * (T0 - r)))
+
+
 class _Window(_Value):
     """The (T0, T]-window bound of one (data, strip, T0).
 
     Construction checks that T0 is admissible, so every finite T > T0 is too.
-    It takes its factor-level pieces from _factor_pieces and computes, as
-    floats, only what reads log(lambda Q^2), k, a1 or T0: the heads that
-    choose the branch (alpha, h1, h2) and enter every R2, R2(T0), head (the
-    main-term pieces at T0) and the six constants, in the order of the
-    window_coefficients and then the doubling_coefficients triple.  The
-    Coefficients pair is built once, when a public function first asks for
-    it.  repr, == and hash see data, strip and T0 only, which fix every
-    other field.  Build windows through _window only.
+    It takes its factor-level pieces from _factor_pieces and its height-level
+    terms from _height, which checks T0, and computes, as floats, only what
+    reads log(lambda Q^2) or a1: the heads that choose the branch (alpha, h1,
+    h2) and enter every R2, R2(T0), head (the main-term pieces at T0) and the
+    six constants, in the order of the window_coefficients and then the
+    doubling_coefficients triple.  The Coefficients pair is built once, when a
+    public function first asks for it.  repr, == and hash see data, strip and
+    T0 only, which fix every other field.  Build windows through _window only.
     """
 
     def __init__(self, data: LFunctionData, strip: StripParams, T0: float) -> None:
-        require_admissible(data, strip, T0, label="T0")
         p = _factor_pieces(data.factors, strip)
-        heads = _heads(data, strip)
+        disc, main, t0_2pi, r1, c3_main, c3_dbl = _height(p, data.k, T0)
+        heads = _heads(p, data)
         alpha, h1, h2 = _branch(p, heads, T0)
-        two_r, r = strip.two_r, strip.R
-        sup_t0, a1_h1 = p.sup(T0), data.log_a1_zeta2 + h1
+        a1_h1 = data.log_a1_zeta2 + h1
         self._set(
             data=data, strip=strip, T0=T0, pieces=p, heads=heads, alpha=alpha, h1=h1, h2=h2,
-            r2_t0=_disc_bound(p, data.log_a1_zeta2, heads, sup_t0, T0),
-            head=p.head_scale * T0 * math.log(T0 / math.e) + T0 / TWO_PI * abs(data.log_lambda_q2),
+            r2_t0=_disc_bound(p, data.log_a1_zeta2, heads, disc),
+            head=main + t0_2pi * abs(data.log_lambda_q2),
         )
-        # c2 takes R1 at the formal height T = 1 and counts the tail twice; _total reads the above
-        r1 = _log_integral(p, T0, 1.0) + p.tail / T0
         self._set(constants=(
             p.c1_main,
             self._total(r1, p.dc + a1_h1 / LOG2),
-            p.c3_scale * T0 / (T0 - two_r) * (p.K + h2),
+            c3_main * (p.K + h2),
             p.c1_dbl,
             p.c2_dbl_head + p.c2_dbl_scale * a1_h1,
-            p.c3_dbl_head
-            + p.c3_scale * T0 * (3.0 * T0 - 4.0 * r) / (2.0 * (T0 - two_r) * (T0 - r)) * (sup_t0 + h2),
+            p.c3_dbl_head + c3_dbl * (disc[3] + h2),
         ))
 
     def at(self, T: float) -> tuple[float, float, float]:
@@ -264,12 +294,12 @@ class _Window(_Value):
         _require_height(T, "T", self.T0, DomainError, "T0")
         p = self.pieces
         r1 = _log_integral(p, self.T0, T)
-        r2_t = _disc_bound(p, self.data.log_a1_zeta2, self.heads, p.sup(T), T)
-        return r1, r2_t, self._total(r1, r2_t)
+        r2_t = _disc_bound(p, self.data.log_a1_zeta2, self.heads, _disc_terms(p, T))
+        return r1, r2_t, self._total(r1 / TWO_PI, r2_t)
 
-    def _total(self, r1: float, r2_t: float) -> float:
-        """The window total, given its log-integral bound r1 and its disc bound r2_t at T."""
-        return (self.head + r1 / TWO_PI + vertical_integral_bound() / math.pi
+    def _total(self, r1_2pi: float, r2_t: float) -> float:
+        """The window total, given its log-integral bound over 2 pi and its disc bound r2_t at T."""
+        return (self.head + r1_2pi + _VERTICAL
                 + (self.strip.R - 0.5) * (self.r2_t0 + r2_t + 4.0) + self.pieces.trivial)
 
     @functools.cached_property
@@ -284,7 +314,7 @@ class _Window(_Value):
         c1_main, c2_main, c3_main, c1_dbl, c2_dbl, c3_dbl = self.constants
         p = self.pieces
         return BoundReport(
-            T0=self.T0, T=T, S=math.log(T / self.T0) * p.ratio_slope, R1=r1,
+            T0=self.T0, T=T, S=_ratio_integral(p, self.T0, T), R1=r1,
             V_star_T0=p.sup(self.T0), V_star_T=p.sup(T), R2_T0=self.r2_t0, R2_T=r2_t,
             alpha=self.alpha, h1=self.h1, h2=self.h2, R_total=total, c1_main=c1_main,
             c2_main=c2_main, c3_main=c3_main, c1_dbl=c1_dbl, c2_dbl=c2_dbl, c3_dbl=c3_dbl,

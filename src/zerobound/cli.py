@@ -118,12 +118,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_input(path: str):
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return load_document(json.load(fh))
-        except RecursionError:  # json's parser refuses nesting past the interpreter's limit
-            raise ZeroboundError(f"{path}: the JSON document is nested too deeply") from None
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ZeroboundError(f"{path}: not a UTF-8 text file ({exc})") from None
+
+
+def _load_input(path: str):
+    try:
+        return load_document(json.loads(_read_text(path)))
+    except RecursionError:  # json's parser refuses nesting past the interpreter's limit
+        raise ZeroboundError(f"{path}: the JSON document is nested too deeply") from None
 
 
 def _cmd_params(args) -> int:
@@ -168,9 +175,7 @@ def _cmd_bound(args) -> int:
 def _cmd_table(args) -> int:
     # a plain open: importlib.resources (or pkgutil) would import far more than the read costs
     path = args.pairs or os.path.join(os.path.dirname(__file__), "data", "table_pairs.csv")
-    with open(path, "r", encoding="utf-8") as fh:
-        specs = read_pairs_csv(fh.read())
-    _emit(table_generate(specs), args.out)
+    _emit(table_generate(read_pairs_csv(_read_text(path))), args.out)
     return 0
 
 
@@ -199,8 +204,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.run(args)
-    except (ZeroboundError, OSError, json.JSONDecodeError, OverflowError,
-            UnicodeDecodeError) as exc:  # UnicodeDecodeError: an input file that is not UTF-8
+    except (ZeroboundError, OSError, json.JSONDecodeError, OverflowError) as exc:
         print(f"zerobound: error: {exc}", file=sys.stderr)
         return 1
 

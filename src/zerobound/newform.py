@@ -69,23 +69,17 @@ class NewformSpec(_Value):
 
 
 @functools.lru_cache(maxsize=256)
-def _weight_factors(weight: int) -> tuple[GammaFactor]:
-    """The gamma factors of weight, one tuple shared by every datum of that weight.
-
-    The 256 latest weights are kept; a table touches one per distinct weight.
-    """
-    return (GammaFactor(1.0, complex((weight - 1) / 2.0, 0.0)),)
+def _weight_datum(weight: int) -> LFunctionData:
+    """The level-1 datum of weight, checked by LFunctionData; the 256 latest weights are kept."""
+    factors = (GammaFactor(1.0, complex((weight - 1) / 2.0, 0.0)),)
+    return LFunctionData(factors, 1.0 / (2.0 * math.pi), _I_POWERS[weight % 4], 0, 1.0)
 
 
 def newform_params(spec: NewformSpec) -> LFunctionData:
-    """Functional-equation datum of the normalized newform L-function."""
-    return LFunctionData(
-        factors=_weight_factors(spec.weight),
-        Q=math.sqrt(spec.level) / (2.0 * math.pi),
-        omega=_I_POWERS[spec.weight % 4],
-        k=0,
-        a1=1.0,
-    )
+    """The newform's datum: its weight's level-1 datum with Q = sqrt(N) / (2 pi), by _set_q."""
+    data = object.__new__(LFunctionData)
+    data._set_q(vars(_weight_datum(spec.weight)), math.sqrt(spec.level) / (2.0 * math.pi))
+    return data
 
 
 #: the strip of every newform (a1 = 1)

@@ -98,7 +98,7 @@ class _Value:
     every assignment or deletion of an attribute raises
     dataclasses.FrozenInstanceError.  Attributes an __init__ sets beyond
     its parameters are derived from them and stay out of repr, == and hash.
-    _set is called only from constructors and from zeros.load_zeros.
+    _set is called only from constructors and zeros.load_zeros (_set_q from newform too).
     """
 
     _fields: tuple[str, ...]
@@ -267,9 +267,8 @@ class LFunctionData(_Value):
         if not 1.0 <= a1 < math.inf:
             raise ValidationError(f"a1 must be finite and >= 1, got {a1}")
         profile = _factor_pass(factors)
-        lambda_q2 = profile.lambda_cap * Q * Q
-        if not 0.0 < lambda_q2 < math.inf:
-            raise ValidationError(f"lambda Q^2 = {lambda_q2} is not a positive finite float")
+        # stored before the checks below, which drop the datum if they raise
+        self._set_q(vars(profile), Q, factors=factors, omega=omega, k=k, a1=a1)
         if math.inf in profile.series_blocks:  # also a sum of finite terms rounded to inf
             raise ValidationError(
                 "a gamma factor's series block overflows a float (|mu| is too large)"
@@ -281,11 +280,17 @@ class LFunctionData(_Value):
         log_a1_zeta2 = math.log(a1 * math.pi ** 2 / 6.0)
         if not log_a1_zeta2 < math.inf:  # a1 pi^2 overflows, for a1 > ~1.82e307
             raise ValidationError(f"a1 pi^2 / 6 overflows a float, got a1 = {a1}")
-        self._set(
-            vars(profile), factors=factors, Q=Q, omega=omega, k=k, a1=a1, lambda_q2=lambda_q2,
-            log_lambda_q2=math.log(lambda_q2), log_a1_zeta2=log_a1_zeta2,
-            _hash=hash((factors, Q, omega, k, a1)),
-        )
+        self._set(log_a1_zeta2=log_a1_zeta2)
+
+    def _set_q(self, shared: dict, Q: float, **fields: object) -> None:
+        """Store shared and fields, then Q, lambda Q^2 (checked positive, finite), log and hash."""
+        lambda_q2 = shared["lambda_cap"] * Q * Q
+        if not 0.0 < lambda_q2 < math.inf:
+            raise ValidationError(f"lambda Q^2 = {lambda_q2} is not a positive finite float")
+        attributes = vars(self)  # as _set stores them
+        attributes.update(shared, **fields)
+        attributes.update(Q=Q, lambda_q2=lambda_q2, log_lambda_q2=math.log(lambda_q2))
+        attributes["_hash"] = hash(self._values(self))
 
     __hash__ = GammaFactor.__hash__
 
@@ -441,18 +446,22 @@ def _sum_up(x: float, y: float) -> float:
     return math.nextafter(s, math.inf) if (x - (s - t)) + (y - t) > 0.0 else s
 
 
-def _constraints(data: LFunctionData, strip: StripParams) -> list[tuple[str, float, bool]]:
-    """(name, threshold, is_strict) triples for the admissibility of T, thresholds rounded up.
+def _thresholds(data: LFunctionData, strip: StripParams) -> tuple[float, float, float]:
+    """The k-free thresholds of _constraints for a datum, or its _factor_pass, and a strip."""
+    two_r = strip.two_r
+    return _sum_up(two_r, 1.0), _sum_up(two_r, data.shift_max), _sum_up(two_r, data.arg_max)
+
+
+def _constraints(thresholds: tuple, two_r: float, k: int) -> list[tuple[str, float, bool]]:
+    """(name, threshold, is_strict) triples for the admissibility of T, from _thresholds.
 
     The last triple is the gamma-argument constraint, the only strict one.
     """
-    cons = [
-        ("base-window", _sum_up(strip.two_r, 1.0), False),
-        ("gamma-shift", _sum_up(strip.two_r, data.shift_max), False),
-    ]
-    if data.k > 0:
-        cons.append(("pole-window", _sum_up(strip.two_r, _pole_window(data.k)), False))
-    cons.append(("gamma-argument", _sum_up(strip.two_r, data.arg_max), True))
+    base, shift, arg = thresholds
+    cons = [("base-window", base, False), ("gamma-shift", shift, False)]
+    if k > 0:
+        cons.append(("pole-window", _sum_up(two_r, _pole_window(k)), False))
+    cons.append(("gamma-argument", arg, True))
     return cons
 
 
@@ -466,7 +475,7 @@ def min_admissible_height(data: LFunctionData, strip: StripParams) -> Admissible
     float is as close above the threshold as any fixed small nudge would put
     it.
     """
-    *weak, (sname, sval, _) = _constraints(data, strip)
+    *weak, (sname, sval, _) = _constraints(_thresholds(data, strip), strip.two_r, data.k)
     name, value, _ = max(weak, key=lambda c: c[1])
     if sval >= value:
         return AdmissibleHeight(
@@ -477,8 +486,13 @@ def min_admissible_height(data: LFunctionData, strip: StripParams) -> Admissible
 
 def require_admissible(data: LFunctionData, strip: StripParams, T: float, label: str = "T") -> None:
     """Raise AdmissibilityError naming the first constraint T violates, or if T is no finite real."""
+    _admissible(_thresholds(data, strip), strip.two_r, data.k, T, label)
+
+
+def _admissible(thresholds: tuple, two_r: float, k: int, T: float, label: str) -> None:
+    """require_admissible, given the _thresholds of the datum and strip, 2R and the pole order k."""
     _require_height(T, label, -math.inf, AdmissibilityError)
-    for name, val, strict in _constraints(data, strip):
+    for name, val, strict in _constraints(thresholds, two_r, k):
         if not (T > val if strict else T >= val):
             raise AdmissibilityError(
                 f"{label} = {_value_text(T)} violates the '{name}' constraint "

@@ -552,41 +552,45 @@ def _count_calls(monkeypatch, *functions):
 
 def test_each_window_computes_its_t0_pieces_once(monkeypatch):
     # every public bound takes its window from one memo: a cold bound_report
-    # makes one admissibility check of T0, builds the factor-level pieces once
-    # (one _factor_pieces miss: its constructor sums the kernels at -b and
-    # -b - 1 in one call, and its K, which the window reads, at -(a + 2R) in
-    # another), evaluates the branch heads once, chooses the branch once and
-    # builds no value object but its report; check_bound on
-    # the same (data, strip, T0) then builds the Coefficients pair, and
-    # check_bound at 200 heights on another T0 builds one window and one
-    # pair, on the cached factor-level pieces, or from scratch once both
-    # caches are emptied; table_row builds no value object of the bounds
+    # builds the factor-level pieces once (one _factor_pieces miss: its
+    # constructor sums the kernels at -b and -b - 1 in one call, and its K,
+    # which the window reads, at -(a + 2R) in another), makes one _height
+    # miss and with it one admissibility check of T0, evaluates the branch
+    # heads once, chooses the branch once and builds no value object but its
+    # report; check_bound on the same (data, strip, T0) then builds the
+    # Coefficients pair, and check_bound at 200 heights on another T0 builds
+    # one window and one pair, on the cached factor-level pieces, or from
+    # scratch once both caches are emptied; table_row builds no value object
+    # of the bounds, and a second row of that weight checks no T0 and sums no
+    # kernel: it reads both cached halves
     from zerobound import bounds, gammabounds, selberg
 
     data, strip = presets.zeta()
     zeros = ZeroList((14.134725, 21.02204, 25.010858, 30.424876))
     calls = _count_calls(
         monkeypatch, gammabounds._kernel_sums, gammabounds._log_interp_peak,
-        bounds._heads, bounds._branch, bounds.branch_constants, selberg.require_admissible,
+        bounds._heads, bounds._branch, bounds.branch_constants, selberg._admissible,
         bounds.BranchConstants, bounds.Coefficients,
     )
 
     def counts_of(call):
         calls.update(dict.fromkeys(calls, 0))
-        misses = bounds._factor_pieces.cache_info().misses
+        misses = [cache.cache_info().misses for cache in (bounds._factor_pieces, bounds._height)]
         call()
-        return (calls["_kernel_sums"], bounds._factor_pieces.cache_info().misses - misses,
+        return (calls["_kernel_sums"],
+                *(cache.cache_info().misses - m
+                  for cache, m in zip((bounds._factor_pieces, bounds._height), misses)),
                 *list(calls.values())[1:])
 
-    # (_kernel_sums, _factor_pieces misses, _log_interp_peak, _heads, _branch, branch_constants,
-    #  require_admissible, BranchConstants, Coefficients)
-    once = (2, 1, 1, 1, 1, 0, 1, 0, 0)
+    # (_kernel_sums, _factor_pieces misses, _height misses, _log_interp_peak, _heads, _branch,
+    #  branch_constants, _admissible, BranchConstants, Coefficients)
+    once = (2, 1, 1, 1, 1, 1, 0, 1, 0, 0)
     # a check_bound window, cold or on gamma factors and a strip seen before
-    once_with_pair = (2, 1, 1, 1, 1, 0, 1, 0, 2)
-    known_factors_with_pair = (0, 0, 1, 1, 1, 0, 1, 0, 2)
+    once_with_pair = (2, 1, 1, 1, 1, 1, 0, 1, 0, 2)
+    known_factors_with_pair = (0, 0, 1, 1, 1, 1, 0, 1, 0, 2)
     assert counts_of(lambda: bound_report(data, strip, 16.0, 100.0)) == once, calls
-    assert counts_of(lambda: check_bound(data, strip, zeros, 16.0, 100.0)) == (0,) * 8 + (2,), calls
-    assert counts_of(lambda: check_bound(data, strip, zeros, 16.0, 30.0)) == (0,) * 9, calls
+    assert counts_of(lambda: check_bound(data, strip, zeros, 16.0, 100.0)) == (0,) * 9 + (2,), calls
+    assert counts_of(lambda: check_bound(data, strip, zeros, 16.0, 30.0)) == (0,) * 10, calls
     heights = [21.0 + 0.5 * i for i in range(200)]
 
     def scan():
@@ -597,6 +601,7 @@ def test_each_window_computes_its_t0_pieces_once(monkeypatch):
     bounds._factor_pieces.cache_clear()
     assert counts_of(scan) == once_with_pair, calls
     assert counts_of(lambda: table_row(NewformSpec(1, 12))) == once, calls
+    assert counts_of(lambda: table_row(NewformSpec(11, 12))) == (0, 0, 0, 1, 1, 1, 0, 0, 0, 0), calls
 
 
 def test_bundled_table_computes_the_kernel_sums_once_per_weight(monkeypatch):
@@ -761,7 +766,8 @@ def test_memoized_check_bound_equals_a_fresh_window(window, shift, gaps):
 
 
 def test_check_bound_raises_alike_for_an_inadmissible_t0():
-    # exceptions are not cached: the second call checks T0 again
+    # exceptions are not cached: the second call checks T0 again, in the
+    # height-level half; a T0 that cannot be hashed is checked by _window_of
     from zerobound import bounds
 
     data, strip = presets.zeta()
@@ -772,7 +778,13 @@ def test_check_bound_raises_alike_for_an_inadmissible_t0():
             check_bound(data, strip, zeros, 15.0, 100.0)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-    assert bounds._window.cache_info().currsize == 0
+    assert bounds._window.cache_info().currsize == bounds._height.cache_info().currsize == 0
+    with pytest.raises(AdmissibilityError) as expected:
+        require_admissible(data, strip, [30.0], label="T0")
+    with pytest.raises(AdmissibilityError) as err:
+        bounds._window_of(data, strip, [30.0])
+    assert str(err.value) == str(expected.value)
+    assert bounds._height.cache_info().currsize == 0
 
 
 def test_window_memo_keeps_int_and_float_t0_apart():
@@ -781,6 +793,9 @@ def test_window_memo_keeps_int_and_float_t0_apart():
     data, strip = presets.zeta()
     assert bounds._window(data, strip, 30.0) is bounds._window(data, strip, 30.0)
     assert bounds._window(data, strip, 30) is not bounds._window(data, strip, 30.0)
+    pieces = bounds._factor_pieces(data.factors, strip)
+    assert bounds._height(pieces, data.k, 30) is not bounds._height(pieces, data.k, 30.0)
+    assert bounds._height.cache_info()[:4] == (2, 2, 64, 2)  # (hits, misses, maxsize, currsize)
 
 
 @settings(max_examples=60, deadline=None)

@@ -161,6 +161,23 @@ def test_unreadable_input_file_exits_one(tmp_path, capsys, argv, content):
     assert err.startswith("zerobound: error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--zeros", "ZEROS", "--t0", "27", "--t", "100", "--input"],
+    ["table", "--preset", "newform", "--pairs"],
+], ids=["input", "pairs"])
+def test_non_utf8_file_is_named(tmp_path, capsys, argv):
+    # verify reads two files; the message says which one is not UTF-8
+    zeros = tmp_path / "zeros.txt"
+    zeros.write_text("30.1\n")
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe{}")
+    argv = [str(zeros) if a == "ZEROS" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, str(bad))
+    assert (code, out) == (1, "")
+    assert err == (f"zerobound: error: {bad}: not a UTF-8 text file ('utf-8' codec can't "
+                   "decode byte 0xff in position 0: invalid start byte)\n")
+
+
 @pytest.mark.parametrize("t", ["inf", "1e999", "nan"])
 def test_non_finite_height_exits_one(newform_doc, capsys, t):
     code, out, err = run_cli(capsys, "bound", "--input", str(newform_doc), "--t0", "27", "--t", t)

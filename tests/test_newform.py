@@ -1,11 +1,14 @@
 """Newform instantiation, table rows, and the dual-path cross-check."""
 
 import math
+import random
+import struct
 
 import pytest
 
 from zerobound import (
     GammaFactor,
+    LFunctionData,
     NewformSpec,
     ValidationError,
     min_admissible_height,
@@ -104,13 +107,50 @@ def test_lambda_q2_is_level_over_four_pi_squared():
 
 
 def test_data_of_one_weight_share_one_factor_tuple():
-    # the tuple is built once per weight and kept for the 256 latest weights
+    # the tuple is built once per weight, with the weight's level-1 datum, and
+    # kept for the 256 latest weights
     same = [newform_params(NewformSpec(level, 12)).factors for level in (1, 11, 389)]
     assert same[0] is same[1] is same[2] == (GammaFactor(1.0, complex(5.5, 0.0)),)
+    assert same[0] is newform._weight_datum(12).factors
     assert newform_params(NewformSpec(1, 14)).factors is not same[0]
     for weight in range(2, 2 * 300, 2):
         newform_params(NewformSpec(1, weight))
-    assert newform._weight_factors.cache_info().currsize == 256
+    assert newform._weight_datum.cache_info().currsize == 256
+
+
+@pytest.mark.parametrize("weight", [2, 4, 12, 2 ** 53 - 16])
+@pytest.mark.parametrize("level", [1, 11, 389, 10 ** 300])
+def test_datum_from_the_weight_template_equals_the_checked_datum(level, weight):
+    # newform_params copies the weight's level-1 datum and computes only its
+    # Q-dependent part; LFunctionData.__init__ computes every attribute
+    data = newform_params(NewformSpec(level, weight))
+    built = LFunctionData(
+        factors=(GammaFactor(1.0, complex((weight - 1) / 2.0, 0.0)),),
+        Q=math.sqrt(level) / (2.0 * math.pi), omega=1j ** (weight % 4), k=0, a1=1.0,
+    )
+    assert type(data) is LFunctionData and data == built and hash(data) == hash(built)
+    assert vars(data) == vars(built)
+
+
+def test_pipeline_constants_are_alike_on_cold_and_warm_caches():
+    # the 25 published rows and 200 seeded pairs, each first with every cache
+    # emptied, then all again with the per-weight caches filled
+    from conftest import empty_caches
+
+    rng = random.Random(27)
+    specs = [NewformSpec(*pair) for pair in PUBLISHED_TABLE] + [
+        NewformSpec(rng.randint(1, 10 ** 4), 2 * rng.randint(1, 32)) for _ in range(200)
+    ]
+    cold = []
+    for spec in specs:
+        empty_caches()
+        cold.append(pipeline_constants(spec))
+    warm = [pipeline_constants(spec) for spec in specs]
+    assert list(map(_bits, warm)) == list(map(_bits, cold))
+
+
+def _bits(floats):
+    return [struct.pack("<d", x) for x in floats]
 
 
 def test_newform_strip_is_select_strip_at_unit_coefficient():

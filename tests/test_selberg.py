@@ -24,7 +24,9 @@ from zerobound import (
     select_strip,
     tail_sum,
 )
-from zerobound.selberg import _TAIL_TERMS, _constraints, _pole_window, _tail_sum, document_dict
+from zerobound.selberg import (
+    _TAIL_TERMS, _constraints, _pole_window, _tail_sum, _thresholds, document_dict,
+)
 
 from test_bounds import _flip_zero, _or_zero
 
@@ -770,7 +772,8 @@ def test_strict_min_height_is_admissible_above_the_nudge_resolution(im_mu):
     strip = select_strip(1.0)
     h = min_admissible_height(data, strip)
     assert (h.binding, h.strict_adjusted) == ("gamma-argument", True)
-    threshold = {name: value for name, value, _ in _constraints(data, strip)}["gamma-argument"]
+    cons = _constraints(_thresholds(data, strip), strip.two_r, data.k)
+    threshold = {name: value for name, value, _ in cons}["gamma-argument"]
     assert h.value == math.nextafter(threshold, math.inf)
     require_admissible(data, strip, h.value)
 
@@ -796,7 +799,8 @@ def test_strict_min_height_equals_the_nudged_threshold(factors, k):
     )
     strip = select_strip(1.0)
     h = min_admissible_height(data, strip)
-    thresholds = {name: value for name, value, _ in _constraints(data, strip)}
+    cons = _constraints(_thresholds(data, strip), strip.two_r, data.k)
+    thresholds = {name: value for name, value, _ in cons}
     if h.strict_adjusted:
         sval = thresholds["gamma-argument"]
         assert h.value == max(sval + 1e-9, math.nextafter(sval, math.inf))
@@ -838,7 +842,7 @@ def test_admissibility_thresholds_are_rounded_upward(two_r, k):
         "pole-window": (_pole_window(k), pole),
         "gamma-argument": (data.arg_max, Fraction(data.arg_max)),
     }
-    cons = _constraints(data, strip)
+    cons = _constraints(_thresholds(data, strip), strip.two_r, data.k)
     assert [name for name, _, _ in cons] == list(terms)
     for name, value, _ in cons:
         term, threshold = terms[name]

@@ -109,9 +109,11 @@ DERIVED = {
 }
 
 #: the factor-level pieces a window shares with every window on its gamma factors and strip:
-#: the factor pass and the strip, then floats, of which K is stored once it has been read
+#: the factor pass and the strip, two triples of floats (the k-free admissibility thresholds
+#: and the factor-level terms of the interpolation peak), then floats, of which K is stored
+#: once it has been read
 PIECES = (
-    "profile", "strip", "d", "dc", "half_im", "tail", "h1_lift", "h2_reflect", "K", "ratio_slope", "slope", "trivial",
+    "profile", "strip", "thresholds", "interp", "d", "dc", "half_im", "tail", "h1_lift", "h2_reflect", "K", "ratio_slope", "slope", "trivial",
     "c1_main", "c1_dbl", "c2_dbl_head", "c3_dbl_head", "c3_scale", "c2_dbl_scale", "head_scale",
 )
 
@@ -254,8 +256,10 @@ def test_each_value_stores_its_fields_and_derived_names_only(values, name):
 
 def test_window_stores_its_fields_and_derived_names_only():
     # floats and a tuple of floats, but the shared pieces; the pieces store K
-    # once the window has read it; the Coefficients pair is stored only once a
-    # public function has asked for it
+    # once the window has read it; the window reads its height-level terms
+    # from a _height entry, a tuple of floats and the disc terms' tuple of
+    # floats, which it does not store; the Coefficients pair is stored only
+    # once a public function has asked for it
     from zerobound import bounds, selberg
 
     data, strip = presets.zeta()
@@ -266,7 +270,12 @@ def test_window_stores_its_fields_and_derived_names_only():
     assert set(vars(window)) == {*_Window._fields, *DERIVED["_Window"]}
     assert set(vars(pieces)) == set(PIECES)
     assert pieces.profile is selberg._factor_pass(data.factors) and pieces.strip is strip
-    assert all(type(v) is float for k, v in vars(pieces).items() if k not in PIECES[:2])
+    assert all(type(v) is float for k, v in vars(pieces).items() if k not in PIECES[:4])
+    assert all(type(x) is float for k in PIECES[2:4] for x in getattr(pieces, k))
+    disc, *height = bounds._height(pieces, data.k, 16.0)
+    assert bounds._height.cache_info()[:2] == (1, 1)  # (hits, misses): the window's entry
+    assert len(disc) == 4 and len(height) == 5
+    assert all(type(x) is float for x in (*disc, *height))
     assert type(window.alpha) is int and all(type(x) is float for x in window.constants)
     window.report(100.0)
     assert set(vars(window)) == {*_Window._fields, *DERIVED["_Window"]}
