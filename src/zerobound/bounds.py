@@ -219,8 +219,8 @@ class _FactorPieces:
         self.trivial = trivial_zero_window(self.profile, strip)
         self.c1_main = self.slope / TWO_PI + (r - 0.5) * d * c / LOG2
         self.c1_dbl = d / LOG2 * (two_r - 1.0) * c
-        self.c2_dbl_head = (LOG2 * self.slope / TWO_PI + 2.0 * vertical_integral_bound() / math.pi
-                            + 4.0 * r - 2.0 + 3.0 * d * (two_r - 1.0) * c)
+        self.c2_dbl_head = (LOG2 * self.slope / TWO_PI + 2.0 * _VERTICAL + 4.0 * r - 2.0
+                            + 3.0 * d * (two_r - 1.0) * c)
         self.c3_dbl_head = self.tail / (4.0 * math.pi)
         self.c3_scale, self.c2_dbl_scale = (r - 0.5) / LOG2, (two_r - 1.0) / LOG2
         self.head_scale = d / TWO_PI
@@ -330,12 +330,12 @@ _window = functools.lru_cache(maxsize=16, typed=True)(_Window)
 
 
 def _window_of(data: LFunctionData, strip: StripParams, T0: float) -> _Window:
-    """_window(data, strip, T0), or for an unhashable T0 the AdmissibilityError of T0 = "16"."""
+    """_window(data, strip, T0); an unhashable T0 is checked, then taken as float(T0)."""
     try:
         return _window(data, strip, T0)
     except TypeError:  # hashing the key refused T0 (a list, say); only now is T0 checked again
         require_admissible(data, strip, T0, label="T0")
-        raise
+        return _window(data, strip, float(T0))
 
 
 def total_count_error(data: LFunctionData, strip: StripParams, T0: float, T: float) -> float:

@@ -20,7 +20,9 @@ import cmath
 import math
 
 from .errors import AdmissibilityError, DomainError, _value_text
-from .selberg import LFunctionData, StripParams, _convert, _require_height, require_admissible
+from .selberg import (
+    LFunctionData, StripParams, _convert, _real, _require_height, require_admissible,
+)
 
 #: second Bernoulli number, the one-term Stirling remainder coefficient
 B2 = 1.0 / 6.0
@@ -93,12 +95,12 @@ def _factor_index(data: LFunctionData, j: int) -> int:
 def remainder_pair_bound(data: LFunctionData, j: int, sigma: float, t: float) -> float:
     """Bound for |W(-lam_j s)| + |W(lam_j s)| at s = sigma + i t.
 
-    Needs t at or above data.threshold_height; the two remainders then sit
-    away from the branch cut and the flat secant factor 2 covers the side
-    whose half-argument stays below pi/4.
+    Needs a finite real sigma and t at or above data.threshold_height; the
+    two remainders then sit away from the branch cut and the flat secant
+    factor 2 covers the side whose half-argument stays below pi/4.
     """
     _require_height(t, "t", data.threshold_height, AdmissibilityError, "threshold", True)
-    sigma = _convert(float, sigma, "sigma", DomainError)
+    sigma = _real(sigma, "sigma", error=DomainError)
     lam = data.factors[_factor_index(data, j)].lam
     return B2 / (2.0 * lam * t) * _pair_secant(data, -abs(sigma))
 
@@ -109,16 +111,17 @@ def ratio_error_bound(data: LFunctionData, j: int, sigma: float, t: float) -> fl
     Four modulus terms from the truncated logarithm series (all divided by
     lam_j t, which under-estimates |lam_j s| and so over-estimates the
     error) plus the paired Stirling-remainder bound.  Scales exactly as 1/t.
+    Needs a finite real sigma and t at or above data.threshold_height.
     """
     _require_height(t, "t", data.threshold_height, AdmissibilityError, "threshold", True)
-    sigma = _convert(float, sigma, "sigma", DomainError)
+    sigma = _real(sigma, "sigma", error=DomainError)
     return _factor_kernels(data, -abs(sigma))[_factor_index(data, j)] / t
 
 
 def ratio_error_total(data: LFunctionData, sigma: float, t: float) -> float:
-    """Sum of ratio_error_bound over all factors."""
+    """Sum of ratio_error_bound over all factors, for a finite real sigma."""
     _require_height(t, "t", data.threshold_height, AdmissibilityError, "threshold", True)
-    sigma = _convert(float, sigma, "sigma", DomainError)
+    sigma = _real(sigma, "sigma", error=DomainError)
     return math.fsum(k / t for k in _factor_kernels(data, -abs(sigma)))
 
 
@@ -128,12 +131,10 @@ def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:
     Equals (1/2 - sigma)(d log t + log(lambda Q^2)) + d sigma
     + Re(log(1 - sigma i / t) (d (1/2 - s) + Im(mu_cap) i / 2));
     callers pair it with ratio_error_total as the remainder envelope.
-    Requires finite sigma, finite t > 0 and both gamma arguments off the
-    branch cut.
+    Requires a finite real sigma, finite t > 0 and both gamma arguments off
+    the branch cut.
     """
-    sigma = _convert(float, sigma, "sigma", DomainError)
-    if not math.isfinite(sigma):
-        raise DomainError(f"need a finite real part sigma, got {sigma}")
+    sigma = _real(sigma, "sigma", error=DomainError)
     _require_height(t, "t", 0.0)
     s = complex(sigma, t)
     for f in data.factors:
@@ -180,12 +181,10 @@ def magnitude_envelope(
     sigma = 3 the Dirichlet series gives the constant a1 pi^2 / 6; left of
     sigma = -2 the reflection factor gives a power of t times an explicit
     exponential; in between a convexity interpolation applies.  sigma must
-    be finite.  Raises DomainError where the envelope exceeds the float
-    range, as it can for a large |Im mu_cap|.
+    be a finite real.  Raises DomainError where the envelope exceeds the
+    float range, as it can for a large |Im mu_cap|.
     """
-    sigma = _convert(float, sigma, "sigma", DomainError)
-    if not math.isfinite(sigma):
-        raise DomainError(f"need a finite real part sigma, got {sigma}")
+    sigma = _real(sigma, "sigma", error=DomainError)
     require_admissible(data, strip, T)
     low, high = T - strip.two_r, T + strip.two_r
     try:

@@ -69,12 +69,15 @@ def _convert(convert, value: object, name: str, error: type = ValidationError):
         raise error(f"{name} must be a {kind}, got {_value_text(value, repr)}") from None
 
 
-def _require_height(value: object, name: str, low: float, error: type = DomainError,
+def _require_height(value: object, name: str, low: float = -math.inf, error: type = DomainError,
                     low_name: str = "", closed: bool = False, high: float = _FLOAT_MAX) -> None:
     """Raise error unless value is a real number with low < value <= high (low <= value if closed).
 
-    The package's one height rule.  A value that is no number makes the
-    comparison raise TypeError and is refused; only then is a message built.
+    The package's one range rule, for heights and every other public real.
+    A value that is no number makes the comparison raise TypeError and is
+    refused; only then is a message built.  A low that may come from the
+    caller is named by low_name, and the message compares only an unnamed
+    one, to leave out the "> -inf" of an argument with no lower end.
     """
     try:
         if (low <= value if closed else low < value) and value <= high:
@@ -82,9 +85,17 @@ def _require_height(value: object, name: str, low: float, error: type = DomainEr
     except TypeError:  # None, a str, a complex
         pass
     end = f"{low_name} = {_value_text(low, repr)}" if low_name else low
+    end = f" {'>=' if closed else '>'} {end}" if low_name or low > -math.inf else ""
     finite = "finite " if high < math.inf else ""
-    rel = ">=" if closed else ">"
-    raise error(f"needs a {finite}real {name} {rel} {end}, got {name} = {_value_text(value, repr)}")
+    raise error(f"needs a {finite}real {name}{end}, got {name} = {_value_text(value, repr)}")
+
+
+def _real(value: object, name: str, low: float = -math.inf, error: type = ValidationError,
+          closed: bool = False) -> float:
+    """float(value) if it passes _require_height's range rule, else an error of class error."""
+    value = _convert(float, value, name, error)
+    _require_height(value, name, low, error, closed=closed)
+    return value
 
 
 class _Value:
@@ -131,16 +142,9 @@ class _Value:
 
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def _set(self, shared: dict | None = None, /, **fields: object) -> None:
-        """Store the entries of shared, then fields, as attributes, past the frozen __setattr__.
-
-        shared is a dict of attributes that several instances take from a
-        cache; passed whole, it is not merged into the keywords first.
-        """
-        attributes = vars(self)
-        if shared is not None:
-            attributes.update(shared)
-        attributes.update(fields)
+    def _set(self, **fields: object) -> None:
+        """Store fields as attributes, past the frozen __setattr__."""
+        vars(self).update(fields)
 
 
 class GammaFactor(_Value):
@@ -150,10 +154,8 @@ class GammaFactor(_Value):
     """
 
     def __init__(self, lam: float, mu: complex) -> None:
-        lam = _convert(float, lam, "gamma factor lam")
+        lam = _real(lam, "gamma factor lam", 0.0)
         mu = _convert(complex, mu, "gamma factor mu")
-        if not 0.0 < lam < math.inf:
-            raise ValidationError(f"gamma factor needs finite lam > 0, got {lam}")
         if not (cmath.isfinite(mu) and mu.real >= 0.0):
             raise ValidationError(f"gamma factor needs finite mu with Re(mu) >= 0, got {mu}")
         self._set(lam=lam, mu=mu, _hash=hash((lam, mu)))
@@ -249,23 +251,19 @@ class LFunctionData(_Value):
         self, factors: tuple[GammaFactor, ...], Q: float, omega: complex, k: int, a1: float
     ) -> None:
         factors = tuple(factors)
-        Q = _convert(float, Q, "Q")
         omega = _convert(complex, omega, "omega")
-        a1 = _convert(float, a1, "a1")
         if not factors:
             raise ValidationError("need at least one gamma factor")
         if not all(isinstance(f, GammaFactor) for f in factors):
             raise ValidationError("factors must be GammaFactor instances")
-        if not 0.0 < Q < math.inf:
-            raise ValidationError(f"Q must be positive and finite, got {Q}")
+        Q = _real(Q, "Q", 0.0)
         if not abs(abs(omega) - 1.0) <= OMEGA_MODULUS_TOL:
             raise ValidationError(f"|omega| must be 1, got |{omega}| = {abs(omega)}")
         if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k <= 10 ** 15:
             raise ValidationError(
                 f"pole order k must be an integer in [0, 10^15], got {_value_text(k, repr)}"
             )
-        if not 1.0 <= a1 < math.inf:
-            raise ValidationError(f"a1 must be finite and >= 1, got {a1}")
+        a1 = _real(a1, "a1", 1.0, closed=True)
         profile = _factor_pass(factors)
         # stored before the checks below, which drop the datum if they raise
         self._set_q(vars(profile), Q, factors=factors, omega=omega, k=k, a1=a1)
@@ -307,15 +305,11 @@ def tail_sum(x: float, a1: float) -> float:
     below 2^-1074 underflow to 0.  A sum costs the same for every x and a1;
     _tail_sum keeps the 1024 last used, so a strip search evaluates each once.
 
-    Raises DomainError for x <= 1 (divergent series), non-finite x or
-    non-finite a1, or for either not a real number.
+    Raises DomainError, by the package's range rule, unless x is a finite
+    real > 1 (at x <= 1 the series diverges) and a1 a finite real.
     """
-    if not _convert(lambda v: 1.0 < v <= _FLOAT_MAX, x, "tail sum exponent x", DomainError):
-        raise DomainError(f"tail sum needs a finite exponent x > 1, got {_value_text(x)}")
-    if not _convert(lambda v: -_FLOAT_MAX <= v <= _FLOAT_MAX, a1, "tail sum coefficient a1",
-                    DomainError):
-        raise DomainError(f"tail sum needs a finite coefficient a1, got {_value_text(a1)}")
-    return _tail_sum(float(x), float(a1))
+    x = _real(x, "tail sum exponent x", 1.0, DomainError)
+    return _tail_sum(x, _real(a1, "tail sum coefficient a1", error=DomainError))
 
 
 @functools.lru_cache(maxsize=1024)  # a strip search tries x = 3 .. a, and a <= 1026
@@ -343,11 +337,9 @@ class StripParams(_Value):
     """
 
     def __init__(self, a: float, b: float, R: float) -> None:
-        a = _convert(float, a, "strip a", InvalidStripError)
+        a = _real(a, "strip a", 2.0, InvalidStripError)
         b = _convert(float, b, "strip b", InvalidStripError)
         R = _convert(float, R, "strip R", InvalidStripError)
-        if not 2.0 < a < math.inf:
-            raise InvalidStripError(f"strip needs finite a > 2, got a = {a}")
         if not -math.inf < b < -3.0:
             raise InvalidStripError(f"strip needs finite b < -3, got b = {b}")
         if R != a - b:
@@ -369,13 +361,12 @@ def select_strip(a1: float, a: float | None = None, b: float | None = None) -> S
     tail_sum(a, a1) < 1/2 and b the largest integer < -3 with
     tail_sum(-b - 1, a1) < 1, matching the worked choices a1 = 1 ->
     (a, b) = (3, -4).  Overrides are accepted if they satisfy the same
-    two inequalities; a violation raises InvalidStripError naming the
-    failed condition.
+    two inequalities; the strip is built first, so StripParams checks
+    their ranges, and a violation of either inequality then raises
+    InvalidStripError naming the failed condition.
     """
-    a1 = _convert(float, a1, "a1")
-    if not 1.0 <= a1 < math.inf:
-        raise ValidationError(f"a1 must be finite and >= 1, got {a1}")
-
+    a1 = _real(a1, "a1", 1.0, closed=True)
+    a_given, b_given = a is not None, b is not None
     if a is None:
         n = 3
         while tail_sum(float(n), a1) >= 0.5:
@@ -383,11 +374,6 @@ def select_strip(a1: float, a: float | None = None, b: float | None = None) -> S
         a = float(n)
     else:
         a = _convert(float, a, "override a", InvalidStripError)
-        if not 2.0 < a < math.inf:
-            raise InvalidStripError(f"override a = {a} does not satisfy a > 2 or is not finite")
-        if not (tail := tail_sum(a, a1)) < 0.5:
-            raise InvalidStripError(f"override a = {a} fails tail_sum(a, a1) < 1/2 (got {tail})")
-
     if b is None:
         n = -4
         while tail_sum(float(-n - 1), a1) >= 1.0:
@@ -395,12 +381,12 @@ def select_strip(a1: float, a: float | None = None, b: float | None = None) -> S
         b = float(n)
     else:
         b = _convert(float, b, "override b", InvalidStripError)
-        if not -math.inf < b < -3.0:
-            raise InvalidStripError(f"override b = {b} does not satisfy b < -3 or is not finite")
-        if not (tail := tail_sum(-b - 1.0, a1)) < 1.0:
-            raise InvalidStripError(f"override b = {b} fails tail_sum(-b-1, a1) < 1 (got {tail})")
-
-    return StripParams(a=a, b=b, R=a - b)
+    strip = StripParams(a=a, b=b, R=a - b)
+    if a_given and not (tail := tail_sum(a, a1)) < 0.5:
+        raise InvalidStripError(f"override a = {a} fails tail_sum(a, a1) < 1/2 (got {tail})")
+    if b_given and not (tail := tail_sum(-b - 1.0, a1)) < 1.0:
+        raise InvalidStripError(f"override b = {b} fails tail_sum(-b-1, a1) < 1 (got {tail})")
+    return strip
 
 
 class AdmissibleHeight(_Value):
@@ -491,7 +477,7 @@ def require_admissible(data: LFunctionData, strip: StripParams, T: float, label:
 
 def _admissible(thresholds: tuple, two_r: float, k: int, T: float, label: str) -> None:
     """require_admissible, given the _thresholds of the datum and strip, 2R and the pole order k."""
-    _require_height(T, label, -math.inf, AdmissibilityError)
+    _require_height(T, label, error=AdmissibilityError)
     for name, val, strict in _constraints(thresholds, two_r, k):
         if not (T > val if strict else T >= val):
             raise AdmissibilityError(

@@ -557,9 +557,12 @@ def test_tail_sum_divergent():
         with pytest.raises(DomainError):
             tail_sum(x, 1.0)
     # a non-finite coefficient would make the sum nan or inf
-    for a1 in (math.inf, -math.inf, math.nan, 10 ** 400):
-        with pytest.raises(DomainError, match="finite coefficient a1"):
+    for a1 in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"^needs a finite real tail sum coefficient a1, "
+                                              f"got tail sum coefficient a1 = {a1}$"):
             tail_sum(3.0, a1)
+    with pytest.raises(DomainError, match="^tail sum coefficient a1 is too large to convert"):
+        tail_sum(3.0, 10 ** 400)
 
 
 def test_tail_sum_is_upper_bound():
@@ -671,6 +674,14 @@ def test_select_strip_overrides():
         select_strip(1.0, a=1e308, b=-1e308)
 
 
+def test_select_strip_checks_override_ranges_before_tail_sums():
+    # the strip is built first, so a b out of range is named before a's failed tail sum
+    with pytest.raises(InvalidStripError, match="^strip needs finite b < -3, got b = -3.0$"):
+        select_strip(3.0, a=2.2, b=-3.0)
+    with pytest.raises(InvalidStripError, match=r"^override a = 2.2 fails tail_sum\(a, a1\)"):
+        select_strip(3.0, a=2.2, b=-30.0)
+
+
 def test_select_strip_huge_coefficient():
     strip = select_strip(1e100)
     assert strip == StripParams(334.0, -334.0, 668.0)
@@ -682,7 +693,8 @@ def test_select_strip_rejects_small_a1():
     # with nan every tail-sum comparison is false, so neither inequality is really
     # checked; with inf every tail sum is infinite
     for a1 in (0.9, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValidationError, match="^a1 must be finite and >= 1, got"):
+        message = f"^needs a finite real a1 >= 1.0, got a1 = {a1}$"
+        with pytest.raises(ValidationError, match=message):
             select_strip(a1)
     # an int past the float range
     with pytest.raises(ValidationError, match="^a1 is too large to convert to a float"):
@@ -692,9 +704,9 @@ def test_select_strip_rejects_small_a1():
 def test_strip_params_checks_its_shape():
     assert StripParams(3.0, -4.0, 7.0).R == 7.0
     for a, b, R, message in (
-        (2.0, -4.0, 6.0, "finite a > 2, got a = 2.0"),
-        (math.nan, -4.0, math.nan, "finite a > 2, got a = nan"),
-        (math.inf, -4.0, math.inf, "finite a > 2, got a = inf"),
+        (2.0, -4.0, 6.0, "^needs a finite real strip a > 2.0, got strip a = 2.0$"),
+        (math.nan, -4.0, math.nan, "^needs a finite real strip a > 2.0, got strip a = nan$"),
+        (math.inf, -4.0, math.inf, "^needs a finite real strip a > 2.0, got strip a = inf$"),
         (3.0, -3.0, 6.0, "finite b < -3, got b = -3.0"),
         (3.0, math.nan, math.nan, "finite b < -3, got b = nan"),
         (3.0, -math.inf, math.inf, "finite b < -3, got b = -inf"),
