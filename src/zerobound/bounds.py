@@ -17,15 +17,13 @@ total_count_error stitches these into the (T0, T]-window bound, and
 window_coefficients / doubling_coefficients flatten that bound into the
 c1 log T + c2 + c3 / T coefficient form (for the (T0, T] and (T, 2T]
 windows respectively).  All three and bound_report take their window of
-(datum, strip, T0) from the cache _window.  The window and the per-piece
-bounds read every term that depends on the gamma factors and the strip
-alone (the kernel sums, the log slopes, the trivial-zero allowance, both c1
-and the factor-level heads and scales of the other constants) from one
-cached _factor_pieces entry, whose left-edge kernel sum K is computed when
-first read.  The window reads the terms that also read T0 from _height,
-which checks T0, and computes as floats only what reads log(lambda Q^2) or
-a1.  Value objects are built at the public edge, at most once per window.
-Everything is a pure function of the datum, the strip, and the heights.
+(datum, strip, T0) from the memo _window; the newform table calls the
+window's float core, _window_floats, directly.  Terms that read only the
+gamma factors and the strip come from one cached _factor_pieces entry, and
+terms that also read T0 from _height, which checks T0; only what reads
+log(lambda Q^2) or a1 is computed per window.  Value objects are built at
+the public edge, at most once per window.  Everything is a pure function
+of the datum, the strip, and the heights.
 """
 
 from __future__ import annotations
@@ -98,10 +96,10 @@ def vertical_integral_bound() -> float:
 _VERTICAL = vertical_integral_bound() / math.pi
 
 
-def _heads(p: _FactorPieces, data: LFunctionData) -> tuple[float, float]:
+def _heads(p: _FactorPieces, k: int, log_lq2: float) -> tuple[float, float]:
     """The disc bound's T-free branch heads: max(2.5 L, c L), L = log(lambda Q^2), and h1_interp."""
-    log_lq2 = data.log_lambda_q2
-    return max(2.5 * log_lq2, p.strip.disc_slope * log_lq2), _log_interp_peak(p.interp, data, 0.0)
+    peak = _log_interp_peak(p.interp, k, log_lq2, 0.0)
+    return max(2.5 * log_lq2, p.strip.disc_slope * log_lq2), peak
 
 
 def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float:
@@ -113,7 +111,8 @@ def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float
     """
     require_admissible(data, strip, T)
     p = _factor_pieces(data.factors, strip)
-    return _disc_bound(p, data.log_a1_zeta2, _heads(p, data), _disc_terms(p, T))
+    heads = _heads(p, data.k, data.log_lambda_q2)
+    return _disc_bound(p, data.log_a1_zeta2, heads, _disc_terms(p, T))
 
 
 def _disc_terms(p: _FactorPieces, T: float) -> tuple[float, float, float, float]:
@@ -177,7 +176,7 @@ def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> Bran
     """
     _require_height(T0, "T0", strip.two_r, DomainError, "2R")
     p = _factor_pieces(data.factors, strip)
-    return BranchConstants(*_branch(p, _heads(p, data), T0))
+    return BranchConstants(*_branch(p, _heads(p, data.k, data.log_lambda_q2), T0))
 
 
 def _branch(p: _FactorPieces, heads: tuple, T0: float) -> tuple:
@@ -255,39 +254,50 @@ def _height(p: _FactorPieces, k: int, T0: float) -> tuple:
             p.c3_scale * T0 * (3.0 * T0 - 4.0 * r) / (2.0 * (T0 - two_r) * (T0 - r)))
 
 
+def _window_floats(p: _FactorPieces, k: int, log_lq2: float, log_a1_zeta2: float,
+                   T0: float) -> tuple:
+    """(heads, alpha, h1, h2, R2(T0), head, constants) of the (T0, T]-window of one datum.
+
+    p is the _factor_pieces of its factors and strip; k, log_lq2 and log_a1_zeta2 are its pole
+    order, log(lambda Q^2) and log(a1 pi^2 / 6).  T0 is checked.  The heads choose the branch
+    and enter every R2; head is the main-term pieces at T0; constants are the two triples.
+    """
+    disc, main, t0_2pi, r1, c3_main, c3_dbl = _height(p, k, T0)
+    heads = _heads(p, k, log_lq2)
+    alpha, h1, h2 = _branch(p, heads, T0)
+    a1_h1 = log_a1_zeta2 + h1
+    r2_t0 = _disc_bound(p, log_a1_zeta2, heads, disc)
+    head = main + t0_2pi * abs(log_lq2)
+    return heads, alpha, h1, h2, r2_t0, head, (
+        p.c1_main,
+        _total(p, head, r2_t0, r1, p.dc + a1_h1 / LOG2),
+        c3_main * (p.K + h2),
+        p.c1_dbl,
+        p.c2_dbl_head + p.c2_dbl_scale * a1_h1,
+        p.c3_dbl_head + c3_dbl * (disc[3] + h2),
+    )
+
+
+def _total(p: _FactorPieces, head: float, r2_t0: float, r1_2pi: float, r2_t: float) -> float:
+    """The window total, given head, R2(T0), the log-integral bound over 2 pi and R2(T)."""
+    return head + r1_2pi + _VERTICAL + (p.strip.R - 0.5) * (r2_t0 + r2_t + 4.0) + p.trivial
+
+
 class _Window(_Value):
-    """The (T0, T]-window bound of one (data, strip, T0).
+    """The (T0, T]-window bound of one (data, strip, T0): its pieces and _window_floats.
 
     Construction checks that T0 is admissible, so every finite T > T0 is too.
-    It takes its factor-level pieces from _factor_pieces and its height-level
-    terms from _height, which checks T0, and computes, as floats, only what
-    reads log(lambda Q^2) or a1: the heads that choose the branch (alpha, h1,
-    h2) and enter every R2, R2(T0), head (the main-term pieces at T0) and the
-    six constants, in the order of the window_coefficients and then the
-    doubling_coefficients triple.  The Coefficients pair is built once, when a
-    public function first asks for it.  repr, == and hash see data, strip and
-    T0 only, which fix every other field.  Build windows through _window only.
+    The Coefficients pair is built once, when a public function first asks
+    for it.  repr, == and hash see data, strip and T0 only, which fix every
+    other field.  Build windows through _window only.
     """
 
     def __init__(self, data: LFunctionData, strip: StripParams, T0: float) -> None:
         p = _factor_pieces(data.factors, strip)
-        disc, main, t0_2pi, r1, c3_main, c3_dbl = _height(p, data.k, T0)
-        heads = _heads(p, data)
-        alpha, h1, h2 = _branch(p, heads, T0)
-        a1_h1 = data.log_a1_zeta2 + h1
-        self._set(
-            data=data, strip=strip, T0=T0, pieces=p, heads=heads, alpha=alpha, h1=h1, h2=h2,
-            r2_t0=_disc_bound(p, data.log_a1_zeta2, heads, disc),
-            head=main + t0_2pi * abs(data.log_lambda_q2),
-        )
-        self._set(constants=(
-            p.c1_main,
-            self._total(r1, p.dc + a1_h1 / LOG2),
-            c3_main * (p.K + h2),
-            p.c1_dbl,
-            p.c2_dbl_head + p.c2_dbl_scale * a1_h1,
-            p.c3_dbl_head + c3_dbl * (disc[3] + h2),
-        ))
+        heads, alpha, h1, h2, r2_t0, head, constants = _window_floats(
+            p, data.k, data.log_lambda_q2, data.log_a1_zeta2, T0)
+        self._set(data=data, strip=strip, T0=T0, pieces=p, heads=heads, alpha=alpha, h1=h1,
+                  h2=h2, r2_t0=r2_t0, head=head, constants=constants)
 
     def at(self, T: float) -> tuple[float, float, float]:
         """(R1, R2(T), window total) at a finite T > T0."""
@@ -295,12 +305,7 @@ class _Window(_Value):
         p = self.pieces
         r1 = _log_integral(p, self.T0, T)
         r2_t = _disc_bound(p, self.data.log_a1_zeta2, self.heads, _disc_terms(p, T))
-        return r1, r2_t, self._total(r1 / TWO_PI, r2_t)
-
-    def _total(self, r1_2pi: float, r2_t: float) -> float:
-        """The window total, given its log-integral bound over 2 pi and its disc bound r2_t at T."""
-        return (self.head + r1_2pi + _VERTICAL
-                + (self.strip.R - 0.5) * (self.r2_t0 + r2_t + 4.0) + self.pieces.trivial)
+        return r1, r2_t, _total(p, self.head, self.r2_t0, r1 / TWO_PI, r2_t)
 
     @functools.cached_property
     def coefficients(self) -> tuple[Coefficients, Coefficients]:
@@ -321,10 +326,10 @@ class _Window(_Value):
         )
 
 
-#: The one way to a window: each public bound below takes its window from
-#: this memo of the 16 latest (data, strip, T0) keys, through _window_of, so
-#: calls on one T0 share one.  The keys are frozen and a window reads only
-#: fields that == compares, so an equal key gives a bit-identical window.
+#: The one way to a window: each public bound below takes its window from this
+#: memo of the 16 latest (data, strip, T0) keys, through _window_of, so calls on
+#: one T0 share one; the newform table adds none.  The keys are frozen and a window
+#: reads only fields that == compares, so an equal key gives a bit-identical window.
 #: typed keeps T0 = 30 and 30.0 apart.  A raising constructor caches nothing.
 _window = functools.lru_cache(maxsize=16, typed=True)(_Window)
 

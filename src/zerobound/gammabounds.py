@@ -159,17 +159,17 @@ def _interp_terms(data: LFunctionData) -> tuple[float, float, float]:
     return (2.5 * d + 1.0) * LOG2, 2.5 * SQRT5 * d, abs(data.mu_cap.imag)
 
 
-def _log_interp_peak(terms: tuple, data: LFunctionData, err: float) -> float:
+def _log_interp_peak(terms: tuple, k: int, log_lq2: float, err: float) -> float:
     """Log of the convexity-interpolation peak, (2.5 d + 1) log 2 + k log 3 + max(0, e).
 
-    e = 2.5 log(lambda Q^2) + 2.5 sqrt(5) d + |Im mu_cap| + err, and terms are the
-    datum's _interp_terms.  At err = 0 it is h1, the disc bound's interpolation branch.
-    With err the gamma-ratio error envelope along sigma = -2, a1 pi^2 / 6 times its exp
-    is the middle band's peak in magnitude_envelope: 2^(2.5 d + 1) times the larger of
+    e = 2.5 log_lq2 + 2.5 sqrt(5) d + |Im mu_cap| + err, for a datum's _interp_terms, pole
+    order k and log_lq2 = log(lambda Q^2).  At err = 0 it is h1, the disc bound's interpolation
+    branch.  With err the gamma-ratio error envelope along sigma = -2, a1 pi^2 / 6 times its
+    exp is the middle band's peak in magnitude_envelope: 2^(2.5 d + 1) times the larger of
     the right-edge constant 3^k a1 pi^2 / 6 and the left-edge one, exp(e) times it.
     """
     lift, spread, im = terms
-    return lift + data.k * LOG3 + max(0.0, 2.5 * data.log_lambda_q2 + spread + im + err)
+    return lift + k * LOG3 + max(0.0, 2.5 * log_lq2 + spread + im + err)
 
 
 def magnitude_envelope(
@@ -200,7 +200,8 @@ def magnitude_envelope(
         expo = reflection_log_main(data, sigma, t) + ratio_error_total(data, sigma, t)
         power = 0.0
     else:
-        expo = _log_interp_peak(_interp_terms(data), data, _kernel_sums(data, -2.0)[0] / low)
+        err = _kernel_sums(data, -2.0)[0] / low
+        expo = _log_interp_peak(_interp_terms(data), data.k, data.log_lambda_q2, err)
         power = 0.5 * data.degree * (3.0 - sigma)
     try:
         value = const * math.exp(expo) * t ** power

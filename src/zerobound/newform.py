@@ -8,10 +8,10 @@ runs in floats, so NewformSpec also bounds the sizes: the level must
 convert to a float (N < about 1.8e308) and the height 15 + kappa must be a
 float exactly (kappa <= 2^53 - 16).
 
-table_row runs these data through the generic pipeline.  An independent
-route that re-states all six constants directly in (N, kappa) lives with
-the tests (tests/closed_forms.py) and exists purely to cross-check the
-generic assembly.
+pipeline_constants runs the generic window's float core on the weight's
+cached level-1 datum and pieces and the level's log(lambda Q^2): a row builds
+no datum, window or window-memo entry.  An independent route re-stating all
+six constants in (N, kappa) lives with the tests (tests/closed_forms.py).
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import functools
 import io
 import math
 
-from .bounds import _window, ceil_guarded
+from .bounds import _factor_pieces, _window_floats, ceil_guarded
 from .errors import ValidationError, _value_text
-from .selberg import GammaFactor, LFunctionData, StripParams, _Value, select_strip
+from .selberg import GammaFactor, LFunctionData, StripParams, _lambda_q2, _Value, select_strip
 
 #: CSV header shared by table_generate and the CLI
 TABLE_HEADER = ("N", "kappa", "T0", "cL1", "cL2", "cL3", "c1", "c2", "c3")
@@ -68,17 +68,22 @@ class NewformSpec(_Value):
         return 15 + self.weight
 
 
+def _conductor(level: int) -> float:
+    """Q = sqrt(N) / (2 pi), the conductor factor of a newform of level N."""
+    return math.sqrt(level) / (2.0 * math.pi)
+
+
 @functools.lru_cache(maxsize=256)
 def _weight_datum(weight: int) -> LFunctionData:
     """The level-1 datum of weight, checked by LFunctionData; the 256 latest weights are kept."""
     factors = (GammaFactor(1.0, complex((weight - 1) / 2.0, 0.0)),)
-    return LFunctionData(factors, 1.0 / (2.0 * math.pi), _I_POWERS[weight % 4], 0, 1.0)
+    return LFunctionData(factors, _conductor(1), _I_POWERS[weight % 4], 0, 1.0)
 
 
 def newform_params(spec: NewformSpec) -> LFunctionData:
     """The newform's datum: its weight's level-1 datum with Q = sqrt(N) / (2 pi), by _set_q."""
     data = object.__new__(LFunctionData)
-    data._set_q(vars(_weight_datum(spec.weight)), math.sqrt(spec.level) / (2.0 * math.pi))
+    data._set_q(vars(_weight_datum(spec.weight)), _conductor(spec.level))
     return data
 
 
@@ -97,8 +102,11 @@ def newform_strip() -> StripParams:
 
 
 def pipeline_constants(spec: NewformSpec) -> tuple[float, float, float, float, float, float]:
-    """The six pre-ceiling constants via the generic pipeline."""
-    return _window(newform_params(spec), newform_strip(), float(spec.min_height)).constants
+    """The six pre-ceiling constants: those of newform_params(spec)'s window at min_height."""
+    datum = _weight_datum(spec.weight)
+    log_lq2 = math.log(_lambda_q2(datum.lambda_cap, _conductor(spec.level)))
+    return _window_floats(_factor_pieces(datum.factors, _STRIP), datum.k, log_lq2,
+                          datum.log_a1_zeta2, float(spec.min_height))[-1]
 
 
 def table_row(spec: NewformSpec) -> tuple[int, int, int, int, int, int]:

@@ -206,6 +206,14 @@ def _factor_pass(factors: tuple[GammaFactor, ...]) -> SimpleNamespace:
     )
 
 
+def _lambda_q2(lambda_cap: float, Q: float) -> float:
+    """lambda_cap * Q^2, checked to be a positive finite float."""
+    lambda_q2 = lambda_cap * Q * Q
+    if not 0.0 < lambda_q2 < math.inf:
+        raise ValidationError(f"lambda Q^2 = {lambda_q2} is not a positive finite float")
+    return lambda_q2
+
+
 class LFunctionData(_Value):
     """The functional-equation datum of one L-function.
 
@@ -281,10 +289,8 @@ class LFunctionData(_Value):
         self._set(log_a1_zeta2=log_a1_zeta2)
 
     def _set_q(self, shared: dict, Q: float, **fields: object) -> None:
-        """Store shared and fields, then Q, lambda Q^2 (checked positive, finite), log and hash."""
-        lambda_q2 = shared["lambda_cap"] * Q * Q
-        if not 0.0 < lambda_q2 < math.inf:
-            raise ValidationError(f"lambda Q^2 = {lambda_q2} is not a positive finite float")
+        """Store shared and fields, then Q, lambda Q^2 (by _lambda_q2), its log and the hash."""
+        lambda_q2 = _lambda_q2(shared["lambda_cap"], Q)
         attributes = vars(self)  # as _set stores them
         attributes.update(shared, **fields)
         attributes.update(Q=Q, lambda_q2=lambda_q2, log_lambda_q2=math.log(lambda_q2))

@@ -560,9 +560,11 @@ def test_each_window_computes_its_t0_pieces_once(monkeypatch):
     # report; check_bound on the same (data, strip, T0) then builds the
     # Coefficients pair, and check_bound at 200 heights on another T0 builds
     # one window and one pair, on the cached factor-level pieces, or from
-    # scratch once both caches are emptied; table_row builds no value object
-    # of the bounds, and a second row of that weight checks no T0 and sums no
-    # kernel: it reads both cached halves
+    # scratch once both caches are emptied; table_row builds no window and no
+    # value object of the bounds, but runs the window's float core on its
+    # weight's pieces, so it counts as a cold bound_report's window; a second
+    # row of that weight checks no T0 and sums no kernel: it reads both cached
+    # halves
     from zerobound import bounds, gammabounds, selberg
 
     data, strip = presets.zeta()

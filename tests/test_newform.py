@@ -5,18 +5,21 @@ import random
 import struct
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zerobound import (
     GammaFactor,
     LFunctionData,
     NewformSpec,
     ValidationError,
+    bounds,
     min_admissible_height,
     newform,
     newform_params,
     newform_strip,
     pipeline_constants,
     presets,
+    selberg,
     select_strip,
     table_generate,
     table_row,
@@ -147,6 +150,61 @@ def test_pipeline_constants_are_alike_on_cold_and_warm_caches():
         cold.append(pipeline_constants(spec))
     warm = [pipeline_constants(spec) for spec in specs]
     assert list(map(_bits, warm)) == list(map(_bits, cold))
+
+
+@settings(max_examples=150, deadline=None)
+@given(level=st.integers(1, 10 ** 300), weight=st.integers(1, 2 ** 52 - 8).map(lambda h: 2 * h))
+@example(level=1, weight=2)
+@example(level=1, weight=2 ** 53 - 16)
+@example(level=10 ** 300, weight=2)
+@example(level=10 ** 300, weight=2 ** 53 - 16)
+def test_pipeline_constants_are_the_window_constants(level, weight):
+    # the table computes the window's floats without the datum or the window;
+    # the public bounds take the same floats from the datum's window
+    _assert_window_constants(NewformSpec(level, weight))
+
+
+def test_published_and_seeded_rows_are_the_window_constants():
+    # an ulp of lambda Q^2 reaches the constants' bits for few levels, the
+    # published ones among them, so these run on every pass
+    rng = random.Random(29)
+    for pair in [*PUBLISHED_TABLE] + [(rng.randint(1, 10 ** 6), 2 * rng.randint(1, 64))
+                                   for _ in range(500)]:
+        _assert_window_constants(NewformSpec(*pair))
+
+
+def _assert_window_constants(spec):
+    window = bounds._window(newform_params(spec), newform_strip(), float(spec.min_height))
+    assert [x.hex() for x in pipeline_constants(spec)] == [x.hex() for x in window.constants]
+
+
+def test_a_warm_table_row_builds_no_datum_and_no_window(monkeypatch):
+    # once its weight's datum and pieces are cached, a row, of a level seen
+    # or not, copies no datum (_set_q) and builds no window
+    specs = [NewformSpec(*pair) for pair in PUBLISHED_TABLE]
+    table_generate(specs)
+    calls = []
+    for cls, name in ((bounds._Window, "__init__"), (selberg.LFunctionData, "_set_q")):
+        def counted(*args, _fn=getattr(cls, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    table_generate(specs + [NewformSpec(10 ** 300 + 1, 12), NewformSpec(7, 2)])
+    assert calls == []
+    newform_params(specs[0])  # the counters see the public route
+    assert calls == ["_set_q"]
+
+
+def test_table_leaves_the_window_memo_as_it_was():
+    # the 25 bundled rows used to fill 25 entries of the 16-slot window memo,
+    # evicting the zeta window that constants, bound and verify share
+    data, strip = presets.zeta()
+    zeta_window = bounds._window(data, strip, 16.0)
+    info = bounds._window.cache_info()
+    table_generate([NewformSpec(*pair) for pair in PUBLISHED_TABLE])
+    assert bounds._window.cache_info() == info
+    assert bounds._window(data, strip, 16.0) is zeta_window
 
 
 def _bits(floats):

@@ -136,6 +136,24 @@ def test_datum_with_several_faults_reports_the_first_check_it_fails():
         assert str(err.value) == message, faults
 
 
+@pytest.mark.parametrize("lambda_cap, Q, value", [
+    (1.0, 1e-200, "0.0"), (1.0, 1e200, "inf"), (math.nan, 1.0, "nan"),
+])
+def test_lambda_q2_check_is_the_datum_check(lambda_cap, Q, value):
+    # LFunctionData and the newform table check lambda Q^2 through one helper;
+    # a datum's lambda_cap is finite and positive, so only the helper meets nan
+    from zerobound.selberg import _lambda_q2
+
+    message = f"lambda Q^2 = {value} is not a positive finite float"
+    with pytest.raises(ValidationError) as err:
+        _lambda_q2(lambda_cap, Q)
+    assert str(err.value) == message
+    if value != "nan":
+        with pytest.raises(ValidationError) as err:
+            LFunctionData((GammaFactor(1.0, 0j),), Q=Q, omega=1, k=0, a1=1.0)
+        assert str(err.value) == message
+
+
 def test_oversized_integers_are_validation_errors():
     # float() or complex() of an int past the float range raised a bare OverflowError
     big = 10 ** 400
