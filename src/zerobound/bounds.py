@@ -20,10 +20,10 @@ windows respectively).  All three and bound_report take their window of
 (datum, strip, T0) from the memo _window; the newform table calls the
 window's float core, _window_floats, directly.  Terms that read only the
 gamma factors and the strip come from one cached _factor_pieces entry, and
-terms that also read T0 from _height, which checks T0; only what reads
-log(lambda Q^2) or a1 is computed per window.  Value objects are built at
-the public edge, at most once per window.  Everything is a pure function
-of the datum, the strip, and the heights.
+terms that also read T0 from _height, which checks T0, once per window or
+newform weight; only what reads log(lambda Q^2) or a1 is computed per row
+or window.  Value objects are built at the public edge, at most once per
+window.  Everything is a pure function of the datum, strip and heights.
 """
 
 from __future__ import annotations
@@ -239,8 +239,6 @@ class _FactorPieces:
 _factor_pieces = functools.lru_cache(maxsize=256)(_FactorPieces)
 
 
-#: The 64 latest keys, one per weight of a newform table with kappa <= 64; T0 = 30 and 30.0 differ.
-@functools.lru_cache(maxsize=64, typed=True)
 def _height(p: _FactorPieces, k: int, T0: float) -> tuple:
     """R2(T0)'s _disc_terms, (d / 2 pi) T0 log(T0 / e), T0 / 2 pi, c2's R1 / 2 pi and c3's scales.
 
@@ -254,15 +252,15 @@ def _height(p: _FactorPieces, k: int, T0: float) -> tuple:
             p.c3_scale * T0 * (3.0 * T0 - 4.0 * r) / (2.0 * (T0 - two_r) * (T0 - r)))
 
 
-def _window_floats(p: _FactorPieces, k: int, log_lq2: float, log_a1_zeta2: float,
-                   T0: float) -> tuple:
+def _window_floats(p: _FactorPieces, k: int, log_lq2: float, log_a1_zeta2: float, T0: float,
+                   height: tuple) -> tuple:
     """(heads, alpha, h1, h2, R2(T0), head, constants) of the (T0, T]-window of one datum.
 
     p is the _factor_pieces of its factors and strip; k, log_lq2 and log_a1_zeta2 are its pole
-    order, log(lambda Q^2) and log(a1 pi^2 / 6).  T0 is checked.  The heads choose the branch
-    and enter every R2; head is the main-term pieces at T0; constants are the two triples.
+    order, log(lambda Q^2) and log(a1 pi^2 / 6); height is _height(p, k, T0), which checked
+    T0.  The heads choose the branch and enter every R2; head is the main-term pieces at T0.
     """
-    disc, main, t0_2pi, r1, c3_main, c3_dbl = _height(p, k, T0)
+    disc, main, t0_2pi, r1, c3_main, c3_dbl = height
     heads = _heads(p, k, log_lq2)
     alpha, h1, h2 = _branch(p, heads, T0)
     a1_h1 = log_a1_zeta2 + h1
@@ -295,7 +293,7 @@ class _Window(_Value):
     def __init__(self, data: LFunctionData, strip: StripParams, T0: float) -> None:
         p = _factor_pieces(data.factors, strip)
         heads, alpha, h1, h2, r2_t0, head, constants = _window_floats(
-            p, data.k, data.log_lambda_q2, data.log_a1_zeta2, T0)
+            p, data.k, data.log_lambda_q2, data.log_a1_zeta2, T0, _height(p, data.k, T0))
         self._set(data=data, strip=strip, T0=T0, pieces=p, heads=heads, alpha=alpha, h1=h1,
                   h2=h2, r2_t0=r2_t0, head=head, constants=constants)
 

@@ -8,10 +8,10 @@ runs in floats, so NewformSpec also bounds the sizes: the level must
 convert to a float (N < about 1.8e308) and the height 15 + kappa must be a
 float exactly (kappa <= 2^53 - 16).
 
-pipeline_constants runs the generic window's float core on the weight's
-cached level-1 datum and pieces and the level's log(lambda Q^2): a row builds
-no datum, window or window-memo entry.  An independent route re-stating all
-six constants in (N, kappa) lives with the tests (tests/closed_forms.py).
+pipeline_constants runs the generic window's float core on its weight's one
+cached entry (level-1 datum, pieces, T0 and T0-level terms) and the level's
+log(lambda Q^2): a row builds no datum, window or cache entry.  The tests
+re-state all six constants in (N, kappa) (tests/closed_forms.py).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import functools
 import io
 import math
 
-from .bounds import _factor_pieces, _window_floats, ceil_guarded
+from .bounds import _factor_pieces, _FactorPieces, _height, _window_floats, ceil_guarded
 from .errors import ValidationError, _value_text
 from .selberg import GammaFactor, LFunctionData, StripParams, _lambda_q2, _Value, select_strip
 
@@ -73,22 +73,24 @@ def _conductor(level: int) -> float:
     return math.sqrt(level) / (2.0 * math.pi)
 
 
+#: the strip of every newform (a1 = 1)
+_STRIP = select_strip(1.0)
+
+
 @functools.lru_cache(maxsize=256)
-def _weight_datum(weight: int) -> LFunctionData:
-    """The level-1 datum of weight, checked by LFunctionData; the 256 latest weights are kept."""
+def _weight_datum(weight: int) -> tuple[LFunctionData, _FactorPieces, float, tuple]:
+    """(checked level-1 datum, its pieces, T0 = float(15 + weight), _height at T0); 256 kept."""
     factors = (GammaFactor(1.0, complex((weight - 1) / 2.0, 0.0)),)
-    return LFunctionData(factors, _conductor(1), _I_POWERS[weight % 4], 0, 1.0)
+    datum = LFunctionData(factors, _conductor(1), _I_POWERS[weight % 4], 0, 1.0)
+    pieces, t0 = _factor_pieces(factors, _STRIP), float(15 + weight)
+    return datum, pieces, t0, _height(pieces, datum.k, t0)
 
 
 def newform_params(spec: NewformSpec) -> LFunctionData:
     """The newform's datum: its weight's level-1 datum with Q = sqrt(N) / (2 pi), by _set_q."""
     data = object.__new__(LFunctionData)
-    data._set_q(vars(_weight_datum(spec.weight)), _conductor(spec.level))
+    data._set_q(vars(_weight_datum(spec.weight)[0]), _conductor(spec.level))
     return data
-
-
-#: the strip of every newform (a1 = 1)
-_STRIP = select_strip(1.0)
 
 
 def newform_strip() -> StripParams:
@@ -103,10 +105,9 @@ def newform_strip() -> StripParams:
 
 def pipeline_constants(spec: NewformSpec) -> tuple[float, float, float, float, float, float]:
     """The six pre-ceiling constants: those of newform_params(spec)'s window at min_height."""
-    datum = _weight_datum(spec.weight)
+    datum, pieces, t0, height = _weight_datum(spec.weight)
     log_lq2 = math.log(_lambda_q2(datum.lambda_cap, _conductor(spec.level)))
-    return _window_floats(_factor_pieces(datum.factors, _STRIP), datum.k, log_lq2,
-                          datum.log_a1_zeta2, float(spec.min_height))[-1]
+    return _window_floats(pieces, datum.k, log_lq2, datum.log_a1_zeta2, t0, height)[-1]
 
 
 def table_row(spec: NewformSpec) -> tuple[int, int, int, int, int, int]:
@@ -116,13 +117,12 @@ def table_row(spec: NewformSpec) -> tuple[int, int, int, int, int, int]:
 
 
 def table_generate(specs: list[NewformSpec]) -> str:
-    """CSV document with one row per spec, in input order."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TABLE_HEADER)
+    """CSV document with one row per spec, in input order; int fields need no quoting."""
+    lines = [",".join(TABLE_HEADER)]
     for spec in specs:
-        writer.writerow([spec.level, spec.weight, spec.min_height, *table_row(spec)])
-    return out.getvalue()
+        row = (spec.level, spec.weight, spec.min_height, *table_row(spec))
+        lines.append(",".join(map(str, row)))
+    return "\n".join(lines) + "\n"
 
 
 def read_pairs_csv(text: str) -> list[NewformSpec]:

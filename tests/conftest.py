@@ -10,7 +10,7 @@ DATA_DIR = Path(__file__).parent / "data"
 
 #: every functools cache of the package, as test_every_cache_is_bounded_and_emptied_per_test checks
 CACHES = (
-    bounds._window, bounds._height, bounds._factor_pieces, selberg._factor_pass,
+    bounds._window, bounds._factor_pieces, selberg._factor_pass,
     selberg._tail_sum, newform._weight_datum, cli._build_parser,
 )
 

@@ -555,36 +555,34 @@ def test_each_window_computes_its_t0_pieces_once(monkeypatch):
     # builds the factor-level pieces once (one _factor_pieces miss: its
     # constructor sums the kernels at -b and -b - 1 in one call, and its K,
     # which the window reads, at -(a + 2R) in another), makes one _height
-    # miss and with it one admissibility check of T0, evaluates the branch
+    # call and with it one admissibility check of T0, evaluates the branch
     # heads once, chooses the branch once and builds no value object but its
     # report; check_bound on the same (data, strip, T0) then builds the
     # Coefficients pair, and check_bound at 200 heights on another T0 builds
     # one window and one pair, on the cached factor-level pieces, or from
     # scratch once both caches are emptied; table_row builds no window and no
     # value object of the bounds, but runs the window's float core on its
-    # weight's pieces, so it counts as a cold bound_report's window; a second
-    # row of that weight checks no T0 and sums no kernel: it reads both cached
-    # halves
+    # weight's cached entry, so it counts as a cold bound_report's window; a
+    # second row of that weight checks no T0 and sums no kernel: it reads the
+    # entry's pieces and _height terms
     from zerobound import bounds, gammabounds, selberg
 
     data, strip = presets.zeta()
     zeros = ZeroList((14.134725, 21.02204, 25.010858, 30.424876))
     calls = _count_calls(
-        monkeypatch, gammabounds._kernel_sums, gammabounds._log_interp_peak,
+        monkeypatch, gammabounds._kernel_sums, bounds._height, gammabounds._log_interp_peak,
         bounds._heads, bounds._branch, bounds.branch_constants, selberg._admissible,
         bounds.BranchConstants, bounds.Coefficients,
     )
 
     def counts_of(call):
         calls.update(dict.fromkeys(calls, 0))
-        misses = [cache.cache_info().misses for cache in (bounds._factor_pieces, bounds._height)]
+        misses = bounds._factor_pieces.cache_info().misses
         call()
-        return (calls["_kernel_sums"],
-                *(cache.cache_info().misses - m
-                  for cache, m in zip((bounds._factor_pieces, bounds._height), misses)),
+        return (calls["_kernel_sums"], bounds._factor_pieces.cache_info().misses - misses,
                 *list(calls.values())[1:])
 
-    # (_kernel_sums, _factor_pieces misses, _height misses, _log_interp_peak, _heads, _branch,
+    # (_kernel_sums, _factor_pieces misses, _height, _log_interp_peak, _heads, _branch,
     #  branch_constants, _admissible, BranchConstants, Coefficients)
     once = (2, 1, 1, 1, 1, 1, 0, 1, 0, 0)
     # a check_bound window, cold or on gamma factors and a strip seen before
@@ -619,6 +617,23 @@ def test_bundled_table_computes_the_kernel_sums_once_per_weight(monkeypatch):
     table_generate(specs)
     assert len(specs) == 25 and len({spec.weight for spec in specs}) == 10
     assert calls["_factor_kernels"] == 30
+
+
+def test_a_warm_bundled_table_reads_each_row_from_its_weight_entry(monkeypatch):
+    # once each weight's entry is cached, a row looks up no pieces, computes
+    # no T0-level terms and touches no window
+    from importlib.resources import files
+
+    from zerobound import bounds
+    from zerobound.newform import read_pairs_csv, table_generate
+
+    specs = read_pairs_csv(files("zerobound").joinpath("data/table_pairs.csv").read_text())
+    first = table_generate(specs)
+    calls = _count_calls(monkeypatch, bounds._height)
+    infos = bounds._factor_pieces.cache_info(), bounds._window.cache_info()
+    assert table_generate(specs) == first
+    assert calls["_height"] == 0
+    assert (bounds._factor_pieces.cache_info(), bounds._window.cache_info()) == infos
 
 
 def test_per_piece_bounds_and_a_report_share_one_pieces_entry(monkeypatch, zeta_pair):
@@ -768,8 +783,8 @@ def test_memoized_check_bound_equals_a_fresh_window(window, shift, gaps):
 
 
 def test_check_bound_raises_alike_for_an_inadmissible_t0():
-    # exceptions are not cached: the second call checks T0 again, in the
-    # height-level half; a T0 that cannot be hashed is checked by _window_of
+    # exceptions are not cached: the second call checks T0 again, in
+    # _height; a T0 that cannot be hashed is checked by _window_of
     from zerobound import bounds
 
     data, strip = presets.zeta()
@@ -780,13 +795,12 @@ def test_check_bound_raises_alike_for_an_inadmissible_t0():
             check_bound(data, strip, zeros, 15.0, 100.0)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-    assert bounds._window.cache_info().currsize == bounds._height.cache_info().currsize == 0
+    assert bounds._window.cache_info().currsize == 0
     with pytest.raises(AdmissibilityError) as expected:
         require_admissible(data, strip, [30.0], label="T0")
     with pytest.raises(AdmissibilityError) as err:
         bounds._window_of(data, strip, [30.0])
     assert str(err.value) == str(expected.value)
-    assert bounds._height.cache_info().currsize == 0
 
 
 def test_window_memo_keeps_int_and_float_t0_apart():
@@ -795,9 +809,6 @@ def test_window_memo_keeps_int_and_float_t0_apart():
     data, strip = presets.zeta()
     assert bounds._window(data, strip, 30.0) is bounds._window(data, strip, 30.0)
     assert bounds._window(data, strip, 30) is not bounds._window(data, strip, 30.0)
-    pieces = bounds._factor_pieces(data.factors, strip)
-    assert bounds._height(pieces, data.k, 30) is not bounds._height(pieces, data.k, 30.0)
-    assert bounds._height.cache_info()[:4] == (2, 2, 64, 2)  # (hits, misses, maxsize, currsize)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,7 @@
 """Newform instantiation, table rows, and the dual-path cross-check."""
 
+import csv
+import io
 import math
 import random
 import struct
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zerobound import (
+    BoundaryWarning,
     GammaFactor,
     LFunctionData,
     NewformSpec,
@@ -111,10 +114,12 @@ def test_lambda_q2_is_level_over_four_pi_squared():
 
 def test_data_of_one_weight_share_one_factor_tuple():
     # the tuple is built once per weight, with the weight's level-1 datum, and
-    # kept for the 256 latest weights
+    # kept for the 256 latest weights; the entry's pieces are keyed by that tuple
     same = [newform_params(NewformSpec(level, 12)).factors for level in (1, 11, 389)]
     assert same[0] is same[1] is same[2] == (GammaFactor(1.0, complex(5.5, 0.0)),)
-    assert same[0] is newform._weight_datum(12).factors
+    datum, pieces, t0, _ = newform._weight_datum(12)
+    assert same[0] is datum.factors and type(t0) is float and t0 == 27.0
+    assert pieces is bounds._factor_pieces(same[0], newform_strip())
     assert newform_params(NewformSpec(1, 14)).factors is not same[0]
     for weight in range(2, 2 * 300, 2):
         newform_params(NewformSpec(1, weight))
@@ -266,6 +271,36 @@ def test_level_independence_for_fixed_weight():
         assert row[3] == pytest.approx(base[3], rel=1e-15)  # c1
         assert row[5] == pytest.approx(base[5], rel=1e-15)  # c3
     assert len({round(rows[n][1], 6) for n in rows}) == len(rows)  # cL2 spreads
+
+
+@pytest.mark.parametrize("pair, pre_ceiling, row", [
+    ((1273, 64), "4027.9999993998345", (2163, -4442, 73774, 432, 4028, 8022)),
+    ((5092, 64), "4326.9999993998335", (2163, -4126, 73774, 432, 4327, 8022)),
+])
+def test_a_row_inside_the_ceiling_guard_warns_once(pair, pre_ceiling, row):
+    # levels in the published range whose cL2 sits within CEIL_GUARD below an integer
+    with pytest.warns(BoundaryWarning) as record:
+        assert table_row(NewformSpec(*pair)) == row
+    assert [str(w.message) for w in record] == [
+        f"pre-ceiling value {pre_ceiling} for (N={pair[0]}, kappa={pair[1]}) is within 1e-06 "
+        f"of an integer; the ceiling may be unreliable"
+    ]
+
+
+_SPECS = st.builds(NewformSpec, st.integers(1, 10 ** 300),
+                   st.integers(1, 2 ** 52 - 8).map(lambda h: 2 * h))
+
+
+@pytest.mark.filterwarnings("ignore::zerobound.errors.BoundaryWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_SPECS, max_size=30))
+@example([NewformSpec(1273, 64), NewformSpec(5092, 64), NewformSpec(10 ** 300, 2 ** 53 - 16)])
+def test_table_generate_writes_what_csv_writer_writes(specs):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(TABLE_HEADER)
+    writer.writerows([spec.level, spec.weight, spec.min_height, *table_row(spec)] for spec in specs)
+    assert table_generate(specs) == out.getvalue()
 
 
 def test_table_generate_shapes():

@@ -257,8 +257,8 @@ def test_each_value_stores_its_fields_and_derived_names_only(values, name):
 def test_window_stores_its_fields_and_derived_names_only():
     # floats and a tuple of floats, but the shared pieces; the pieces store K
     # once the window has read it; the window reads its height-level terms
-    # from a _height entry, a tuple of floats and the disc terms' tuple of
-    # floats, which it does not store; the Coefficients pair is stored only
+    # from _height, a tuple of floats and the disc terms' tuple of floats,
+    # which it does not store; the Coefficients pair is stored only
     # once a public function has asked for it
     from zerobound import bounds, selberg
 
@@ -273,7 +273,6 @@ def test_window_stores_its_fields_and_derived_names_only():
     assert all(type(v) is float for k, v in vars(pieces).items() if k not in PIECES[:4])
     assert all(type(x) is float for k in PIECES[2:4] for x in getattr(pieces, k))
     disc, *height = bounds._height(pieces, data.k, 16.0)
-    assert bounds._height.cache_info()[:2] == (1, 1)  # (hits, misses): the window's entry
     assert len(disc) == 4 and len(height) == 5
     assert all(type(x) is float for x in (*disc, *height))
     assert type(window.alpha) is int and all(type(x) is float for x in window.constants)
