@@ -391,7 +391,7 @@ def shifted_constant(c2_main: float, n_plus_T0: int, n_minus_T0: int) -> float:
     n = max(n_plus_T0, n_minus_T0)
     if not n <= _FLOAT_MAX:
         raise ValidationError(f"zero count {_value_text(n)} is too large for a float")
-    if not abs(shifted := _convert(lambda c2: c2 + n, c2_main, "c2_main")) <= _FLOAT_MAX:
+    if not abs(shifted := _convert(lambda c2: float(c2) + n, c2_main, "c2_main")) <= _FLOAT_MAX:
         raise ValidationError(f"c2_main + {n} is not finite, got c2_main = {_value_text(c2_main)}")
     return shifted
 
@@ -408,7 +408,7 @@ def ceil_guarded(x: float, label: str = "") -> int:
         finite = abs(x) <= _FLOAT_MAX  # else round() raises a bare ValueError or OverflowError
         if finite and abs(x - round(x)) >= CEIL_GUARD:
             return math.ceil(x)
-    except TypeError:  # a str, None or a complex
+    except (TypeError, ArithmeticError):  # a str, None or a complex; a Decimal NaN
         finite = False
     named = f" for {_value_text(label)}" if label else ""
     value = f"pre-ceiling value {_value_text(x, repr)}{named}"

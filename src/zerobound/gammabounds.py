@@ -189,7 +189,7 @@ def magnitude_envelope(
     low, high = T - strip.two_r, T + strip.two_r
     try:
         inside = low <= t <= high
-    except TypeError:  # t is no number
+    except (TypeError, ArithmeticError):  # t is no number, or a Decimal NaN
         inside = False
     if not inside:
         raise DomainError(f"t = {_value_text(t, repr)} outside the window [{low}, {high}]")

@@ -74,15 +74,23 @@ def _require_height(value: object, name: str, low: float = -math.inf, error: typ
     """Raise error unless value is a real number with low < value <= high (low <= value if closed).
 
     The package's one range rule, for heights and every other public real.
-    A value that is no number makes the comparison raise TypeError and is
-    refused; only then is a message built.  A low that may come from the
-    caller is named by low_name, and the message compares only an unnamed
-    one, to leave out the "> -inf" of an argument with no lower end.
+    A value that is no number makes the comparison raise TypeError, and a
+    Decimal NaN makes it raise an ArithmeticError; both are refused, and so
+    is a value that passes the comparison but is no numbers.Real (a finite
+    Decimal, which floats do not mix with).  A float or an int skips that
+    last check.  Only a refused value has a message built.  A low that may
+    come from the caller is named by low_name, and the message compares only
+    an unnamed one, to leave out the "> -inf" of an argument with no lower end.
     """
     try:
         if (low <= value if closed else low < value) and value <= high:
-            return
-    except TypeError:  # None, a str, a complex
+            if value.__class__ is float or value.__class__ is int:
+                return
+            from numbers import Real  # imported only for the rarer classes
+
+            if isinstance(value, Real):
+                return
+    except (TypeError, ArithmeticError):  # None, a str, a complex; a Decimal NaN
         pass
     end = f"{low_name} = {_value_text(low, repr)}" if low_name else low
     end = f" {'>=' if closed else '>'} {end}" if low_name or low > -math.inf else ""

@@ -4,27 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from zerobound import bounds, cli, newform, presets, selberg
+import probe
+from zerobound import presets
 
 DATA_DIR = Path(__file__).parent / "data"
-
-#: every functools cache of the package, as test_every_cache_is_bounded_and_emptied_per_test checks
-CACHES = (
-    bounds._window, bounds._factor_pieces, selberg._factor_pass,
-    selberg._tail_sum, newform._weight_datum, cli._build_parser,
-)
-
-
-def empty_caches():
-    """cache_clear() each of CACHES."""
-    for cache in CACHES:
-        cache.cache_clear()
 
 
 @pytest.fixture(autouse=True)
 def empty_memos():
     """Start each test with every cache empty, so call counts start cold."""
-    empty_caches()
+    probe.empty_caches()
 
 
 @pytest.fixture(scope="session")

@@ -2,12 +2,12 @@
 
 import math
 import re
-import sys
 from operator import attrgetter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import probe
 from zerobound import (
     AdmissibilityError,
     BoundaryWarning,
@@ -31,7 +31,6 @@ from zerobound import (
 from zerobound import (
     GammaFactor,
     LFunctionData,
-    NewformSpec,
     StripParams,
     ZeroboundError,
     ZeroList,
@@ -49,7 +48,6 @@ from zerobound import (
     require_admissible,
     select_strip,
     stirling_remainder_bound,
-    table_row,
 )
 
 # frozen by scripts/derive_oracle_values.py
@@ -263,20 +261,23 @@ def test_bounds_that_need_no_left_edge_kernel_sum_hold_on_a_wide_strip(zeta_pair
 def test_a_refused_left_edge_kernel_sum_leaves_its_pieces_cached(zeta_pair):
     # the pieces of the a = 1e12 strip are built once and kept; K is refused
     # on every read, by the pieces, ratio_error_sup or a window, and never stored
-    from zerobound import bounds
-
     data, _ = zeta_pair
     strip = select_strip(1.0, a=1e12)
-    log_integral_bound(data, strip, 1e14, 1e15)
-    pieces = bounds._factor_pieces(data.factors, strip)
-    for read in (lambda: pieces.K, lambda: pieces.sup(1e14), lambda: pieces.K,
-                 lambda: ratio_error_sup(data, strip, 1e14),
-                 lambda: bound_report(data, strip, 1e14, 1e15)):
-        with pytest.raises(DomainError, match="secant"):
-            read()
-        assert "K" not in vars(pieces)
-    assert bounds._factor_pieces(data.factors, strip) is pieces
-    assert bounds._factor_pieces.cache_info()[:2] == (4, 1)  # (hits, misses)
+
+    def read_k_everywhere():
+        log_integral_bound(data, strip, 1e14, 1e15)
+        pieces = probe.pieces(data.factors, strip)
+        for read in (lambda: pieces.K, lambda: pieces.sup(1e14), lambda: pieces.K,
+                     lambda: ratio_error_sup(data, strip, 1e14),
+                     lambda: bound_report(data, strip, 1e14, 1e15)):
+            with pytest.raises(DomainError, match="secant"):
+                read()
+            assert "K" not in vars(pieces)
+        return probe.pieces(data.factors, strip) is pieces
+
+    found, counts = probe.costs(read_k_everywhere)
+    assert found
+    assert (counts["factor pieces"], counts["factor pieces hits"]) == (1, 4)
 
 
 # --- total count error --------------------------------------------------------------------------
@@ -505,17 +506,15 @@ def test_bound_report_derives_each_invariant_once():
     # factor-level pieces from the cache and computes its six constants as
     # floats; the bounds read them and never replace them.  bound_report
     # builds no Coefficients, and check_bound builds the pair once per window
-    from zerobound import bounds
-
     data = LFunctionData(
         factors=(GammaFactor(0.5, 0j),), Q=1.0 / math.sqrt(math.pi), omega=1 + 0j, k=1, a1=1.0
     )
     built = {name: vars(data)[name] for name in INVARIANTS if name in vars(data)}
     assert set(built) == set(INVARIANTS)
     strip = select_strip(1.0)
-    window = bounds._window(data, strip, 16.0)
+    window = probe.window(data, strip, 16.0)
     pieces, constants = window.pieces, window.constants
-    assert pieces is bounds._factor_pieces(data.factors, strip)
+    assert pieces is probe.pieces(data.factors, strip)
     first = bound_report(data, strip, 16.0, 100.0)
     assert bound_report(data, strip, 16.0, 100.0) == first
     assert first.R_total == pytest.approx(RTOT_ZETA_16_100, rel=1e-12)
@@ -532,141 +531,6 @@ def test_bound_report_derives_each_invariant_once():
     assert (first.c1_main, first.c1_dbl) == (pieces.c1_main, pieces.c1_dbl)
     assert _report_fields(first)[-6:] == constants
     assert tuple(map(_coefficient_fields, coefficients)) == (constants[:3], constants[3:])
-
-
-def _count_calls(monkeypatch, *functions):
-    """Wrap each function wherever a zerobound module binds it; return the live call counts."""
-    calls = {fn.__name__: 0 for fn in functions}
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "zerobound"]
-    for fn in functions:
-        def counted(*args, _fn=fn, **kwargs):
-            calls[_fn.__name__] += 1
-            return _fn(*args, **kwargs)
-
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
-
-
-def test_each_window_computes_its_t0_pieces_once(monkeypatch):
-    # every public bound takes its window from one memo: a cold bound_report
-    # builds the factor-level pieces once (one _factor_pieces miss: its
-    # constructor sums the kernels at -b and -b - 1 in one call, and its K,
-    # which the window reads, at -(a + 2R) in another), makes one _height
-    # call and with it one admissibility check of T0, evaluates the branch
-    # heads once, chooses the branch once and builds no value object but its
-    # report; check_bound on the same (data, strip, T0) then builds the
-    # Coefficients pair, and check_bound at 200 heights on another T0 builds
-    # one window and one pair, on the cached factor-level pieces, or from
-    # scratch once both caches are emptied; table_row builds no window and no
-    # value object of the bounds, but runs the window's float core on its
-    # weight's cached entry, so it counts as a cold bound_report's window; a
-    # second row of that weight checks no T0 and sums no kernel: it reads the
-    # entry's pieces and _height terms
-    from zerobound import bounds, gammabounds, selberg
-
-    data, strip = presets.zeta()
-    zeros = ZeroList((14.134725, 21.02204, 25.010858, 30.424876))
-    calls = _count_calls(
-        monkeypatch, gammabounds._kernel_sums, bounds._height, gammabounds._log_interp_peak,
-        bounds._heads, bounds._branch, bounds.branch_constants, selberg._admissible,
-        bounds.BranchConstants, bounds.Coefficients,
-    )
-
-    def counts_of(call):
-        calls.update(dict.fromkeys(calls, 0))
-        misses = bounds._factor_pieces.cache_info().misses
-        call()
-        return (calls["_kernel_sums"], bounds._factor_pieces.cache_info().misses - misses,
-                *list(calls.values())[1:])
-
-    # (_kernel_sums, _factor_pieces misses, _height, _log_interp_peak, _heads, _branch,
-    #  branch_constants, _admissible, BranchConstants, Coefficients)
-    once = (2, 1, 1, 1, 1, 1, 0, 1, 0, 0)
-    # a check_bound window, cold or on gamma factors and a strip seen before
-    once_with_pair = (2, 1, 1, 1, 1, 1, 0, 1, 0, 2)
-    known_factors_with_pair = (0, 0, 1, 1, 1, 1, 0, 1, 0, 2)
-    assert counts_of(lambda: bound_report(data, strip, 16.0, 100.0)) == once, calls
-    assert counts_of(lambda: check_bound(data, strip, zeros, 16.0, 100.0)) == (0,) * 9 + (2,), calls
-    assert counts_of(lambda: check_bound(data, strip, zeros, 16.0, 30.0)) == (0,) * 10, calls
-    heights = [21.0 + 0.5 * i for i in range(200)]
-
-    def scan():
-        return [check_bound(data, strip, zeros, 20.0, t) for t in heights]
-
-    assert counts_of(scan) == known_factors_with_pair, calls
-    bounds._window.cache_clear()
-    bounds._factor_pieces.cache_clear()
-    assert counts_of(scan) == once_with_pair, calls
-    assert counts_of(lambda: table_row(NewformSpec(1, 12))) == once, calls
-    assert counts_of(lambda: table_row(NewformSpec(11, 12))) == (0, 0, 0, 1, 1, 1, 0, 0, 0, 0), calls
-
-
-def test_bundled_table_computes_the_kernel_sums_once_per_weight(monkeypatch):
-    # the 25 rows have 10 distinct weights, so 10 distinct gamma factors, and
-    # each evaluates the factor kernels at its three real parts once
-    from importlib.resources import files
-
-    from zerobound import gammabounds
-    from zerobound.newform import read_pairs_csv, table_generate
-
-    specs = read_pairs_csv(files("zerobound").joinpath("data/table_pairs.csv").read_text())
-    calls = _count_calls(monkeypatch, gammabounds._factor_kernels)
-    table_generate(specs)
-    assert len(specs) == 25 and len({spec.weight for spec in specs}) == 10
-    assert calls["_factor_kernels"] == 30
-
-
-def test_a_warm_bundled_table_reads_each_row_from_its_weight_entry(monkeypatch):
-    # once each weight's entry is cached, a row looks up no pieces, computes
-    # no T0-level terms and touches no window
-    from importlib.resources import files
-
-    from zerobound import bounds
-    from zerobound.newform import read_pairs_csv, table_generate
-
-    specs = read_pairs_csv(files("zerobound").joinpath("data/table_pairs.csv").read_text())
-    first = table_generate(specs)
-    calls = _count_calls(monkeypatch, bounds._height)
-    infos = bounds._factor_pieces.cache_info(), bounds._window.cache_info()
-    assert table_generate(specs) == first
-    assert calls["_height"] == 0
-    assert (bounds._factor_pieces.cache_info(), bounds._window.cache_info()) == infos
-
-
-def test_per_piece_bounds_and_a_report_share_one_pieces_entry(monkeypatch, zeta_pair):
-    # on cold caches, the five per-piece bounds and a bound_report build the
-    # factor-level pieces once: two kernel sums in the constructor, and K on
-    # the first read
-    from zerobound import bounds, gammabounds
-
-    data, strip = zeta_pair
-    calls = _count_calls(monkeypatch, gammabounds._factor_kernels)
-    log_integral_bound(data, strip, 16.0, 100.0)
-    integrated_ratio_error(data, strip, 16.0, 100.0)
-    branch_constants(data, strip, 16.0)
-    assert calls["_factor_kernels"] == 2
-    ratio_error_sup(data, strip, 30.0)
-    disc_count_bound(data, strip, 30.0)
-    bound_report(data, strip, 16.0, 100.0)
-    assert calls["_factor_kernels"] == 3
-    assert bounds._factor_pieces.cache_info()[:2] == (5, 1)  # (hits, misses)
-
-
-def test_bundled_table_computes_the_trivial_zero_window_once_per_weight(monkeypatch):
-    # the window pieces cached per gamma factors and strip carry the allowance
-    from importlib.resources import files
-
-    from zerobound import bounds
-    from zerobound.newform import read_pairs_csv, table_generate
-
-    specs = read_pairs_csv(files("zerobound").joinpath("data/table_pairs.csv").read_text())
-    calls = _count_calls(monkeypatch, bounds.trivial_zero_window)
-    table_generate(specs)
-    assert len({spec.weight for spec in specs}) == 10
-    assert calls["trivial_zero_window"] == 10
 
 
 def _or_zero(floats):
@@ -748,9 +612,6 @@ def test_memoized_check_bound_equals_a_fresh_window(window, shift, gaps):
     # both misses and hits; check_bound and the four public bounds, called in
     # an order that rotates which of them meets a key first, all match a
     # window built afresh
-    from zerobound import bounds
-    from zerobound.bounds import _Window
-
     data, strip, t0, _ = window
     zeros = ZeroList((t0 * 1.5, t0 * 3.0))
     for i, gap in enumerate(gaps * 2):
@@ -769,8 +630,8 @@ def test_memoized_check_bound_equals_a_fresh_window(window, shift, gaps):
         ]
         order = [(i + j) % len(memoized) for j in range(len(memoized))]
         got = {j: _bits(memoized[j]()) for j in order}
-        bounds._factor_pieces.cache_clear()  # the fresh window computes its factor-level pieces too
-        fresh = _Window(data, strip, T0)
+        probe.empty_caches("factor pieces")  # the fresh window computes its pieces too
+        fresh = probe.Window(data, strip, T0)
         main, dbl = fresh.coefficients
         expected = [
             (fresh.at(T)[2], main.evaluate(T)),
@@ -783,10 +644,8 @@ def test_memoized_check_bound_equals_a_fresh_window(window, shift, gaps):
 
 
 def test_check_bound_raises_alike_for_an_inadmissible_t0():
-    # exceptions are not cached: the second call checks T0 again, in
-    # _height; a T0 that cannot be hashed is checked by _window_of
-    from zerobound import bounds
-
+    # exceptions are not cached (test_costs.RAISING): the second call checks
+    # T0 again; a T0 that cannot be hashed is checked by the window lookup
     data, strip = presets.zeta()
     zeros = ZeroList((20.0,))
     messages = []
@@ -795,20 +654,17 @@ def test_check_bound_raises_alike_for_an_inadmissible_t0():
             check_bound(data, strip, zeros, 15.0, 100.0)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-    assert bounds._window.cache_info().currsize == 0
     with pytest.raises(AdmissibilityError) as expected:
         require_admissible(data, strip, [30.0], label="T0")
     with pytest.raises(AdmissibilityError) as err:
-        bounds._window_of(data, strip, [30.0])
+        probe.window_of(data, strip, [30.0])
     assert str(err.value) == str(expected.value)
 
 
 def test_window_memo_keeps_int_and_float_t0_apart():
-    from zerobound import bounds
-
     data, strip = presets.zeta()
-    assert bounds._window(data, strip, 30.0) is bounds._window(data, strip, 30.0)
-    assert bounds._window(data, strip, 30) is not bounds._window(data, strip, 30.0)
+    assert probe.window(data, strip, 30.0) is probe.window(data, strip, 30.0)
+    assert probe.window(data, strip, 30) is not probe.window(data, strip, 30.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -816,9 +672,6 @@ def test_window_memo_keeps_int_and_float_t0_apart():
 def test_data_differing_in_the_sign_of_a_zero_share_bit_identical_windows(window):
     # such data compare and hash equal, so they share a memoized window;
     # both windows here are built cold
-    from zerobound import bounds
-    from zerobound.bounds import _Window
-
     data, strip, t0, t = window
 
     def zero_imaginary_parts(sign):
@@ -828,16 +681,14 @@ def test_data_differing_in_the_sign_of_a_zero_share_bit_identical_windows(window
 
     plus, minus = zero_imaginary_parts(1.0), zero_imaginary_parts(-1.0)
     assert plus == minus and hash(plus) == hash(minus)
-    plus_bits = _window_bits(_Window(plus, strip, t0), t)
-    bounds._factor_pieces.cache_clear()
-    assert plus_bits == _window_bits(_Window(minus, strip, t0), t)
+    plus_bits = _window_bits(probe.Window(plus, strip, t0), t)
+    probe.empty_caches("factor pieces")
+    assert plus_bits == _window_bits(probe.Window(minus, strip, t0), t)
 
 
 def test_sign_twins_store_plus_zero_extremes_of_re_mu_in_either_order():
     # every Re(mu) is a zero, so both extremes are; the datum built second
     # finds its twin's factor-pass entry, and either way each stores +0.0
-    from zerobound import selberg
-
     strip = select_strip(1.0)
 
     def datum(sign):
@@ -847,9 +698,9 @@ def test_sign_twins_store_plus_zero_extremes_of_re_mu_in_either_order():
 
     bits = []
     for order in ((-1.0, 1.0), (1.0, -1.0)):
-        selberg._factor_pass.cache_clear()
-        built = [datum(sign) for sign in order]
-        assert selberg._factor_pass.cache_info()[:2] == (1, 1)  # (hits, misses)
+        probe.empty_caches("factor pass")
+        built, counts = probe.costs(lambda: [datum(sign) for sign in order])
+        assert (counts["factor pass"], counts["factor pass hits"]) == (1, 1)
         for data in built:
             assert (data.re_mu_min.hex(), data.re_mu_max.hex()) == ("0x0.0p+0", "0x0.0p+0")
             bits.append(trivial_zero_window(data, strip).hex())
@@ -890,16 +741,15 @@ def test_warm_and_cold_window_pieces_are_bit_identical(window, log_q, angle, k, 
 def _assert_shared_pieces_are_datum_free(first, second, strip):
     """Two (datum, T0, T) on the same gamma factors and strip share one _factor_pieces entry,
     and each window, its fields and its BoundReport fields, equals one built cold."""
-    from zerobound import bounds
-    from zerobound.bounds import _Window
-
-    bounds._factor_pieces.cache_clear()
-    warm = [_Window(data, strip, T0) for data, T0, _ in (first, second)]
-    assert bounds._factor_pieces.cache_info()[:2] == (1, 1)  # the second found the first's pieces
+    probe.empty_caches("factor pieces")
+    warm, counts = probe.costs(lambda: [probe.Window(data, strip, T0)
+                                        for data, T0, _ in (first, second)])
+    # the second found the first's pieces
+    assert (counts["factor pieces"], counts["factor pieces hits"]) == (1, 1)
     assert warm[0].pieces is warm[1].pieces
     for window, (data, T0, T) in zip(warm, (first, second)):
-        bounds._factor_pieces.cache_clear()
-        cold = _Window(data, strip, T0)
+        probe.empty_caches("factor pieces")
+        cold = probe.Window(data, strip, T0)
         assert cold.pieces is not window.pieces
         assert _window_bits(window, T) == _window_bits(cold, T)
 
@@ -909,104 +759,30 @@ def test_factor_pieces_hold_no_datum_level_value():
     # at T0 = 55 and Q = 10 the reflection branch, so a datum-level value
     # cached with the pieces would show in one of the two windows; the branch
     # constants read the pieces without their left-edge kernel sum K
-    from zerobound import bounds
-
     strip = select_strip(1.0)
     data = [LFunctionData((GammaFactor(0.5, 10j),), Q, 1, 0, 1.0) for Q in (1.0, 10.0)]
     assert [branch_constants(d, strip, 55.0).alpha for d in data] == [1, 0]
-    assert "K" not in vars(bounds._factor_pieces(data[0].factors, strip))
+    assert "K" not in vars(probe.pieces(data[0].factors, strip))
     _assert_shared_pieces_are_datum_free((data[0], 55.0, 1000.0), (data[1], 55.0, 1000.0), strip)
     _assert_shared_pieces_are_datum_free((data[1], 55.0, 80.0), (data[0], 60.0, 1e6), strip)
 
 
 # --- the caches --------------------------------------------------------------------------
 
-def test_every_cache_is_bounded_and_emptied_per_test(zeta_pair):
-    # the functools caches found in the zerobound module dicts are the ones the
-    # autouse fixture empties; each holds a bounded number of entries, but the
-    # parser cache, whose function takes no arguments
+def test_every_cache_is_bounded_and_emptied_per_test():
+    # the functools caches found in the zerobound module dicts are the probe's, which the
+    # autouse fixture empties; each holds a bounded number of entries, but the parser
+    # cache, whose function takes no arguments; test_costs.FILL fills each bounded one
     import inspect
 
-    from conftest import CACHES, empty_caches
+    from test_costs import FILL
 
-    from zerobound import cli
-    from zerobound.newform import pipeline_constants
-
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "zerobound"]
-    found = {
-        id(value): value
-        for module in modules for value in vars(module).values()
-        if callable(getattr(value, "cache_info", None))
-    }
-    assert sorted(found) == sorted(map(id, CACHES)), [c.__qualname__ for c in found.values()]
-    data, strip = zeta_pair
-    bound_report(data, strip, 20.0, 100.0)
-    pipeline_constants(NewformSpec(1, 12))
-    select_strip(2.0)  # the calls above reuse strips selected before the caches were emptied
-    cli._build_parser()
-    assert all(cache.cache_info().currsize for cache in CACHES)
-    empty_caches()
-    assert [cache.cache_info().currsize for cache in CACHES] == [0] * len(CACHES)
-    for cache in CACHES:
-        if cache is cli._build_parser:
-            assert cache.cache_info().maxsize is None
-            assert not inspect.signature(cache.__wrapped__).parameters
-        else:
-            assert cache.cache_info().maxsize is not None, cache.__qualname__
-
-
-def test_factor_pieces_memo_never_exceeds_its_bound():
-    # more distinct gamma factors than the cache holds: the least recently used go first
-    from zerobound import bounds
-    from zerobound.newform import pipeline_constants
-
-    size = bounds._factor_pieces.cache_info().maxsize
-    specs = [NewformSpec(1, 2 * i) for i in range(1, size + 41)]
-    for spec in specs:
-        pipeline_constants(spec)
-        assert bounds._factor_pieces.cache_info().currsize <= size
-    assert bounds._factor_pieces.cache_info().currsize == size
-    misses = bounds._factor_pieces.cache_info().misses
-    pipeline_constants(specs[-1])
-    assert bounds._factor_pieces.cache_info().misses == misses
-    pipeline_constants(specs[0])
-    assert bounds._factor_pieces.cache_info().misses == misses + 1
-    assert bounds._factor_pieces.cache_info().currsize == size
-
-
-def test_factor_pieces_memo_keeps_its_bound_and_results_under_threads():
-    # four threads add and evict entries at once, with a short switch interval
-    import threading
-
-    from zerobound import bounds
-    from zerobound.newform import pipeline_constants
-
-    size = bounds._factor_pieces.cache_info().maxsize
-    specs = [NewformSpec(1, 2 * i) for i in range(1, size + 41)]
-    expected = [pipeline_constants(spec) for spec in specs]
-    bounds._window.cache_clear()
-    bounds._factor_pieces.cache_clear()
-    results, sizes = {}, []
-
-    def work(offset):
-        order = specs[offset:] + specs[:offset]
-        got = []
-        for spec in order:
-            got.append(pipeline_constants(spec))
-            sizes.append(bounds._factor_pieces.cache_info().currsize)
-        results[offset] = got[-offset:] + got[:-offset] if offset else got
-
-    threads = [threading.Thread(target=work, args=(70 * i,)) for i in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert sorted(results) == [0, 70, 140, 210]
-    assert all(got == expected for got in results.values())
-    assert max(sizes) <= size
+    assert sorted(probe.package_caches()) == sorted(map(id, probe.CACHES.values()))
+    assert sorted(FILL) == sorted(name for name in probe.CACHES if probe.maxsize(name))
+    for fill in FILL.values():
+        fill(0)
+    probe.CACHES["parser"]()
+    assert all(map(probe.size, probe.CACHES))
+    probe.empty_caches()
+    assert [probe.size(name) for name in probe.CACHES] == [0] * len(probe.CACHES)
+    assert not inspect.signature(probe.CACHES["parser"].__wrapped__).parameters

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zerobound import cli, presets
+import probe
+from zerobound import presets
 from zerobound.cli import main
 from zerobound.selberg import document_dict
 
@@ -285,20 +286,6 @@ def test_table_out_file(tmp_path, capsys):
     assert target.read_text().startswith("N,kappa,T0,")
 
 
-#: the import check CI's stdlib-only step runs: the CLI's import leaves out the
-#: modules only some commands need (or none: the value types are not dataclasses,
-#: and read their fields from __init__'s code object, not through inspect); nor
-#: does it build the argument parser, which only main needs
-IMPORT_CHECK = (
-    "import zerobound.cli, sys; "
-    "loaded = {'ast', 'dataclasses', 'dis', 'importlib.resources', 'inspect', 'typing'} "
-    "& set(sys.modules); "
-    "built = zerobound.cli._build_parser.cache_info().currsize; "
-    "sys.exit(f'import zerobound.cli loaded {sorted(loaded)}, built {built} parsers' "
-    "if loaded or built else 0)"
-)
-
-
 #: the table check CI's stdlib-only step runs, its stdout compared with
 #: perfbench/ref/table.out: the bundled pairs are read with a plain open
 TABLE_CHECK = (
@@ -318,7 +305,7 @@ def _run_stdlib_child(check: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_loads_no_dataclasses_resources_or_inspect():
-    done = _run_stdlib_child(IMPORT_CHECK)
+    done = _run_stdlib_child(probe.IMPORT_CHECK)
     assert (done.returncode, done.stderr) == (0, "")
 
 
@@ -500,14 +487,6 @@ GOLDEN_RUNS = [
     (Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "table.out",
      ["table", "--preset", "newform"]),
 ]
-
-
-def test_parser_is_built_once_per_process(capsys):
-    cli._build_parser.cache_clear()
-    for _, argv in GOLDEN_RUNS * 2:
-        code, _, _ = run_cli(capsys, *argv)
-        assert code == 0
-    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_a_bad_call_leaves_the_next_good_one_unchanged(capsys, monkeypatch, tmp_path):

@@ -9,20 +9,18 @@ import struct
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import probe
 from zerobound import (
     BoundaryWarning,
     GammaFactor,
     LFunctionData,
     NewformSpec,
     ValidationError,
-    bounds,
     min_admissible_height,
-    newform,
     newform_params,
     newform_strip,
     pipeline_constants,
     presets,
-    selberg,
     select_strip,
     table_generate,
     table_row,
@@ -114,16 +112,13 @@ def test_lambda_q2_is_level_over_four_pi_squared():
 
 def test_data_of_one_weight_share_one_factor_tuple():
     # the tuple is built once per weight, with the weight's level-1 datum, and
-    # kept for the 256 latest weights; the entry's pieces are keyed by that tuple
+    # kept with its entry (test_costs.FILL); the entry's pieces are keyed by that tuple
     same = [newform_params(NewformSpec(level, 12)).factors for level in (1, 11, 389)]
     assert same[0] is same[1] is same[2] == (GammaFactor(1.0, complex(5.5, 0.0)),)
-    datum, pieces, t0, _ = newform._weight_datum(12)
+    datum, pieces, t0, _ = probe.weight_entry(12)
     assert same[0] is datum.factors and type(t0) is float and t0 == 27.0
-    assert pieces is bounds._factor_pieces(same[0], newform_strip())
+    assert pieces is probe.pieces(same[0], newform_strip())
     assert newform_params(NewformSpec(1, 14)).factors is not same[0]
-    for weight in range(2, 2 * 300, 2):
-        newform_params(NewformSpec(1, weight))
-    assert newform._weight_datum.cache_info().currsize == 256
 
 
 @pytest.mark.parametrize("weight", [2, 4, 12, 2 ** 53 - 16])
@@ -143,15 +138,13 @@ def test_datum_from_the_weight_template_equals_the_checked_datum(level, weight):
 def test_pipeline_constants_are_alike_on_cold_and_warm_caches():
     # the 25 published rows and 200 seeded pairs, each first with every cache
     # emptied, then all again with the per-weight caches filled
-    from conftest import empty_caches
-
     rng = random.Random(27)
     specs = [NewformSpec(*pair) for pair in PUBLISHED_TABLE] + [
         NewformSpec(rng.randint(1, 10 ** 4), 2 * rng.randint(1, 32)) for _ in range(200)
     ]
     cold = []
     for spec in specs:
-        empty_caches()
+        probe.empty_caches()
         cold.append(pipeline_constants(spec))
     warm = [pipeline_constants(spec) for spec in specs]
     assert list(map(_bits, warm)) == list(map(_bits, cold))
@@ -179,37 +172,8 @@ def test_published_and_seeded_rows_are_the_window_constants():
 
 
 def _assert_window_constants(spec):
-    window = bounds._window(newform_params(spec), newform_strip(), float(spec.min_height))
+    window = probe.window(newform_params(spec), newform_strip(), float(spec.min_height))
     assert [x.hex() for x in pipeline_constants(spec)] == [x.hex() for x in window.constants]
-
-
-def test_a_warm_table_row_builds_no_datum_and_no_window(monkeypatch):
-    # once its weight's datum and pieces are cached, a row, of a level seen
-    # or not, copies no datum (_set_q) and builds no window
-    specs = [NewformSpec(*pair) for pair in PUBLISHED_TABLE]
-    table_generate(specs)
-    calls = []
-    for cls, name in ((bounds._Window, "__init__"), (selberg.LFunctionData, "_set_q")):
-        def counted(*args, _fn=getattr(cls, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(cls, name, counted)
-    table_generate(specs + [NewformSpec(10 ** 300 + 1, 12), NewformSpec(7, 2)])
-    assert calls == []
-    newform_params(specs[0])  # the counters see the public route
-    assert calls == ["_set_q"]
-
-
-def test_table_leaves_the_window_memo_as_it_was():
-    # the 25 bundled rows used to fill 25 entries of the 16-slot window memo,
-    # evicting the zeta window that constants, bound and verify share
-    data, strip = presets.zeta()
-    zeta_window = bounds._window(data, strip, 16.0)
-    info = bounds._window.cache_info()
-    table_generate([NewformSpec(*pair) for pair in PUBLISHED_TABLE])
-    assert bounds._window.cache_info() == info
-    assert bounds._window(data, strip, 16.0) is zeta_window
 
 
 def _bits(floats):
@@ -218,20 +182,6 @@ def _bits(floats):
 
 def test_newform_strip_is_select_strip_at_unit_coefficient():
     assert newform_strip() == select_strip(1.0)
-
-
-def test_table_selects_the_strip_once_per_process(monkeypatch):
-    calls = []
-
-    def counting_select_strip(a1, a=None, b=None):
-        calls.append(a1)
-        return select_strip(a1, a, b)
-
-    monkeypatch.setattr(newform, "select_strip", counting_select_strip)
-    specs = [NewformSpec(*pair) for pair in PUBLISHED_TABLE]
-    first = table_generate(specs)
-    assert table_generate(specs) == first
-    assert calls == []  # the module selected it when imported
 
 
 def test_min_height_matches_spec_property():

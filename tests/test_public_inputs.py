@@ -7,6 +7,7 @@ public function or parameter joins the test without an edit here.
 import inspect
 import math
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import zerobound
@@ -27,7 +28,7 @@ _RESULTS = ("AdmissibleHeight", "BoundReport", "BranchConstants", "Coefficients"
 _VALUE_OBJECTS = ("data", "strip", "spec", "zeros", "specs", "factors", "obj")
 
 HOSTILE = (None, "1", b"1", 1 + 2j, math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400,
-           True, [1.0], object())
+           True, [1.0], object(), Decimal("NaN"))
 
 
 def _valid():
@@ -60,7 +61,8 @@ def _public_callables():
 
 
 def test_every_public_argument_refuses_hostile_values():
-    # each hostile value in each non-value-object parameter, the others valid:
+    # each hostile value, and a Decimal of the valid value where that is a
+    # real, in each non-value-object parameter, the others valid:
     # the call returns or raises a ZeroboundError; only load_zeros on a path
     # that names no file raises OSError, which the CLI turns into exit 1
     valid = _valid()
@@ -73,7 +75,9 @@ def test_every_public_argument_refuses_hostile_values():
             if param in _VALUE_OBJECTS:
                 continue
             unhashable = _Unhashable(base[param] if type(base[param]) is float else 1.0)
-            for value in (*HOSTILE, unhashable):
+            # a Decimal of the valid real compares with floats, but no float arithmetic takes it
+            decimal = (Decimal(base[param]),) if type(base[param]) in (int, float) else ()
+            for value in (*HOSTILE, unhashable, *decimal):
                 calls += 1
                 try:
                     with warnings.catch_warnings():

@@ -3,13 +3,13 @@
 import cmath
 import json
 import math
-import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import probe
 from zerobound import (
     DomainError,
     GammaFactor,
@@ -24,9 +24,7 @@ from zerobound import (
     select_strip,
     tail_sum,
 )
-from zerobound.selberg import (
-    _TAIL_TERMS, _constraints, _pole_window, _tail_sum, _thresholds, document_dict,
-)
+from zerobound.selberg import _TAIL_TERMS, _constraints, _pole_window, _thresholds, document_dict
 
 from test_bounds import _flip_zero, _or_zero
 
@@ -257,10 +255,8 @@ def test_datum_hash_is_stored_at_construction(nf12_pair, monkeypatch):
     # (two window-memo lookups per checked height) does not hash its factors
     data, _ = nf12_pair
     assert hash(data) == hash((data.factors, data.Q, data.omega, data.k, data.a1))
-    calls = []
-    monkeypatch.setattr(GammaFactor, "__hash__", lambda self: calls.append(self) or 0)
+    monkeypatch.setattr(GammaFactor, "__hash__", lambda self: pytest.fail("hashed a factor"))
     hash(data)
-    assert calls == []
 
 
 def test_gamma_factor_hash_is_stored_at_construction():
@@ -449,109 +445,25 @@ def test_datum_on_a_memoized_twin_tuple_has_the_bits_of_a_cold_one(params, log_q
     # the twin tuple flips the sign of every zero part of mu, so it compares
     # equal and is the cache key the datum finds; every invariant, the extremes
     # of Re(mu) included, has the bits of the same datum built on an empty cache
-    from zerobound import selberg
-
     factors = tuple(GammaFactor(lam, complex(re, im)) for lam, re, im in params)
     twin = tuple(
         GammaFactor(f.lam, complex(_flip_zero(f.mu.real), _flip_zero(f.mu.imag))) for f in factors
     )
     args = math.exp(log_q), cmath.exp(1j * theta), k, a1
-    selberg._factor_pass.cache_clear()
-    try:
-        LFunctionData(twin, *args)
-    except ValidationError:
-        assume(False)
-    warm = LFunctionData(factors, *args)
-    assert selberg._factor_pass.cache_info()[:2] == (1, 1)  # (hits, misses): the twin's entry
-    selberg._factor_pass.cache_clear()
+
+    def twin_then_warm():
+        try:
+            LFunctionData(twin, *args)
+        except ValidationError:
+            return None
+        return LFunctionData(factors, *args)
+
+    probe.empty_caches("factor pass")
+    warm, counts = probe.costs(twin_then_warm)
+    assume(warm is not None)
+    assert (counts["factor pass"], counts["factor pass hits"]) == (1, 1)  # the twin's entry
+    probe.empty_caches("factor pass")
     assert _invariant_bits(warm) == _invariant_bits(LFunctionData(factors, *args))
-
-
-def _distinct_factor_tuples(n):
-    """n distinct one-factor tuples."""
-    return [(GammaFactor(1.0, complex(0.5 * i, 0.25)),) for i in range(n)]
-
-
-def test_factor_memo_never_exceeds_its_bound():
-    # more distinct factor tuples than the cache holds: the least recently used
-    # go first, and a revisit gives the bits of the first visit
-    from zerobound import selberg
-
-    size = selberg._factor_pass.cache_info().maxsize
-    tuples = _distinct_factor_tuples(size + 40)
-    first = []
-    for factors in tuples:
-        first.append(_invariant_bits(LFunctionData(factors, 0.7, 1, 0, 1.0)))
-        assert selberg._factor_pass.cache_info().currsize <= size
-    assert selberg._factor_pass.cache_info().currsize == size
-    misses = []
-    for i in (-1, 0, 1, -1):
-        before = selberg._factor_pass.cache_info().misses
-        assert _invariant_bits(LFunctionData(tuples[i], 0.7, 1, 0, 1.0)) == first[i]
-        misses.append(selberg._factor_pass.cache_info().misses - before)
-    assert misses == [0, 1, 1, 0]  # the last was kept, the first two were dropped
-    assert selberg._factor_pass.cache_info().currsize == size
-
-
-def test_raising_factor_pass_caches_nothing():
-    from zerobound import selberg
-
-    for factors in ((GammaFactor(0.1, 1.0),), (GammaFactor(200.0, 0j),)):
-        with pytest.raises(ValidationError):
-            LFunctionData(factors, 1.0, 1, 0, 1.0)
-    info = selberg._factor_pass.cache_info()
-    assert (info.misses, info.currsize) == (2, 0)
-
-
-def test_factor_memo_keeps_its_bound_and_results_under_threads():
-    # four threads add and evict entries at once, with a short switch interval
-    import sys
-    import threading
-
-    from zerobound import selberg
-
-    size = selberg._factor_pass.cache_info().maxsize
-    tuples = _distinct_factor_tuples(size + 40)
-    expected = [_invariant_bits(LFunctionData(f, 0.7, 1, 0, 1.0)) for f in tuples]
-    selberg._factor_pass.cache_clear()
-    results, sizes = {}, []
-
-    def work(offset):
-        order = tuples[offset:] + tuples[:offset]
-        got = []
-        for factors in order:
-            got.append(_invariant_bits(LFunctionData(factors, 0.7, 1, 0, 1.0)))
-            sizes.append(selberg._factor_pass.cache_info().currsize)
-        results[offset] = got[-offset:] + got[:-offset] if offset else got
-
-    threads = [threading.Thread(target=work, args=(70 * i,)) for i in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert sorted(results) == [0, 70, 140, 210]
-    assert all(got == expected for got in results.values())
-    assert max(sizes) <= size
-
-
-def test_bundled_table_runs_the_factor_pass_once_per_weight():
-    # the 25 rows have 10 distinct weights, so 10 distinct factor tuples; each
-    # row built its datum, and ran the pass, anew before the cache
-    from importlib.resources import files
-
-    from zerobound import selberg
-    from zerobound.newform import read_pairs_csv, table_generate
-
-    specs = read_pairs_csv(files("zerobound").joinpath("data/table_pairs.csv").read_text())
-    table_generate(specs)
-    assert len(specs) == 25 and len({spec.weight for spec in specs}) == 10
-    assert selberg._factor_pass.cache_info().misses == 10
 
 
 # --- tail sums ----------------------------------------------------------------
@@ -627,32 +539,13 @@ def test_tail_sum_decreasing_at_low_exponent():
 
 def test_tail_sum_memo_gives_equal_bits_and_a_float_in_either_call_order():
     # the memo is keyed by the float (x, a1), whichever call filled the entry
+    cold = tail_sum(3.0, 1.0)
     for first, second in (((3, 1), (3.0, 1.0)), ((3.0, 1.0), (3, 1))):
-        _tail_sum.cache_clear()
-        values = [tail_sum(*first), tail_sum(*second)]
+        probe.empty_caches("tail sum")
+        values, counts = probe.costs(lambda: [tail_sum(*first), tail_sum(*second)])
         assert [type(v) for v in values] == [float, float]
-        assert values[0].hex() == values[1].hex() == _tail_sum.__wrapped__(3.0, 1.0).hex()
-        assert _tail_sum.cache_info()[:2] == (1, 1)  # (hits, misses)
-
-
-def test_a_raising_tail_sum_caches_nothing():
-    tail_sum(3.0, 1.0)
-    before = _tail_sum.cache_info()
-    for x, a1 in ((1.0, 1.0), (3.0, math.nan)):
-        with pytest.raises(DomainError):
-            tail_sum(x, a1)
-    assert _tail_sum.cache_info() == before
-
-
-@pytest.mark.parametrize("a1", [100.0, sys.float_info.max])
-def test_select_strip_evaluates_each_tail_sum_once(a1):
-    # the a search tries x = 3 .. a, and the b search's x = 3 .. -b - 1 are among them,
-    # also for the largest a1, whose a search fills the memo exactly
-    strip = select_strip(a1)
-    info = _tail_sum.cache_info()
-    assert -strip.b - 1.0 <= strip.a
-    assert (info.misses, info.hits) == (strip.a - 2.0, -strip.b - 3.0)
-    assert info.currsize <= info.maxsize
+        assert values[0].hex() == values[1].hex() == cold.hex()
+        assert counts == {"tail sum": 1, "tail sum hits": 1}
 
 
 # --- strip selection ------------------------------------------------------------

@@ -7,6 +7,7 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+import probe
 from zerobound import (
     AdmissibleHeight,
     BoundReport,
@@ -26,7 +27,6 @@ from zerobound import (
     presets,
     window_coefficients,
 )
-from zerobound.bounds import _Window
 from zerobound.selberg import _Value
 
 ZETA_ORDINATES = (14.134725141734695, 21.022039638771556)
@@ -183,7 +183,7 @@ def test_match_args_are_the_constructor_fields(values, name):
 
 def test_fields_are_the_constructor_parameters():
     classes = {cls.__name__: cls for cls in _Value.__subclasses__()}
-    assert set(classes) == {*NAMES, "_Window"}
+    assert set(classes) == {*NAMES, probe.Window.__name__}
     for cls in classes.values():
         params = tuple(
             p.name for p in inspect.signature(cls).parameters.values()
@@ -194,11 +194,11 @@ def test_fields_are_the_constructor_parameters():
 
 def test_window_is_compared_by_its_three_inputs():
     data, strip = presets.zeta()
-    window = _Window(data, strip, 16.0)
-    twin = _Window(*presets.zeta(), 16.0)
+    window = probe.Window(data, strip, 16.0)
+    twin = probe.Window(*presets.zeta(), 16.0)
     assert twin is not window and twin == window and hash(twin) == hash(window)
-    assert repr(window) == f"_Window(data={data!r}, strip={strip!r}, T0=16.0)"
-    assert window != _Window(data, strip, 17.0)
+    assert repr(window) == f"{probe.Window.__name__}(data={data!r}, strip={strip!r}, T0=16.0)"
+    assert window != probe.Window(data, strip, 17.0)
 
 
 def test_positional_match_patterns(values):
@@ -260,28 +260,26 @@ def test_window_stores_its_fields_and_derived_names_only():
     # from _height, a tuple of floats and the disc terms' tuple of floats,
     # which it does not store; the Coefficients pair is stored only
     # once a public function has asked for it
-    from zerobound import bounds, selberg
-
     data, strip = presets.zeta()
-    pieces = bounds._factor_pieces(data.factors, strip)
+    pieces = probe.pieces(data.factors, strip)
     assert set(vars(pieces)) == set(PIECES) - {"K"}
-    window = _Window(data, strip, 16.0)
+    window = probe.Window(data, strip, 16.0)
     assert window.pieces is pieces
-    assert set(vars(window)) == {*_Window._fields, *DERIVED["_Window"]}
+    assert set(vars(window)) == {*probe.Window._fields, *DERIVED["_Window"]}
     assert set(vars(pieces)) == set(PIECES)
-    assert pieces.profile is selberg._factor_pass(data.factors) and pieces.strip is strip
+    assert pieces.profile is probe.factor_pass(data.factors) and pieces.strip is strip
     assert all(type(v) is float for k, v in vars(pieces).items() if k not in PIECES[:4])
     assert all(type(x) is float for k in PIECES[2:4] for x in getattr(pieces, k))
-    disc, *height = bounds._height(pieces, data.k, 16.0)
+    disc, *height = probe.height(pieces, data.k, 16.0)
     assert len(disc) == 4 and len(height) == 5
     assert all(type(x) is float for x in (*disc, *height))
     assert type(window.alpha) is int and all(type(x) is float for x in window.constants)
     window.report(100.0)
-    assert set(vars(window)) == {*_Window._fields, *DERIVED["_Window"]}
+    assert set(vars(window)) == {*probe.Window._fields, *DERIVED["_Window"]}
     assert [(c.c1, c.c2, c.c3) for c in window.coefficients] == [
         window.constants[:3], window.constants[3:]
     ]
-    assert set(vars(window)) == {*_Window._fields, *DERIVED["_Window"], "coefficients"}
+    assert set(vars(window)) == {*probe.Window._fields, *DERIVED["_Window"], "coefficients"}
 
 
 def test_loaded_zero_list_stores_its_fields_only(tmp_path):
