@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import probe
+from test_costs import BUNDLED, FILL, bundled_table, fill_from_four_threads, fill_past_the_bound
 from zerobound import (
     AdmissibilityError,
     BoundaryWarning,
@@ -533,6 +534,31 @@ def test_bound_report_derives_each_invariant_once():
     assert tuple(map(_coefficient_fields, coefficients)) == (constants[:3], constants[3:])
 
 
+def test_bundled_table_computes_the_kernel_sums_once_per_weight():
+    # the 25 rows have 10 distinct weights, so 10 distinct gamma factors, and
+    # each evaluates the factor kernels at its three real parts once
+    counts = probe.costs(bundled_table)[1]
+    assert len(BUNDLED) == 25 and len({spec.weight for spec in BUNDLED}) == 10
+    assert counts["_factor_kernels"] == 30
+
+
+def test_a_warm_bundled_table_reads_each_row_from_its_weight_entry():
+    # once each weight's entry is cached, a row looks up no pieces, computes
+    # no T0-level terms and touches no window
+    first = bundled_table()
+    again, counts = probe.costs(bundled_table)
+    assert again == first
+    assert counts.get("_height", 0) == 0
+    assert not {"factor pieces", "factor pieces hits", "window", "window hits"} & set(counts)
+
+
+def test_bundled_table_computes_the_trivial_zero_window_once_per_weight():
+    # the window pieces cached per gamma factors and strip carry the allowance
+    counts = probe.costs(bundled_table)[1]
+    assert len({spec.weight for spec in BUNDLED}) == 10
+    assert counts["trivial_zero_window"] == 10
+
+
 def _or_zero(floats):
     """floats, or a zero of either sign."""
     return st.one_of(st.sampled_from((0.0, -0.0)), floats)
@@ -775,8 +801,6 @@ def test_every_cache_is_bounded_and_emptied_per_test():
     # cache, whose function takes no arguments; test_costs.FILL fills each bounded one
     import inspect
 
-    from test_costs import FILL
-
     assert sorted(probe.package_caches()) == sorted(map(id, probe.CACHES.values()))
     assert sorted(FILL) == sorted(name for name in probe.CACHES if probe.maxsize(name))
     for fill in FILL.values():
@@ -786,3 +810,12 @@ def test_every_cache_is_bounded_and_emptied_per_test():
     probe.empty_caches()
     assert [probe.size(name) for name in probe.CACHES] == [0] * len(probe.CACHES)
     assert not inspect.signature(probe.CACHES["parser"].__wrapped__).parameters
+
+
+def test_factor_pieces_memo_never_exceeds_its_bound():
+    # more distinct gamma factors than the cache holds: the least recently used go first
+    fill_past_the_bound("factor pieces")
+
+
+def test_factor_pieces_memo_keeps_its_bound_and_results_under_threads():
+    fill_from_four_threads("factor pieces")

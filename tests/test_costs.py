@@ -225,11 +225,12 @@ RAISING = {
 }
 
 
-@pytest.mark.parametrize("name", FILL)
-def test_a_full_cache_drops_its_least_recently_used_entry_alone_and_under_threads(name):
-    # more distinct keys than the cache holds: it never exceeds its bound, the least
-    # recently used entries go first, and a revisit gives the first visit's bits; then
-    # four threads add and evict entries at once, with a short switch interval
+def fill_past_the_bound(name):
+    """Fill the named cache with more distinct keys than it holds, then revisit some.
+
+    It never exceeds its bound, the least recently used entries go first, and a
+    revisit gives the first visit's bits.
+    """
     size, fill = probe.maxsize(name), FILL[name]
     n = size + 40
     first = []
@@ -244,6 +245,17 @@ def test_a_full_cache_drops_its_least_recently_used_entry_alone_and_under_thread
         misses.append(counts.get(name, 0))
     assert misses == [0, 1, 1, 0]  # the last was kept, the first two were dropped
     assert probe.size(name) == size
+
+
+def fill_from_four_threads(name):
+    """Four threads add and evict entries of the named cache at once, with a short switch interval.
+
+    Each visits more distinct keys than the cache holds, from its own offset; each gets
+    the results of one thread's visits, and the cache never exceeds its bound.
+    """
+    size, fill = probe.maxsize(name), FILL[name]
+    n = size + 40
+    expected = [fill(i) for i in range(n)]
     probe.empty_caches()
     results, sizes = {}, []
 
@@ -266,8 +278,14 @@ def test_a_full_cache_drops_its_least_recently_used_entry_alone_and_under_thread
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert sorted(results) == [n * j // 4 for j in range(4)]
-    assert all(got == first for got in results.values())
+    assert all(got == expected for got in results.values())
     assert max(sizes) <= size
+
+
+@pytest.mark.parametrize("name", FILL)
+def test_a_full_cache_drops_its_least_recently_used_entry_alone_and_under_threads(name):
+    fill_past_the_bound(name)
+    fill_from_four_threads(name)
 
 
 @pytest.mark.parametrize("name", RAISING)

@@ -180,8 +180,27 @@ def _bits(floats):
     return [struct.pack("<d", x) for x in floats]
 
 
+def test_table_leaves_the_window_memo_as_it_was():
+    # the 25 bundled rows used to fill 25 entries of the 16-slot window memo,
+    # evicting the zeta window that constants, bound and verify share
+    data, strip = presets.zeta()
+    zeta_window = probe.window(data, strip, 16.0)
+    counts = probe.costs(lambda: table_generate([NewformSpec(*pair) for pair in PUBLISHED_TABLE]))[1]
+    assert not {"window", "window hits"} & set(counts)
+    assert probe.window(data, strip, 16.0) is zeta_window
+
+
 def test_newform_strip_is_select_strip_at_unit_coefficient():
     assert newform_strip() == select_strip(1.0)
+
+
+def test_table_selects_the_strip_once_per_process():
+    # the module selected it when imported
+    specs = [NewformSpec(*pair) for pair in PUBLISHED_TABLE]
+    first, cold = probe.costs(lambda: table_generate(specs))
+    again, warm = probe.costs(lambda: table_generate(specs))
+    assert again == first
+    assert cold.get("select_strip", 0) == warm.get("select_strip", 0) == 0
 
 
 def test_min_height_matches_spec_property():

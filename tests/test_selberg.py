@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -27,6 +28,7 @@ from zerobound import (
 from zerobound.selberg import _TAIL_TERMS, _constraints, _pole_window, _thresholds, document_dict
 
 from test_bounds import _flip_zero, _or_zero
+from test_costs import BUNDLED, bundled_table, fill_from_four_threads, fill_past_the_bound
 
 # frozen by scripts/derive_oracle_values.py (mpmath, 40 digits)
 TAIL_2 = 0.6449340668482264
@@ -466,6 +468,24 @@ def test_datum_on_a_memoized_twin_tuple_has_the_bits_of_a_cold_one(params, log_q
     assert _invariant_bits(warm) == _invariant_bits(LFunctionData(factors, *args))
 
 
+def test_factor_memo_never_exceeds_its_bound():
+    # more distinct factor tuples than the cache holds: the least recently used
+    # go first, and a revisit gives the bits of the first visit
+    fill_past_the_bound("factor pass")
+
+
+def test_factor_memo_keeps_its_bound_and_results_under_threads():
+    fill_from_four_threads("factor pass")
+
+
+def test_bundled_table_runs_the_factor_pass_once_per_weight():
+    # the 25 rows have 10 distinct weights, so 10 distinct factor tuples; each
+    # row built its datum, and ran the pass, anew before the cache
+    counts = probe.costs(bundled_table)[1]
+    assert len(BUNDLED) == 25 and len({spec.weight for spec in BUNDLED}) == 10
+    assert counts["factor pass"] == 10
+
+
 # --- tail sums ----------------------------------------------------------------
 
 def test_tail_sum_frozen_values():
@@ -546,6 +566,16 @@ def test_tail_sum_memo_gives_equal_bits_and_a_float_in_either_call_order():
         assert [type(v) for v in values] == [float, float]
         assert values[0].hex() == values[1].hex() == cold.hex()
         assert counts == {"tail sum": 1, "tail sum hits": 1}
+
+
+@pytest.mark.parametrize("a1", [100.0, sys.float_info.max])
+def test_select_strip_evaluates_each_tail_sum_once(a1):
+    # the a search tries x = 3 .. a, and the b search's x = 3 .. -b - 1 are among them,
+    # also for the largest a1, whose a search fills the memo exactly
+    strip, counts = probe.costs(lambda: select_strip(a1))
+    assert -strip.b - 1.0 <= strip.a
+    assert (counts["tail sum"], counts["tail sum hits"]) == (strip.a - 2.0, -strip.b - 3.0)
+    assert probe.size("tail sum") <= probe.maxsize("tail sum")
 
 
 # --- strip selection ------------------------------------------------------------
