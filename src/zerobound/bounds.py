@@ -19,11 +19,12 @@ c1 log T + c2 + c3 / T coefficient form (for the (T0, T] and (T, 2T]
 windows respectively).  All three and bound_report take their window of
 (datum, strip, T0) from the memo _window; the newform table calls the
 window's float core, _window_floats, directly.  Terms that read only the
-gamma factors and the strip come from one cached _factor_pieces entry, and
-terms that also read T0 from _height, which checks T0, once per window or
-newform weight; only what reads log(lambda Q^2) or a1 is computed per row
-or window.  Value objects are built at the public edge, at most once per
-window.  Everything is a pure function of the datum, strip and heights.
+gamma factors and the strip come from one _factor_pieces entry per (datum,
+strip), and terms that also read T0 from _height, which checks T0, once per
+window or newform weight; only what reads log(lambda Q^2) or a1 is computed
+per row or window.  Value objects are built at the public edge, at most once
+per window, and a per-piece bound that overflows a float raises DomainError.
+Everything is a pure function of the datum, strip and heights.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import warnings
 from .errors import BoundaryWarning, DomainError, ValidationError, _value_text
 from .gammabounds import LOG2, _interp_terms, _kernel_sums, _log_interp_peak
 from .selberg import (
-    _FLOAT_MAX, GammaFactor, LFunctionData, StripParams, _admissible, _convert, _factor_pass,
-    _require_height, _thresholds, _Value, require_admissible,
+    _FLOAT_MAX, LFunctionData, StripParams, _admissible, _convert, _require_height, _thresholds,
+    _Value, require_admissible,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -52,7 +53,7 @@ def ratio_error_sup(data: LFunctionData, strip: StripParams, T: float) -> float:
     prefactor 1/(T - 2R) depends on T.  Requires finite T > 2R.
     """
     _require_height(T, "T", strip.two_r, DomainError, "2R")
-    return _factor_pieces(data.factors, strip).sup(T)
+    return _factor_pieces(data, strip).sup(T)
 
 
 def integrated_ratio_error(data: LFunctionData, strip: StripParams, T0: float, T: float) -> float:
@@ -62,7 +63,7 @@ def integrated_ratio_error(data: LFunctionData, strip: StripParams, T0: float, T
     """
     _require_height(T0, "T0", 0.0)
     _require_height(T, "T", T0, DomainError, "T0", True)
-    return _ratio_integral(_factor_pieces(data.factors, strip), T0, T)
+    return _finite(_ratio_integral(_factor_pieces(data, strip), T0, T), "integrated ratio error")
 
 
 def _ratio_integral(p: _FactorPieces, T0: float, T: float) -> float:
@@ -79,12 +80,19 @@ def log_integral_bound(data: LFunctionData, strip: StripParams, T0: float, T: fl
     """
     _require_height(T0, "T0", 0.0)
     _require_height(T, "T", 0.0)
-    return _log_integral(_factor_pieces(data.factors, strip), T0, T)
+    return _finite(_log_integral(_factor_pieces(data, strip), T0, T), "log-integral bound")
 
 
 def _log_integral(p: _FactorPieces, T0: float, T: float) -> float:
     """log_integral_bound, given the _factor_pieces p of its gamma factors and strip."""
     return math.log(T / T0) * p.slope + p.tail / T0
+
+
+def _finite(value: float, name: str) -> float:
+    """value, unless the float arithmetic overflowed: then DomainError naming it."""
+    if not abs(value) <= _FLOAT_MAX:
+        raise DomainError(f"the {name} is not a finite float, got {value}")
+    return value
 
 
 def vertical_integral_bound() -> float:
@@ -110,7 +118,7 @@ def disc_count_bound(data: LFunctionData, strip: StripParams, T: float) -> float
     admissible.
     """
     require_admissible(data, strip, T)
-    p = _factor_pieces(data.factors, strip)
+    p = _factor_pieces(data, strip)
     heads = _heads(p, data.k, data.log_lambda_q2)
     return _disc_bound(p, data.log_a1_zeta2, heads, _disc_terms(p, T))
 
@@ -175,8 +183,9 @@ def branch_constants(data: LFunctionData, strip: StripParams, T0: float) -> Bran
     T, so the interpolation constant can overtake it above T0.
     """
     _require_height(T0, "T0", strip.two_r, DomainError, "2R")
-    p = _factor_pieces(data.factors, strip)
-    return BranchConstants(*_branch(p, _heads(p, data.k, data.log_lambda_q2), T0))
+    p = _factor_pieces(data, strip)
+    alpha, h1, h2 = _branch(p, _heads(p, data.k, data.log_lambda_q2), T0)
+    return BranchConstants(alpha, _finite(h1, "branch h1"), _finite(h2, "branch h2"))
 
 
 def _branch(p: _FactorPieces, heads: tuple, T0: float) -> tuple:
@@ -189,33 +198,33 @@ def _branch(p: _FactorPieces, heads: tuple, T0: float) -> tuple:
 
 
 class _FactorPieces:
-    """Every window term that reads only one tuple of gamma factors and one strip.
+    """Every window term that reads only the gamma factors of one datum and one strip.
 
-    Besides the factor pass (profile) and the strip: d; dc = d c, the disc bound's
-    log(2T) coefficient; half_im = |Im(mu_cap) / 2|; tail = 3 d (b^2 + b), the
-    log-integral bound's numerator over T0; h1_lift = d (4R - 3/2) and h2_reflect =
-    d c (a + 2R) + (a + 2R) half_im, the reflection branch's h1 over its head and h2;
-    ratio_slope and slope, the log(T/T0) coefficients of S and R1; trivial; both c1;
-    thresholds and interp, the _thresholds and _interp_terms; and the factor-level,
-    left-most parts of the other constants, so that a window adding its own terms
-    to one rounds as if it had computed it whole (the head of the doubling c2 runs
-    up to its 3 d (2R - 1) c term).  K, ratio_error_sup's numerator, is computed
-    when first read, so where the secant guard refuses it the other terms still
-    serve.  Build through _factor_pieces only.
+    Besides the datum and the strip: d; dc = d c, the disc bound's log(2T) coefficient;
+    half_im = |Im(mu_cap) / 2|; tail = 3 d (b^2 + b), the log-integral bound's numerator
+    over T0; h1_lift = d (4R - 3/2) and h2_reflect = d c (a + 2R) + (a + 2R) half_im, the
+    reflection branch's h1 over its head and h2; ratio_slope and slope, the log(T/T0)
+    coefficients of S and R1; trivial; both c1; thresholds and interp, the _thresholds
+    and _interp_terms; and the factor-level, left-most parts of the other constants, so
+    that a window adding its own terms to one rounds as if it had computed it whole (the
+    head of the doubling c2 runs up to its 3 d (2R - 1) c term).  No piece reads Q, k or
+    a1, so a newform weight's level-1 pieces serve every level.  K, ratio_error_sup's
+    numerator, is computed when first read, so where the secant guard refuses it the
+    other terms still serve.  Build through _factor_pieces only.
     """
 
-    def __init__(self, factors: tuple[GammaFactor, ...], strip: StripParams) -> None:
-        self.profile, self.strip = _factor_pass(factors), strip
-        d, b, r, two_r, c = self.profile.degree, strip.b, strip.R, strip.two_r, strip.disc_slope
-        right, im = strip.right_edge, self.profile.mu_cap.imag
+    def __init__(self, data: LFunctionData, strip: StripParams) -> None:
+        self.data, self.strip = data, strip
+        d, b, r, two_r, c = data.degree, strip.b, strip.R, strip.two_r, strip.disc_slope
+        right, im = strip.right_edge, data.mu_cap.imag
         self.d, self.dc, self.half_im = d, d * c, abs(im / 2.0)
         self.tail = 3.0 * d * (b * b + b)
         self.h1_lift, self.h2_reflect = d * (-1.5 + 4.0 * r), self.dc * right + right * self.half_im
-        self.ratio_slope = sum(_kernel_sums(self.profile, -b, -b - 1.0))
+        self.ratio_slope = sum(_kernel_sums(data, -b, -b - 1.0))
         # the log-term slope -(7/2) d (2b+1) + 2|-d b + Im(mu_cap) i / 2| + 2d, plus ratio_slope
         self.slope = (-3.5 * d * (2.0 * b + 1.0) + 2.0 * abs(complex(-d * b, im / 2.0)) + 2.0 * d
                       + self.ratio_slope)
-        self.trivial = trivial_zero_window(self.profile, strip)
+        self.trivial = trivial_zero_window(data, strip)
         self.c1_main = self.slope / TWO_PI + (r - 0.5) * d * c / LOG2
         self.c1_dbl = d / LOG2 * (two_r - 1.0) * c
         self.c2_dbl_head = (LOG2 * self.slope / TWO_PI + 2.0 * _VERTICAL + 4.0 * r - 2.0
@@ -223,19 +232,20 @@ class _FactorPieces:
         self.c3_dbl_head = self.tail / (4.0 * math.pi)
         self.c3_scale, self.c2_dbl_scale = (r - 0.5) / LOG2, (two_r - 1.0) / LOG2
         self.head_scale = d / TWO_PI
-        self.thresholds, self.interp = _thresholds(self.profile, strip), _interp_terms(self.profile)
+        self.thresholds, self.interp = _thresholds(data, strip), _interp_terms(data)
 
     @functools.cached_property
     def K(self) -> float:
         """The factor kernels summed at the disc's left edge, -(a + 2R)."""
-        return _kernel_sums(self.profile, -self.strip.right_edge)[0]
+        return _kernel_sums(self.data, -self.strip.right_edge)[0]
 
     def sup(self, T: float) -> float:
         """ratio_error_sup at a T > 2R: K / (T - 2R)."""
         return self.K / (T - self.strip.two_r)
 
 
-#: The 256 latest (factors, strip) keys; an entry whose K is refused stays cached.
+#: The 256 latest (data, strip) keys; equal data, such as two that differ only in the sign
+#: of a zero, share an entry.  An entry whose K is refused stays cached.
 _factor_pieces = functools.lru_cache(maxsize=256)(_FactorPieces)
 
 
@@ -291,7 +301,7 @@ class _Window(_Value):
     """
 
     def __init__(self, data: LFunctionData, strip: StripParams, T0: float) -> None:
-        p = _factor_pieces(data.factors, strip)
+        p = _factor_pieces(data, strip)
         heads, alpha, h1, h2, r2_t0, head, constants = _window_floats(
             p, data.k, data.log_lambda_q2, data.log_a1_zeta2, T0, _height(p, data.k, T0))
         self._set(data=data, strip=strip, T0=T0, pieces=p, heads=heads, alpha=alpha, h1=h1,

@@ -154,7 +154,7 @@ def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:
 
 
 def _interp_terms(data: LFunctionData) -> tuple[float, float, float]:
-    """(2.5 d + 1) log 2, 2.5 sqrt(5) d and |Im mu_cap|, of a datum or its _factor_pass."""
+    """(2.5 d + 1) log 2, 2.5 sqrt(5) d and |Im mu_cap| of a datum."""
     d = data.degree
     return (2.5 * d + 1.0) * LOG2, 2.5 * SQRT5 * d, abs(data.mu_cap.imag)
 

@@ -8,10 +8,11 @@ runs in floats, so NewformSpec also bounds the sizes: the level must
 convert to a float (N < about 1.8e308) and the height 15 + kappa must be a
 float exactly (kappa <= 2^53 - 16).
 
-pipeline_constants runs the generic window's float core on its weight's one
-cached entry (level-1 datum, pieces, T0 and T0-level terms) and the level's
-log(lambda Q^2): a row builds no datum, window or cache entry.  The tests
-re-state all six constants in (N, kappa) (tests/closed_forms.py).
+newform_params builds the datum by its constructor.  pipeline_constants runs
+the generic window's float core on its weight's one cached entry (level-1
+datum, pieces, T0 and T0-level terms) and the level's log(lambda Q^2): a row
+builds no datum, window or cache entry.  The tests re-state all six
+constants in (N, kappa) (tests/closed_forms.py).
 """
 
 from __future__ import annotations
@@ -79,18 +80,17 @@ _STRIP = select_strip(1.0)
 
 @functools.lru_cache(maxsize=256)
 def _weight_datum(weight: int) -> tuple[LFunctionData, _FactorPieces, float, tuple]:
-    """(checked level-1 datum, its pieces, T0 = float(15 + weight), _height at T0); 256 kept."""
-    factors = (GammaFactor(1.0, complex((weight - 1) / 2.0, 0.0)),)
-    datum = LFunctionData(factors, _conductor(1), _I_POWERS[weight % 4], 0, 1.0)
-    pieces, t0 = _factor_pieces(factors, _STRIP), float(15 + weight)
+    """(level-1 datum, its pieces, T0 = float(15 + weight), _height at T0); 256 kept."""
+    datum = newform_params(NewformSpec(1, weight))
+    pieces, t0 = _factor_pieces(datum, _STRIP), float(15 + weight)
     return datum, pieces, t0, _height(pieces, datum.k, t0)
 
 
 def newform_params(spec: NewformSpec) -> LFunctionData:
-    """The newform's datum: its weight's level-1 datum with Q = sqrt(N) / (2 pi), by _set_q."""
-    data = object.__new__(LFunctionData)
-    data._set_q(vars(_weight_datum(spec.weight)[0]), _conductor(spec.level))
-    return data
+    """The newform's datum: one gamma factor Gamma(s + (kappa-1)/2), Q = sqrt(N) / (2 pi)."""
+    w = spec.weight
+    factors = (GammaFactor(1.0, complex((w - 1) / 2.0, 0.0)),)
+    return LFunctionData(factors, _conductor(spec.level), _I_POWERS[w % 4], 0, 1.0)
 
 
 def newform_strip() -> StripParams:

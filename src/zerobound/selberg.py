@@ -16,7 +16,9 @@ Conventions
 * the strip abscissae a > 2 and b < -3 are chosen so that the coefficient
   tails sum_{n>=2} a1 n^-a and sum_{n>=2} a1 n^(b+1) stay below 1/2 and 1.
 
-Every value type is immutable (see _Value); every function is pure.
+Every value type is immutable (see _Value); every function is pure.  A
+datum derives its invariants once, in its constructor, which is the only
+way one is built.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import math
 import sys
 from itertools import repeat
 from operator import attrgetter
-from types import SimpleNamespace
 
 from .errors import (
     AdmissibilityError,
@@ -117,7 +118,7 @@ class _Value:
     every assignment or deletion of an attribute raises
     dataclasses.FrozenInstanceError.  Attributes an __init__ sets beyond
     its parameters are derived from them and stay out of repr, == and hash.
-    _set is called only from constructors and zeros.load_zeros (_set_q from newform too).
+    _set is called only from constructors and zeros.load_zeros.
     """
 
     _fields: tuple[str, ...]
@@ -172,48 +173,6 @@ class GammaFactor(_Value):
         return self._hash
 
 
-@functools.lru_cache(maxsize=256)
-def _factor_pass(factors: tuple[GammaFactor, ...]) -> SimpleNamespace:
-    """The factor-only invariants of a datum, as attributes, in one pass over its factors.
-
-    Raises the datum's ValidationError for an overflowing lambda_cap or a
-    degree below 1.  An overflowing series block or threshold height is kept
-    as inf, for LFunctionData to reject after its lambda Q^2 check.  No
-    invariant here reads mu but through abs, a sum from 0j or an extreme of
-    Re(mu) plus 0.0, so factor tuples that differ only in the sign of a zero
-    part of mu, which compare equal, give equal bits: a zero extreme is +0.0.
-    """
-    lams, re_mus, mu_terms, series_blocks = [], [], [], []
-    lambda_cap, shift_max, arg_max = 1.0, -math.inf, -math.inf
-    for f in factors:  # one pass; an overflowing block is kept as inf, for the datum to reject
-        lam, mu = f.lam, f.mu
-        lm = lam + mu.conjugate()
-        lams.append(lam)
-        re_mus.append(mu.real)
-        mu_terms.append(4.0 * (0.5 - mu))
-        try:  # lam ** (2 lam) overflows only for lam > 143, where the degree is > 1
-            lambda_cap *= lam ** (2.0 * lam)
-        except OverflowError:
-            raise ValidationError("lambda Q^2 overflows a float") from None
-        try:
-            shift_max = max(shift_max, 2.0 * abs(lm) / lam)
-            arg_max = max(arg_max, 2.0 * abs(mu) / lam)
-            block = abs(lm) ** 2 + 2.0 * abs(lm * (lm - 0.5)) + abs(mu) ** 2
-            block += 2.0 * abs(mu * (mu - 0.5))
-        except OverflowError:  # |lam + conj(mu)|, |mu| or a square of them for a large mu
-            block = math.inf
-        series_blocks.append(block)
-    degree = 2.0 * math.fsum(lams)
-    if degree < 1.0:
-        raise ValidationError(f"degree {degree} < 1; degenerate data is rejected")
-    return SimpleNamespace(
-        degree=degree, lambda_cap=lambda_cap, mu_cap=sum(mu_terms, 0j), shift_max=shift_max,
-        arg_max=arg_max, threshold_height=max(shift_max, arg_max), f=len(factors),
-        series_blocks=tuple(series_blocks), lams=tuple(lams), lam_max=max(lams),
-        lam_min=min(lams), re_mu_max=max(re_mus) + 0.0, re_mu_min=min(re_mus) + 0.0,
-    )
-
-
 def _lambda_q2(lambda_cap: float, Q: float) -> float:
     """lambda_cap * Q^2, checked to be a positive finite float."""
     lambda_q2 = lambda_cap * Q * Q
@@ -235,12 +194,15 @@ class LFunctionData(_Value):
     a1      : Ramanujan constant, |a(n)| <= a1 * n with a1 >= 1
 
     Every number, and lambda Q^2, must be finite, and lambda Q^2 nonzero.
-    Construction also stores the data-only invariants below, and the hash
-    of the five fields, as plain attributes; repr, == and hash see the five
-    fields only.  All but lambda_q2, log_lambda_q2 and log_a1_zeta2 depend
-    on the factors alone and come from _factor_pass, cached per factor
-    tuple, which stores a zero extreme of Re(mu) as +0.0.  A datum whose
-    invariants overflow a float is rejected.
+    Construction, the one way a datum is built, also derives the data-only
+    invariants below, in one pass over the factors, and stores them and the
+    hash of the five fields as plain attributes; repr, == and hash see the
+    five fields only.  All but lambda_q2, log_lambda_q2 and log_a1_zeta2
+    depend on the factors alone.  None of those reads mu but through abs, a
+    sum from 0j or an extreme of Re(mu) plus 0.0 (a zero extreme is +0.0),
+    so data that differ only in the sign of a zero part of mu, which compare
+    equal, hold equal bits.  A datum whose invariants overflow a float is
+    rejected.
 
     Invariants
     ----------
@@ -280,29 +242,50 @@ class LFunctionData(_Value):
                 f"pole order k must be an integer in [0, 10^15], got {_value_text(k, repr)}"
             )
         a1 = _real(a1, "a1", 1.0, closed=True)
-        profile = _factor_pass(factors)
-        # stored before the checks below, which drop the datum if they raise
-        self._set_q(vars(profile), Q, factors=factors, omega=omega, k=k, a1=a1)
-        if math.inf in profile.series_blocks:  # also a sum of finite terms rounded to inf
+        lams, re_mus, series_blocks = [], [], []
+        lambda_cap, shift_max, arg_max = 1.0, -math.inf, -math.inf
+        for f in factors:  # one pass; an overflowing block is kept as inf, for a check below
+            lam, mu = f.lam, f.mu
+            lm = lam + mu.conjugate()
+            lams.append(lam)
+            re_mus.append(mu.real)
+            try:  # lam ** (2 lam) overflows only for lam > 143, where the degree is > 1
+                lambda_cap *= lam ** (2.0 * lam)
+            except OverflowError:
+                raise ValidationError("lambda Q^2 overflows a float") from None
+            try:
+                shift_max = max(shift_max, 2.0 * abs(lm) / lam)
+                arg_max = max(arg_max, 2.0 * abs(mu) / lam)
+                block = abs(lm) ** 2 + 2.0 * abs(lm * (lm - 0.5)) + abs(mu) ** 2
+                block += 2.0 * abs(mu * (mu - 0.5))
+            except OverflowError:  # |lam + conj(mu)|, |mu| or a square of them for a large mu
+                block = math.inf
+            series_blocks.append(block)
+        degree = 2.0 * math.fsum(lams)
+        if degree < 1.0:
+            raise ValidationError(f"degree {degree} < 1; degenerate data is rejected")
+        lambda_q2 = _lambda_q2(lambda_cap, Q)
+        if math.inf in series_blocks:  # also a sum of finite terms rounded to inf
             raise ValidationError(
                 "a gamma factor's series block overflows a float (|mu| is too large)"
             )
-        if not profile.threshold_height < math.inf:  # 2 |lam + conj(mu)| / lam overflows
+        threshold_height = max(shift_max, arg_max)
+        if not threshold_height < math.inf:  # 2 |lam + conj(mu)| / lam overflows
             raise ValidationError(
                 "the gamma-factor threshold height overflows a float (|mu| / lam is too large)"
             )
         log_a1_zeta2 = math.log(a1 * math.pi ** 2 / 6.0)
         if not log_a1_zeta2 < math.inf:  # a1 pi^2 overflows, for a1 > ~1.82e307
             raise ValidationError(f"a1 pi^2 / 6 overflows a float, got a1 = {a1}")
-        self._set(log_a1_zeta2=log_a1_zeta2)
-
-    def _set_q(self, shared: dict, Q: float, **fields: object) -> None:
-        """Store shared and fields, then Q, lambda Q^2 (by _lambda_q2), its log and the hash."""
-        lambda_q2 = _lambda_q2(shared["lambda_cap"], Q)
-        attributes = vars(self)  # as _set stores them
-        attributes.update(shared, **fields)
-        attributes.update(Q=Q, lambda_q2=lambda_q2, log_lambda_q2=math.log(lambda_q2))
-        attributes["_hash"] = hash(self._values(self))
+        self._set(
+            factors=factors, Q=Q, omega=omega, k=k, a1=a1, degree=degree, lambda_cap=lambda_cap,
+            lambda_q2=lambda_q2, log_lambda_q2=math.log(lambda_q2), log_a1_zeta2=log_a1_zeta2,
+            mu_cap=sum([4.0 * (0.5 - f.mu) for f in factors], 0j), shift_max=shift_max,
+            arg_max=arg_max, threshold_height=threshold_height,
+            series_blocks=tuple(series_blocks), lams=tuple(lams), lam_max=max(lams),
+            lam_min=min(lams), re_mu_max=max(re_mus) + 0.0, re_mu_min=min(re_mus) + 0.0,
+            f=len(factors), _hash=hash((factors, Q, omega, k, a1)),
+        )
 
     __hash__ = GammaFactor.__hash__
 
@@ -447,7 +430,7 @@ def _sum_up(x: float, y: float) -> float:
 
 
 def _thresholds(data: LFunctionData, strip: StripParams) -> tuple[float, float, float]:
-    """The k-free thresholds of _constraints for a datum, or its _factor_pass, and a strip."""
+    """The k-free thresholds of _constraints for a datum and a strip."""
     two_r = strip.two_r
     return _sum_up(two_r, 1.0), _sum_up(two_r, data.shift_max), _sum_up(two_r, data.arg_max)
 

@@ -15,7 +15,7 @@ import operator
 import os
 from bisect import bisect_right
 
-from .bounds import total_count_error, window_coefficients
+from .bounds import _window_of
 from .errors import DomainError, ZeroFileError, _value_text
 from .selberg import _TEXT, LFunctionData, StripParams, _require_height, _Value, main_term
 
@@ -190,13 +190,15 @@ def check_bound(
     pass_lemma checks |count - main term| < total_count_error(T0, T);
     pass_theorem checks the flattened c1 log T + c2 + c3/T form.  T0 must
     be admissible (the error names the binding constraint) and T > T0.
-    Calls on one (data, strip, T0) share one window of the T0-only pieces.
+    Both bounds come from one lookup of the window of (data, strip, T0),
+    which calls on one T0 share.
     """
     count = count_window(zeros, T0, T)
     smooth = main_term(data, T)
     deviation = abs(count - smooth)
-    r_total = total_count_error(data, strip, T0, T)
-    coeff_bound = window_coefficients(data, strip, T0).evaluate(T)
+    window = _window_of(data, strip, T0)
+    r_total = window.at(T)[2]
+    coeff_bound = window.coefficients[0].evaluate(T)
     return VerificationReport(
         count=count,
         main_term=smooth,

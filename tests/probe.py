@@ -13,7 +13,6 @@ from zerobound import bounds, cli, gammabounds, newform, selberg
 
 #: every functools cache of the package, by the name its misses have in a costs() count
 CACHES = {
-    "factor pass": selberg._factor_pass,
     "factor pieces": bounds._factor_pieces,
     "window": bounds._window,
     "weight entry": newform._weight_datum,
@@ -31,7 +30,7 @@ CALLS = (
 
 # the layers other tests read
 window, Window, window_of = bounds._window, bounds._Window, bounds._window_of
-pieces, factor_pass, height = bounds._factor_pieces, selberg._factor_pass, bounds._height
+pieces, height, window_floats = bounds._factor_pieces, bounds._height, bounds._window_floats
 weight_entry = newform._weight_datum
 
 #: the CI workflow's import check: the CLI's import loads no module only some commands need
@@ -84,10 +83,10 @@ def costs(operation):
 
     Each cache's misses count under its CACHES name and its hits under that
     name plus " hits"; the calls of CALLS count under their names, wherever a
-    zerobound module binds them, and those of LFunctionData._set_q, which
-    runs once per datum built or copied, under "_set_q".  Counts of zero are
-    left out.  A cache that a change has dropped counts each call a miss, so
-    the table shows the lost reuse.  Not for use from several threads at once.
+    zerobound module binds them, and the datums built, each by one run of
+    LFunctionData.__init__, under "datum".  Counts of zero are left out.  A
+    cache that a change has dropped counts each call a miss, so the table
+    shows the lost reuse.  Not for use from several threads at once.
     """
     counts = dict.fromkeys([*CACHES, *(f"{name} hits" for name in CACHES)], 0)
     patched = []
@@ -107,7 +106,7 @@ def costs(operation):
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     count(module, attr, key, fn)
-    count(selberg.LFunctionData, "_set_q", "_set_q", selberg.LFunctionData._set_q)
+    count(selberg.LFunctionData, "__init__", "datum", selberg.LFunctionData.__init__)
     before = {name: _info(name) for name in CACHES}
     try:
         result = operation()

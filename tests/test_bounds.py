@@ -32,6 +32,7 @@ from zerobound import (
 from zerobound import (
     GammaFactor,
     LFunctionData,
+    NewformSpec,
     StripParams,
     ZeroboundError,
     ZeroList,
@@ -40,6 +41,9 @@ from zerobound import (
     magnitude_envelope,
     main_term,
     min_admissible_height,
+    newform_params,
+    newform_strip,
+    pipeline_constants,
     presets,
     ratio_error_bound,
     ratio_error_sup,
@@ -259,6 +263,36 @@ def test_bounds_that_need_no_left_edge_kernel_sum_hold_on_a_wide_strip(zeta_pair
     assert (bc.alpha, bc.h1, bc.h2) == (0, 4000000000009.9053, 3.0000000000335e+24)
 
 
+def test_per_piece_bounds_past_the_float_range_are_finite_or_refused(zeta_pair):
+    # at b = -1e300 the log-integral tail 3 d (b^2 + b) and the reflection h2
+    # overflow a float, as the tail over T0 and log(T/T0) do at T0 = 5e-324 on
+    # the usual strip: each public per-piece bound returns finite values or
+    # raises a ZeroboundError, and those two raise DomainError
+    data, strip = zeta_pair
+    wide = select_strip(1.0, a=3.0, b=-1e300)
+    bounds = {
+        "ratio_error_sup": lambda: ratio_error_sup(data, wide, 1e302),
+        "integrated_ratio_error": lambda: integrated_ratio_error(data, wide, 2e301, 1e302),
+        "log_integral_bound": lambda: log_integral_bound(data, wide, 2e301, 1e302),
+        "disc_count_bound": lambda: disc_count_bound(data, wide, 1e302),
+        "argument_integral_bound": lambda: argument_integral_bound(data, wide, 1e302),
+        "branch_constants": lambda: branch_constants(data, wide, 1e302),
+        "trivial_zero_window": lambda: trivial_zero_window(data, wide),
+    }
+    for name, call in bounds.items():
+        try:
+            result = call()
+        except ZeroboundError:
+            continue
+        numbers = (result,) if type(result) is float else (result.h1, result.h2)
+        assert all(map(math.isfinite, numbers)), name
+    for call in (bounds["log_integral_bound"], bounds["branch_constants"],
+                 lambda: log_integral_bound(data, strip, 5e-324, 100.0),
+                 lambda: integrated_ratio_error(data, strip, 5e-324, 1e308)):
+        with pytest.raises(DomainError, match="is not a finite float, got inf"):
+            call()
+
+
 def test_a_refused_left_edge_kernel_sum_leaves_its_pieces_cached(zeta_pair):
     # the pieces of the a = 1e12 strip are built once and kept; K is refused
     # on every read, by the pieces, ratio_error_sup or a window, and never stored
@@ -267,14 +301,14 @@ def test_a_refused_left_edge_kernel_sum_leaves_its_pieces_cached(zeta_pair):
 
     def read_k_everywhere():
         log_integral_bound(data, strip, 1e14, 1e15)
-        pieces = probe.pieces(data.factors, strip)
+        pieces = probe.pieces(data, strip)
         for read in (lambda: pieces.K, lambda: pieces.sup(1e14), lambda: pieces.K,
                      lambda: ratio_error_sup(data, strip, 1e14),
                      lambda: bound_report(data, strip, 1e14, 1e15)):
             with pytest.raises(DomainError, match="secant"):
                 read()
             assert "K" not in vars(pieces)
-        return probe.pieces(data.factors, strip) is pieces
+        return probe.pieces(data, strip) is pieces
 
     found, counts = probe.costs(read_k_everywhere)
     assert found
@@ -515,7 +549,7 @@ def test_bound_report_derives_each_invariant_once():
     strip = select_strip(1.0)
     window = probe.window(data, strip, 16.0)
     pieces, constants = window.pieces, window.constants
-    assert pieces is probe.pieces(data.factors, strip)
+    assert pieces is probe.pieces(data, strip)
     first = bound_report(data, strip, 16.0, 100.0)
     assert bound_report(data, strip, 16.0, 100.0) == first
     assert first.R_total == pytest.approx(RTOT_ZETA_16_100, rel=1e-12)
@@ -625,7 +659,7 @@ def _window_bits(window, t):
     """float.hex of every number a window holds, its factor-level pieces' too (K once read),
     by name, and of its (R1, R2(T), total) and its BoundReport fields at t."""
     held = {**vars(window), **{f"pieces.{k}": v for k, v in vars(window.pieces).items()}}
-    for name in ("data", "strip", "pieces", "coefficients", "pieces.profile", "pieces.strip"):
+    for name in ("data", "strip", "pieces", "coefficients", "pieces.data", "pieces.strip"):
         held.pop(name, None)
     bits = {name: _bits(v if isinstance(v, tuple) else (v,)) for name, v in held.items()}
     return bits, _bits(window.at(t)), _bits(_report_fields(window.report(t)))
@@ -713,8 +747,8 @@ def test_data_differing_in_the_sign_of_a_zero_share_bit_identical_windows(window
 
 
 def test_sign_twins_store_plus_zero_extremes_of_re_mu_in_either_order():
-    # every Re(mu) is a zero, so both extremes are; the datum built second
-    # finds its twin's factor-pass entry, and either way each stores +0.0
+    # every Re(mu) is a zero, so both extremes are; each twin stores +0.0, and
+    # the pieces of the twin taken second are the entry of the one taken first
     strip = select_strip(1.0)
 
     def datum(sign):
@@ -724,13 +758,16 @@ def test_sign_twins_store_plus_zero_extremes_of_re_mu_in_either_order():
 
     bits = []
     for order in ((-1.0, 1.0), (1.0, -1.0)):
-        probe.empty_caches("factor pass")
-        built, counts = probe.costs(lambda: [datum(sign) for sign in order])
-        assert (counts["factor pass"], counts["factor pass hits"]) == (1, 1)
+        built = [datum(sign) for sign in order]
+        probe.empty_caches("factor pieces")
+        pieces, counts = probe.costs(lambda: [probe.pieces(data, strip) for data in built])
+        assert (counts["factor pieces"], counts["factor pieces hits"]) == (1, 1)
+        assert pieces[0] is pieces[1] and pieces[0].data is built[0]
         for data in built:
             assert (data.re_mu_min.hex(), data.re_mu_max.hex()) == ("0x0.0p+0", "0x0.0p+0")
             bits.append(trivial_zero_window(data, strip).hex())
-    assert len(bits) == 4 and len(set(bits)) == 1
+        bits.append(pieces[0].trivial.hex())
+    assert len(bits) == 6 and len(set(bits)) == 1
 
 
 def _flip_zero(x):
@@ -744,15 +781,17 @@ def _flip_zero(x):
     st.integers(0, 7), st.floats(0.0, 6.0), st.floats(0.0, 1.0),
 )
 def test_warm_and_cold_window_pieces_are_bit_identical(window, log_q, angle, k, log_a1, lift):
-    # a twin datum shares the gamma factors, up to the sign of each zero part
-    # of mu, and draws its own Q, omega, k and a1; both windows on the same
-    # strip share one entry of factor-level pieces, and each equals its
-    # window built cold
+    # the equal twin flips the sign of each zero part of mu: both windows on
+    # the strip share one entry of factor-level pieces, and each equals its
+    # window built cold.  The other twin also draws its own Q, omega, k and
+    # a1: the first datum's pieces give its window too, as a weight's
+    # level-1 pieces give each newform table row
     data, strip, t0, t = window
     factors = tuple(
         GammaFactor(f.lam, complex(_flip_zero(f.mu.real), _flip_zero(f.mu.imag)))
         for f in data.factors
     )
+    equal = LFunctionData(factors, data.Q, data.omega, data.k, data.a1)
     try:
         twin = LFunctionData(
             factors, data.Q * math.exp(log_q), complex(math.cos(angle), math.sin(angle)), k,
@@ -761,36 +800,61 @@ def test_warm_and_cold_window_pieces_are_bit_identical(window, log_q, angle, k, 
     except ValidationError:
         assume(False)
     T0 = min_admissible_height(twin, strip).value * (1.0 + lift)
-    _assert_shared_pieces_are_datum_free((data, t0, t), (twin, T0, T0 * t / t0), strip)
-
-
-def _assert_shared_pieces_are_datum_free(first, second, strip):
-    """Two (datum, T0, T) on the same gamma factors and strip share one _factor_pieces entry,
-    and each window, its fields and its BoundReport fields, equals one built cold."""
     probe.empty_caches("factor pieces")
-    warm, counts = probe.costs(lambda: [probe.Window(data, strip, T0)
-                                        for data, T0, _ in (first, second)])
-    # the second found the first's pieces
+    warm, counts = probe.costs(lambda: [probe.Window(d, strip, t0) for d in (data, equal)])
     assert (counts["factor pieces"], counts["factor pieces hits"]) == (1, 1)
     assert warm[0].pieces is warm[1].pieces
-    for window, (data, T0, T) in zip(warm, (first, second)):
+    for each, key in zip(warm, (data, equal)):
         probe.empty_caches("factor pieces")
-        cold = probe.Window(data, strip, T0)
-        assert cold.pieces is not window.pieces
-        assert _window_bits(window, T) == _window_bits(cold, T)
+        cold = probe.Window(key, strip, t0)
+        assert cold.pieces is not each.pieces
+        assert _window_bits(each, t) == _window_bits(cold, t)
+    _assert_pieces_are_datum_free(data, (twin, T0), strip)
+
+
+def _assert_pieces_are_datum_free(data, target, strip):
+    """The pieces of data and strip, run through the window's float core with the datum-level
+    values of the target (datum, T0), have the bits of its window built cold."""
+    other, T0 = target
+    probe.empty_caches("factor pieces")
+    pieces = probe.pieces(data, strip)
+    floats = probe.window_floats(pieces, other.k, other.log_lambda_q2, other.log_a1_zeta2, T0,
+                                 probe.height(pieces, other.k, T0))
+    probe.empty_caches("factor pieces")
+    cold = probe.Window(other, strip, T0)
+    assert cold.pieces is not pieces
+    # repr round-trips every float and tells -0.0 from 0.0, so equal reprs mean equal bits
+    assert repr(floats) == repr(attrgetter("heads", "alpha", "h1", "h2", "r2_t0", "head",
+                                           "constants")(cold))
+    assert repr(_numbers(pieces)) == repr(_numbers(cold.pieces))
+
+
+def _numbers(pieces):
+    """Every number the pieces hold, by name: all but their datum and strip."""
+    return {name: v for name, v in vars(pieces).items() if name not in ("data", "strip")}
 
 
 def test_factor_pieces_hold_no_datum_level_value():
-    # one gamma factor, two conductors: Q = 1 takes the interpolation branch
-    # at T0 = 55 and Q = 10 the reflection branch, so a datum-level value
-    # cached with the pieces would show in one of the two windows; the branch
-    # constants read the pieces without their left-edge kernel sum K
-    strip = select_strip(1.0)
+    # a table row at level N reads the pieces of its weight's level-1 datum,
+    # and a window on the level-N datum builds its own, cold: the six
+    # constants have the same bits.  One gamma factor on two conductors:
+    # Q = 1 takes the interpolation branch at T0 = 55 and Q = 10 the
+    # reflection branch, and the pieces of either give the other's window.
+    # The branch constants read the pieces without their left-edge kernel sum K
+    strip = newform_strip()
+    for weight in (2, 12, 2 ** 53 - 16):
+        for level in (1, 11, 389, 10 ** 300):
+            spec = NewformSpec(level, weight)
+            row = pipeline_constants(spec)
+            probe.empty_caches("factor pieces")
+            window = probe.Window(newform_params(spec), strip, float(spec.min_height))
+            assert window.pieces is not probe.weight_entry(weight)[1]
+            assert repr(row) == repr(window.constants)
     data = [LFunctionData((GammaFactor(0.5, 10j),), Q, 1, 0, 1.0) for Q in (1.0, 10.0)]
     assert [branch_constants(d, strip, 55.0).alpha for d in data] == [1, 0]
-    assert "K" not in vars(probe.pieces(data[0].factors, strip))
-    _assert_shared_pieces_are_datum_free((data[0], 55.0, 1000.0), (data[1], 55.0, 1000.0), strip)
-    _assert_shared_pieces_are_datum_free((data[1], 55.0, 80.0), (data[0], 60.0, 1e6), strip)
+    assert "K" not in vars(probe.pieces(data[0], strip))
+    _assert_pieces_are_datum_free(data[0], (data[1], 55.0), strip)
+    _assert_pieces_are_datum_free(data[1], (data[0], 60.0), strip)
 
 
 # --- the caches --------------------------------------------------------------------------

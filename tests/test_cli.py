@@ -468,6 +468,11 @@ GOLDEN_ARGV = {
     "interp_constants": ["constants", "--input", str(CLI_GOLDEN / "interp.json"), "--t0", "55"],
     "interp_bound": ["bound", "--input", str(CLI_GOLDEN / "interp.json"),
                      "--t0", "55", "--t", "1000"],
+    # newform data, each built by the LFunctionData constructor: root number i^2 = -1,
+    # and the largest level and weight NewformSpec takes
+    "newform_omega_minus": ["params", "--preset", "newform", "--level", "4", "--weight", "2"],
+    "newform_extreme": ["params", "--preset", "newform", "--level", str(10 ** 300),
+                        "--weight", "9007199254740976"],
 }
 
 
@@ -481,7 +486,7 @@ def test_cli_output_matches_golden_bytes(capsys, monkeypatch, name, argv):
 
 # --- the parser, built once per process -------------------------------------------------
 
-#: every golden output: the nine above and the published table
+#: every golden output: the eleven above and the published table
 GOLDEN_RUNS = [
     *((CLI_GOLDEN / f"{name}.json", argv) for name, argv in GOLDEN_ARGV.items()),
     (Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "table.out",

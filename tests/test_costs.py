@@ -21,10 +21,10 @@ import probe
 import zerobound
 from test_cli import GOLDEN_ARGV
 from zerobound import (
-    GammaFactor, LFunctionData, NewformSpec, ZeroboundError, ZeroList, bound_report,
-    branch_constants, check_bound, disc_count_bound, integrated_ratio_error, log_integral_bound,
-    newform_params, pipeline_constants, presets, ratio_error_sup, select_strip, table_generate,
-    table_row, tail_sum,
+    LFunctionData, NewformSpec, ZeroboundError, ZeroList, bound_report, branch_constants,
+    check_bound, disc_count_bound, integrated_ratio_error, log_integral_bound, newform_params,
+    pipeline_constants, presets, ratio_error_sup, select_strip, table_generate, table_row,
+    tail_sum,
 )
 from zerobound.cli import main
 from zerobound.newform import read_pairs_csv
@@ -39,6 +39,8 @@ NEW_LEVELS = [NewformSpec(10 ** 300 + 1, 12), NewformSpec(7, 2)]
 COMMANDS = {name: GOLDEN_ARGV[key] for name, key in (
     ("params", "zeta"), ("constants", "constants"), ("bound", "bound"), ("verify", "verify"))}
 COMMANDS["table"] = ["table", "--preset", "newform"]
+#: a weight the bundled table does not have
+COMMANDS["newform params"] = ["params", "--preset", "newform", "--level", "7", "--weight", "100"]
 
 
 bundled_table = partial(table_generate, BUNDLED)
@@ -75,12 +77,10 @@ def times(n, costs):
 
 # the blocks the rows below add up; a hit is a cache lookup that found its entry
 
-#: the pieces of one (gamma factors, strip): a kernel sum at -b and -b - 1 (two kernel
-#: evaluations in one call) and the trivial-zero allowance; their factor pass counted apart
+#: the pieces of one (datum, strip): a kernel sum at -b and -b - 1 (two kernel evaluations
+#: in one call) and the trivial-zero allowance, all read from the datum's invariants
 PIECES = Counter({"factor pieces": 1, "_kernel_sums": 1, "_factor_kernels": 2,
                   "trivial_zero_window": 1})
-#: pieces and their factor pass, for a datum built before the caches were emptied
-COLD_PIECES = Counter({"factor pass": 1}) + PIECES
 #: K, the pieces' kernel sum at the disc's left edge, computed at its first read
 K = Counter({"_kernel_sums": 1, "_factor_kernels": 1})
 #: the branch heads, and the branch chosen from them
@@ -88,24 +88,24 @@ HEADS = Counter({"_heads": 1, "_log_interp_peak": 1})
 BRANCH = HEADS + Counter({"_branch": 1})
 #: one window on cached pieces: one _height call, which checks T0 once, and no value object
 WINDOW = Counter({"window": 1, "_height": 1, "_admissible": 1}) + BRANCH
-COLD_WINDOW = COLD_PIECES + K + WINDOW
+COLD_WINDOW = PIECES + K + WINDOW
 #: the Coefficients pair that check_bound and bound ask a window for, built once per window
 PAIR = Counter({"Coefficients": 2})
-#: one newform weight's entry: its level-1 datum (a factor pass, then _set_q), its pieces
-#: (whose factor pass finds the datum's), K, and the terms at T0, which is checked once
-WEIGHT = Counter({"weight entry": 1, "factor pass": 1, "factor pass hits": 1, "_set_q": 1,
-                  "_height": 1, "_admissible": 1}) + PIECES + K
+#: one datum, built by its constructor, which derives every invariant in one pass
+DATUM = Counter({"datum": 1})
+#: one newform weight's entry: its level-1 datum, its pieces, K, and the terms at T0,
+#: which is checked once
+WEIGHT = DATUM + Counter({"weight entry": 1, "_height": 1, "_admissible": 1}) + PIECES + K
 #: the 25 bundled rows on 10 weights; no row builds a window or selects a strip
 TABLE = times(10, WEIGHT) + times(25, BRANCH) + Counter({"weight entry hits": 15})
 WARM_TABLE = times(25, BRANCH) + Counter({"weight entry hits": 25})
 PARSER, PARSED = Counter({"parser": 1}), Counter({"parser hits": 1})
-#: the zeta document read into a datum (its factor pass, then _set_q) and a strip, whose
-#: selection evaluates tail_sum(3, 1) twice
-READ = Counter({"factor pass": 1, "_set_q": 1, "select_strip": 1, "tail sum": 1,
-                "tail sum hits": 1})
-READ_AGAIN = Counter({"factor pass hits": 1, "_set_q": 1, "select_strip": 1, "tail sum hits": 2})
+#: the zeta document read into a datum and a strip, whose selection evaluates
+#: tail_sum(3, 1) twice
+READ = DATUM + Counter({"select_strip": 1, "tail sum": 1, "tail sum hits": 1})
+READ_AGAIN = DATUM + Counter({"select_strip": 1, "tail sum hits": 2})
 #: the zeta window of a command that has read the document
-READ_WINDOW = Counter({"factor pass hits": 1}) + PIECES + K + WINDOW
+READ_WINDOW = PIECES + K + WINDOW
 
 #: a set-up that runs the row's operation once, whose result the warm one must repeat
 WARM = "the operation itself"
@@ -118,40 +118,41 @@ COSTS = {
     "bundled table plus two new levels, warm": (
         bundled_table, lambda: table_generate(BUNDLED + NEW_LEVELS),
         times(27, BRANCH) + Counter({"weight entry hits": 27})),
+    # a newform's datum is built like any other: no weight entry, pieces or window
     "newform_params(1, 12), after the bundled table": (
-        bundled_table, lambda: newform_params(NewformSpec(1, 12)),
-        Counter({"weight entry hits": 1, "_set_q": 1})),
+        bundled_table, lambda: newform_params(NewformSpec(1, 12)), DATUM),
+    "newform_params(7, 100), cold": ((), lambda: newform_params(NewformSpec(7, 100)), DATUM),
     "table_row(1, 12), cold": ((), partial(table_row, NewformSpec(1, 12)), WEIGHT + BRANCH),
     "table_row(11, 12), after table_row(1, 12)": (
         partial(table_row, NewformSpec(1, 12)), partial(table_row, NewformSpec(11, 12)),
         BRANCH + Counter({"weight entry hits": 1})),
     "bound_report, cold": ((), zeta_report, COLD_WINDOW),
-    # check_bound takes its window twice
+    # check_bound looks its window up once
     "check_bound(16, 100), after bound_report": (
-        zeta_report, check(16.0, 100.0), PAIR + Counter({"window hits": 2})),
+        zeta_report, check(16.0, 100.0), PAIR + Counter({"window hits": 1})),
     "check_bound(16, 30), after both": (
         lambda: (zeta_report(), check(16.0, 100.0)()), check(16.0, 30.0),
-        Counter({"window hits": 2})),
+        Counter({"window hits": 1})),
     "check_bound at T0 = 20 and 200 heights, after those": (
         lambda: (zeta_report(), check(16.0, 100.0)(), check(16.0, 30.0)()), scan_at_20,
-        WINDOW + PAIR + Counter({"factor pieces hits": 1, "window hits": 399})),
+        WINDOW + PAIR + Counter({"factor pieces hits": 1, "window hits": 199})),
     "check_bound at T0 = 20 and 200 heights, cold": (
-        (), scan_at_20, COLD_WINDOW + PAIR + Counter({"window hits": 399})),
+        (), scan_at_20, COLD_WINDOW + PAIR + Counter({"window hits": 199})),
     # the per-piece bounds build no window
-    "log_integral_bound, cold": ((), lambda: log_integral_bound(*ZETA, 16.0, 100.0), COLD_PIECES),
+    "log_integral_bound, cold": ((), lambda: log_integral_bound(*ZETA, 16.0, 100.0), PIECES),
     "integrated_ratio_error, cold": (
-        (), lambda: integrated_ratio_error(*ZETA, 16.0, 100.0), COLD_PIECES),
+        (), lambda: integrated_ratio_error(*ZETA, 16.0, 100.0), PIECES),
     "branch_constants, cold": (
         (), lambda: branch_constants(*ZETA, 16.0),
-        COLD_PIECES + BRANCH + Counter({"BranchConstants": 1})),
-    "ratio_error_sup, cold": ((), lambda: ratio_error_sup(*ZETA, 30.0), COLD_PIECES + K),
+        PIECES + BRANCH + Counter({"BranchConstants": 1})),
+    "ratio_error_sup, cold": ((), lambda: ratio_error_sup(*ZETA, 30.0), PIECES + K),
     "disc_count_bound, cold": (
         (), lambda: disc_count_bound(*ZETA, 30.0),
-        COLD_PIECES + K + HEADS + Counter({"_admissible": 1})),
+        PIECES + K + HEADS + Counter({"_admissible": 1})),
     # the five per-piece bounds and a report share one pieces entry
     "the three bounds that read no K, cold": (
         (), three_pieces,
-        COLD_PIECES + BRANCH + Counter({"BranchConstants": 1, "factor pieces hits": 2})),
+        PIECES + BRANCH + Counter({"BranchConstants": 1, "factor pieces hits": 2})),
     "ratio_error_sup, disc_count_bound and bound_report, after those": (
         three_pieces,
         lambda: (ratio_error_sup(*ZETA, 30.0), disc_count_bound(*ZETA, 30.0), zeta_report()),
@@ -164,10 +165,9 @@ COSTS = {
         (), lambda: select_strip(sys.float_info.max),
         Counter({"tail sum": 1024, "tail sum hits": 1023})),
     # each command on the zeta fixture, and table on the bundled pairs
-    "zerobound params, cold": (
-        (), command("params"), PARSER + Counter({"factor pass": 1, "_set_q": 1})),
-    "zerobound params, warm": (
-        WARM, command("params"), PARSED + Counter({"factor pass hits": 1, "_set_q": 1})),
+    "zerobound params, cold": ((), command("params"), PARSER + DATUM),
+    "zerobound params, warm": (WARM, command("params"), PARSED + DATUM),
+    "zerobound params --preset newform, cold": ((), command("newform params"), PARSER + DATUM),
     "zerobound constants, cold": ((), command("constants"), PARSER + READ + READ_WINDOW),
     "zerobound constants, warm": (
         WARM, command("constants"), PARSED + READ_AGAIN + Counter({"window hits": 1})),
@@ -175,16 +175,15 @@ COSTS = {
         (), command("bound"), PARSER + READ + READ_WINDOW + PAIR + Counter({"window hits": 1})),
     "zerobound bound, warm": (
         WARM, command("bound"), PARSED + READ_AGAIN + Counter({"window hits": 2})),
-    "zerobound verify, cold": (
-        (), command("verify"), PARSER + READ + READ_WINDOW + PAIR + Counter({"window hits": 1})),
+    "zerobound verify, cold": ((), command("verify"), PARSER + READ + READ_WINDOW + PAIR),
     "zerobound verify, warm": (
-        WARM, command("verify"), PARSED + READ_AGAIN + Counter({"window hits": 2})),
+        WARM, command("verify"), PARSED + READ_AGAIN + Counter({"window hits": 1})),
     "zerobound table, cold": ((), command("table"), PARSER + TABLE),
     "zerobound table, warm": (WARM, command("table"), PARSED + WARM_TABLE),
     # one parser serves every command of a process
     "zerobound table, after the other four commands": (
-        lambda: [command(name)() for name in COMMANDS if name != "table"], command("table"),
-        PARSED + TABLE),
+        lambda: [command(name)() for name in ("params", "constants", "bound", "verify")],
+        command("table"), PARSED + TABLE),
 }
 
 
@@ -206,19 +205,17 @@ def test_each_operation_costs_what_the_table_says(name):
 #: for each bounded cache, a public call that reads one entry per int key i >= 0, and the
 #: repr of its result, whose floats round-trip, so an equal repr means equal bits
 FILL = {
-    "factor pass": lambda i: repr(vars(LFunctionData((GammaFactor(1.0, complex(0.5 * i, 0.25)),),
-                                                     0.7, 1, 0, 1.0))),
-    "factor pieces": lambda i: repr(pipeline_constants(NewformSpec(1, 2 * i + 2))),
+    # each Q makes a datum, and so a pieces key, of its own
+    "factor pieces": lambda i: repr(log_integral_bound(
+        LFunctionData(ZETA[0].factors, 1.0 + i, 1, 1, 1.0), ZETA[1], 16.0, 100.0)),
     "window": lambda i: repr(bound_report(*ZETA, 16.0 + i, 1000.0)),
-    "weight entry": lambda i: repr(vars(newform_params(NewformSpec(1, 2 * i + 2)))),
+    "weight entry": lambda i: repr(pipeline_constants(NewformSpec(1, 2 * i + 2))),
     "tail sum": lambda i: repr(tail_sum(2.0 + i / 64.0, 1.0)),
 }
 
 #: for each cache a refused call can reach, such calls and the misses they make; no
 #: NewformSpec refers to a weight whose entry fails, and the parser build cannot fail
 RAISING = {
-    "factor pass": ((lambda: LFunctionData((GammaFactor(0.1, 1.0),), 1.0, 1, 0, 1.0),
-                     lambda: LFunctionData((GammaFactor(200.0, 0j),), 1.0, 1, 0, 1.0)), 2),
     "window": ((check(15.0, 100.0), check(15.0, 100.0)), 2),
     # the range rule refuses these before the cache
     "tail sum": ((lambda: tail_sum(1.0, 1.0), lambda: tail_sum(3.0, math.nan)), 0),

@@ -110,15 +110,19 @@ def test_lambda_q2_is_level_over_four_pi_squared():
         )
 
 
-def test_data_of_one_weight_share_one_factor_tuple():
-    # the tuple is built once per weight, with the weight's level-1 datum, and
-    # kept with its entry (test_costs.FILL); the entry's pieces are keyed by that tuple
-    same = [newform_params(NewformSpec(level, 12)).factors for level in (1, 11, 389)]
-    assert same[0] is same[1] is same[2] == (GammaFactor(1.0, complex(5.5, 0.0)),)
+def test_rows_of_one_weight_share_one_weight_entry():
+    # newform_params builds each datum anew, by its constructor; the rows of one
+    # weight read one entry, whose datum equals the level-1 one and keys the pieces
+    levels = (1, 11, 389)
+    data = [newform_params(NewformSpec(level, 12)) for level in levels]
+    assert data[0].factors == data[2].factors == (GammaFactor(1.0, complex(5.5, 0.0)),)
+    assert data[0].factors is not data[2].factors
+    _, counts = probe.costs(lambda: [pipeline_constants(NewformSpec(n, 12)) for n in levels])
+    assert (counts["weight entry"], counts["weight entry hits"]) == (1, 2)
     datum, pieces, t0, _ = probe.weight_entry(12)
-    assert same[0] is datum.factors and type(t0) is float and t0 == 27.0
-    assert pieces is probe.pieces(same[0], newform_strip())
-    assert newform_params(NewformSpec(1, 14)).factors is not same[0]
+    assert datum == data[0] and type(t0) is float and t0 == 27.0
+    assert pieces is probe.pieces(data[0], newform_strip()) and pieces.data is datum
+    assert probe.weight_entry(14)[0].factors != datum.factors
 
 
 @pytest.mark.parametrize("weight", [2, 4, 12, 2 ** 53 - 16])

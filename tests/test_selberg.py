@@ -28,7 +28,6 @@ from zerobound import (
 from zerobound.selberg import _TAIL_TERMS, _constraints, _pole_window, _thresholds, document_dict
 
 from test_bounds import _flip_zero, _or_zero
-from test_costs import BUNDLED, bundled_table, fill_from_four_threads, fill_past_the_bound
 
 # frozen by scripts/derive_oracle_values.py (mpmath, 40 digits)
 TAIL_2 = 0.6449340668482264
@@ -423,7 +422,7 @@ def test_invariants_match_the_lazy_formulas(factors, log_q, theta, k, a1):
     )
 
 
-# --- the factor-invariant cache -------------------------------------------------
+# --- sign twins ------------------------------------------------------------------
 
 def _invariant_bits(data):
     """_hex of every invariant a datum stores beyond its five fields and its hash; int f as is."""
@@ -432,6 +431,13 @@ def _invariant_bits(data):
         name: value if type(value) is int else _hex(value)
         for name, value in vars(data).items() if name not in skip
     }
+
+
+def _piece_bits(pieces):
+    """_hex of every number the factor pieces hold, K included, which this reads first."""
+    pieces.K
+    return {name: _hex(value) for name, value in vars(pieces).items()
+            if name not in ("data", "strip")}
 
 
 @settings(max_examples=200, deadline=None)
@@ -444,46 +450,27 @@ def _invariant_bits(data):
     st.floats(-20.0, 20.0), st.floats(-math.pi, math.pi), st.integers(0, 7), st.floats(1.0, 1e6),
 )
 def test_datum_on_a_memoized_twin_tuple_has_the_bits_of_a_cold_one(params, log_q, theta, k, a1):
-    # the twin tuple flips the sign of every zero part of mu, so it compares
-    # equal and is the cache key the datum finds; every invariant, the extremes
-    # of Re(mu) included, has the bits of the same datum built on an empty cache
+    # the twin tuple flips the sign of every zero part of mu, so the two data
+    # compare equal and the datum finds its twin's pieces entry; every
+    # invariant of the datum, the extremes of Re(mu) included, has its twin's
+    # bits, and the pieces it finds, K included, have the bits of its own
+    # pieces built on an empty cache
     factors = tuple(GammaFactor(lam, complex(re, im)) for lam, re, im in params)
     twin = tuple(
         GammaFactor(f.lam, complex(_flip_zero(f.mu.real), _flip_zero(f.mu.imag))) for f in factors
     )
     args = math.exp(log_q), cmath.exp(1j * theta), k, a1
-
-    def twin_then_warm():
-        try:
-            LFunctionData(twin, *args)
-        except ValidationError:
-            return None
-        return LFunctionData(factors, *args)
-
-    probe.empty_caches("factor pass")
-    warm, counts = probe.costs(twin_then_warm)
-    assume(warm is not None)
-    assert (counts["factor pass"], counts["factor pass hits"]) == (1, 1)  # the twin's entry
-    probe.empty_caches("factor pass")
-    assert _invariant_bits(warm) == _invariant_bits(LFunctionData(factors, *args))
-
-
-def test_factor_memo_never_exceeds_its_bound():
-    # more distinct factor tuples than the cache holds: the least recently used
-    # go first, and a revisit gives the bits of the first visit
-    fill_past_the_bound("factor pass")
-
-
-def test_factor_memo_keeps_its_bound_and_results_under_threads():
-    fill_from_four_threads("factor pass")
-
-
-def test_bundled_table_runs_the_factor_pass_once_per_weight():
-    # the 25 rows have 10 distinct weights, so 10 distinct factor tuples; each
-    # row built its datum, and ran the pass, anew before the cache
-    counts = probe.costs(bundled_table)[1]
-    assert len(BUNDLED) == 25 and len({spec.weight for spec in BUNDLED}) == 10
-    assert counts["factor pass"] == 10
+    try:
+        data, twin_data = LFunctionData(factors, *args), LFunctionData(twin, *args)
+    except ValidationError:
+        assume(False)
+    strip = select_strip(a1)
+    probe.empty_caches("factor pieces")
+    shared, counts = probe.costs(lambda: [probe.pieces(d, strip) for d in (twin_data, data)])
+    assert (counts["factor pieces"], counts["factor pieces hits"]) == (1, 1)  # the twin's entry
+    assert _invariant_bits(data) == _invariant_bits(twin_data)
+    probe.empty_caches("factor pieces")
+    assert _piece_bits(shared[1]) == _piece_bits(probe.pieces(data, strip))
 
 
 # --- tail sums ----------------------------------------------------------------

@@ -108,12 +108,12 @@ DERIVED = {
     "_Window": ("pieces", "heads", "alpha", "h1", "h2", "r2_t0", "head", "constants"),
 }
 
-#: the factor-level pieces a window shares with every window on its gamma factors and strip:
-#: the factor pass and the strip, two triples of floats (the k-free admissibility thresholds
+#: the factor-level pieces a window shares with every window on an equal datum and strip:
+#: the datum and the strip, two triples of floats (the k-free admissibility thresholds
 #: and the factor-level terms of the interpolation peak), then floats, of which K is stored
 #: once it has been read
 PIECES = (
-    "profile", "strip", "thresholds", "interp", "d", "dc", "half_im", "tail", "h1_lift", "h2_reflect", "K", "ratio_slope", "slope", "trivial",
+    "data", "strip", "thresholds", "interp", "d", "dc", "half_im", "tail", "h1_lift", "h2_reflect", "K", "ratio_slope", "slope", "trivial",
     "c1_main", "c1_dbl", "c2_dbl_head", "c3_dbl_head", "c3_scale", "c2_dbl_scale", "head_scale",
 )
 
@@ -261,13 +261,13 @@ def test_window_stores_its_fields_and_derived_names_only():
     # which it does not store; the Coefficients pair is stored only
     # once a public function has asked for it
     data, strip = presets.zeta()
-    pieces = probe.pieces(data.factors, strip)
+    pieces = probe.pieces(data, strip)
     assert set(vars(pieces)) == set(PIECES) - {"K"}
     window = probe.Window(data, strip, 16.0)
     assert window.pieces is pieces
     assert set(vars(window)) == {*probe.Window._fields, *DERIVED["_Window"]}
     assert set(vars(pieces)) == set(PIECES)
-    assert pieces.profile is probe.factor_pass(data.factors) and pieces.strip is strip
+    assert pieces.data is data and pieces.strip is strip
     assert all(type(v) is float for k, v in vars(pieces).items() if k not in PIECES[:4])
     assert all(type(x) is float for k in PIECES[2:4] for x in getattr(pieces, k))
     disc, *height = probe.height(pieces, data.k, 16.0)
