@@ -413,7 +413,16 @@ def ceil_guarded(x: float, label: str = "") -> int:
     integers, so proximity signals a transcription or rounding hazard
     rather than a legitimate value.  A nan, an x past the float range or an
     x that is no real number raises DomainError.
+
+    A finite float x takes a fast path: its ceiling c is returned when x lies
+    at least CEIL_GUARD from both c and c - 1.  Each of those differences is
+    rounded as x - round(x) is, so the decision is that of the full rule, which
+    every other x, and a float near an integer, goes through.
     """
+    if type(x) is float and abs(x) <= _FLOAT_MAX:
+        c = math.ceil(x)
+        if c - x >= CEIL_GUARD and x - (c - 1) >= CEIL_GUARD:
+            return c
     try:
         finite = abs(x) <= _FLOAT_MAX  # else round() raises a bare ValueError or OverflowError
         if finite and abs(x - round(x)) >= CEIL_GUARD:

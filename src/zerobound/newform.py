@@ -110,18 +110,35 @@ def pipeline_constants(spec: NewformSpec) -> tuple[float, float, float, float, f
     return _window_floats(pieces, datum.k, log_lq2, datum.log_a1_zeta2, t0, height)[-1]
 
 
+class _RowLabel:
+    """A row's "(N=..., kappa=...)" label, written only when a warning or an error reads it."""
+
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: NewformSpec) -> None:
+        self.spec = spec
+
+    def __str__(self) -> str:
+        return f"(N={self.spec.level}, kappa={self.spec.weight})"
+
+
 def table_row(spec: NewformSpec) -> tuple[int, int, int, int, int, int]:
-    """Ceilings of the six constants, in table column order."""
-    label = f"(N={spec.level}, kappa={spec.weight})"
-    return tuple(ceil_guarded(x, label=label) for x in pipeline_constants(spec))
+    """Ceilings of the six constants, in table column order.
+
+    Each constant goes through ceil_guarded once, with the row's lazy label.
+    """
+    return tuple(map(ceil_guarded, pipeline_constants(spec), (_RowLabel(spec),) * 6))
 
 
 def table_generate(specs: list[NewformSpec]) -> str:
-    """CSV document with one row per spec, in input order; int fields need no quoting."""
+    """CSV document with one row per spec, in input order; int fields need no quoting.
+
+    Each row is written by one %-format of its nine ints.
+    """
     lines = [",".join(TABLE_HEADER)]
     for spec in specs:
-        row = (spec.level, spec.weight, spec.min_height, *table_row(spec))
-        lines.append(",".join(map(str, row)))
+        lines.append("%d,%d,%d,%d,%d,%d,%d,%d,%d" % (spec.level, spec.weight, spec.min_height,
+                                                     *table_row(spec)))
     return "\n".join(lines) + "\n"
 
 
@@ -136,7 +153,7 @@ def read_pairs_csv(text: str) -> list[NewformSpec]:
         raise ValidationError(f"pairs file must start with header 'N,kappa', got {header!r}")
     specs = []
     for i, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
+        if not any(map(str.strip, row)):
             continue
         try:
             specs.append(NewformSpec(int(row[0]), int(row[1])))

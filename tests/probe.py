@@ -25,7 +25,7 @@ CALLS = (
     gammabounds._kernel_sums, gammabounds._factor_kernels, bounds._height, bounds._heads,
     bounds._branch, gammabounds._log_interp_peak, selberg._admissible,
     bounds.trivial_zero_window, bounds.branch_constants, selberg.select_strip,
-    bounds.BranchConstants, bounds.Coefficients,
+    bounds.BranchConstants, bounds.Coefficients, bounds.ceil_guarded,
 )
 
 # the layers other tests read
@@ -42,6 +42,11 @@ IMPORT_CHECK = (
     ".currsize; sys.exit(f'import zerobound.cli loaded {sorted(loaded)}, built {built} parsers' "
     "if loaded or built else 0)"
 )
+
+#: code that, run before zerobound.cli builds its parser, gives every parser argparse's stock
+#: help formatter in place of the package's deferred one
+STOCK_FORMATTER = ("import argparse, zerobound.cli\n"
+                   "zerobound.cli._HelpFormatter = argparse.HelpFormatter\n")
 
 
 def _info(name):

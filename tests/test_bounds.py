@@ -2,6 +2,10 @@
 
 import math
 import re
+import sys
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 from operator import attrgetter
 
 import pytest
@@ -54,6 +58,8 @@ from zerobound import (
     select_strip,
     stirling_remainder_bound,
 )
+from zerobound.bounds import CEIL_GUARD
+from zerobound.errors import _value_text
 
 # frozen by scripts/derive_oracle_values.py
 S_NF12_27_100 = 538.919230378462
@@ -500,6 +506,94 @@ def test_ceil_guarded_plain():
 def test_ceil_guarded_warns_near_integer():
     with pytest.warns(BoundaryWarning):
         assert ceil_guarded(3.0000000001) == 4
+
+
+def reference_ceil_guarded(x, label=""):
+    """ceil_guarded without its float fast path: the full rule, which the path must match."""
+    try:
+        finite = abs(x) <= sys.float_info.max
+        if finite and abs(x - round(x)) >= CEIL_GUARD:
+            return math.ceil(x)
+    except (TypeError, ArithmeticError):
+        finite = False
+    named = f" for {_value_text(label)}" if label else ""
+    value = f"pre-ceiling value {_value_text(x, repr)}{named}"
+    if not finite:
+        raise DomainError(f"{value} is not a finite float")
+    warnings.warn(
+        f"{value} is within {CEIL_GUARD} of an integer; the ceiling may be unreliable",
+        BoundaryWarning,
+        stacklevel=2,
+    )
+    return math.ceil(x)
+
+
+def ceil_outcome(ceil, x, label):
+    """(result, type) or (exception class, message), and each warning's (category, text)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ceil(x, label)
+            outcome = (result, type(result))
+        except Exception as exc:
+            outcome = (type(exc), str(exc))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+def steps(x, k):
+    """x moved k ulps up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+class _Label:
+    def __str__(self):
+        return "(N=7, kappa=2)"
+
+
+class _Float(float):
+    pass
+
+
+#: floats within a few ulps of CEIL_GUARD from an integer on either side, where the
+#: fast path's two rounded differences decide
+near_guard = [steps(n + sign * CEIL_GUARD + shift, k)
+              for n in (0, 1, -1, 7, 4028, -4328, 2 ** 20, -(2 ** 30))
+              for sign, shift in ((1, 0), (-1, 0), (1, -1), (-1, 1))
+              for k in range(-3, 4)]
+ceil_floats = [
+    *near_guard, 2.5, -91.4, 4028.5, -4028.5, 0.5, -0.5, 0.0, -0.0, 5e-324, -5e-324,
+    2.0 ** 51 + 0.5, -(2.0 ** 51 + 0.5), steps(2.0 ** 52, -1), 2.0 ** 52, 2.0 ** 52 + 1,
+    2.0 ** 53 - 1, 2.0 ** 53, -(2.0 ** 53), 1e308, -1e308, sys.float_info.max,
+    -sys.float_info.max, math.nan, math.inf, -math.inf,
+]
+#: an int, a Fraction and a Decimal inside and past the float range, of either sign
+ceil_non_floats = [
+    5, -3, 0, True, False, 10 ** 400, -(10 ** 400), Fraction(7, 2), Fraction(-7, 2),
+    Fraction(4028) + Fraction(1, 10 ** 7), Fraction(10 ** 400) + Fraction(1, 2),
+    -Fraction(10 ** 400) - Fraction(1, 2), Decimal("2.5"), Decimal("-4028.0000001"),
+    Decimal("1e400") + Decimal("0.5"), -Decimal("1e400") - Decimal("0.5"), Decimal("NaN"),
+    Decimal("Infinity"), "2.5", None, 1j, 2.5 + 0j, _Float(2.5), _Float(3.0), _Float(math.nan),
+]
+ceil_labels = ["", "c2", 0, 1, 2 ** 20000, [0], None, b"c3", _Label()]
+
+
+@pytest.mark.parametrize("x", ceil_floats + ceil_non_floats)
+def test_ceil_guarded_decides_as_the_full_rule(x):
+    for label in ceil_labels:
+        expected = ceil_outcome(reference_ceil_guarded, x, label)
+        assert ceil_outcome(ceil_guarded, x, label) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.floats() | st.integers(-(2 ** 62), 2 ** 62).map(lambda n: n / 2)
+       | st.builds(lambda n, sign, k: steps(n + sign * CEIL_GUARD, k),
+                   st.integers(-(2 ** 52), 2 ** 52), st.sampled_from([1, -1]),
+                   st.integers(-4, 4)),
+       label=st.sampled_from(ceil_labels))
+def test_ceil_guarded_on_any_float_decides_as_the_full_rule(x, label):
+    assert ceil_outcome(ceil_guarded, x, label) == ceil_outcome(reference_ceil_guarded, x, label)
 
 
 def test_bound_report_fields(nf12_pair):

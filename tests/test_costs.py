@@ -96,9 +96,11 @@ DATUM = Counter({"datum": 1})
 #: one newform weight's entry: its level-1 datum, its pieces, K, and the terms at T0,
 #: which is checked once
 WEIGHT = DATUM + Counter({"weight entry": 1, "_height": 1, "_admissible": 1}) + PIECES + K
+#: one table row on its weight's entry: the branch, and one guarded ceiling per constant
+ROW = BRANCH + Counter({"ceil_guarded": 6})
 #: the 25 bundled rows on 10 weights; no row builds a window or selects a strip
-TABLE = times(10, WEIGHT) + times(25, BRANCH) + Counter({"weight entry hits": 15})
-WARM_TABLE = times(25, BRANCH) + Counter({"weight entry hits": 25})
+TABLE = times(10, WEIGHT) + times(25, ROW) + Counter({"weight entry hits": 15})
+WARM_TABLE = times(25, ROW) + Counter({"weight entry hits": 25})
 PARSER, PARSED = Counter({"parser": 1}), Counter({"parser hits": 1})
 #: the zeta document read into a datum and a strip, whose selection evaluates
 #: tail_sum(3, 1) twice
@@ -117,15 +119,15 @@ COSTS = {
     # a row of a level not seen before copies no datum either
     "bundled table plus two new levels, warm": (
         bundled_table, lambda: table_generate(BUNDLED + NEW_LEVELS),
-        times(27, BRANCH) + Counter({"weight entry hits": 27})),
+        times(27, ROW) + Counter({"weight entry hits": 27})),
     # a newform's datum is built like any other: no weight entry, pieces or window
     "newform_params(1, 12), after the bundled table": (
         bundled_table, lambda: newform_params(NewformSpec(1, 12)), DATUM),
     "newform_params(7, 100), cold": ((), lambda: newform_params(NewformSpec(7, 100)), DATUM),
-    "table_row(1, 12), cold": ((), partial(table_row, NewformSpec(1, 12)), WEIGHT + BRANCH),
+    "table_row(1, 12), cold": ((), partial(table_row, NewformSpec(1, 12)), WEIGHT + ROW),
     "table_row(11, 12), after table_row(1, 12)": (
         partial(table_row, NewformSpec(1, 12)), partial(table_row, NewformSpec(11, 12)),
-        BRANCH + Counter({"weight entry hits": 1})),
+        ROW + Counter({"weight entry hits": 1})),
     "bound_report, cold": ((), zeta_report, COLD_WINDOW),
     # check_bound looks its window up once
     "check_bound(16, 100), after bound_report": (
