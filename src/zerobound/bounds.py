@@ -414,19 +414,15 @@ def ceil_guarded(x: float, label: str = "") -> int:
     rather than a legitimate value.  A nan, an x past the float range or an
     x that is no real number raises DomainError.
 
-    A finite float x takes a fast path: its ceiling c is returned when x lies
-    at least CEIL_GUARD from both c and c - 1.  Each of those differences is
-    rounded as x - round(x) is, so the decision is that of the full rule, which
-    every other x, and a float near an integer, goes through.
+    x is near an integer unless it lies at least CEIL_GUARD from both its
+    ceiling c and from c - 1.
     """
-    if type(x) is float and abs(x) <= _FLOAT_MAX:
-        c = math.ceil(x)
-        if c - x >= CEIL_GUARD and x - (c - 1) >= CEIL_GUARD:
-            return c
     try:
-        finite = abs(x) <= _FLOAT_MAX  # else round() raises a bare ValueError or OverflowError
-        if finite and abs(x - round(x)) >= CEIL_GUARD:
-            return math.ceil(x)
+        finite = abs(x) <= _FLOAT_MAX  # not for a nan, an infinity, or any x past the float range
+        if finite:
+            c = math.ceil(x)
+            if c - x >= CEIL_GUARD and x - (c - 1) >= CEIL_GUARD:
+                return c
     except (TypeError, ArithmeticError):  # a str, None or a complex; a Decimal NaN
         finite = False
     named = f" for {_value_text(label)}" if label else ""

@@ -31,31 +31,8 @@ from .zeros import check_bound, load_zeros
 _DEFAULT_DIGITS = 12
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    """argparse's help formatter, set up at its first formatting step.
-
-    argparse also makes a formatter in each add_argument, only to check a
-    metavar against nargs, which reads no formatter state; deferring the set-up
-    defers its terminal-width query and the shutil import that query needs, so
-    building a parser imports neither.  --help, a usage line or an error
-    reads the width then, from the same stdlib call, and writes the same bytes.
-    """
-
-    def __init__(self, prog, **kwargs):
-        self._set_up = functools.partial(super().__init__, prog, **kwargs)
-
-    def __getattr__(self, name):  # called for a missing name: first, one a formatting step reads
-        set_up = vars(self).pop("_set_up", None)
-        if set_up:
-            set_up()
-        return object.__getattribute__(self, name)
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with the package's exit-code convention (usage errors -> 1)."""
-
-    def __init__(self, **kwargs):  # subparsers are _Parsers too: add_parser builds them
-        super().__init__(formatter_class=_HelpFormatter, **kwargs)
 
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
@@ -104,8 +81,7 @@ def _emit_json(obj: dict, out_path: str | None) -> None:
 def _build_parser() -> _Parser:
     """The root parser with its five subcommands, built on the first call only."""
     parser = _Parser(prog="zerobound", description=__doc__.splitlines()[0])
-    # an explicit prog: add_subparsers derives a missing one by formatting a usage line
-    sub = parser.add_subparsers(dest="command", required=True, prog="zerobound")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("params", help="emit a functional-equation document")
     p.set_defaults(run=_cmd_params)

@@ -110,24 +110,10 @@ def pipeline_constants(spec: NewformSpec) -> tuple[float, float, float, float, f
     return _window_floats(pieces, datum.k, log_lq2, datum.log_a1_zeta2, t0, height)[-1]
 
 
-class _RowLabel:
-    """A row's "(N=..., kappa=...)" label, written only when a warning or an error reads it."""
-
-    __slots__ = ("spec",)
-
-    def __init__(self, spec: NewformSpec) -> None:
-        self.spec = spec
-
-    def __str__(self) -> str:
-        return f"(N={self.spec.level}, kappa={self.spec.weight})"
-
-
 def table_row(spec: NewformSpec) -> tuple[int, int, int, int, int, int]:
-    """Ceilings of the six constants, in table column order.
-
-    Each constant goes through ceil_guarded once, with the row's lazy label.
-    """
-    return tuple(map(ceil_guarded, pipeline_constants(spec), (_RowLabel(spec),) * 6))
+    """Ceilings of the six constants, in table column order, each through ceil_guarded once."""
+    label = f"(N={spec.level}, kappa={spec.weight})"
+    return tuple(map(ceil_guarded, pipeline_constants(spec), (label,) * 6))
 
 
 def table_generate(specs: list[NewformSpec]) -> str:

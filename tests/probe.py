@@ -43,11 +43,6 @@ IMPORT_CHECK = (
     "if loaded or built else 0)"
 )
 
-#: code that, run before zerobound.cli builds its parser, gives every parser argparse's stock
-#: help formatter in place of the package's deferred one
-STOCK_FORMATTER = ("import argparse, zerobound.cli\n"
-                   "zerobound.cli._HelpFormatter = argparse.HelpFormatter\n")
-
 
 def _info(name):
     """CACHES[name].cache_info(), or None where a change has dropped that cache."""

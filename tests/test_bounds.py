@@ -509,7 +509,7 @@ def test_ceil_guarded_warns_near_integer():
 
 
 def reference_ceil_guarded(x, label=""):
-    """ceil_guarded without its float fast path: the full rule, which the path must match."""
+    """ceil_guarded as it read with one x - round(x) test, which its two differences must match."""
     try:
         finite = abs(x) <= sys.float_info.max
         if finite and abs(x - round(x)) >= CEIL_GUARD:
@@ -557,7 +557,7 @@ class _Float(float):
 
 
 #: floats within a few ulps of CEIL_GUARD from an integer on either side, where the
-#: fast path's two rounded differences decide
+#: rounded differences decide
 near_guard = [steps(n + sign * CEIL_GUARD + shift, k)
               for n in (0, 1, -1, 7, 4028, -4328, 2 ** 20, -(2 ** 30))
               for sign, shift in ((1, 0), (-1, 0), (1, -1), (-1, 1))
@@ -580,7 +580,7 @@ ceil_labels = ["", "c2", 0, 1, 2 ** 20000, [0], None, b"c3", _Label()]
 
 
 @pytest.mark.parametrize("x", ceil_floats + ceil_non_floats)
-def test_ceil_guarded_decides_as_the_full_rule(x):
+def test_ceil_guarded_decides_as_the_round_rule(x):
     for label in ceil_labels:
         expected = ceil_outcome(reference_ceil_guarded, x, label)
         assert ceil_outcome(ceil_guarded, x, label) == expected
@@ -592,7 +592,7 @@ def test_ceil_guarded_decides_as_the_full_rule(x):
                    st.integers(-(2 ** 52), 2 ** 52), st.sampled_from([1, -1]),
                    st.integers(-4, 4)),
        label=st.sampled_from(ceil_labels))
-def test_ceil_guarded_on_any_float_decides_as_the_full_rule(x, label):
+def test_ceil_guarded_on_any_float_decides_as_the_round_rule(x, label):
     assert ceil_outcome(ceil_guarded, x, label) == ceil_outcome(reference_ceil_guarded, x, label)
 
 

@@ -5,7 +5,6 @@ import io
 import json
 import math
 import os
-import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -297,15 +296,11 @@ TABLE_CHECK = (
 )
 
 
-def _run_stdlib_child(check: str, *args: str,
-                      columns: str | None = None) -> subprocess.CompletedProcess:
+def _run_stdlib_child(check: str) -> subprocess.CompletedProcess:
     # -S, because a site .pth file may import importlib.resources before any package
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    env.pop("COLUMNS", None)
-    if columns:
-        env["COLUMNS"] = columns
-    return subprocess.run([sys.executable, "-S", "-c", check, *args], env=env,
+    return subprocess.run([sys.executable, "-S", "-c", check], env=env,
                           capture_output=True, text=True)
 
 
@@ -514,59 +509,3 @@ def test_a_bad_call_leaves_the_next_good_one_unchanged(capsys, monkeypatch, tmp_
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out.encode("utf-8") == expected
-
-
-#: the check CI's stdlib-only step runs on the commands of SUCCESS_ARGV: building the
-#: parser and running each command imports no shutil, which only the terminal-width query
-#: of --help, a usage line or an error needs
-SHUTIL_CHECK = (
-    "import json, sys, zerobound.cli; "
-    "codes = [zerobound.cli.main(argv) for argv in json.loads(sys.argv[1])]; "
-    "sys.exit(f'exit codes {codes}' if any(codes) else 'shutil loaded' if 'shutil' in sys.modules "
-    "else 0)"
-)
-SUCCESS_ARGV = [["table", "--preset", "newform"], *(GOLDEN_ARGV[name] for name in (
-    "zeta", "constants", "bound", "verify"))]
-
-
-def test_no_command_imports_shutil():
-    done = _run_stdlib_child(SHUTIL_CHECK, json.dumps(SUCCESS_ARGV))
-    assert (done.returncode, done.stderr) == (0, "")
-
-
-#: runs zerobound.cli.main on each argv list of the JSON in sys.argv[1], the process's
-#: stdout a pipe, and prints each run's [exit code, stdout, stderr] as JSON
-HELP_CHILD = """
-import contextlib, io, json, sys, zerobound.cli
-results = []
-for argv in json.loads(sys.argv[1]):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = zerobound.cli.main(argv)
-    results.append([code, out.getvalue(), err.getvalue()])
-print(json.dumps(results))
-"""
-#: --help of each parser, and usage errors, as a zerobound process wrote them at the commit
-#: before the help formatter deferred its set-up, one process per case, under each Python
-#: release named in it; 3.10.13, 3.11.7 and 3.12.1 wrote the same bytes
-HELP_GOLDEN = CLI_GOLDEN / "help.json"
-
-
-def _help_texts(cases, columns, prefix=""):
-    done = _run_stdlib_child(prefix + HELP_CHILD, json.dumps(cases),
-                             columns=None if columns == "unset" else columns)
-    assert (done.returncode, done.stderr) == (0, "")
-    return json.loads(done.stdout)
-
-
-@pytest.mark.parametrize("columns", ["unset", "40", "200"])
-def test_help_usage_and_error_texts_keep_their_bytes(columns):
-    golden = json.loads(HELP_GOLDEN.read_text(encoding="utf-8"))
-    texts = _help_texts(golden["cases"], columns)
-    # argparse's own texts differ between releases (3.13 wraps usage lines otherwise and
-    # 3.13.13 no longer quotes choices), so under any release they must be those of
-    # argparse's stock formatter, and under a release named in the golden file its bytes
-    assert texts == _help_texts(golden["cases"], columns, probe.STOCK_FORMATTER)
-    record = golden["versions"].get(platform.python_version())
-    if record is not None:
-        assert texts == golden["records"][record][columns]
