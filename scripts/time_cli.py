@@ -2,12 +2,16 @@
 
 Runs `python -S -m zerobound.cli <command>` children on this checkout's src/,
 interleaved: each round runs every command once with no bytecode cache and once
-with a warm one, and the script prints one JSON object with the min and median
-wall time of each (command, cache) pair, the parser's build times, the machine
-and the Python version.  Every child must exit 0 and write the expected stdout:
-the committed golden for params, constants, bound, verify and table, and for
-`table --pairs` on a generated file of --pairs seeded pairs, the same bytes in
-every run, one well-formed row per pair.
+with a warm one, and the script prints one JSON object with the min, quartiles
+and median wall time of each (command, cache) pair, the parser's build times,
+the machine and the Python version.  Every child must exit 0 and write the
+expected stdout: the committed golden for params, constants, bound, verify and
+table, and for `table --pairs` on a generated file of --pairs seeded pairs, the
+same bytes in every run, one well-formed row per pair.  Each round also runs
+every command once more per condition under -X importtime, as `python -S -c`
+with zerobound.cli imported by name; the object then gives, per command and
+condition, the quartiles of that import's cumulative time and the sorted
+zerobound modules the child loaded.
 
 Both conditions share a temporary PYTHONPYCACHEPREFIX that an untimed run of
 every child fills first, so the standard library is always cached and the
@@ -52,6 +56,9 @@ COMMANDS = {
                CLI_DATA / "verify.json"),
 }
 
+#: runs the CLI on its arguments with zerobound.cli imported by name, so -X importtime logs it
+IMPORT_CHILD = "import sys, zerobound.cli as cli; sys.exit(cli.main(sys.argv[1:]))"
+
 #: prints the first and a second _build_parser() time in ms, and whether the first loaded shutil
 PARSER_CHILD = """
 import json, sys, time, zerobound.cli as cli
@@ -84,19 +91,39 @@ def check_pairs_table(out: bytes, pairs: list[tuple[int, int]]) -> None:
             raise SystemExit(f"table --pairs: bad row {line!r} for N={level}, kappa={weight}")
 
 
-def run(argv: list[str], env: dict[str, str]) -> tuple[float, bytes]:
-    """(wall seconds, stdout) of one `python -S` child, which must exit 0."""
+def run(argv: list[str], env: dict[str, str]) -> subprocess.CompletedProcess:
+    """One `python -S` child, which must exit 0, with its wall time in ms as .elapsed."""
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-S", *argv], env=env, cwd=ROOT,
                           stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    elapsed = time.perf_counter() - start
+    done.elapsed = 1e3 * (time.perf_counter() - start)
     if done.returncode:
         raise SystemExit(f"{argv} exited {done.returncode}: {done.stderr.decode(errors='replace')}")
-    return elapsed, done.stdout
+    return done
+
+
+def import_profile(log: bytes) -> tuple[float, list[str]]:
+    """The cumulative ms of zerobound.cli and the sorted zerobound modules in an importtime log."""
+    cumulative, modules = None, []
+    for line in log.decode("utf-8").splitlines():
+        # "import time: <self us> | <cumulative us> | <indented module name>"
+        fields = line.removeprefix("import time:").split("|")
+        if len(fields) == 3 and fields[2].strip().split(".")[0] == "zerobound":
+            modules.append(fields[2].strip())
+            if modules[-1] == "zerobound.cli":
+                cumulative = int(fields[1]) / 1e3
+    if cumulative is None:
+        raise SystemExit("the importtime log names no zerobound.cli")
+    return cumulative, sorted(modules)
 
 
 def summary(values: list[float]) -> dict[str, float]:
-    return {"min": round(min(values), 3), "median": round(statistics.median(values), 3)}
+    """min, first quartile, median and third quartile (inclusive method) of the values."""
+    # a single run is every quartile: quantiles wants two points before Python 3.13
+    q1, median, q3 = statistics.quantiles(values * 2 if len(values) < 2 else values,
+                                          n=4, method="inclusive")
+    return {key: round(value, 3) for key, value in
+            {"min": min(values), "q1": q1, "median": median, "q3": q3}.items()}
 
 
 def main() -> None:
@@ -128,20 +155,28 @@ def main() -> None:
 
         wall = {cache: {name: [] for name in children} for cache in envs}
         parser = {cache: [] for cache in envs}
+        imports = {cache: {name: ([], set()) for name in COMMANDS} for cache in envs}
         pairs_out = None
         for _ in range(args.runs):
             for cache, env in envs.items():
                 for name, (argv, expected) in children.items():
-                    elapsed, out = run(argv, env)
+                    done = run(argv, env)
                     if expected is None:
                         if pairs_out is None:
-                            check_pairs_table(out, pairs)
-                            pairs_out = out
+                            check_pairs_table(done.stdout, pairs)
+                            pairs_out = done.stdout
                         expected = pairs_out
-                    if out != expected:
+                    if done.stdout != expected:
                         raise SystemExit(f"{name}: stdout differs from the expected bytes")
-                    wall[cache][name].append(1e3 * elapsed)
-                parser[cache].append(json.loads(run(["-c", PARSER_CHILD], env)[1]))
+                    wall[cache][name].append(done.elapsed)
+                parser[cache].append(json.loads(run(["-c", PARSER_CHILD], env).stdout))
+                for name, (argv, golden) in COMMANDS.items():
+                    done = run(["-X", "importtime", "-c", IMPORT_CHILD, *argv], env)
+                    if done.stdout != golden.read_bytes():
+                        raise SystemExit(f"{name} under -X importtime: stdout differs")
+                    cumulative, modules = import_profile(done.stderr)
+                    imports[cache][name][0].append(cumulative)
+                    imports[cache][name][1].add(tuple(modules))
 
     print(json.dumps({
         "python": sys.version,
@@ -155,6 +190,10 @@ def main() -> None:
             "second": summary([second for _, second, _ in runs]),
             "first_imports_shutil": sorted({loaded for _, _, loaded in runs})}
             for cache, runs in parser.items()},
+        "import_profile": {cache: {name: {
+            "zerobound.cli_cumulative_ms": summary(times),
+            "zerobound_modules": [list(modules) for modules in sorted(loaded)]}
+            for name, (times, loaded) in by_name.items()} for cache, by_name in imports.items()},
     }, indent=1))
 
 

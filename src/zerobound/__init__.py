@@ -1,32 +1,11 @@
 """Explicit zero-counting error constants for L-functions with gamma-factor
 functional equations, plus a verification harness for external zero tables."""
 
-from .bounds import (
-    BoundReport, BranchConstants, Coefficients, argument_integral_bound, bound_report,
-    branch_constants, ceil_guarded, disc_count_bound, doubling_coefficients,
-    integrated_ratio_error, log_integral_bound, ratio_error_sup, shifted_constant,
-    total_count_error, trivial_zero_window, vertical_integral_bound, window_coefficients,
-)
-from .errors import (
-    AdmissibilityError, BoundaryWarning, DomainError, InvalidStripError, ValidationError,
-    ZeroboundError, ZeroFileError,
-)
-from .gammabounds import (
-    magnitude_envelope, ratio_error_bound, ratio_error_total, reflection_log_main,
-    remainder_pair_bound, stirling_remainder_bound,
-)
-from .newform import (
-    NewformSpec, newform_params, newform_strip, pipeline_constants, table_generate, table_row,
-)
-from .selberg import (
-    AdmissibleHeight, GammaFactor, LFunctionData, StripParams, load_document, main_term,
-    min_admissible_height, require_admissible, select_strip, tail_sum,
-)
-from .zeros import VerificationReport, ZeroList, check_bound, count_window, load_zeros
+from . import bounds, errors, newform, selberg, zeros
 
 __version__ = "1.0.0"
 
-#: the public names, sorted: the six submodules and every name imported above
+#: the public names, sorted: the six submodules and the names __getattr__ finds in them
 __all__ = [
     "AdmissibilityError", "AdmissibleHeight", "BoundReport", "BoundaryWarning",
     "BranchConstants", "Coefficients", "DomainError", "GammaFactor", "InvalidStripError",
@@ -42,3 +21,20 @@ __all__ = [
     "table_row", "tail_sum", "total_count_error", "trivial_zero_window",
     "vertical_integral_bound", "window_coefficients", "zeros",
 ]
+
+
+def __getattr__(name: str):
+    """The object a submodule binds to a name of __all__; gammabounds is imported on first use."""
+    if name in __all__:
+        for module in (errors, selberg, bounds, newform, zeros):
+            if name in vars(module):
+                return vars(module)[name]
+        import importlib  # not "from . import", whose hasattr check would call __getattr__ again
+        gammabounds = importlib.import_module(f"{__name__}.gammabounds")
+        return gammabounds if name == "gammabounds" else getattr(gammabounds, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    """The module's globals and every name of __all__, resolved or not."""
+    return sorted({*globals(), *__all__})

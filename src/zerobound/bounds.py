@@ -25,16 +25,20 @@ window or newform weight; only what reads log(lambda Q^2) or a1 is computed
 per row or window.  Value objects are built at the public edge, at most once
 per window, and a per-piece bound that overflows a float raises DomainError.
 Everything is a pure function of the datum, strip and heights.
+
+The gamma-ratio kernel, _factor_kernels and its sum _kernel_sums, sits here
+next to the window that sums it.  The lemma layer, gammabounds, states the
+paper's lemmas on this kernel; nothing here imports gammabounds.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
 
 from .errors import BoundaryWarning, DomainError, ValidationError, _value_text
-from .gammabounds import LOG2, _interp_terms, _kernel_sums, _log_interp_peak
 from .selberg import (
     _FLOAT_MAX, LFunctionData, StripParams, _admissible, _convert, _require_height, _thresholds,
     _Value, require_admissible,
@@ -45,25 +49,70 @@ TWO_PI = 2.0 * math.pi
 #: pre-ceiling values closer than this to an integer trigger BoundaryWarning
 CEIL_GUARD = 1e-6
 
+#: second Bernoulli number, the one-term Stirling remainder coefficient
+B2 = 1.0 / 6.0
+LOG2, LOG3, SQRT5 = math.log(2.0), math.log(3.0), math.sqrt(5.0)
+_SEC_GUARD = 1e-12
 
-def ratio_error_sup(data: LFunctionData, strip: StripParams, T: float) -> float:
-    """Supremum envelope of the total gamma-ratio error on the counting rectangle.
 
-    Covers sigma in [a - 2R, a + 2R] and t in [T - 2R, T + 2R]; only the
-    prefactor 1/(T - 2R) depends on T.  Requires finite T > 2R.
+def _sec_sq(x: float) -> float:
+    """1 / cos(x)^2 with a guard against arguments at +-pi/2."""
+    c = math.cos(x)
+    if abs(c) < _SEC_GUARD:
+        raise DomainError(f"secant argument {x} too close to an odd multiple of pi/2")
+    return 1.0 / (c * c)
+
+
+def _phase(z: complex) -> float:
+    """Principal argument, rejecting a non-finite z, the branch cut and the origin."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"argument of {z} is not finite")
+    if z == 0:
+        raise DomainError("argument of zero is undefined")
+    ph = cmath.phase(z)
+    if abs(ph) >= math.pi:
+        raise DomainError(f"argument of {z} lies on the branch cut")
+    return ph
+
+
+def _pair_secant(data: LFunctionData, x: float) -> float:
+    """2 + sec^2(arg(x + i * threshold)/2), the paired remainder kernel; lam_j > 0 scales out."""
+    return 2.0 + _sec_sq(_phase(complex(x, data.threshold_height)) / 2.0)
+
+
+def _factor_kernels(data: LFunctionData, x: float) -> list[float]:
+    """Per factor (series block + B2/2 * (2 + sec^2(arg(x + i * threshold)/2))) / lam.
+
+    Divided by t, this is the factor's gamma-ratio error bound with the
+    secant taken at real part x: the series block covers the truncated
+    logarithm series, the secant term the paired Stirling remainders.
     """
-    _require_height(T, "T", strip.two_r, DomainError, "2R")
-    return _factor_pieces(data, strip).sup(T)
+    half = B2 / 2.0 * _pair_secant(data, x)
+    return [(block + half) / lam for block, lam in zip(data.series_blocks, data.lams)]
 
 
-def integrated_ratio_error(data: LFunctionData, strip: StripParams, T0: float, T: float) -> float:
-    """Integral of the paired gamma-ratio errors over ordinates [T0, T].
+def _kernel_sums(data: LFunctionData, *xs: float) -> list[float]:
+    """For each x in xs, the sum over factors of _factor_kernels(data, x)."""
+    return [math.fsum(_factor_kernels(data, x)) for x in xs]
 
-    Proportional to log(T/T0); requires finite T >= T0 > 0.
+
+def _interp_terms(data: LFunctionData) -> tuple[float, float, float]:
+    """(2.5 d + 1) log 2, 2.5 sqrt(5) d and |Im mu_cap| of a datum."""
+    d = data.degree
+    return (2.5 * d + 1.0) * LOG2, 2.5 * SQRT5 * d, abs(data.mu_cap.imag)
+
+
+def _log_interp_peak(terms: tuple, k: int, log_lq2: float, err: float) -> float:
+    """Log of the convexity-interpolation peak, (2.5 d + 1) log 2 + k log 3 + max(0, e).
+
+    e = 2.5 log_lq2 + 2.5 sqrt(5) d + |Im mu_cap| + err, for a datum's _interp_terms, pole
+    order k and log_lq2 = log(lambda Q^2).  At err = 0 it is h1, the disc bound's interpolation
+    branch.  With err the ratio-error envelope along sigma = -2, a1 pi^2 / 6 times its exp is
+    the middle band's peak in gammabounds.magnitude_envelope: 2^(2.5 d + 1) times the larger
+    of the right-edge constant 3^k a1 pi^2 / 6 and the left-edge one, exp(e) times it.
     """
-    _require_height(T0, "T0", 0.0)
-    _require_height(T, "T", T0, DomainError, "T0", True)
-    return _finite(_ratio_integral(_factor_pieces(data, strip), T0, T), "integrated ratio error")
+    lift, spread, im = terms
+    return lift + k * LOG3 + max(0.0, 2.5 * log_lq2 + spread + im + err)
 
 
 def _ratio_integral(p: _FactorPieces, T0: float, T: float) -> float:
@@ -142,14 +191,6 @@ def _disc_bound(p: _FactorPieces, log_a1_zeta2: float, heads: tuple, terms: tupl
     reflect_head, interp_peak = heads
     reflect = reflect_head - 2.0 * p.d + bend + p.d * p.strip.right_edge + lean
     return (log_term + log_a1_zeta2 + sup + max(reflect, interp_peak)) / LOG2
-
-
-def argument_integral_bound(data: LFunctionData, strip: StripParams, T: float) -> float:
-    """pi R (disc_count_bound(T) + 2), bounding the horizontal argument integral.
-
-    Valid for the full strip (b, a) and, a fortiori, for (b + 1, a).
-    """
-    return math.pi * strip.R * (disc_count_bound(data, strip, T) + 2.0)
 
 
 def trivial_zero_window(data: LFunctionData, strip: StripParams) -> float:

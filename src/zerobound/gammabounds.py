@@ -1,4 +1,4 @@
-"""Stirling-remainder envelopes and the gamma-ratio error machinery.
+"""The lemma layer: the paper's gamma-ratio and envelope lemmas, stated pointwise.
 
 The reflection factor of the functional equation,
 
@@ -7,11 +7,11 @@ The reflection factor of the functional equation,
 
 controls |L(s)| left of the critical strip.  A one-term Stirling expansion
 of each log-Gamma turns log|Delta| into an explicit main part
-(reflection_log_main) plus a per-factor remainder whose modulus is bounded
-here (ratio_error_bound and ratio_error_total); bounds sums the same factor
-kernels into ratio_error_sup and the integrated ratio error, once per gamma
-factors and strip.  The same machinery produces the piecewise upper
-envelope for |L(s)| on a window around height T (magnitude_envelope).
+(reflection_log_main) plus a per-factor remainder bounded here
+(ratio_error_bound, ratio_error_total), as is the envelope of |L(s)| near
+height T (magnitude_envelope); ratio_error_sup, integrated_ratio_error and
+argument_integral_bound state window pieces alone.  All read the kernel in
+bounds.  No command loads this module: zerobound imports it on first use.
 """
 
 from __future__ import annotations
@@ -19,36 +19,14 @@ from __future__ import annotations
 import cmath
 import math
 
+from .bounds import (
+    B2, _factor_kernels, _factor_pieces, _finite, _interp_terms, _kernel_sums,
+    _log_interp_peak, _pair_secant, _phase, _ratio_integral, _sec_sq, disc_count_bound,
+)
 from .errors import AdmissibilityError, DomainError, _value_text
 from .selberg import (
     LFunctionData, StripParams, _convert, _real, _require_height, require_admissible,
 )
-
-#: second Bernoulli number, the one-term Stirling remainder coefficient
-B2 = 1.0 / 6.0
-LOG2, LOG3, SQRT5 = math.log(2.0), math.log(3.0), math.sqrt(5.0)
-
-_SEC_GUARD = 1e-12
-
-
-def _sec_sq(x: float) -> float:
-    """1 / cos(x)^2 with a guard against arguments at +-pi/2."""
-    c = math.cos(x)
-    if abs(c) < _SEC_GUARD:
-        raise DomainError(f"secant argument {x} too close to an odd multiple of pi/2")
-    return 1.0 / (c * c)
-
-
-def _phase(z: complex) -> float:
-    """Principal argument, rejecting a non-finite z, the branch cut and the origin."""
-    if not cmath.isfinite(z):
-        raise DomainError(f"argument of {z} is not finite")
-    if z == 0:
-        raise DomainError("argument of zero is undefined")
-    ph = cmath.phase(z)
-    if abs(ph) >= math.pi:
-        raise DomainError(f"argument of {z} lies on the branch cut")
-    return ph
 
 
 def stirling_remainder_bound(z: complex) -> float:
@@ -59,30 +37,6 @@ def stirling_remainder_bound(z: complex) -> float:
     z = _convert(complex, z, "z", DomainError)
     ph = _phase(z)
     return B2 / (2.0 * abs(z)) * _sec_sq(ph / 2.0)
-
-
-def _pair_secant(data: LFunctionData, x: float) -> float:
-    """2 + sec^2(arg(x + i * threshold)/2), the paired remainder kernel.
-
-    The positive factor scaling lam_j drops out of the argument.
-    """
-    return 2.0 + _sec_sq(_phase(complex(x, data.threshold_height)) / 2.0)
-
-
-def _factor_kernels(data: LFunctionData, x: float) -> list[float]:
-    """Per factor (series block + B2/2 * (2 + sec^2(arg(x + i * threshold)/2))) / lam.
-
-    Divided by t, this is the factor's gamma-ratio error bound with the
-    secant taken at real part x: the series block covers the truncated
-    logarithm series, the secant term the paired Stirling remainders.
-    """
-    half = B2 / 2.0 * _pair_secant(data, x)
-    return [(block + half) / lam for block, lam in zip(data.series_blocks, data.lams)]
-
-
-def _kernel_sums(data: LFunctionData, *xs: float) -> list[float]:
-    """For each x in xs, the sum over factors of _factor_kernels(data, x)."""
-    return [math.fsum(_factor_kernels(data, x)) for x in xs]
 
 
 def _factor_index(data: LFunctionData, j: int) -> int:
@@ -125,6 +79,26 @@ def ratio_error_total(data: LFunctionData, sigma: float, t: float) -> float:
     return math.fsum(k / t for k in _factor_kernels(data, -abs(sigma)))
 
 
+def ratio_error_sup(data: LFunctionData, strip: StripParams, T: float) -> float:
+    """Supremum envelope of the total gamma-ratio error on the counting rectangle.
+
+    Covers sigma in [a - 2R, a + 2R] and t in [T - 2R, T + 2R]; only the
+    prefactor 1/(T - 2R) depends on T.  Requires finite T > 2R.
+    """
+    _require_height(T, "T", strip.two_r, DomainError, "2R")
+    return _factor_pieces(data, strip).sup(T)
+
+
+def integrated_ratio_error(data: LFunctionData, strip: StripParams, T0: float, T: float) -> float:
+    """Integral of the paired gamma-ratio errors over ordinates [T0, T].
+
+    Proportional to log(T/T0); requires finite T >= T0 > 0.
+    """
+    _require_height(T0, "T0", 0.0)
+    _require_height(T, "T", T0, DomainError, "T0", True)
+    return _finite(_ratio_integral(_factor_pieces(data, strip), T0, T), "integrated ratio error")
+
+
 def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:
     """Main part of log|Delta(sigma + i t)|, remainder excluded.
 
@@ -146,30 +120,8 @@ def reflection_log_main(data: LFunctionData, sigma: float, t: float) -> float:
     d = data.degree
     swing = cmath.log(1.0 - complex(0.0, sigma) / t)
     weight = d * (0.5 - s) + complex(0.0, data.mu_cap.imag / 2.0)
-    return (
-        (0.5 - sigma) * (d * math.log(t) + data.log_lambda_q2)
-        + d * sigma
-        + (swing * weight).real
-    )
-
-
-def _interp_terms(data: LFunctionData) -> tuple[float, float, float]:
-    """(2.5 d + 1) log 2, 2.5 sqrt(5) d and |Im mu_cap| of a datum."""
-    d = data.degree
-    return (2.5 * d + 1.0) * LOG2, 2.5 * SQRT5 * d, abs(data.mu_cap.imag)
-
-
-def _log_interp_peak(terms: tuple, k: int, log_lq2: float, err: float) -> float:
-    """Log of the convexity-interpolation peak, (2.5 d + 1) log 2 + k log 3 + max(0, e).
-
-    e = 2.5 log_lq2 + 2.5 sqrt(5) d + |Im mu_cap| + err, for a datum's _interp_terms, pole
-    order k and log_lq2 = log(lambda Q^2).  At err = 0 it is h1, the disc bound's interpolation
-    branch.  With err the gamma-ratio error envelope along sigma = -2, a1 pi^2 / 6 times its
-    exp is the middle band's peak in magnitude_envelope: 2^(2.5 d + 1) times the larger of
-    the right-edge constant 3^k a1 pi^2 / 6 and the left-edge one, exp(e) times it.
-    """
-    lift, spread, im = terms
-    return lift + k * LOG3 + max(0.0, 2.5 * log_lq2 + spread + im + err)
+    return ((0.5 - sigma) * (d * math.log(t) + data.log_lambda_q2) + d * sigma
+            + (swing * weight).real)
 
 
 def magnitude_envelope(
@@ -210,4 +162,13 @@ def magnitude_envelope(
     if not value < math.inf:
         raise DomainError(f"the envelope at sigma = {sigma}, t = {t} exceeds the float range")
     return value
+
+
+def argument_integral_bound(data: LFunctionData, strip: StripParams, T: float) -> float:
+    """pi R (disc_count_bound(T) + 2), bounding the horizontal argument integral.
+
+    Valid for the full strip (b, a) and, a fortiori, for (b + 1, a).
+    """
+    return math.pi * strip.R * (disc_count_bound(data, strip, T) + 2.0)
+
 

@@ -9,7 +9,7 @@ cell of that table.
 
 import sys
 
-from zerobound import bounds, cli, gammabounds, newform, selberg
+from zerobound import bounds, cli, newform, selberg
 
 #: every functools cache of the package, by the name its misses have in a costs() count
 CACHES = {
@@ -22,8 +22,8 @@ CACHES = {
 
 #: the functions and classes whose calls costs() counts, each under its __name__
 CALLS = (
-    gammabounds._kernel_sums, gammabounds._factor_kernels, bounds._height, bounds._heads,
-    bounds._branch, gammabounds._log_interp_peak, selberg._admissible,
+    bounds._kernel_sums, bounds._factor_kernels, bounds._height, bounds._heads,
+    bounds._branch, bounds._log_interp_peak, selberg._admissible,
     bounds.trivial_zero_window, bounds.branch_constants, selberg.select_strip,
     bounds.BranchConstants, bounds.Coefficients, bounds.ceil_guarded,
 )
@@ -35,12 +35,13 @@ weight_entry = newform._weight_datum
 
 #: the CI workflow's import check: the CLI's import loads no module only some commands need
 #: (or none: the value types read their fields from __init__'s code object, not through
-#: inspect) and builds no argument parser, which only main needs
+#: inspect), not the lemma layer, which no command needs, and builds no argument parser,
+#: which only main needs
 IMPORT_CHECK = (
     "import zerobound.cli, sys; loaded = {'ast', 'dataclasses', 'dis', 'importlib.resources', "
-    "'inspect', 'typing'} & set(sys.modules); built = zerobound.cli._build_parser.cache_info()"
-    ".currsize; sys.exit(f'import zerobound.cli loaded {sorted(loaded)}, built {built} parsers' "
-    "if loaded or built else 0)"
+    "'inspect', 'typing', 'zerobound.gammabounds'} & set(sys.modules); built = "
+    "zerobound.cli._build_parser.cache_info().currsize; sys.exit(f'import zerobound.cli "
+    "loaded {sorted(loaded)}, built {built} parsers' if loaded or built else 0)"
 )
 
 

@@ -286,21 +286,23 @@ def test_table_out_file(tmp_path, capsys):
     assert target.read_text().startswith("N,kappa,T0,")
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
 #: the table check CI's stdlib-only step runs, its stdout compared with
-#: perfbench/ref/table.out: the bundled pairs are read with a plain open
+#: perfbench/ref/table.out: the bundled pairs are read with a plain open, and
+#: the table never reaches the lemma layer
 TABLE_CHECK = (
     "import sys, zerobound.cli; "
     "code = zerobound.cli.main(['table', '--preset', 'newform']); "
-    "loaded = {'importlib.resources', 'zipfile'} & set(sys.modules); "
+    "loaded = {'importlib.resources', 'zerobound.gammabounds', 'zipfile'} & set(sys.modules); "
     "sys.exit(f'zerobound table loaded {sorted(loaded)}, exit {code}' if loaded or code else 0)"
 )
 
 
-def _run_stdlib_child(check: str) -> subprocess.CompletedProcess:
+def _run_stdlib_child(check: str, *argv: str) -> subprocess.CompletedProcess:
     # -S, because a site .pth file may import importlib.resources before any package
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    return subprocess.run([sys.executable, "-S", "-c", check], env=env,
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-S", "-c", check, *argv], env=env,
                           capture_output=True, text=True)
 
 
@@ -311,9 +313,28 @@ def test_cli_import_loads_no_dataclasses_resources_or_inspect():
 
 def test_table_process_reads_the_bundled_pairs_without_importlib_resources():
     done = _run_stdlib_child(TABLE_CHECK)
-    ref = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "table.out"
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == ref.read_text(encoding="utf-8")
+    assert done.stdout == (ROOT / "perfbench" / "ref" / "table.out").read_text(encoding="utf-8")
+
+
+def test_ci_workflow_runs_both_checks_verbatim():
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    assert probe.IMPORT_CHECK in workflow and TABLE_CHECK in workflow
+
+
+#: a child's statement that prints the sorted zerobound modules it has loaded to out
+LOADED = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'zerobound'), file=out)"
+#: what import zerobound, and so any import from the package, loads: no lemma layer
+PACKAGE_MODULES = ["zerobound", "zerobound.bounds", "zerobound.errors", "zerobound.newform",
+                   "zerobound.selberg", "zerobound.zeros"]
+#: what each command's process loads: today every command loads the same modules
+COMMAND_MODULES = sorted([*PACKAGE_MODULES, "zerobound.cli", "zerobound.presets"])
+
+
+@pytest.mark.parametrize("module", ["zerobound", "zerobound.bounds"])
+def test_the_package_import_loads_no_lemma_layer(module):
+    done = _run_stdlib_child(f"import sys, {module}; out = sys.stdout; {LOADED}")
+    assert (done.returncode, done.stderr, done.stdout.split()) == (0, "", PACKAGE_MODULES)
 
 
 #: the package's export list; a lazier zerobound/__init__.py must keep it
@@ -332,12 +353,39 @@ EXPORTS = [
     "table_generate", "table_row", "tail_sum", "total_count_error", "trivial_zero_window",
     "vertical_integral_bound", "window_coefficients", "zeros",
 ]
+SUBMODULES = {"bounds", "errors", "gammabounds", "newform", "selberg", "zeros"}
+#: the exports that the lemma layer defines
+LEMMAS = [
+    "argument_integral_bound", "integrated_ratio_error", "magnitude_envelope", "ratio_error_bound",
+    "ratio_error_sup", "ratio_error_total", "reflection_log_main", "remainder_pair_bound",
+    "stirling_remainder_bound",
+]
+#: the gamma-ratio kernel, which bounds defines and the lemma layer imports
+KERNEL = ["_factor_kernels", "_interp_terms", "_kernel_sums", "_log_interp_peak", "_pair_secant",
+          "_phase", "_sec_sq"]
 
 
 def test_export_list_is_pinned():
     import zerobound
+    from zerobound import bounds, gammabounds
 
     assert sorted(zerobound.__all__) == EXPORTS
+    assert set(EXPORTS) <= set(dir(zerobound))
+    star = {}
+    exec("from zerobound import *", star)
+    for name in EXPORTS:
+        # each name is the object its defining submodule binds, however it is imported
+        got, imported = getattr(zerobound, name), {}
+        exec(f"from zerobound import {name}", imported)
+        defined = (sys.modules[f"zerobound.{name}"] if name in SUBMODULES
+                   else vars(sys.modules[got.__module__])[name])
+        assert got is defined is imported[name] is star[name], name
+    assert [name for name in EXPORTS if name not in SUBMODULES
+            and getattr(zerobound, name).__module__ == "zerobound.gammabounds"] == LEMMAS
+    assert gammabounds._factor_index.__module__ == "zerobound.gammabounds"
+    assert {getattr(bounds, name).__module__ for name in KERNEL} == {"zerobound.bounds"}
+    with pytest.raises(AttributeError, match=r"^module 'zerobound' has no attribute 'nowhere'$"):
+        zerobound.nowhere
 
 
 # --- verify ---------------------------------------------------------------------------
@@ -489,9 +537,23 @@ def test_cli_output_matches_golden_bytes(capsys, monkeypatch, name, argv):
 #: every golden output: the eleven above and the published table
 GOLDEN_RUNS = [
     *((CLI_GOLDEN / f"{name}.json", argv) for name, argv in GOLDEN_ARGV.items()),
-    (Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "table.out",
-     ["table", "--preset", "newform"]),
+    (ROOT / "perfbench" / "ref" / "table.out", ["table", "--preset", "newform"]),
 ]
+
+
+#: one success path of each command: params, constants, bound, verify and table
+COMMAND_RUNS = {name: (CLI_GOLDEN / f"{name}.json", GOLDEN_ARGV[name])
+                for name in ("zeta", "constants", "bound", "verify")}
+COMMAND_RUNS["table"] = GOLDEN_RUNS[-1]
+
+
+@pytest.mark.parametrize("golden, argv", COMMAND_RUNS.values(), ids=list(COMMAND_RUNS))
+def test_each_command_loads_the_pinned_modules(golden, argv):
+    check = ("import sys, zerobound.cli; code = zerobound.cli.main(sys.argv[1:]); "
+             f"out = sys.stderr; {LOADED}; sys.exit(code)")
+    done = _run_stdlib_child(check, *argv)
+    assert (done.returncode, done.stdout) == (0, golden.read_text(encoding="utf-8"))
+    assert done.stderr.split() == COMMAND_MODULES
 
 
 def test_a_bad_call_leaves_the_next_good_one_unchanged(capsys, monkeypatch, tmp_path):

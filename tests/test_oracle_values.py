@@ -45,16 +45,30 @@ LABELS = {
 
 
 def _frozen_constants(path: Path) -> dict[str, float]:
-    """Every module-level NAME = <number> assignment of a test module."""
+    """Every module-level NAME = <float literal> assignment of a test module.
+
+    An UPPER_CASE assignment that ast.literal_eval refuses, such as a list
+    comprehension, is skipped: it freezes no value.
+    """
     constants = {}
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
             if isinstance(target, ast.Name) and target.id.isupper():
-                value = ast.literal_eval(node.value)
+                try:
+                    value = ast.literal_eval(node.value)
+                except (ValueError, TypeError):  # no literal, or one that cannot be built
+                    continue
                 if isinstance(value, float):
                     constants[target.id] = value
     return constants
+
+
+def test_frozen_constants_skip_what_is_no_literal(tmp_path):
+    module = tmp_path / "test_module.py"
+    module.write_text("GRID = [x / 2 for x in range(3)]\nFROZEN = 1.5\nCOUNT = 3\nlower = 2.5\n",
+                      encoding="utf-8")
+    assert _frozen_constants(module) == {"FROZEN": 1.5}
 
 
 def test_frozen_values_match_the_oracle_script():
