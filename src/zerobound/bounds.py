@@ -20,10 +20,12 @@ windows respectively).  All three and bound_report take their window of
 (datum, strip, T0) from the memo _window; the newform table calls the
 window's float core, _window_floats, directly.  Terms that read only the
 gamma factors and the strip come from one _factor_pieces entry per (datum,
-strip), and terms that also read T0 from _height, which checks T0, once per
-window or newform weight; only what reads log(lambda Q^2) or a1 is computed
-per row or window.  Value objects are built at the public edge, at most once
-per window, and a per-piece bound that overflows a float raises DomainError.
+strip), and terms that also read T0 from _height, which checks T0 (naming a
+constraint only in an error), once per window or newform weight; only what
+reads log(lambda Q^2) or a1 is computed per row or window.  Value objects are
+built at the public edge, at most once per window or report, whose V* are the
+K / (T - 2R) of its disc bounds, and a per-piece bound that overflows a float
+raises DomainError.
 Everything is a pure function of the datum, strip and heights.
 
 The gamma-ratio kernel, _factor_kernels and its sum _kernel_sums, sits here
@@ -336,6 +338,7 @@ class _Window(_Value):
     """The (T0, T]-window bound of one (data, strip, T0): its pieces and _window_floats.
 
     Construction checks that T0 is admissible, so every finite T > T0 is too.
+    v_star_t0 is the K / (T0 - 2R) that R2(T0) read, kept for report.
     The Coefficients pair is built once, when a public function first asks
     for it.  repr, == and hash see data, strip and T0 only, which fix every
     other field.  Build windows through _window only.
@@ -343,18 +346,19 @@ class _Window(_Value):
 
     def __init__(self, data: LFunctionData, strip: StripParams, T0: float) -> None:
         p = _factor_pieces(data, strip)
+        height = _height(p, data.k, T0)
         heads, alpha, h1, h2, r2_t0, head, constants = _window_floats(
-            p, data.k, data.log_lambda_q2, data.log_a1_zeta2, T0, _height(p, data.k, T0))
+            p, data.k, data.log_lambda_q2, data.log_a1_zeta2, T0, height)
         self._set(data=data, strip=strip, T0=T0, pieces=p, heads=heads, alpha=alpha, h1=h1,
-                  h2=h2, r2_t0=r2_t0, head=head, constants=constants)
+                  h2=h2, r2_t0=r2_t0, v_star_t0=height[0][3], head=head, constants=constants)
 
-    def at(self, T: float) -> tuple[float, float, float]:
-        """(R1, R2(T), window total) at a finite T > T0."""
+    def at(self, T: float) -> tuple[float, float, float, float]:
+        """(R1, R2(T), window total, V*(T)) at a finite T > T0; V*(T) is the one R2(T) read."""
         _require_height(T, "T", self.T0, DomainError, "T0")
         p = self.pieces
-        r1 = _log_integral(p, self.T0, T)
-        r2_t = _disc_bound(p, self.data.log_a1_zeta2, self.heads, _disc_terms(p, T))
-        return r1, r2_t, _total(p, self.head, self.r2_t0, r1 / TWO_PI, r2_t)
+        r1, terms = _log_integral(p, self.T0, T), _disc_terms(p, T)
+        r2_t = _disc_bound(p, self.data.log_a1_zeta2, self.heads, terms)
+        return r1, r2_t, _total(p, self.head, self.r2_t0, r1 / TWO_PI, r2_t), terms[3]
 
     @functools.cached_property
     def coefficients(self) -> tuple[Coefficients, Coefficients]:
@@ -363,16 +367,11 @@ class _Window(_Value):
         return Coefficients(*c[:3]), Coefficients(*c[3:])
 
     def report(self, T: float) -> BoundReport:
-        """The bound_report at height T."""
-        r1, r2_t, total = self.at(T)
-        c1_main, c2_main, c3_main, c1_dbl, c2_dbl, c3_dbl = self.constants
-        p = self.pieces
+        """The bound_report at height T, from at(T)."""
+        r1, r2_t, total, v_t = self.at(T)
         return BoundReport(
-            T0=self.T0, T=T, S=_ratio_integral(p, self.T0, T), R1=r1,
-            V_star_T0=p.sup(self.T0), V_star_T=p.sup(T), R2_T0=self.r2_t0, R2_T=r2_t,
-            alpha=self.alpha, h1=self.h1, h2=self.h2, R_total=total, c1_main=c1_main,
-            c2_main=c2_main, c3_main=c3_main, c1_dbl=c1_dbl, c2_dbl=c2_dbl, c3_dbl=c3_dbl,
-        )
+            self.T0, T, _ratio_integral(self.pieces, self.T0, T), r1, self.v_star_t0, v_t,
+            self.r2_t0, r2_t, self.alpha, self.h1, self.h2, total, *self.constants)
 
 
 #: The one way to a window: each public bound below takes its window from this

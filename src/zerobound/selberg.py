@@ -435,6 +435,11 @@ def _thresholds(data: LFunctionData, strip: StripParams) -> tuple[float, float, 
     return _sum_up(two_r, 1.0), _sum_up(two_r, data.shift_max), _sum_up(two_r, data.arg_max)
 
 
+def _pole_threshold(two_r: float, k: int) -> float:
+    """The pole-window threshold of _constraints for a pole order k > 0: 2R + _pole_window(k)."""
+    return _sum_up(two_r, _pole_window(k))
+
+
 def _constraints(thresholds: tuple, two_r: float, k: int) -> list[tuple[str, float, bool]]:
     """(name, threshold, is_strict) triples for the admissibility of T, from _thresholds.
 
@@ -443,7 +448,7 @@ def _constraints(thresholds: tuple, two_r: float, k: int) -> list[tuple[str, flo
     base, shift, arg = thresholds
     cons = [("base-window", base, False), ("gamma-shift", shift, False)]
     if k > 0:
-        cons.append(("pole-window", _sum_up(two_r, _pole_window(k)), False))
+        cons.append(("pole-window", _pole_threshold(two_r, k), False))
     cons.append(("gamma-argument", arg, True))
     return cons
 
@@ -473,8 +478,15 @@ def require_admissible(data: LFunctionData, strip: StripParams, T: float, label:
 
 
 def _admissible(thresholds: tuple, two_r: float, k: int, T: float, label: str) -> None:
-    """require_admissible, given the _thresholds of the datum and strip, 2R and the pole order k."""
+    """require_admissible, given the _thresholds of the datum and strip, 2R and the pole order k.
+
+    The comparisons of _constraints decide; its triples are built only to name a refusal.
+    """
     _require_height(T, label, error=AdmissibilityError)
+    # T >= shift covers the base-window: shift_max >= 2 > 1, as |lam + conj(mu)| >= lam
+    _, shift, arg = thresholds
+    if T >= shift and (k <= 0 or T >= _pole_threshold(two_r, k)) and T > arg:
+        return
     for name, val, strict in _constraints(thresholds, two_r, k):
         if not (T > val if strict else T >= val):
             raise AdmissibilityError(

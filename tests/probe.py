@@ -23,7 +23,7 @@ CACHES = {
 #: the functions and classes whose calls costs() counts, each under its __name__
 CALLS = (
     bounds._kernel_sums, bounds._factor_kernels, bounds._height, bounds._heads,
-    bounds._branch, bounds._log_interp_peak, selberg._admissible,
+    bounds._branch, bounds._log_interp_peak, selberg._admissible, selberg._constraints,
     bounds.trivial_zero_window, bounds.branch_constants, selberg.select_strip,
     bounds.BranchConstants, bounds.Coefficients, bounds.ceil_guarded,
 )

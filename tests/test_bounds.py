@@ -726,6 +726,8 @@ def test_bound_report_equals_the_standalone_bounds(window):
     assert rep.R1 == log_integral_bound(data, strip, t0, t)
     assert rep.R2_T0 == disc_count_bound(data, strip, t0)
     assert rep.R2_T == disc_count_bound(data, strip, t)
+    assert rep.V_star_T0 == ratio_error_sup(data, strip, t0)
+    assert rep.V_star_T == ratio_error_sup(data, strip, t)
     bc = branch_constants(data, strip, t0)
     assert (rep.alpha, rep.h1, rep.h2) == (bc.alpha, bc.h1, bc.h2)
     main = window_coefficients(data, strip, t0)
@@ -751,7 +753,7 @@ _coefficient_fields = attrgetter("c1", "c2", "c3")
 
 def _window_bits(window, t):
     """float.hex of every number a window holds, its factor-level pieces' too (K once read),
-    by name, and of its (R1, R2(T), total) and its BoundReport fields at t."""
+    by name, and of its (R1, R2(T), total, V*(T)) and its BoundReport fields at t."""
     held = {**vars(window), **{f"pieces.{k}": v for k, v in vars(window.pieces).items()}}
     for name in ("data", "strip", "pieces", "coefficients", "pieces.data", "pieces.strip"):
         held.pop(name, None)

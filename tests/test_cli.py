@@ -532,6 +532,25 @@ def test_cli_output_matches_golden_bytes(capsys, monkeypatch, name, argv):
     assert out.encode("utf-8") == (CLI_GOLDEN / f"{name}.json").read_bytes()
 
 
+#: constants at a refused T0, whose message names the first constraint T0 violates:
+#: three_factor.json (k = 2) fails base-window at 14 and gamma-shift at 20, and
+#: pole_window.json, the zeta document with k = 3, clears both at 17 and fails pole-window
+REFUSAL_ARGV = {
+    "three_factor_base_window": ["constants", "--input", str(CLI_GOLDEN / "three_factor.json"),
+                                 "--t0", "14"],
+    "three_factor_gamma_shift": ["constants", "--input", str(CLI_GOLDEN / "three_factor.json"),
+                                 "--t0", "20"],
+    "pole_window": ["constants", "--input", str(CLI_GOLDEN / "pole_window.json"), "--t0", "17"],
+}
+
+
+@pytest.mark.parametrize("name, argv", REFUSAL_ARGV.items())
+def test_cli_refusal_matches_golden_bytes(capsys, name, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.encode("utf-8") == (CLI_GOLDEN / f"{name}.err").read_bytes()
+
+
 # --- the parser, built once per process -------------------------------------------------
 
 #: every golden output: the eleven above and the published table

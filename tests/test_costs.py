@@ -21,10 +21,10 @@ import probe
 import zerobound
 from test_cli import GOLDEN_ARGV
 from zerobound import (
-    LFunctionData, NewformSpec, ZeroboundError, ZeroList, bound_report, branch_constants,
-    check_bound, disc_count_bound, integrated_ratio_error, log_integral_bound, newform_params,
-    pipeline_constants, presets, ratio_error_sup, select_strip, table_generate, table_row,
-    tail_sum,
+    AdmissibilityError, LFunctionData, NewformSpec, ZeroboundError, ZeroList, bound_report,
+    branch_constants, check_bound, disc_count_bound, integrated_ratio_error, log_integral_bound,
+    min_admissible_height, newform_params, pipeline_constants, presets, ratio_error_sup,
+    select_strip, table_generate, table_row, tail_sum,
 )
 from zerobound.cli import main
 from zerobound.newform import read_pairs_csv
@@ -60,6 +60,16 @@ def three_pieces():  # the three per-piece bounds that read no left-edge kernel 
             branch_constants(*ZETA, 16.0))
 
 
+def refused(operation):
+    """operation, which must raise AdmissibilityError; returns the message."""
+    def run():
+        with pytest.raises(AdmissibilityError) as error:
+            operation()
+        return str(error.value)
+
+    return run
+
+
 def command(name):
     """zerobound.cli.main on COMMANDS[name], which must exit 0; returns its stdout."""
     def run():
@@ -86,8 +96,12 @@ K = Counter({"_kernel_sums": 1, "_factor_kernels": 1})
 #: the branch heads, and the branch chosen from them
 HEADS = Counter({"_heads": 1, "_log_interp_peak": 1})
 BRANCH = HEADS + Counter({"_branch": 1})
-#: one window on cached pieces: one _height call, which checks T0 once, and no value object
+#: one window on cached pieces: one _height call, which checks T0 once, on floats alone
+#: (no _constraints list), and no value object
 WINDOW = Counter({"window": 1, "_height": 1, "_admissible": 1}) + BRANCH
+#: a window whose T0 is refused: the check builds the _constraints list to name the
+#: violated one, before K or any term at T0 is read
+REFUSED_WINDOW = Counter({"window": 1, "_height": 1, "_admissible": 1, "_constraints": 1})
 COLD_WINDOW = PIECES + K + WINDOW
 #: the Coefficients pair that check_bound and bound ask a window for, built once per window
 PAIR = Counter({"Coefficients": 2})
@@ -129,6 +143,11 @@ COSTS = {
         partial(table_row, NewformSpec(1, 12)), partial(table_row, NewformSpec(11, 12)),
         ROW + Counter({"weight entry hits": 1})),
     "bound_report, cold": ((), zeta_report, COLD_WINDOW),
+    "bound_report at a refused T0, cold": (
+        (), refused(partial(bound_report, *ZETA, 15.5, 100.0)), PIECES + REFUSED_WINDOW),
+    # the minimum height reads every named threshold
+    "min_admissible_height, cold": (
+        (), partial(min_admissible_height, *ZETA), Counter({"_constraints": 1})),
     # check_bound looks its window up once
     "check_bound(16, 100), after bound_report": (
         zeta_report, check(16.0, 100.0), PAIR + Counter({"window hits": 1})),

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import probe
 from zerobound import (
+    AdmissibilityError,
     DomainError,
     GammaFactor,
     InvalidStripError,
@@ -24,7 +25,9 @@ from zerobound import (
     require_admissible,
     select_strip,
     tail_sum,
+    window_coefficients,
 )
+from zerobound.errors import _value_text
 from zerobound.selberg import _TAIL_TERMS, _constraints, _pole_window, _thresholds, document_dict
 
 from test_bounds import _flip_zero, _or_zero
@@ -805,6 +808,49 @@ def test_require_admissible_names_constraint(zeta_pair):
         require_admissible(data, strip, 15.5)
     with pytest.raises(DomainError, match="base-window"):
         require_admissible(data, strip, 3.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(0.5, 3.0), st.floats(0.0, 2.0), st.floats(-3.0, 3.0)),
+             min_size=1, max_size=4),
+    st.sampled_from([1.0, 1e8, 1e12]),
+    st.integers(0, 7),
+    st.sampled_from([1.0, 2.0, 10.0, 100.0]),
+)
+def test_admissibility_is_decided_by_the_constraints_in_order(factors, scale, k, a1):
+    # at each threshold, the floats either side of it, and a Fraction (and, where integral,
+    # an int) equal to it, a height is admitted exactly when every triple of _constraints
+    # holds, and a refusal names the first triple it violates, whichever comparison decided
+    # it, and an admitted height builds no constraint list; at scale 1 the pole-window
+    # threshold can bind, and at |Im mu| / lam near 1e8 or 1e12 the strict gamma-argument one
+    data = LFunctionData(
+        factors=tuple(GammaFactor(lam, complex(re, lam * scale * x)) for lam, re, x in factors),
+        Q=1.0, omega=1 + 0j, k=k, a1=a1,
+    )
+    strip = select_strip(a1)
+    cons = _constraints(_thresholds(data, strip), strip.two_r, k)
+    heights = []
+    for _, value, _ in cons:
+        heights += [math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf),
+                    Fraction(value)]
+        if value.is_integer():
+            heights.append(int(value))
+    for T in heights:
+        violated = [(name, value, strict) for name, value, strict in cons
+                    if not (T > value if strict else T >= value)]
+        for label, check in (("T", lambda: require_admissible(data, strip, T)),
+                             ("T0", lambda: window_coefficients(data, strip, T))):
+            if not violated:
+                assert "_constraints" not in probe.costs(check)[1]
+                continue
+            name, value, strict = violated[0]
+            with pytest.raises(AdmissibilityError) as refused:
+                check()
+            assert str(refused.value) == (
+                f"{label} = {_value_text(T)} violates the '{name}' constraint "
+                f"(needs {label} {'>' if strict else '>='} {value})"
+            )
 
 
 # --- main term ----------------------------------------------------------------------

@@ -105,7 +105,8 @@ DERIVED = {
         "lam_min", "re_mu_max", "re_mu_min", "f", "_hash",
     ),
     "StripParams": ("two_r", "right_edge", "disc_slope", "_hash"),
-    "_Window": ("pieces", "heads", "alpha", "h1", "h2", "r2_t0", "head", "constants"),
+    "_Window": ("pieces", "heads", "alpha", "h1", "h2", "r2_t0", "v_star_t0", "head",
+                "constants"),
 }
 
 #: the factor-level pieces a window shares with every window on an equal datum and strip:
@@ -258,8 +259,8 @@ def test_window_stores_its_fields_and_derived_names_only():
     # floats and a tuple of floats, but the shared pieces; the pieces store K
     # once the window has read it; the window reads its height-level terms
     # from _height, a tuple of floats and the disc terms' tuple of floats,
-    # which it does not store; the Coefficients pair is stored only
-    # once a public function has asked for it
+    # which it does not store but for V*(T0), the disc terms' last float; the
+    # Coefficients pair is stored only once a public function has asked for it
     data, strip = presets.zeta()
     pieces = probe.pieces(data, strip)
     assert set(vars(pieces)) == set(PIECES) - {"K"}
@@ -274,6 +275,7 @@ def test_window_stores_its_fields_and_derived_names_only():
     assert len(disc) == 4 and len(height) == 5
     assert all(type(x) is float for x in (*disc, *height))
     assert type(window.alpha) is int and all(type(x) is float for x in window.constants)
+    assert window.v_star_t0 == disc[3]
     window.report(100.0)
     assert set(vars(window)) == {*probe.Window._fields, *DERIVED["_Window"]}
     assert [(c.c1, c.c2, c.c3) for c in window.coefficients] == [
